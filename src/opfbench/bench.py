@@ -37,14 +37,11 @@ class BenchConfig:
     pf_kinds: tuple = (PowerFlowKind.AC, PowerFlowKind.SOC, PowerFlowKind.DC)
     cost_kinds: tuple = ENCODING_ORDER
     trials: int = 5
-    timing: str = "median"  # or "min"
     solver_options: SolverOptions = field(default_factory=SolverOptions)
 
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
-        if self.timing not in ("median", "min"):
-            raise ValueError(f"unknown timing statistic {self.timing!r}")
 
 
 @dataclass
@@ -84,7 +81,6 @@ class BenchRow:
 class BenchReport:
     rows: list
     trials: int
-    timing: str
     notes: list = field(default_factory=list)
 
 
@@ -104,12 +100,6 @@ def runtime_ratio(times: dict) -> dict:
             raise ValueError(f"time for {k.value} must be positive, got {t}")
     best = min(times[k] for k in ENCODING_ORDER)
     return {k: times[k] / best for k in ENCODING_ORDER}
-
-
-def _pick_time(samples, statistic):
-    if statistic == "median":
-        return float(statistics.median(samples))
-    return float(min(samples))
 
 
 def run_suite(config: BenchConfig) -> BenchReport:
@@ -151,7 +141,7 @@ def run_suite(config: BenchConfig) -> BenchReport:
                     t0 = time.perf_counter()
                     result, _log = solve(model, config.solver_options)
                     samples.append(time.perf_counter() - t0)
-                runtime = _pick_time(samples, config.timing)
+                runtime = float(statistics.median(samples))
                 if result.status == SolveStatus.OPTIMAL:
                     cells[ck] = CellResult(
                         ck, "optimal", result.objective, runtime,
@@ -179,10 +169,9 @@ def run_suite(config: BenchConfig) -> BenchReport:
             ))
     notes = [
         f"runtimes time the solve call only (model build excluded); "
-        f"statistic={config.timing} of {config.trials} trial(s)",
+        f"statistic=median of {config.trials} trial(s)",
     ]
-    return BenchReport(rows=rows, trials=config.trials,
-                       timing=config.timing, notes=notes)
+    return BenchReport(rows=rows, trials=config.trials, notes=notes)
 
 
 _COLUMNS = [

@@ -183,6 +183,27 @@ def _thermal_block(network, oriented, flow_p, flow_q):
     return ApparentPowerLimitBlock("thermal", idx_p, idx_q, limits)
 
 
+def _add_angle_rows(m, network, th_idx):
+    """Branch angle-difference limits and the reference-angle pin, for the
+    models that carry bus angles explicitly (AC and DC)."""
+    ang_entries, ang_lo, ang_up = [], [], []
+    for r, br in enumerate(network.branches):
+        ang_entries.append((r, th_idx[br.from_bus], 1.0))
+        ang_entries.append((r, th_idx[br.to_bus], -1.0))
+        ang_lo.append(br.angmin)
+        ang_up.append(br.angmax)
+    if network.branches:
+        m.add_block(LinearBlock(
+            "angle-diff", len(network.branches), ang_entries,
+            ang_lo, ang_up, False,
+        ))
+
+    ref = network.reference_bus
+    m.add_block(LinearBlock(
+        "angle-reference", 1, [(0, th_idx[ref], 1.0)], [0.0], [0.0], True
+    ))
+
+
 def _build_ac(network: Network) -> ModelIR:
     m = ModelIR("ac-opf")
     v_idx, th_idx = {}, {}
@@ -237,22 +258,7 @@ def _build_ac(network: Network) -> ModelIR:
     if thermal is not None:
         m.add_block(thermal)
 
-    ang_entries, ang_lo, ang_up = [], [], []
-    for r, br in enumerate(network.branches):
-        ang_entries.append((r, th_idx[br.from_bus], 1.0))
-        ang_entries.append((r, th_idx[br.to_bus], -1.0))
-        ang_lo.append(br.angmin)
-        ang_up.append(br.angmax)
-    if network.branches:
-        m.add_block(LinearBlock(
-            "angle-diff", len(network.branches), ang_entries,
-            ang_lo, ang_up, False,
-        ))
-
-    ref = network.reference_bus
-    m.add_block(LinearBlock(
-        "angle-reference", 1, [(0, th_idx[ref], 1.0)], [0.0], [0.0], True
-    ))
+    _add_angle_rows(m, network, th_idx)
 
     m.meta.update(
         pf_kind=PowerFlowKind.AC, network=network, oriented=oriented,
@@ -391,22 +397,7 @@ def _build_dc(network: Network) -> ModelIR:
     nb = len(network.buses)
     m.add_block(LinearBlock("balance-p", nb, p_ent, p_rhs, p_rhs, True))
 
-    ang_entries, ang_lo, ang_up = [], [], []
-    for r, br in enumerate(network.branches):
-        ang_entries.append((r, th_idx[br.from_bus], 1.0))
-        ang_entries.append((r, th_idx[br.to_bus], -1.0))
-        ang_lo.append(br.angmin)
-        ang_up.append(br.angmax)
-    if network.branches:
-        m.add_block(LinearBlock(
-            "angle-diff", len(network.branches), ang_entries,
-            ang_lo, ang_up, False,
-        ))
-
-    ref = network.reference_bus
-    m.add_block(LinearBlock(
-        "angle-reference", 1, [(0, th_idx[ref], 1.0)], [0.0], [0.0], True
-    ))
+    _add_angle_rows(m, network, th_idx)
 
     m.meta.update(
         pf_kind=PowerFlowKind.DC, network=network, oriented=oriented,

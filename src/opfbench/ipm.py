@@ -46,7 +46,11 @@ _MAX_BACKTRACKS = 40
 _MAX_LS_FAILURES = 20
 _REG_MAX = 1e12
 _DENSE_VAR_LIMIT = 200       # below this many internal variables use dense LDL^T
-_DUAL_BLOWUP = 1e10
+_DELTA_C = 1e-10             # sparse path's dual-block regularization
+# The sparse path's -_DELTA_C*I dual block caps dual growth near 1/_DELTA_C,
+# so an infeasible LP solved there plateaus just below 1e10 and would only
+# be caught by the stall window; blow-up is declared two decades lower.
+_DUAL_BLOWUP = 1e-2 / _DELTA_C
 _STALL_WINDOW = 30           # iterations of no feasibility progress => infeasible
 _STALL_FEAS = 1e-3           # only declare infeasibility above this violation
 
@@ -57,7 +61,6 @@ class SolverOptions:
 
     tol: float = 1e-6
     max_iter: int = 500
-    barrier_strategy: str = "monotone"  # "monotone" or "adaptive"
     mu_init: float = 0.1
     reg_floor: float = 1e-8
     tau: float = 0.995
@@ -68,10 +71,6 @@ class SolverOptions:
             raise ValueError("tol must be positive")
         if not (0.0 < self.tau < 1.0):
             raise ValueError("tau must be in (0, 1)")
-        if self.barrier_strategy not in ("monotone", "adaptive"):
-            raise ValueError(
-                f"unknown barrier strategy {self.barrier_strategy!r}"
-            )
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
         if not self.mu_init > 0:
@@ -345,6 +344,24 @@ def _max_step(vals, step, lower, upper, tau, mask_lo, mask_up):
     return max(alpha, 0.0)
 
 
+def _dual_step(intake, mu, gap_lo, gap_up, zl, zu, dz, tau):
+    """Bound-multiplier Newton step (dzl, dzu) for the primal step dz, and
+    the largest fraction-to-the-boundary step length keeping both positive."""
+    nz = intake.nz
+    lo_f, up_f = intake.has_lo, intake.has_up
+    dzl = np.zeros(nz)
+    dzu = np.zeros(nz)
+    dzl[lo_f] = (mu / gap_lo - zl - (zl / gap_lo) * dz)[lo_f]
+    dzu[up_f] = (mu / gap_up - zu + (zu / gap_up) * dz)[up_f]
+    zero, no_upper = np.zeros(nz), np.full(nz, INF)
+    never = np.zeros(nz, dtype=bool)
+    alpha_dual = min(
+        _max_step(zl, dzl, zero, no_upper, tau, lo_f, never),
+        _max_step(zu, dzu, zero, no_upper, tau, up_f, never),
+    )
+    return dzl, dzu, alpha_dual
+
+
 def solve(m: ModelIR, opts: SolverOptions | None = None):
     """Minimize a ModelIR, returning (SolveResult, IterationLog).
 
@@ -363,12 +380,13 @@ def solve(m: ModelIR, opts: SolverOptions | None = None):
     nx, ns, nz, m_int = intake.nx, intake.ns, intake.nz, intake.m_int
 
     def finish(status, z, y_int, zl_int, zu_int, kkt_res):
-        x = z[:nx]
+        x = z[:nx].copy()
+        x[intake.fixed_idx] = intake.fix_vals
         y, zl, zu = intake.map_duals(y_int, zl_int, zu_int, obj_scale)
         return SolveResult(
             status=status,
             objective=m.eval_objective(x),
-            x=x.copy(), y=y, zl=zl, zu=zu,
+            x=x, y=y, zl=zl, zu=zu,
             kkt_residual=kkt_res,
             iterations=len(log.records),
             wall_time=time.perf_counter() - t_start,
@@ -464,32 +482,18 @@ def solve(m: ModelIR, opts: SolverOptions | None = None):
                    / denom_int)
         e_mu = max(stat_pd, h_inf / denom_int, compl_mu)
 
-        if opts.barrier_strategy == "monotone":
-            reductions = 0
-            while e_mu <= _KAPPA_EPS * mu and mu > mu_min \
-                    and reductions < 8:
-                mu = max(mu_min, _MU_FACTOR * mu)
-                compl_vec = np.concatenate([
-                    (gap_lo * zl - mu)[intake.has_lo],
-                    (gap_up * zu - mu)[intake.has_up],
-                ])
-                compl_mu = (float(np.abs(compl_vec).max()) / denom_int
-                            if len(compl_vec) else 0.0)
-                e_mu = max(stat_pd, h_inf / denom_int, compl_mu)
-                reductions += 1
-            grad_phi = _barrier_gradient(intake, z, obj_lin, mu)
-        else:
-            compl_terms = np.concatenate([
-                (gap_lo * zl)[intake.has_lo], (gap_up * zu)[intake.has_up]
+        reductions = 0
+        while e_mu <= _KAPPA_EPS * mu and mu > mu_min and reductions < 8:
+            mu = max(mu_min, _MU_FACTOR * mu)
+            compl_vec = np.concatenate([
+                (gap_lo * zl - mu)[intake.has_lo],
+                (gap_up * zu - mu)[intake.has_up],
             ])
-            if len(compl_terms):
-                avg = float(compl_terms.mean())
-                if avg > 0:
-                    xi = float(compl_terms.min()) / avg
-                    sigma = 0.1 * min(0.05 * (1.0 - xi) / max(xi, 1e-12),
-                                      2.0) ** 3
-                    mu = max(mu_min, sigma * avg)
-            grad_phi = _barrier_gradient(intake, z, obj_lin, mu)
+            compl_mu = (float(np.abs(compl_vec).max()) / denom_int
+                        if len(compl_vec) else 0.0)
+            e_mu = max(stat_pd, h_inf / denom_int, compl_mu)
+            reductions += 1
+        grad_phi = _barrier_gradient(intake, z, obj_lin, mu)
 
         # Newton system on the perturbed KKT conditions
         W = eval_lagrangian_hessian(m, x, y[:m.nrows])
@@ -506,7 +510,7 @@ def solve(m: ModelIR, opts: SolverOptions | None = None):
         ], format="csr") if ns else sp.csr_matrix(W)
 
         delta_w = 0.0 if force_reg == 0.0 else force_reg
-        delta_c = 0.0 if dense else 1e-10
+        delta_c = 0.0 if dense else _DELTA_C
         factor = None
         sol = None
         corrections = 0
@@ -545,20 +549,11 @@ def solve(m: ModelIR, opts: SolverOptions | None = None):
 
         dz = sol[:nz]
         dy = sol[nz:]
-        dzl = np.zeros(nz)
-        dzu = np.zeros(nz)
         lo_f, up_f = intake.has_lo, intake.has_up
-        dzl[lo_f] = (mu / gap_lo - zl - (zl / gap_lo) * dz)[lo_f]
-        dzu[up_f] = (mu / gap_up - zu + (zu / gap_up) * dz)[up_f]
-
+        dzl, dzu, alpha_dual = _dual_step(intake, mu, gap_lo, gap_up, zl, zu,
+                                          dz, opts.tau)
         alpha_max = _max_step(z, dz, intake.zlo, intake.zup, opts.tau,
                               lo_f, up_f)
-        alpha_dual = min(
-            _max_step(zl, dzl, np.zeros(nz), np.full(nz, INF), opts.tau,
-                      lo_f, np.zeros(nz, dtype=bool)),
-            _max_step(zu, dzu, np.zeros(nz), np.full(nz, INF), opts.tau,
-                      up_f, np.zeros(nz, dtype=bool)),
-        )
         if alpha_max <= 0.0:
             status = SolveStatus.NUMERICAL_ERROR
             break
@@ -610,17 +605,8 @@ def solve(m: ModelIR, opts: SolverOptions | None = None):
                     alpha = alpha_soc
                     dz = dz_soc
                     dy = sol_soc[nz:]
-                    dzl = np.zeros(nz)
-                    dzu = np.zeros(nz)
-                    dzl[lo_f] = (mu / gap_lo - zl
-                                 - (zl / gap_lo) * dz_soc)[lo_f]
-                    dzu[up_f] = (mu / gap_up - zu
-                                 + (zu / gap_up) * dz_soc)[up_f]
-                    alpha_dual = min(
-                        _max_step(zl, dzl, np.zeros(nz), np.full(nz, INF),
-                                  opts.tau, lo_f, np.zeros(nz, dtype=bool)),
-                        _max_step(zu, dzu, np.zeros(nz), np.full(nz, INF),
-                                  opts.tau, up_f, np.zeros(nz, dtype=bool)),
+                    dzl, dzu, alpha_dual = _dual_step(
+                        intake, mu, gap_lo, gap_up, zl, zu, dz, opts.tau
                     )
                     accepted = True
                     break

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import enum
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -486,12 +485,10 @@ def eval_jacobian(m: ModelIR, x) -> sp.csr_matrix:
     ).tocsr()
 
 
-def eval_lagrangian_hessian(m: ModelIR, x, duals,
-                            obj_scale: float = 1.0) -> sp.csr_matrix:
-    """Sparse Hessian of obj_scale*objective + duals . g(x).
+def eval_lagrangian_hessian(m: ModelIR, x, duals) -> sp.csr_matrix:
+    """Sparse Hessian of objective + duals . g(x).
 
-    The objective is linear, so only constraint curvature contributes;
-    obj_scale is accepted for interface uniformity.
+    The objective is linear, so only constraint curvature contributes.
     """
     x = m._check_x(x)
     duals = np.asarray(duals, dtype=float)

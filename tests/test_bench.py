@@ -42,10 +42,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             BenchConfig(case_paths=[], trials=0)
 
-    def test_timing_validated(self):
-        with pytest.raises(ValueError):
-            BenchConfig(case_paths=[], timing="mean")
-
 
 @pytest.fixture(scope="module")
 def small_suite(case_paths):
@@ -103,19 +99,6 @@ class TestRunSuite:
         ac = by_pf[PowerFlowKind.AC]
         assert by_pf[PowerFlowKind.SOC] <= ac + 1e-6 * abs(ac)
 
-    def test_min_timing_statistic(self, case_paths):
-        config = BenchConfig(
-            case_paths=[case_paths["case1_micro"]],
-            pf_kinds=(PowerFlowKind.DC,),
-            trials=3,
-            timing="min",
-        )
-        report = run_suite(config)
-        assert report.timing == "min"
-        for row in report.rows:
-            for cell in row.cells.values():
-                assert cell.runtime > 0
-
     def test_determinism_of_results(self, case_paths):
         config = BenchConfig(
             case_paths=[case_paths["case3_cycle"]],
@@ -144,7 +127,7 @@ class TestRunSuite:
 
 class TestRender:
     def test_empty_report_header_only(self):
-        report = BenchReport(rows=[], trials=1, timing="median")
+        report = BenchReport(rows=[], trials=1)
         text = render_report(report, "csv")
         lines = [l for l in text.splitlines() if not l.startswith("#")]
         assert len(lines) == 1
@@ -173,3 +156,4 @@ class TestRender:
     def test_notes_mention_build_exclusion(self, small_suite):
         text = render_report(small_suite, "csv")
         assert "model build excluded" in text
+        assert "statistic=median of 2 trial(s)" in text

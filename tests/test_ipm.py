@@ -1,6 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import opfbench.ipm as ipm_mod
+from opfbench.cases import case_text
+from opfbench.formulations import CostKind, PowerFlowKind, build_opf
 from opfbench.ipm import IterationLog, SolverOptions, kkt_check, solve
 from opfbench.modelir import (
     INF,
@@ -10,6 +15,7 @@ from opfbench.modelir import (
     SolveResult,
     SolveStatus,
 )
+from opfbench.netdata import ComplexPU, parse_case
 
 from helpers import enumerate_lp_vertices
 
@@ -77,7 +83,10 @@ class TestToyProblems:
         assert res.objective == pytest.approx(0.0, abs=1e-5)
         assert res.x[0] == pytest.approx(1.0, abs=1e-3)
 
-    def test_fixed_variable_via_equal_bounds(self):
+    @pytest.mark.parametrize("dense_limit", [10**9, 0],
+                             ids=["dense", "sparse"])
+    def test_fixed_variable_via_equal_bounds(self, monkeypatch, dense_limit):
+        monkeypatch.setattr(ipm_mod, "_DENSE_VAR_LIMIT", dense_limit)
         m = ModelIR("fix")
         m.add_variable("x", 2.0, 2.0, 2.0)
         m.add_variable("y", 0.0, 10.0, 5.0)
@@ -126,16 +135,9 @@ class TestSolverContracts:
                     r2.alpha_primal, r2.alpha_dual)
 
     def test_monotone_mu_nonincreasing(self):
-        _, log = solve(qp_epigraph(),
-                       SolverOptions(barrier_strategy="monotone"))
+        _, log = solve(qp_epigraph())
         mus = [r.mu for r in log.records]
         assert all(a >= b for a, b in zip(mus, mus[1:]))
-
-    def test_adaptive_strategy_solves(self):
-        res, _ = solve(qp_epigraph(),
-                       SolverOptions(barrier_strategy="adaptive"))
-        assert res.status == SolveStatus.OPTIMAL
-        assert res.objective == pytest.approx(0.0, abs=1e-5)
 
     def test_steps_stay_interior(self):
         _, log = solve(lp_two_var())
@@ -148,8 +150,6 @@ class TestSolverContracts:
             SolverOptions(tol=0.0)
         with pytest.raises(ValueError):
             SolverOptions(tau=1.0)
-        with pytest.raises(ValueError):
-            SolverOptions(barrier_strategy="wild")
 
     def test_time_limit_reports_iteration_limit(self):
         res, _ = solve(lp_two_var(), SolverOptions(time_limit=0.0))
@@ -166,8 +166,6 @@ class TestSolverContracts:
 
 class TestBackendEquivalence:
     def test_dense_and_sparse_agree(self, monkeypatch):
-        import opfbench.ipm as ipm_mod
-
         m1 = lp_two_var()
         monkeypatch.setattr(ipm_mod, "_DENSE_VAR_LIMIT", 10**9)
         res_dense, _ = solve(m1, SolverOptions(tol=1e-9))
@@ -179,6 +177,31 @@ class TestBackendEquivalence:
             res_sparse.objective, abs=1e-9
         )
         assert res_dense.x == pytest.approx(res_sparse.x, abs=1e-7)
+
+
+def overloaded_network(name, margin):
+    """Bundled case with every bus demand scaled so total active demand is
+    ``margin`` times total generator pmax."""
+    net = parse_case(case_text(name))
+    pmax = sum(g.pmax for g in net.generators)
+    factor = margin * pmax / sum(b.demand.re for b in net.buses)
+    buses = tuple(
+        replace(b, demand=ComplexPU(factor * b.demand.re, factor * b.demand.im))
+        for b in net.buses
+    )
+    return replace(net, buses=buses, raw_tables=None)
+
+
+class TestInfeasibilityDetection:
+    def test_sparse_lp_infeasible_before_stall_window(self, monkeypatch):
+        # the sparse path's dual regularization caps dual growth below the
+        # old blow-up threshold; detection must not wait for the stall window
+        monkeypatch.setattr(ipm_mod, "_DENSE_VAR_LIMIT", 0)
+        m = build_opf(overloaded_network("case9_loop", 1.4),
+                      PowerFlowKind.DC, CostKind.PSI)
+        res, _ = solve(m)
+        assert res.status == SolveStatus.INFEASIBLE
+        assert res.iterations < ipm_mod._STALL_WINDOW
 
 
 class TestKktCheck:
