@@ -82,6 +82,11 @@ def _cmd_preprocess(args) -> int:
 
 def _cmd_solve(args) -> int:
     try:
+        opts = SolverOptions(tol=args.tol, max_iter=args.max_iter)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    try:
         network = _load_network(args.case)
         errors = [f for f in validate_network(network)
                   if f.severity == "error"]
@@ -95,7 +100,6 @@ def _cmd_solve(args) -> int:
     except (OSError, OpfBenchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    opts = SolverOptions(tol=args.tol, max_iter=args.max_iter)
     result, log = solve(model, opts)
     if args.log_iters:
         Path(args.log_iters).write_text(log.to_csv())
@@ -140,13 +144,17 @@ def _cmd_bench(args) -> int:
     except KeyError as exc:
         print(f"error: unknown kind {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    config = BenchConfig(
-        case_paths=paths,
-        pf_kinds=pf_kinds,
-        cost_kinds=cost_kinds,
-        trials=args.trials,
-        solver_options=SolverOptions(tol=args.tol),
-    )
+    try:
+        config = BenchConfig(
+            case_paths=paths,
+            pf_kinds=pf_kinds,
+            cost_kinds=cost_kinds,
+            trials=args.trials,
+            solver_options=SolverOptions(tol=args.tol),
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
     report = run_suite(config)
     text = render_report(report, args.format)
     if args.out:

@@ -6,6 +6,8 @@ barrier on bounds and slacks, a Newton step on the perturbed KKT system
 factored by :mod:`opfbench.kkt`, a backtracking line search on an l1
 exact-penalty merit function, the fraction-to-the-boundary rule, and
 monotone barrier reduction with inertia-corrected primal regularization.
+Where the factorization cannot report the inertia, the step is accepted
+on an inertia-free curvature test instead (Chiang & Zavala, 2016).
 
 Inequality rows are converted to equalities with range-bounded slacks at
 intake, and variables fixed through equal bounds become free variables
@@ -39,17 +41,19 @@ INF = math.inf
 _OBJ_GRAD_TARGET = 100.0     # objective gradient scaled down to this magnitude
 _BOUND_PUSH = 1e-2           # relative push of the start point off its bounds
 _KAPPA_EPS = 10.0            # barrier subproblem tolerance factor
+_MU_INIT = 0.1               # initial barrier parameter
 _MU_FACTOR = 0.2             # monotone barrier reduction factor
+_TAU = 0.995                 # fraction-to-the-boundary factor
 _KAPPA_SIGMA = 1e10          # bound-multiplier safeguard corridor
 _ARMIJO_ETA = 1e-4
 _MAX_BACKTRACKS = 40
 _MAX_LS_FAILURES = 20
+_REG_FLOOR = 1e-8            # first primal regularization tried
 _REG_MAX = 1e12
-_DENSE_VAR_LIMIT = 200       # below this many internal variables use dense LDL^T
-_DELTA_C = 1e-10             # sparse path's dual-block regularization
-# The sparse path's -_DELTA_C*I dual block caps dual growth near 1/_DELTA_C,
-# so an infeasible LP solved there plateaus just below 1e10 and would only
-# be caught by the stall window; blow-up is declared two decades lower.
+_DELTA_C = 1e-10             # dual-block regularization
+# The -_DELTA_C*I dual block caps dual growth near 1/_DELTA_C, so an
+# infeasible LP plateaus just below 1e10 and would only be caught by the
+# stall window; blow-up is declared two decades lower.
 _DUAL_BLOWUP = 1e-2 / _DELTA_C
 _STALL_WINDOW = 30           # iterations of no feasibility progress => infeasible
 _STALL_FEAS = 1e-3           # only declare infeasibility above this violation
@@ -61,20 +65,12 @@ class SolverOptions:
 
     tol: float = 1e-6
     max_iter: int = 500
-    mu_init: float = 0.1
-    reg_floor: float = 1e-8
-    tau: float = 0.995
-    time_limit: float | None = None
 
     def __post_init__(self):
         if not self.tol > 0:
             raise ValueError("tol must be positive")
-        if not (0.0 < self.tau < 1.0):
-            raise ValueError("tau must be in (0, 1)")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if not self.mu_init > 0:
-            raise ValueError("mu_init must be positive")
 
 
 @dataclass
@@ -102,13 +98,13 @@ class IterationLog:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow([
             "iter", "mu", "primal_inf", "dual_inf", "compl",
-            "alpha_primal", "alpha_dual", "reg",
+            "alpha_primal", "alpha_dual", "reg", "corrections",
         ])
         for r in self.records:
             writer.writerow([
                 r.iteration, repr(r.mu), repr(r.primal_inf),
                 repr(r.dual_inf), repr(r.compl), repr(r.alpha_primal),
-                repr(r.alpha_dual), repr(r.reg),
+                repr(r.alpha_dual), repr(r.reg), r.inertia_corrections,
             ])
         return buf.getvalue()
 
@@ -327,24 +323,24 @@ def _barrier_gradient(intake, z, obj_lin, mu):
     return grad
 
 
-def _max_step(vals, step, lower, upper, tau, mask_lo, mask_up):
+def _max_step(vals, step, lower, upper, mask_lo, mask_up):
     """Largest alpha in (0, 1] keeping vals + alpha*step a tau-fraction
     inside its bounds."""
     alpha = 1.0
     neg = mask_lo & (step < 0)
     if neg.any():
         alpha = min(alpha, float(np.min(
-            -tau * (vals[neg] - lower[neg]) / step[neg]
+            -_TAU * (vals[neg] - lower[neg]) / step[neg]
         )))
     pos = mask_up & (step > 0)
     if pos.any():
         alpha = min(alpha, float(np.min(
-            tau * (upper[pos] - vals[pos]) / step[pos]
+            _TAU * (upper[pos] - vals[pos]) / step[pos]
         )))
     return max(alpha, 0.0)
 
 
-def _dual_step(intake, mu, gap_lo, gap_up, zl, zu, dz, tau):
+def _dual_step(intake, mu, gap_lo, gap_up, zl, zu, dz):
     """Bound-multiplier Newton step (dzl, dzu) for the primal step dz, and
     the largest fraction-to-the-boundary step length keeping both positive."""
     nz = intake.nz
@@ -356,10 +352,15 @@ def _dual_step(intake, mu, gap_lo, gap_up, zl, zu, dz, tau):
     zero, no_upper = np.zeros(nz), np.full(nz, INF)
     never = np.zeros(nz, dtype=bool)
     alpha_dual = min(
-        _max_step(zl, dzl, zero, no_upper, tau, lo_f, never),
-        _max_step(zu, dzu, zero, no_upper, tau, up_f, never),
+        _max_step(zl, dzl, zero, no_upper, lo_f, never),
+        _max_step(zu, dzu, zero, no_upper, up_f, never),
     )
     return dzl, dzu, alpha_dual
+
+
+def _curvature(W, diag, dz):
+    """dz^T (W + diag(diag)) dz, the primal curvature along the step."""
+    return float(dz @ (W @ dz)) + float(dz @ (diag * dz))
 
 
 def solve(m: ModelIR, opts: SolverOptions | None = None):
@@ -368,7 +369,7 @@ def solve(m: ModelIR, opts: SolverOptions | None = None):
     The result status is Optimal once the scaled KKT residuals (max-norms of
     stationarity, feasibility and complementarity, each divided by one plus
     the largest dual magnitude) and the raw constraint violation all fall
-    below opts.tol.  Exceeding the time limit reports IterationLimit.
+    below opts.tol.
     """
     if opts is None:
         opts = SolverOptions()
@@ -404,7 +405,7 @@ def solve(m: ModelIR, opts: SolverOptions | None = None):
             INF,
         )
 
-    mu = opts.mu_init
+    mu = _MU_INIT
     # barrier floor in internal units so the true-unit duality gap can
     # reach tol/10 despite objective scaling
     mu_min = max(opts.tol / 10.0 * obj_scale, 1e-16)
@@ -412,7 +413,6 @@ def solve(m: ModelIR, opts: SolverOptions | None = None):
     raw0 = m.eval_raw_rows(x0)
     z, zl, zu = _initial_point(intake, raw0, mu)
     y = np.zeros(m_int)
-    dense = nz < _DENSE_VAR_LIMIT
     is_lp = all(blk.kind in ("LinearEq", "LinearIneq") for blk in m.blocks)
 
     nu = 1.0
@@ -457,10 +457,6 @@ def solve(m: ModelIR, opts: SolverOptions | None = None):
                         and mu == mu_history[back]):
                     status = SolveStatus.INFEASIBLE
                     break
-        if (opts.time_limit is not None
-                and time.perf_counter() - t_start > opts.time_limit):
-            status = SolveStatus.ITERATION_LIMIT
-            break
 
         # internal barrier-problem residuals
         gap_lo = np.where(intake.has_lo, z - intake.zlo, 1.0)
@@ -509,8 +505,8 @@ def solve(m: ModelIR, opts: SolverOptions | None = None):
             [None, sp.csr_matrix((ns, ns))],
         ], format="csr") if ns else sp.csr_matrix(W)
 
-        delta_w = 0.0 if force_reg == 0.0 else force_reg
-        delta_c = 0.0 if dense else _DELTA_C
+        delta_w = force_reg
+        delta_c = _DELTA_C
         factor = None
         sol = None
         corrections = 0
@@ -524,23 +520,28 @@ def solve(m: ModelIR, opts: SolverOptions | None = None):
                 W_full + sp.diags(sigma + delta_w, shape=(nz, nz))
             )
             try:
-                cand = factorize(K, dense=dense)
-                if cand.inertia[0] == nz and cand.inertia[1] == m_int \
-                        and cand.inertia[2] == 0:
+                cand = factorize(K)
+                inertia = cand.inertia
+                if inertia is None or inertia == (nz, m_int, 0):
                     candidate = cand.solve(rhs)
-                    if float(np.abs(K @ candidate - rhs).max()) \
-                            <= 1e-6 * rhs_scale:
+                    singular = (float(np.abs(K @ candidate - rhs).max())
+                                > 1e-6 * rhs_scale)
+                    # unknown inertia: accept a step of nonnegative
+                    # curvature, otherwise raise delta_w only
+                    if not singular and (
+                            inertia is not None
+                            or _curvature(W_full, sigma + delta_w,
+                                          candidate[:nz]) >= 0.0):
                         factor, sol = cand, candidate
                         break
-                    singular = True
                 else:
-                    singular = cand.inertia[2] > 0
+                    singular = inertia[2] > 0
             except FactorizationError:
                 singular = True
             corrections += 1
             if singular:
                 delta_c = max(delta_c * 10.0, 1e-8)
-            delta_w = opts.reg_floor if delta_w == 0.0 else delta_w * 10.0
+            delta_w = _REG_FLOOR if delta_w == 0.0 else delta_w * 10.0
             if delta_w > _REG_MAX:
                 break
         if factor is None:
@@ -551,9 +552,8 @@ def solve(m: ModelIR, opts: SolverOptions | None = None):
         dy = sol[nz:]
         lo_f, up_f = intake.has_lo, intake.has_up
         dzl, dzu, alpha_dual = _dual_step(intake, mu, gap_lo, gap_up, zl, zu,
-                                          dz, opts.tau)
-        alpha_max = _max_step(z, dz, intake.zlo, intake.zup, opts.tau,
-                              lo_f, up_f)
+                                          dz)
+        alpha_max = _max_step(z, dz, intake.zlo, intake.zup, lo_f, up_f)
         if alpha_max <= 0.0:
             status = SolveStatus.NUMERICAL_ERROR
             break
@@ -596,7 +596,7 @@ def solve(m: ModelIR, opts: SolverOptions | None = None):
                 sol_soc = factor.solve(rhs_soc)
                 dz_soc = sol_soc[:nz]
                 alpha_soc = _max_step(z, dz_soc, intake.zlo, intake.zup,
-                                      opts.tau, lo_f, up_f)
+                                      lo_f, up_f)
                 z_soc = z + alpha_soc * dz_soc
                 phi_soc, _ = merit_at(z_soc)
                 if math.isfinite(phi_soc) and phi_soc <= (
@@ -606,7 +606,7 @@ def solve(m: ModelIR, opts: SolverOptions | None = None):
                     dz = dz_soc
                     dy = sol_soc[nz:]
                     dzl, dzu, alpha_dual = _dual_step(
-                        intake, mu, gap_lo, gap_up, zl, zu, dz, opts.tau
+                        intake, mu, gap_lo, gap_up, zl, zu, dz
                     )
                     accepted = True
                     break
@@ -617,9 +617,7 @@ def solve(m: ModelIR, opts: SolverOptions | None = None):
             if ls_failures >= _MAX_LS_FAILURES:
                 status = SolveStatus.NUMERICAL_ERROR
                 break
-            force_reg = max(
-                opts.reg_floor, 10.0 * max(force_reg, delta_w, opts.reg_floor)
-            )
+            force_reg = 10.0 * max(force_reg, delta_w, _REG_FLOOR)
             log.records.append(IterationRecord(
                 iteration=it, mu=mu, primal_inf=h_inf,
                 dual_inf=report.stationarity, compl=report.complementarity,

@@ -1,28 +1,27 @@
 """Symmetric indefinite factorization of interior-point KKT systems.
 
-Two interchangeable backends solve the augmented system
+One backend solves the augmented system
 
     [ H   J^T ] [dz]   [r1]
     [ J  -dc*I] [dy] = [r2]
 
-and report the matrix inertia so the caller can regularize until the
-factorization has exactly ``n`` positive and ``m`` negative pivots:
+with SuperLU restricted to a symmetric fill-reducing permutation and
+numerical pivoting disabled, so the U diagonal holds the LDL^T pivots and
+gives the matrix inertia.  The caller regularizes until the factorization
+has exactly ``n`` positive and ``m`` negative pivots.
 
-* a dense Bunch-Kaufman LDL^T (scipy.linalg.ldl) used for small systems,
-  where the block-diagonal D yields the exact inertia, and
-* a sparse LDL^T via SuperLU restricted to a symmetric fill-reducing
-  permutation with numerical pivoting disabled, where the U diagonal holds
-  the pivots.  A row permutation differing from the column permutation
-  means SuperLU was forced off the diagonal; the attempt is rejected and
-  the caller regularizes more.
+SuperLU still pivots off the diagonal where a diagonal pivot is exactly
+zero (a row permutation differing from the column permutation).  The LU
+solve stays valid, but the pivots no longer give the inertia; the factor
+then reports ``inertia = None`` and the caller checks the curvature of the
+step instead.
 
-Both backends apply one step of iterative refinement per solve.
+Each solve applies one step of iterative refinement.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -33,75 +32,6 @@ import scipy.sparse.linalg as spla
 
 class FactorizationError(Exception):
     """Factorization broke down (structurally or numerically singular)."""
-
-
-class _DenseFactor:
-    def __init__(self, K: np.ndarray):
-        self._K = K
-        lu, d, perm = sla.ldl(K, lower=True)
-        self._L = lu[perm, :]
-        self._d = d
-        self._perm = perm
-        self.inertia = self._inertia_from_blocks(d)
-
-    @staticmethod
-    def _inertia_from_blocks(d: np.ndarray):
-        n = d.shape[0]
-        pos = neg = zero = 0
-        i = 0
-        while i < n:
-            if i + 1 < n and d[i + 1, i] != 0.0:
-                blk = d[i:i + 2, i:i + 2]
-                for ev in np.linalg.eigvalsh(blk):
-                    if ev > 0.0:
-                        pos += 1
-                    elif ev < 0.0:
-                        neg += 1
-                    else:
-                        zero += 1
-                i += 2
-            else:
-                piv = d[i, i]
-                if piv > 0.0:
-                    pos += 1
-                elif piv < 0.0:
-                    neg += 1
-                else:
-                    zero += 1
-                i += 1
-        return pos, neg, zero
-
-    def _solve_factored(self, b: np.ndarray) -> np.ndarray:
-        d, L, perm = self._d, self._L, self._perm
-        bp = b[perm]
-        z = sla.solve_triangular(L, bp, lower=True, unit_diagonal=True)
-        w = np.empty_like(z)
-        n = len(z)
-        i = 0
-        while i < n:
-            if i + 1 < n and d[i + 1, i] != 0.0:
-                blk = d[i:i + 2, i:i + 2]
-                det = blk[0, 0] * blk[1, 1] - blk[0, 1] * blk[1, 0]
-                if det == 0.0:
-                    raise FactorizationError("singular 2x2 pivot block")
-                w[i] = (blk[1, 1] * z[i] - blk[0, 1] * z[i + 1]) / det
-                w[i + 1] = (-blk[1, 0] * z[i] + blk[0, 0] * z[i + 1]) / det
-                i += 2
-            else:
-                if d[i, i] == 0.0:
-                    raise FactorizationError("zero pivot")
-                w[i] = z[i] / d[i, i]
-                i += 1
-        y = sla.solve_triangular(L.T, w, lower=False, unit_diagonal=True)
-        out = np.empty_like(y)
-        out[perm] = y
-        return out
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        x = self._solve_factored(b)
-        r = b - self._K @ x
-        x = x + self._solve_factored(r)
-        return x
 
 
 class _SparseFactor:
@@ -116,17 +46,15 @@ class _SparseFactor:
             )
         except RuntimeError as exc:
             raise FactorizationError(str(exc)) from exc
-        if not np.array_equal(self._lu.perm_r, self._lu.perm_c):
-            raise FactorizationError(
-                "off-diagonal pivoting occurred; inertia unavailable"
-            )
         piv = self._lu.U.diagonal()
         if not np.all(np.isfinite(piv)):
             raise FactorizationError("non-finite pivots")
-        pos = int(np.sum(piv > 0.0))
-        neg = int(np.sum(piv < 0.0))
-        zero = len(piv) - pos - neg
-        self.inertia = (pos, neg, zero)
+        if np.array_equal(self._lu.perm_r, self._lu.perm_c):
+            pos = int(np.sum(piv > 0.0))
+            neg = int(np.sum(piv < 0.0))
+            self.inertia = (pos, neg, len(piv) - pos - neg)
+        else:
+            self.inertia = None
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         x = self._lu.solve(b)
@@ -137,17 +65,13 @@ class _SparseFactor:
         return x
 
 
-def factorize(K, dense: bool):
+def factorize(K):
     """Factor a symmetric indefinite matrix, returning a factor with
-    ``inertia`` (pos, neg, zero) and ``solve(rhs)``.
+    ``solve(rhs)`` and ``inertia``: (pos, neg, zero), or None when pivoting
+    left the diagonal and the inertia is unknown.
 
     Raises FactorizationError on breakdown; the caller is expected to add
     regularization and retry.
     """
-    if dense:
-        Kd = K.toarray() if sp.issparse(K) else np.asarray(K)
-        if not np.all(np.isfinite(Kd)):
-            raise FactorizationError("non-finite matrix entries")
-        return _DenseFactor(Kd)
     Ks = K.tocsc() if sp.issparse(K) else sp.csc_matrix(K)
     return _SparseFactor(Ks)

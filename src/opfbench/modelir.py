@@ -342,12 +342,6 @@ class ApparentPowerLimitBlock:
         ]
 
 
-BLOCK_KINDS = (
-    "LinearEq", "LinearIneq", "QuadraticIneq", "SocCone",
-    "AcFlowPolar", "ApparentPowerLimit",
-)
-
-
 class ModelIR:
     """Variables, constraint blocks and a linear objective.
 

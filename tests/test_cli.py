@@ -80,6 +80,26 @@ def test_solve_rejects_unknown_pf(case_paths):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("options", [
+    ["--tol", "-1"], ["--max-iter", "0"],
+], ids=["tol", "max-iter"])
+def test_solve_rejects_bad_numeric_option(case_paths, capsys, options):
+    code = main(["solve", case_paths["case2_line"], "--pf", "dc",
+                 "--cost", "psi", *options])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("options", [
+    ["--trials", "0"], ["--tol", "0"],
+], ids=["trials", "tol"])
+def test_bench_rejects_bad_numeric_option(case_paths, capsys, options):
+    code = main(["bench", "--cases", case_paths["case1_micro"], "--pf", "dc",
+                 *options])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_bench_writes_csv(case_paths, tmp_path, capsys):
     out_path = tmp_path / "report.csv"
     code = main([
