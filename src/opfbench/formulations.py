@@ -155,16 +155,18 @@ def _balance_rows(network, oriented, pg_idx, qg_idx, flow_p, flow_q):
     """Per-bus power balance entries: generation minus outgoing flows."""
     p_entries, q_entries = [], []
     p_rhs, q_rhs = [], []
+    outgoing = {}
+    for a, (_, f, _, _) in enumerate(oriented):
+        outgoing.setdefault(f, []).append(a)
     for r, bus in enumerate(network.buses):
         for k in network.gens_at_bus.get(bus.id, ()):
             p_entries.append((r, pg_idx[k], 1.0))
             if qg_idx:
                 q_entries.append((r, qg_idx[k], 1.0))
-        for a, (_, f, _, _) in enumerate(oriented):
-            if f == bus.id:
-                p_entries.append((r, flow_p[a], -1.0))
-                if flow_q:
-                    q_entries.append((r, flow_q[a], -1.0))
+        for a in outgoing.get(bus.id, ()):
+            p_entries.append((r, flow_p[a], -1.0))
+            if flow_q:
+                q_entries.append((r, flow_q[a], -1.0))
         p_rhs.append(bus.demand.re)
         q_rhs.append(bus.demand.im)
     return p_entries, p_rhs, q_entries, q_rhs

@@ -24,13 +24,13 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .kkt import FactorizationError, factorize
 from .modelir import (
     ModelIR,
     SolveResult,
     SolveStatus,
+    SparsePattern,
     eval_jacobian,
     eval_lagrangian_hessian,
 )
@@ -124,12 +124,10 @@ class KktReport:
         return max(self.stationarity, self.feasibility, self.complementarity)
 
 
-def _audit_components(m: ModelIR, x, y, zl, zu, jac=None) -> KktReport:
-    """KKT residuals of (x, y, zl, zu) against the model, dual-scaled."""
-    if jac is None:
-        jac = eval_jacobian(m, x)
+def _audit_components(m: ModelIR, x, y, zl, zu, raw, jac) -> KktReport:
+    """KKT residuals of (x, y, zl, zu) against the model, dual-scaled, given
+    the raw rows and the Jacobian at x."""
     stat = m.obj_coeffs + jac.T @ y - zl + zu
-    raw = m.eval_raw_rows(x)
     lo, up = m.row_lower, m.row_upper
     with np.errstate(invalid="ignore"):
         row_viol = np.maximum(np.maximum(lo - raw, raw - up), 0.0)
@@ -194,11 +192,13 @@ def kkt_check(m: ModelIR, result: SolveResult) -> KktReport:
     the result, independently of the solver's internal state.
     """
     m.finalize()
+    x = np.asarray(result.x, dtype=float)
     return _audit_components(
-        m, np.asarray(result.x, dtype=float),
+        m, x,
         np.asarray(result.y, dtype=float),
         np.asarray(result.zl, dtype=float),
         np.asarray(result.zu, dtype=float),
+        m.eval_raw_rows(x), eval_jacobian(m, x),
     )
 
 
@@ -225,19 +225,18 @@ class _Intake:
         self.has_lo = np.isfinite(zlo)
         self.has_up = np.isfinite(zup)
         self.eq_rhs = np.where(m.row_is_eq, m.row_lower, 0.0)
-        # constant Jacobian entries: -1 on slack columns, +1 on fix rows
-        rows = np.concatenate([
+        # Jacobian entries the intake adds to the model's rows and columns:
+        # -1 on slack columns, +1 on fix rows
+        self.extra_rows = np.concatenate([
             self.ineq_rows,
             m.nrows + np.arange(self.n_fix),
         ])
-        cols = np.concatenate([
+        self.extra_cols = np.concatenate([
             self.nx + np.arange(self.ns),
             self.fixed_idx,
         ])
-        vals = np.concatenate([-np.ones(self.ns), np.ones(self.n_fix)])
-        self._extra = sp.coo_matrix(
-            (vals, (rows, cols)), shape=(self.m_int, self.nz)
-        ).tocsr()
+        self.extra_vals = np.concatenate([-np.ones(self.ns),
+                                          np.ones(self.n_fix)])
 
     def residual(self, z, raw):
         res = raw - self.eq_rhs
@@ -246,16 +245,13 @@ class _Intake:
             res = np.concatenate([res, z[self.fixed_idx] - self.fix_vals])
         return res
 
-    def jacobian(self, jac_model):
-        jm = sp.csr_matrix(jac_model)
-        body = sp.hstack(
-            [jm, sp.csr_matrix((self.m.nrows, self.ns))], format="csr"
-        )
-        if self.n_fix:
-            body = sp.vstack(
-                [body, sp.csr_matrix((self.n_fix, self.nz))], format="csr"
-            )
-        return body + self._extra
+    def jac_t(self, jac_model, y):
+        """J^T y for the internal Jacobian, from the model Jacobian."""
+        out = np.empty(self.nz)
+        out[:self.nx] = jac_model.T @ y[:self.m.nrows]
+        out[self.nx:] = -y[self.ineq_rows]
+        out[self.fixed_idx] += y[self.m.nrows:]
+        return out
 
     def map_duals(self, y_int, zl_int, zu_int, obj_scale):
         """Internal duals back to model-shape (row duals, bound duals)."""
@@ -271,10 +267,45 @@ class _Intake:
         return y, zl, zu
 
 
-def _initial_point(intake: _Intake, raw0, mu0):
+class _KktPattern:
+    """CSC pattern of K = [[W + diag, J^T], [J, -delta_c*I]] for one solve.
+
+    It holds the model Hessian's pattern, both full diagonals, and the
+    internal Jacobian (model entries plus the intake's slack and fix
+    entries) in both off-diagonal blocks, so every assembly is one scatter
+    of values.  Stored zeros on the diagonal are harmless: SuperLU skips a
+    zero diagonal pivot as it would a missing one.
+    """
+
+    def __init__(self, intake: _Intake):
+        m = intake.m
+        nz, m_int = intake.nz, intake.m_int
+        wr, wc = m.hess_pattern.coords()
+        jr, jc = m.jac_pattern.coords()
+        jr = nz + np.concatenate([jr, intake.extra_rows])
+        jc = np.concatenate([jc, intake.extra_cols])
+        d = np.arange(nz + m_int)
+        self._pattern = SparsePattern(
+            np.concatenate([wr, jr, jc, d]),
+            np.concatenate([wc, jc, jr, d]),
+            (nz + m_int, nz + m_int), fmt="csc",
+        )
+        self._extra_vals = intake.extra_vals
+        self._m_int = m_int
+
+    def assemble(self, W, diag, jac_model, delta_c):
+        """K for the model Hessian W and Jacobian on their model patterns;
+        diag is added to the primal diagonal, -delta_c is the dual one."""
+        jv = np.concatenate([jac_model.data, self._extra_vals])
+        return self._pattern.matrix(np.concatenate([
+            W.data, jv, jv, diag, np.full(self._m_int, -delta_c),
+        ]))
+
+
+def _initial_point(intake: _Intake, x0, raw0, mu0):
     zlo, zup = intake.zlo, intake.zup
     z0 = np.zeros(intake.nz)
-    z0[:intake.nx] = intake.m.initial_point()
+    z0[:intake.nx] = x0
     z0[intake.nx:] = raw0[intake.ineq_rows]
     lo_f, up_f = intake.has_lo, intake.has_up
     width = np.where(lo_f & up_f, zup - zlo, INF)
@@ -359,8 +390,10 @@ def _dual_step(intake, mu, gap_lo, gap_up, zl, zu, dz):
 
 
 def _curvature(W, diag, dz):
-    """dz^T (W + diag(diag)) dz, the primal curvature along the step."""
-    return float(dz @ (W @ dz)) + float(dz @ (diag * dz))
+    """dz^T (W + diag(diag)) dz, the primal curvature along the step; W
+    covers the leading model variables of dz, the slacks have none."""
+    dx = dz[:W.shape[0]]
+    return float(dx @ (W @ dx)) + float(dz @ (diag * dz))
 
 
 def solve(m: ModelIR, opts: SolverOptions | None = None):
@@ -378,7 +411,8 @@ def solve(m: ModelIR, opts: SolverOptions | None = None):
     log = IterationLog()
 
     intake = _Intake(m)
-    nx, ns, nz, m_int = intake.nx, intake.ns, intake.nz, intake.m_int
+    kkt = _KktPattern(intake)
+    nx, nz, m_int = intake.nx, intake.nz, intake.m_int
 
     def finish(status, z, y_int, zl_int, zu_int, kkt_res):
         x = z[:nx].copy()
@@ -409,9 +443,8 @@ def solve(m: ModelIR, opts: SolverOptions | None = None):
     # barrier floor in internal units so the true-unit duality gap can
     # reach tol/10 despite objective scaling
     mu_min = max(opts.tol / 10.0 * obj_scale, 1e-16)
-    x0 = np.array([v.initial for v in m.variables])
-    raw0 = m.eval_raw_rows(x0)
-    z, zl, zu = _initial_point(intake, raw0, mu)
+    x0 = m.initial_point()
+    z, zl, zu = _initial_point(intake, x0, m.eval_raw_rows(x0), mu)
     y = np.zeros(m_int)
     is_lp = all(blk.kind in ("LinearEq", "LinearIneq") for blk in m.blocks)
 
@@ -428,13 +461,12 @@ def solve(m: ModelIR, opts: SolverOptions | None = None):
         x = z[:nx]
         raw = m.eval_raw_rows(x)
         jac_model = eval_jacobian(m, x)
-        J = intake.jacobian(jac_model)
         h = intake.residual(z, raw)
         h_inf = float(np.abs(h).max()) if len(h) else 0.0
 
         y_true, zl_true, zu_true = intake.map_duals(y, zl, zu, obj_scale)
-        report = _audit_components(m, x, y_true, zl_true, zu_true,
-                                   jac=jac_model)
+        report = _audit_components(m, x, y_true, zl_true, zu_true, raw,
+                                   jac_model)
         kkt_res = report.max_residual
         if kkt_res <= opts.tol and report.raw_feasibility <= opts.tol:
             status = SolveStatus.OPTIMAL
@@ -474,8 +506,8 @@ def solve(m: ModelIR, opts: SolverOptions | None = None):
                     if len(compl_vec) else 0.0)
         # barrier-KKT error of the mu-subproblem; stationarity measured in
         # the primal-dual form, which is what the Newton step drives to zero
-        stat_pd = (float(np.abs(obj_lin + J.T @ y - zl + zu).max())
-                   / denom_int)
+        jty = intake.jac_t(jac_model, y)
+        stat_pd = float(np.abs(obj_lin + jty - zl + zu).max()) / denom_int
         e_mu = max(stat_pd, h_inf / denom_int, compl_mu)
 
         reductions = 0
@@ -496,14 +528,9 @@ def solve(m: ModelIR, opts: SolverOptions | None = None):
         sigma = np.zeros(nz)
         sigma[intake.has_lo] += (zl / gap_lo)[intake.has_lo]
         sigma[intake.has_up] += (zu / gap_up)[intake.has_up]
-        r1 = -(grad_phi + J.T @ y)
+        r1 = -(grad_phi + jty)
         r2 = -h
         rhs = np.concatenate([r1, r2])
-
-        W_full = sp.bmat([
-            [W, None],
-            [None, sp.csr_matrix((ns, ns))],
-        ], format="csr") if ns else sp.csr_matrix(W)
 
         delta_w = force_reg
         delta_c = _DELTA_C
@@ -512,13 +539,7 @@ def solve(m: ModelIR, opts: SolverOptions | None = None):
         corrections = 0
         rhs_scale = 1.0 + float(np.abs(rhs).max()) if len(rhs) else 1.0
         while True:
-            K = sp.bmat([
-                [W_full + sp.diags(sigma + delta_w, shape=(nz, nz)),
-                 J.T],
-                [J, -sp.identity(m_int) * delta_c if m_int else None],
-            ], format="csc") if m_int else sp.csc_matrix(
-                W_full + sp.diags(sigma + delta_w, shape=(nz, nz))
-            )
+            K = kkt.assemble(W, sigma + delta_w, jac_model, delta_c)
             try:
                 cand = factorize(K)
                 inertia = cand.inertia
@@ -530,7 +551,7 @@ def solve(m: ModelIR, opts: SolverOptions | None = None):
                     # curvature, otherwise raise delta_w only
                     if not singular and (
                             inertia is not None
-                            or _curvature(W_full, sigma + delta_w,
+                            or _curvature(W, sigma + delta_w,
                                           candidate[:nz]) >= 0.0):
                         factor, sol = cand, candidate
                         break

@@ -48,6 +48,59 @@ def _iarray(values):
     return np.asarray(values, dtype=np.int64)
 
 
+class SparsePattern:
+    """Compressed sparsity fixed once from COO coordinates with repeats.
+
+    ``matrix(vals)`` takes one value per coordinate, in the order the
+    coordinates were given, sums repeats onto their slot and wraps the
+    result on the fixed ``indptr``/``indices`` without any COO conversion.
+    ``fmt`` is "csr" (row-major) or "csc" (column-major).
+    """
+
+    def __init__(self, rows, cols, shape, fmt="csr"):
+        nrows, ncols = shape
+        if fmt == "csr":
+            major, minor, nmajor, nminor = rows, cols, nrows, ncols
+            self._cls = sp.csr_matrix
+        else:
+            major, minor, nmajor, nminor = cols, rows, ncols, nrows
+            self._cls = sp.csc_matrix
+        # np.unique(keys, return_inverse=True), without its overhead on
+        # the many small patterns a grid of models builds
+        keys = _iarray(major) * nminor + _iarray(minor)
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        first = np.empty(len(keys), dtype=bool)
+        first[:1] = True
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        self.slot = np.empty(len(keys), dtype=np.int64)
+        self.slot[order] = np.cumsum(first) - 1
+        keys = keys[first]
+        self.shape = (nrows, ncols)
+        self.nnz = len(keys)
+        idx = np.int32 if max(nrows, ncols, self.nnz) < 2**31 else np.int64
+        self.indices = (keys % nminor).astype(idx)
+        self.indptr = np.searchsorted(
+            keys, np.arange(nmajor + 1) * nminor).astype(idx)
+        # every matrix shares these arrays: an in-place change must fail
+        self.indices.flags.writeable = False
+        self.indptr.flags.writeable = False
+
+    def coords(self):
+        """(rows, cols) of the stored entries, in storage order."""
+        major = np.repeat(np.arange(len(self.indptr) - 1),
+                          np.diff(self.indptr))
+        minor = self.indices.astype(np.int64)
+        return (major, minor) if self._cls is sp.csr_matrix else (minor, major)
+
+    def matrix(self, vals):
+        data = np.bincount(self.slot, weights=vals, minlength=self.nnz)
+        return self._cls(
+            (data.astype(float, copy=False), self.indices, self.indptr),
+            shape=self.shape,
+        )
+
+
 class LinearBlock:
     """Rows of the form lo <= sum(coef * x) <= up."""
 
@@ -346,8 +399,12 @@ class ModelIR:
     """Variables, constraint blocks and a linear objective.
 
     Mutable while being built; :meth:`finalize` freezes the structure and
-    precomputes the global sparsity layout.  Evaluation is pure and safe to
-    call concurrently once finalized.
+    precomputes what every evaluation reuses: the row offsets and ranges,
+    the objective vector, the variable bounds and start point, and the
+    fixed CSR patterns of the Jacobian and of the Hessian of the
+    Lagrangian (``jac_pattern``, ``hess_pattern``), with the slot each
+    block entry sums into.  Evaluation is pure and safe to call
+    concurrently once finalized.
     """
 
     def __init__(self, name="model"):
@@ -384,25 +441,36 @@ class ModelIR:
             raise RuntimeError("model already finalized")
 
     def finalize(self):
+        """Freeze the model and precompute its layout (see the class
+        docstring); a second call is a no-op."""
         if self._finalized:
             return self
         n = len(self.variables)
+        jac_rows, jac_cols = [], []
+        hess_rows, hess_cols = [], []
+        row_offsets, off = [], 0
         for blk in self.blocks:
+            row_offsets.append(off)
             jr, jc = blk.jac_structure()
-            if len(jc) and (jc.min() < 0 or jc.max() >= n):
-                raise ValueError(
-                    f"block {blk.label} references variable out of range"
-                )
+            jac_rows.append(jr + off)
+            jac_cols.append(jc)
+            hr, hc = blk.hess_structure()
+            hess_rows.append(hr)
+            hess_cols.append(hc)
+            off += blk.nrows
+        cols = np.concatenate(jac_cols) if jac_cols else _iarray([])
+        if len(cols) and (cols.min() < 0 or cols.max() >= n):
+            blk = next(b for b, c in zip(self.blocks, jac_cols)
+                       if len(c) and (c.min() < 0 or c.max() >= n))
+            raise ValueError(
+                f"block {blk.label} references variable out of range"
+            )
         if self._obj_terms and max(self._obj_terms) >= n:
             raise ValueError("objective references variable out of range")
         self.obj_coeffs = np.zeros(n)
         for idx, coef in self._obj_terms.items():
             self.obj_coeffs[idx] = coef
-        self._row_offsets = []
-        off = 0
-        for blk in self.blocks:
-            self._row_offsets.append(off)
-            off += blk.nrows
+        self._row_offsets = row_offsets
         self.nrows = off
         self.nvars = n
         self.row_lower = np.concatenate(
@@ -412,19 +480,18 @@ class ModelIR:
             [blk.row_upper for blk in self.blocks]
         ) if self.blocks else np.zeros(0)
         self.row_is_eq = self.row_lower == self.row_upper
-        jac_rows, jac_cols = [], []
-        hess_rows, hess_cols = [], []
-        for blk, off in zip(self.blocks, self._row_offsets):
-            jr, jc = blk.jac_structure()
-            jac_rows.append(jr + off)
-            jac_cols.append(jc)
-            hr, hc = blk.hess_structure()
-            hess_rows.append(hr)
-            hess_cols.append(hc)
-        self._jac_rows = np.concatenate(jac_rows) if jac_rows else _iarray([])
-        self._jac_cols = np.concatenate(jac_cols) if jac_cols else _iarray([])
-        self._hess_rows = np.concatenate(hess_rows) if hess_rows else _iarray([])
-        self._hess_cols = np.concatenate(hess_cols) if hess_cols else _iarray([])
+        self.jac_pattern = SparsePattern(
+            np.concatenate(jac_rows) if jac_rows else _iarray([]), cols,
+            (self.nrows, n),
+        )
+        self.hess_pattern = SparsePattern(
+            np.concatenate(hess_rows) if hess_rows else _iarray([]),
+            np.concatenate(hess_cols) if hess_cols else _iarray([]),
+            (n, n),
+        )
+        self._xlo = _farray([v.lower for v in self.variables])
+        self._xup = _farray([v.upper for v in self.variables])
+        self._x0 = _farray([v.initial for v in self.variables])
         self._finalized = True
         return self
 
@@ -439,12 +506,12 @@ class ModelIR:
         return x
 
     def variable_bounds(self):
-        lo = np.array([v.lower for v in self.variables])
-        up = np.array([v.upper for v in self.variables])
-        return lo, up
+        """(lower, upper) bound arrays of a finalized model, as copies."""
+        return self._xlo.copy(), self._xup.copy()
 
     def initial_point(self):
-        return np.array([v.initial for v in self.variables])
+        """Start point of a finalized model, as a copy."""
+        return self._x0.copy()
 
     def eval_objective(self, x):
         x = self._check_x(x)
@@ -470,17 +537,15 @@ def eval_residuals(m: ModelIR, x) -> np.ndarray:
 
 
 def eval_jacobian(m: ModelIR, x) -> sp.csr_matrix:
-    """Sparse Jacobian of the raw row values at x (pattern fixed)."""
+    """Sparse Jacobian of the raw row values at x, on ``m.jac_pattern``."""
     x = m._check_x(x)
     vals = (np.concatenate([blk.jac_values(x) for blk in m.blocks])
             if m.blocks else np.zeros(0))
-    return sp.coo_matrix(
-        (vals, (m._jac_rows, m._jac_cols)), shape=(m.nrows, m.nvars)
-    ).tocsr()
+    return m.jac_pattern.matrix(vals)
 
 
 def eval_lagrangian_hessian(m: ModelIR, x, duals) -> sp.csr_matrix:
-    """Sparse Hessian of objective + duals . g(x).
+    """Sparse Hessian of objective + duals . g(x), on ``m.hess_pattern``.
 
     The objective is linear, so only constraint curvature contributes.
     """
@@ -493,10 +558,7 @@ def eval_lagrangian_hessian(m: ModelIR, x, duals) -> sp.csr_matrix:
     vals = []
     for blk, off in zip(m.blocks, m._row_offsets):
         vals.append(blk.hess_values(x, duals[off:off + blk.nrows]))
-    data = np.concatenate(vals) if vals else np.zeros(0)
-    return sp.coo_matrix(
-        (data, (m._hess_rows, m._hess_cols)), shape=(m.nvars, m.nvars)
-    ).tocsr()
+    return m.hess_pattern.matrix(np.concatenate(vals) if vals else np.zeros(0))
 
 
 def dump_model(m: ModelIR) -> str:

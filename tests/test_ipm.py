@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import opfbench.ipm as ipm_mod
 from opfbench.cases import case_text
@@ -14,6 +15,8 @@ from opfbench.modelir import (
     QuadraticBlock,
     SolveResult,
     SolveStatus,
+    eval_jacobian,
+    eval_lagrangian_hessian,
 )
 from opfbench.netdata import ComplexPU, parse_case
 
@@ -52,6 +55,20 @@ def qp_epigraph():
     return m.finalize()
 
 
+def fixed_variable_model(n_pad):
+    # x is fixed through equal bounds and linked to y; n_pad idle box
+    # variables make the KKT matrix mostly zeros
+    m = ModelIR("fix")
+    m.add_variable("x", 2.0, 2.0, 2.0)
+    m.add_variable("y", 0.0, 10.0, 5.0)
+    m.add_block(LinearBlock("link", 1, [(0, 0, 1.0), (0, 1, -1.0)],
+                            [0.0], [0.0], True))
+    m.add_objective_term(1, 3.0)
+    for k in range(n_pad):
+        m.add_variable(f"pad{k}", -1.0, 1.0, 0.5)
+    return m.finalize()
+
+
 def infeasible_lp():
     # x >= 0 but row forces x = -1
     m = ModelIR("bad")
@@ -87,15 +104,7 @@ class TestToyProblems:
     # is mostly zeros; "dense" keeps the two-variable KKT matrix
     @pytest.mark.parametrize("n_pad", [0, 250], ids=["dense", "sparse"])
     def test_fixed_variable_via_equal_bounds(self, n_pad):
-        m = ModelIR("fix")
-        m.add_variable("x", 2.0, 2.0, 2.0)
-        m.add_variable("y", 0.0, 10.0, 5.0)
-        m.add_block(LinearBlock("link", 1, [(0, 0, 1.0), (0, 1, -1.0)],
-                                [0.0], [0.0], True))
-        m.add_objective_term(1, 3.0)
-        for k in range(n_pad):
-            m.add_variable(f"pad{k}", -1.0, 1.0, 0.5)
-        m.finalize()
+        m = fixed_variable_model(n_pad)
         res, _ = solve(m)
         assert res.status == SolveStatus.OPTIMAL
         assert res.x[0] == 2.0
@@ -265,3 +274,81 @@ class TestRandomLpsAgainstOracle:
             assert res.objective == pytest.approx(oracle, abs=1e-7)
             solved += 1
         assert solved == 20
+
+
+def reference_kkt(m, W, diag, jac, delta_c):
+    """[[W + diag, J^T], [J, -delta_c*I]] assembled block by block, with J
+    the model Jacobian plus -1 slack columns on inequality rows and +1 fix
+    rows on variables fixed through equal bounds."""
+    lo, up = m.variable_bounds()
+    ineq = np.nonzero(~m.row_is_eq)[0]
+    fixed = np.nonzero(np.isfinite(lo) & (lo == up))[0]
+    ns, nf = len(ineq), len(fixed)
+    slack = sp.coo_matrix((-np.ones(ns), (ineq, np.arange(ns))),
+                          shape=(m.nrows, ns))
+    fix = sp.coo_matrix((np.ones(nf), (np.arange(nf), fixed)),
+                        shape=(nf, m.nvars))
+    J = sp.bmat([[jac, slack], [fix, sp.csr_matrix((nf, ns))]])
+    H = sp.bmat([[W, None], [None, sp.csr_matrix((ns, ns))]]) + sp.diags(diag)
+    return sp.bmat([[H, J.T], [J, -delta_c * sp.identity(m.nrows + nf)]],
+                   format="csc")
+
+
+KKT_MODELS = [f"case9_loop-{pf.value}-{ck.value}"
+              for pf in PowerFlowKind
+              for ck in (CostKind.PSI, CostKind.LAMBDA, CostKind.DELTA,
+                         CostKind.PHI)] + ["fixed-pad250"]
+
+
+def kkt_model(name):
+    if name == "fixed-pad250":
+        return fixed_variable_model(250)
+    case, pf, ck = name.split("-")
+    return build_opf(parse_case(case_text(case)), PowerFlowKind(pf),
+                     CostKind(ck))
+
+
+class TestKktAssembly:
+    @pytest.mark.parametrize("name", KKT_MODELS)
+    def test_pattern_assembly_matches_block_assembly(self, name):
+        m = kkt_model(name)
+        rng = np.random.default_rng(7)
+        intake = ipm_mod._Intake(m)
+        kkt = ipm_mod._KktPattern(intake)
+        lo, up = m.variable_bounds()
+        x0 = m.initial_point()
+        x_rand = np.clip(x0 + 0.1 * rng.normal(size=m.nvars), lo, up)
+        # y = 0 makes every Hessian value a stored zero
+        points = [(x0, np.zeros(m.nrows)), (x_rand, rng.normal(size=m.nrows))]
+        pattern = None
+        for x, y in points:
+            W = eval_lagrangian_hessian(m, x, y)
+            jac = eval_jacobian(m, x)
+            sigma = rng.uniform(0.0, 2.0, intake.nz)
+            sigma[::3] = 0.0
+            for delta_w in (0.0, 1e-4):
+                for delta_c in (1e-10, 1e-6):
+                    K = kkt.assemble(W, sigma + delta_w, jac, delta_c)
+                    ref = reference_kkt(m, W, sigma + delta_w, jac, delta_c)
+                    assert K.format == "csc" and K.shape == ref.shape
+                    scale = abs(ref).max()
+                    assert abs(K - ref).max() <= 1e-14 * scale
+                    # the pattern is the same for every assembly
+                    if pattern is None:
+                        pattern = (K.indptr.copy(), K.indices.copy())
+                    assert np.array_equal(K.indptr, pattern[0])
+                    assert np.array_equal(K.indices, pattern[1])
+
+    def test_solve_builds_no_sparse_matrices_per_iteration(self,
+                                                           monkeypatch):
+        m = build_opf(parse_case(case_text("case9_loop")),
+                      PowerFlowKind.AC, CostKind.LAMBDA)
+
+        def rebuild(*args, **kwargs):
+            raise AssertionError("sparse matrix rebuilt inside the solve")
+
+        for name in ("bmat", "hstack", "vstack", "diags", "identity"):
+            monkeypatch.setattr(sp, name, rebuild)
+        monkeypatch.setattr(sp.coo_matrix, "tocsr", rebuild)
+        res, _ = solve(m)
+        assert res.status == SolveStatus.OPTIMAL

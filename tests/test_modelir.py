@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from opfbench.modelir import (
     AcFlowPolarBlock,
@@ -187,6 +188,57 @@ class TestSparsityStability:
         h2 = eval_lagrangian_hessian(m, x2, d)
         assert np.array_equal(h1.indices, h2.indices)
         assert np.array_equal(h1.indptr, h2.indptr)
+
+    @pytest.mark.parametrize("factory", [
+        linear_ineq_model, soc_model, acflow_model, quad_model, limit_model,
+    ])
+    def test_scatter_matches_coo_reference(self, factory):
+        # quad_model repeats (row, col) pairs in both derivatives
+        m = factory()
+        rng = np.random.default_rng(10)
+        x = rng.uniform(-1.0, 1.0, size=m.nvars)
+        duals = rng.uniform(-1.0, 1.0, size=m.nrows)
+        jr, jc, jv, hr, hc, hv = [], [], [], [], [], []
+        off = 0
+        for blk in m.blocks:
+            r, c = blk.jac_structure()
+            jr.append(r + off)
+            jc.append(c)
+            jv.append(blk.jac_values(x))
+            r, c = blk.hess_structure()
+            hr.append(r)
+            hc.append(c)
+            hv.append(blk.hess_values(x, duals[off:off + blk.nrows]))
+            off += blk.nrows
+        cat = np.concatenate
+        J_ref = sp.coo_matrix((cat(jv), (cat(jr), cat(jc))),
+                              shape=(m.nrows, m.nvars)).toarray()
+        H_ref = sp.coo_matrix((cat(hv), (cat(hr), cat(hc))),
+                              shape=(m.nvars, m.nvars)).toarray()
+        J = eval_jacobian(m, x)
+        H = eval_lagrangian_hessian(m, x, duals)
+        assert J.format == H.format == "csr"
+        assert J.toarray() == pytest.approx(J_ref, rel=1e-15, abs=1e-15)
+        assert H.toarray() == pytest.approx(H_ref, rel=1e-15, abs=1e-15)
+
+
+class TestFinalize:
+    def test_block_out_of_range_names_the_block(self):
+        m = ModelIR("bad")
+        m.add_variable("x", 0.0, 1.0, 0.5)
+        m.add_block(LinearBlock("ok", 1, [(0, 0, 1.0)], [0.0], [1.0], False))
+        m.add_block(LinearBlock("far", 1, [(0, 3, 1.0)], [0.0], [1.0], False))
+        with pytest.raises(ValueError, match="block far references"):
+            m.finalize()
+
+    def test_bounds_and_start_point_are_copies(self):
+        m = linear_ineq_model()
+        lo, up = m.variable_bounds()
+        x0 = m.initial_point()
+        lo[:] = up[:] = x0[:] = 7.0
+        assert list(m.variable_bounds()[0]) == [-2.0, -2.0]
+        assert list(m.variable_bounds()[1]) == [2.0, 2.0]
+        assert list(m.initial_point()) == [0.0, 0.0]
 
 
 class TestObjective:
