@@ -124,10 +124,10 @@ class KktReport:
         return max(self.stationarity, self.feasibility, self.complementarity)
 
 
-def _audit_components(m: ModelIR, x, y, zl, zu, raw, jac) -> KktReport:
+def _audit_components(m: ModelIR, x, y, zl, zu, raw, jac_tr) -> KktReport:
     """KKT residuals of (x, y, zl, zu) against the model, dual-scaled, given
-    the raw rows and the Jacobian at x."""
-    stat = m.obj_coeffs + jac.T @ y - zl + zu
+    the raw rows and the transposed Jacobian at x."""
+    stat = m.obj_coeffs + jac_tr @ y - zl + zu
     lo, up = m.row_lower, m.row_upper
     with np.errstate(invalid="ignore"):
         row_viol = np.maximum(np.maximum(lo - raw, raw - up), 0.0)
@@ -198,7 +198,7 @@ def kkt_check(m: ModelIR, result: SolveResult) -> KktReport:
         np.asarray(result.y, dtype=float),
         np.asarray(result.zl, dtype=float),
         np.asarray(result.zu, dtype=float),
-        m.eval_raw_rows(x), eval_jacobian(m, x),
+        m.eval_raw_rows(x), eval_jacobian(m, x).T,
     )
 
 
@@ -245,10 +245,11 @@ class _Intake:
             res = np.concatenate([res, z[self.fixed_idx] - self.fix_vals])
         return res
 
-    def jac_t(self, jac_model, y):
-        """J^T y for the internal Jacobian, from the model Jacobian."""
+    def jac_t(self, jac_tr, y):
+        """J^T y for the internal Jacobian, from the transposed model
+        Jacobian."""
         out = np.empty(self.nz)
-        out[:self.nx] = jac_model.T @ y[:self.m.nrows]
+        out[:self.nx] = jac_tr @ y[:self.m.nrows]
         out[self.nx:] = -y[self.ineq_rows]
         out[self.fixed_idx] += y[self.m.nrows:]
         return out
@@ -275,6 +276,11 @@ class _KktPattern:
     entries) in both off-diagonal blocks, so every assembly is one scatter
     of values.  Stored zeros on the diagonal are harmless: SuperLU skips a
     zero diagonal pivot as it would a missing one.
+
+    The first factorization of a solve computes the fill-reducing order of
+    this pattern; ``order(perm)`` then stores K in that order, so every
+    later assembly comes out pre-permuted and is factored with SuperLU's
+    natural order, without ordering again.
     """
 
     def __init__(self, intake: _Intake):
@@ -285,13 +291,20 @@ class _KktPattern:
         jr = nz + np.concatenate([jr, intake.extra_rows])
         jc = np.concatenate([jc, intake.extra_cols])
         d = np.arange(nz + m_int)
-        self._pattern = SparsePattern(
-            np.concatenate([wr, jr, jc, d]),
-            np.concatenate([wc, jc, jr, d]),
-            (nz + m_int, nz + m_int), fmt="csc",
-        )
+        self._rows = np.concatenate([wr, jr, jc, d])
+        self._cols = np.concatenate([wc, jc, jr, d])
+        self._shape = (nz + m_int, nz + m_int)
+        self._pattern = SparsePattern(self._rows, self._cols, self._shape,
+                                      fmt="csc")
         self._extra_vals = intake.extra_vals
         self._m_int = m_int
+        self.perm = None
+
+    def order(self, perm):
+        """Store K from now on with entry (i, j) at (perm[i], perm[j])."""
+        self.perm = perm
+        self._pattern = SparsePattern(perm[self._rows], perm[self._cols],
+                                      self._shape, fmt="csc")
 
     def assemble(self, W, diag, jac_model, delta_c):
         """K for the model Hessian W and Jacobian on their model patterns;
@@ -461,12 +474,13 @@ def solve(m: ModelIR, opts: SolverOptions | None = None):
         x = z[:nx]
         raw = m.eval_raw_rows(x)
         jac_model = eval_jacobian(m, x)
+        jac_tr = jac_model.T
         h = intake.residual(z, raw)
         h_inf = float(np.abs(h).max()) if len(h) else 0.0
 
         y_true, zl_true, zu_true = intake.map_duals(y, zl, zu, obj_scale)
         report = _audit_components(m, x, y_true, zl_true, zu_true, raw,
-                                   jac_model)
+                                   jac_tr)
         kkt_res = report.max_residual
         if kkt_res <= opts.tol and report.raw_feasibility <= opts.tol:
             status = SolveStatus.OPTIMAL
@@ -506,7 +520,7 @@ def solve(m: ModelIR, opts: SolverOptions | None = None):
                     if len(compl_vec) else 0.0)
         # barrier-KKT error of the mu-subproblem; stationarity measured in
         # the primal-dual form, which is what the Newton step drives to zero
-        jty = intake.jac_t(jac_model, y)
+        jty = intake.jac_t(jac_tr, y)
         stat_pd = float(np.abs(obj_lin + jty - zl + zu).max()) / denom_int
         e_mu = max(stat_pd, h_inf / denom_int, compl_mu)
 
@@ -537,26 +551,24 @@ def solve(m: ModelIR, opts: SolverOptions | None = None):
         factor = None
         sol = None
         corrections = 0
-        rhs_scale = 1.0 + float(np.abs(rhs).max()) if len(rhs) else 1.0
         while True:
             K = kkt.assemble(W, sigma + delta_w, jac_model, delta_c)
             try:
-                cand = factorize(K)
+                cand = factorize(K, perm=kkt.perm)
+                if kkt.perm is None:
+                    kkt.order(cand.perm)
                 inertia = cand.inertia
                 if inertia is None or inertia == (nz, m_int, 0):
+                    # raises on a large solve residual: numerically singular
                     candidate = cand.solve(rhs)
-                    singular = (float(np.abs(K @ candidate - rhs).max())
-                                > 1e-6 * rhs_scale)
                     # unknown inertia: accept a step of nonnegative
                     # curvature, otherwise raise delta_w only
-                    if not singular and (
-                            inertia is not None
+                    if (inertia is not None
                             or _curvature(W, sigma + delta_w,
                                           candidate[:nz]) >= 0.0):
                         factor, sol = cand, candidate
                         break
-                else:
-                    singular = inertia[2] > 0
+                singular = inertia is not None and inertia[2] > 0
             except FactorizationError:
                 singular = True
             corrections += 1
@@ -614,7 +626,12 @@ def solve(m: ModelIR, opts: SolverOptions | None = None):
                 # at the rejected trial point to step around merit rejection
                 # of pure Newton steps caused by constraint curvature
                 rhs_soc = np.concatenate([r1, -(alpha * h + h_try)])
-                sol_soc = factor.solve(rhs_soc)
+                try:
+                    sol_soc = factor.solve(rhs_soc)
+                except FactorizationError:
+                    # an inaccurate correction is no correction: backtrack
+                    alpha *= 0.5
+                    continue
                 dz_soc = sol_soc[:nz]
                 alpha_soc = _max_step(z, dz_soc, intake.zlo, intake.zup,
                                       lo_f, up_f)

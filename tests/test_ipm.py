@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 import opfbench.ipm as ipm_mod
+import opfbench.kkt as kkt_mod
 from opfbench.cases import case_text
 from opfbench.formulations import CostKind, PowerFlowKind, build_opf
 from opfbench.ipm import IterationLog, SolverOptions, kkt_check, solve
@@ -330,10 +331,25 @@ class TestKktAssembly:
                 for delta_c in (1e-10, 1e-6):
                     K = kkt.assemble(W, sigma + delta_w, jac, delta_c)
                     ref = reference_kkt(m, W, sigma + delta_w, jac, delta_c)
+                    if kkt.perm is not None:
+                        # once ordered, K is P ref P^T
+                        n = ref.shape[0]
+                        P = sp.csc_matrix(
+                            (np.ones(n), (kkt.perm, np.arange(n))),
+                            shape=ref.shape)
+                        ref = P @ ref @ P.T
                     assert K.format == "csc" and K.shape == ref.shape
                     scale = abs(ref).max()
                     assert abs(K - ref).max() <= 1e-14 * scale
-                    # the pattern is the same for every assembly
+                    if kkt.perm is None:
+                        # as in a solve, the first factorization that does
+                        # not break down orders K
+                        try:
+                            kkt.order(ipm_mod.factorize(K).perm)
+                        except kkt_mod.FactorizationError:
+                            pass
+                        continue
+                    # the pattern is the same for every ordered assembly
                     if pattern is None:
                         pattern = (K.indptr.copy(), K.indices.copy())
                     assert np.array_equal(K.indptr, pattern[0])
@@ -352,3 +368,49 @@ class TestKktAssembly:
         monkeypatch.setattr(sp.coo_matrix, "tocsr", rebuild)
         res, _ = solve(m)
         assert res.status == SolveStatus.OPTIMAL
+
+    def test_solve_orders_the_pattern_once(self, monkeypatch):
+        m = build_opf(parse_case(case_text("case9_loop")),
+                      PowerFlowKind.AC, CostKind.LAMBDA)
+        splu = kkt_mod.spla.splu
+        orderings = []
+
+        def counting_splu(A, permc_spec=None, **kwargs):
+            orderings.append(permc_spec)
+            return splu(A, permc_spec=permc_spec, **kwargs)
+
+        monkeypatch.setattr(kkt_mod.spla, "splu", counting_splu)
+        res, log = solve(m)
+        assert res.status == SolveStatus.OPTIMAL
+        assert len(orderings) > len(log)
+        assert sum(spec != "NATURAL" for spec in orderings) == 1
+
+    def test_failed_correction_solve_is_skipped(self, monkeypatch):
+        # a second-order-correction solve that fails its residual check
+        # must only cost the correction, not end the solve; this cell
+        # tries three corrections
+        m = build_opf(parse_case(case_text("case5_ring")),
+                      PowerFlowKind.AC, CostKind.LAMBDA)
+        factorize = ipm_mod.factorize
+        failed = []
+
+        def first_solve_only(K, **kwargs):
+            factor = factorize(K, **kwargs)
+            step_solve = factor.solve
+            calls = []
+
+            def solve_step_only(b):
+                calls.append(b)
+                if len(calls) > 1:
+                    failed.append(True)
+                    raise kkt_mod.FactorizationError("numerically singular")
+                return step_solve(b)
+
+            factor.solve = solve_step_only
+            return factor
+
+        monkeypatch.setattr(ipm_mod, "factorize", first_solve_only)
+        res, _ = solve(m)
+        assert failed
+        assert res.status == SolveStatus.OPTIMAL
+        assert kkt_check(m, res).max_residual <= 1e-6
