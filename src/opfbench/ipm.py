@@ -84,6 +84,7 @@ class IterationRecord:
     alpha_dual: float
     reg: float
     inertia_corrections: int
+    fill: int  # L+U entries of the iteration's accepted factorization
 
 
 @dataclass
@@ -98,13 +99,14 @@ class IterationLog:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow([
             "iter", "mu", "primal_inf", "dual_inf", "compl",
-            "alpha_primal", "alpha_dual", "reg", "corrections",
+            "alpha_primal", "alpha_dual", "reg", "corrections", "fill",
         ])
         for r in self.records:
             writer.writerow([
                 r.iteration, repr(r.mu), repr(r.primal_inf),
                 repr(r.dual_inf), repr(r.compl), repr(r.alpha_primal),
                 repr(r.alpha_dual), repr(r.reg), r.inertia_corrections,
+                r.fill,
             ])
         return buf.getvalue()
 
@@ -281,6 +283,9 @@ class _KktPattern:
     this pattern; ``order(perm)`` then stores K in that order, so every
     later assembly comes out pre-permuted and is factored with SuperLU's
     natural order, without ordering again.
+
+    K is one matrix bound to the pattern, built again only by ``order``;
+    every assembly overwrites its values.
     """
 
     def __init__(self, intake: _Intake):
@@ -298,6 +303,7 @@ class _KktPattern:
                                       fmt="csc")
         self._extra_vals = intake.extra_vals
         self._m_int = m_int
+        self._K = self._pattern.matrix(np.zeros(len(self._rows)))
         self.perm = None
 
     def order(self, perm):
@@ -305,14 +311,20 @@ class _KktPattern:
         self.perm = perm
         self._pattern = SparsePattern(perm[self._rows], perm[self._cols],
                                       self._shape, fmt="csc")
+        self._K = self._pattern.matrix(np.zeros(len(self._rows)))
 
     def assemble(self, W, diag, jac_model, delta_c):
         """K for the model Hessian W and Jacobian on their model patterns;
-        diag is added to the primal diagonal, -delta_c is the dual one."""
+        diag is added to the primal diagonal, -delta_c is the dual one.
+
+        Returns the same K object on every call until ``order``, with the
+        values of the previous assembly overwritten.
+        """
         jv = np.concatenate([jac_model.data, self._extra_vals])
-        return self._pattern.matrix(np.concatenate([
+        self._pattern.scatter(np.concatenate([
             W.data, jv, jv, diag, np.full(self._m_int, -delta_c),
-        ]))
+        ]), self._K.data)
+        return self._K
 
 
 def _initial_point(intake: _Intake, x0, raw0, mu0):
@@ -426,6 +438,11 @@ def solve(m: ModelIR, opts: SolverOptions | None = None):
     intake = _Intake(m)
     kkt = _KktPattern(intake)
     nx, nz, m_int = intake.nx, intake.nz, intake.m_int
+    # bound once per solve: every iteration overwrites their values, and
+    # jac_tr, a CSC view of jac_model's arrays, follows jac_model
+    jac_model = m.jac_pattern.matrix(np.zeros(len(m.jac_pattern.slot)))
+    jac_tr = jac_model.T
+    W = m.hess_pattern.matrix(np.zeros(len(m.hess_pattern.slot)))
 
     def finish(status, z, y_int, zl_int, zu_int, kkt_res):
         x = z[:nx].copy()
@@ -473,8 +490,7 @@ def solve(m: ModelIR, opts: SolverOptions | None = None):
     for it in range(opts.max_iter):
         x = z[:nx]
         raw = m.eval_raw_rows(x)
-        jac_model = eval_jacobian(m, x)
-        jac_tr = jac_model.T
+        eval_jacobian(m, x, out=jac_model)
         h = intake.residual(z, raw)
         h_inf = float(np.abs(h).max()) if len(h) else 0.0
 
@@ -538,7 +554,7 @@ def solve(m: ModelIR, opts: SolverOptions | None = None):
         grad_phi = _barrier_gradient(intake, z, obj_lin, mu)
 
         # Newton system on the perturbed KKT conditions
-        W = eval_lagrangian_hessian(m, x, y[:m.nrows])
+        eval_lagrangian_hessian(m, x, y[:m.nrows], out=W)
         sigma = np.zeros(nz)
         sigma[intake.has_lo] += (zl / gap_lo)[intake.has_lo]
         sigma[intake.has_up] += (zu / gap_up)[intake.has_up]
@@ -660,7 +676,7 @@ def solve(m: ModelIR, opts: SolverOptions | None = None):
                 iteration=it, mu=mu, primal_inf=h_inf,
                 dual_inf=report.stationarity, compl=report.complementarity,
                 alpha_primal=0.0, alpha_dual=0.0, reg=delta_w,
-                inertia_corrections=corrections,
+                inertia_corrections=corrections, fill=factor.fill,
             ))
             continue
 
@@ -686,7 +702,7 @@ def solve(m: ModelIR, opts: SolverOptions | None = None):
             iteration=it, mu=mu, primal_inf=h_inf,
             dual_inf=report.stationarity, compl=report.complementarity,
             alpha_primal=alpha, alpha_dual=alpha_dual, reg=delta_w,
-            inertia_corrections=corrections,
+            inertia_corrections=corrections, fill=factor.fill,
         ))
 
     return finish(status, z, y, zl, zu, kkt_res)

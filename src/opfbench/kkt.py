@@ -27,13 +27,26 @@ ordering.  A symmetric permutation leaves the inertia unchanged, and
 Each solve applies one step of iterative refinement and then checks the
 residual; a residual too large for the right-hand side means the matrix is
 numerically singular, and the solve raises.
+
+SuperLU is called through scipy's private ``_superlu.gstrf``, the routine
+``splu`` ends in, with the options ``splu`` would pass.  ``factorize``
+does the input checks ``splu`` did (CSC, float, square, duplicates
+summed), and they cost nothing on a matrix already in that form, which is
+what a caller that binds its matrix once hands in on every call.  The
+factor's ``L``/``U`` come back as raw ``(data, indices, indptr)`` arrays,
+not as matrices, and the pivots are read from U's storage, where each
+column ends at its diagonal entry.
+
+A factor borrows K for the residual check of its solves: K must not change
+while the factor is in use.  A caller that overwrites one bound K on every
+assembly discards each factor before it assembles again.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.sparse.linalg._dsolve import _superlu
 
 # Pivots are classified by sign; only exact zeros count as zero, since the
 # barrier makes legitimate pivot magnitudes span many orders of magnitude.
@@ -46,22 +59,37 @@ class FactorizationError(Exception):
     """Factorization broke down (structurally or numerically singular)."""
 
 
+def _raw_csc(arrays, shape):
+    """gstrf's builder for L and U: the raw CSC arrays, no matrix."""
+    return arrays
+
+
+def _u_diagonal(lu):
+    """The pivots: SuperLU stores U by columns, each ending at its
+    diagonal entry."""
+    data, _, indptr = lu.U
+    return data[indptr[1:] - 1]
+
+
 class _SparseFactor:
     def __init__(self, K: sp.csc_matrix, perm):
         self._K = K
         self._perm = perm
         try:
-            self._lu = spla.splu(
-                K,
-                permc_spec="MMD_AT_PLUS_A" if perm is None else "NATURAL",
-                diag_pivot_thresh=0.0,
-                options=dict(SymmetricMode=True, Equil=False),
+            self._lu = _superlu.gstrf(
+                K.shape[0], K.nnz, K.data, K.indices, K.indptr,
+                csc_construct_func=_raw_csc, ilu=False,
+                options=dict(
+                    ColPerm="MMD_AT_PLUS_A" if perm is None else "NATURAL",
+                    DiagPivotThresh=0.0, SymmetricMode=True, Equil=False,
+                ),
             )
         except RuntimeError as exc:
             raise FactorizationError(str(exc)) from exc
         # a copy: perm_c is a view that would keep the whole LU alive
         self.perm = self._lu.perm_c.copy() if perm is None else perm
-        piv = self._lu.U.diagonal()
+        self.fill = self._lu.nnz
+        piv = _u_diagonal(self._lu)
         if not np.all(np.isfinite(piv)):
             raise FactorizationError("non-finite pivots")
         if np.array_equal(self._lu.perm_r, self._lu.perm_c):
@@ -90,15 +118,22 @@ class _SparseFactor:
 def factorize(K, *, perm=None):
     """Factor a symmetric indefinite matrix, returning a factor with
     ``solve(rhs)``, ``inertia``: (pos, neg, zero), or None when pivoting
-    left the diagonal and the inertia is unknown, and ``perm``, the
-    fill-reducing order of K's pattern.
+    left the diagonal and the inertia is unknown, ``perm``, the
+    fill-reducing order of K's pattern, and ``fill``, the number of entries
+    in L and U.
 
     With ``perm=None`` the order is computed; otherwise entry (i, j) of the
     matrix being factored is stored at (perm[i], perm[j]) of K, and K is
     factored in that order.  ``solve`` works in the unpermuted order.
 
-    Raises FactorizationError on breakdown; the caller is expected to add
-    regularization and retry.
+    K is dense or sparse; a float CSC K is used as it is, after its
+    duplicate entries are summed in place.  Raises ValueError if K is not
+    square, and FactorizationError on breakdown; the caller is expected to
+    add regularization and retry.
     """
-    Ks = K.tocsc() if sp.issparse(K) else sp.csc_matrix(K)
-    return _SparseFactor(Ks, perm)
+    if not (sp.issparse(K) and K.format == "csc" and K.dtype == np.float64):
+        K = sp.csc_matrix(K, dtype=float)
+    if K.shape[0] != K.shape[1]:
+        raise ValueError("can only factor square matrices")
+    K.sum_duplicates()
+    return _SparseFactor(K, perm)

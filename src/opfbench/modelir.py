@@ -54,7 +54,10 @@ class SparsePattern:
     ``matrix(vals)`` takes one value per coordinate, in the order the
     coordinates were given, sums repeats onto their slot and wraps the
     result on the fixed ``indptr``/``indices`` without any COO conversion.
-    ``fmt`` is "csr" (row-major) or "csc" (column-major).
+    ``scatter(vals, out)`` writes the same sums into ``out``, the ``data``
+    of a matrix on this pattern, so a caller that binds one matrix per
+    pattern builds none per evaluation.  ``fmt`` is "csr" (row-major) or
+    "csc" (column-major).
     """
 
     def __init__(self, rows, cols, shape, fmt="csr"):
@@ -93,10 +96,14 @@ class SparsePattern:
         minor = self.indices.astype(np.int64)
         return (major, minor) if self._cls is sp.csr_matrix else (minor, major)
 
+    def scatter(self, vals, out):
+        out[:] = np.bincount(self.slot, weights=vals, minlength=self.nnz)
+        return out
+
     def matrix(self, vals):
-        data = np.bincount(self.slot, weights=vals, minlength=self.nnz)
         return self._cls(
-            (data.astype(float, copy=False), self.indices, self.indptr),
+            (self.scatter(vals, np.empty(self.nnz)), self.indices,
+             self.indptr),
             shape=self.shape,
         )
 
@@ -536,16 +543,25 @@ def eval_residuals(m: ModelIR, x) -> np.ndarray:
     return res
 
 
-def eval_jacobian(m: ModelIR, x) -> sp.csr_matrix:
-    """Sparse Jacobian of the raw row values at x, on ``m.jac_pattern``."""
+def _evaluated(pattern: SparsePattern, vals, out):
+    if out is None:
+        return pattern.matrix(vals)
+    pattern.scatter(vals, out.data)
+    return out
+
+
+def eval_jacobian(m: ModelIR, x, out=None) -> sp.csr_matrix:
+    """Sparse Jacobian of the raw row values at x, on ``m.jac_pattern``: a
+    new matrix, or ``out``, a matrix on that pattern, overwritten."""
     x = m._check_x(x)
     vals = (np.concatenate([blk.jac_values(x) for blk in m.blocks])
             if m.blocks else np.zeros(0))
-    return m.jac_pattern.matrix(vals)
+    return _evaluated(m.jac_pattern, vals, out)
 
 
-def eval_lagrangian_hessian(m: ModelIR, x, duals) -> sp.csr_matrix:
-    """Sparse Hessian of objective + duals . g(x), on ``m.hess_pattern``.
+def eval_lagrangian_hessian(m: ModelIR, x, duals, out=None) -> sp.csr_matrix:
+    """Sparse Hessian of objective + duals . g(x), on ``m.hess_pattern``: a
+    new matrix, or ``out``, a matrix on that pattern, overwritten.
 
     The objective is linear, so only constraint curvature contributes.
     """
@@ -558,7 +574,8 @@ def eval_lagrangian_hessian(m: ModelIR, x, duals) -> sp.csr_matrix:
     vals = []
     for blk, off in zip(m.blocks, m._row_offsets):
         vals.append(blk.hess_values(x, duals[off:off + blk.nrows]))
-    return m.hess_pattern.matrix(np.concatenate(vals) if vals else np.zeros(0))
+    return _evaluated(m.hess_pattern,
+                      np.concatenate(vals) if vals else np.zeros(0), out)
 
 
 def dump_model(m: ModelIR) -> str:

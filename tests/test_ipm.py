@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse._compressed import _cs_matrix
 
 import opfbench.ipm as ipm_mod
 import opfbench.kkt as kkt_mod
@@ -168,11 +169,33 @@ class TestSolverContracts:
         text = log.to_csv()
         header = text.splitlines()[0]
         assert header == ("iter,mu,primal_inf,dual_inf,compl,"
-                          "alpha_primal,alpha_dual,reg,corrections")
+                          "alpha_primal,alpha_dual,reg,corrections,fill")
         assert len(text.splitlines()) == len(log.records) + 1
-        corrections = [int(line.rsplit(",", 1)[1])
-                       for line in text.splitlines()[1:]]
-        assert corrections == [r.inertia_corrections for r in log.records]
+        rows = [line.split(",") for line in text.splitlines()[1:]]
+        assert [int(row[-2]) for row in rows] == \
+            [r.inertia_corrections for r in log.records]
+        assert [int(row[-1]) for row in rows] == \
+            [r.fill for r in log.records]
+        assert all(r.fill > 0 for r in log.records)
+
+    def test_fill_column_repeats_across_solves(self):
+        logs = [solve(build_opf(parse_case(case_text("case9_loop")),
+                                PowerFlowKind.SOC, CostKind.PSI))[1]
+                for _ in range(2)]
+        fills = [[line.rsplit(",", 1)[1] for line in log.to_csv().splitlines()]
+                 for log in logs]
+        assert fills[0] == fills[1]
+        assert len(set(fills[0][1:])) > 1
+
+    def test_first_factorization_fill_is_the_largest(self):
+        # at y = 0 the Hessian block is all stored zeros, so the first
+        # factorization of an AC solve pivots off the diagonal and fills in
+        m = build_opf(parse_case(case_text("case30_grid")),
+                      PowerFlowKind.AC, CostKind.LAMBDA)
+        res, log = solve(m)
+        assert res.status == SolveStatus.OPTIMAL
+        first, *later = [r.fill for r in log.records]
+        assert later and first > max(later)
 
 
 def overloaded_network(name, margin):
@@ -372,18 +395,39 @@ class TestKktAssembly:
     def test_solve_orders_the_pattern_once(self, monkeypatch):
         m = build_opf(parse_case(case_text("case9_loop")),
                       PowerFlowKind.AC, CostKind.LAMBDA)
-        splu = kkt_mod.spla.splu
+        gstrf = kkt_mod._superlu.gstrf
         orderings = []
 
-        def counting_splu(A, permc_spec=None, **kwargs):
-            orderings.append(permc_spec)
-            return splu(A, permc_spec=permc_spec, **kwargs)
+        def counting_gstrf(*args, options, **kwargs):
+            orderings.append(options["ColPerm"])
+            return gstrf(*args, options=options, **kwargs)
 
-        monkeypatch.setattr(kkt_mod.spla, "splu", counting_splu)
+        monkeypatch.setattr(kkt_mod._superlu, "gstrf", counting_gstrf)
         res, log = solve(m)
         assert res.status == SolveStatus.OPTIMAL
         assert len(orderings) > len(log)
         assert sum(spec != "NATURAL" for spec in orderings) == 1
+
+    def test_sparse_matrices_built_per_solve_not_per_iteration(
+            self, monkeypatch):
+        init = _cs_matrix.__init__
+        built = []
+
+        def counting_init(self, *args, **kwargs):
+            built.append(type(self).__name__)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(_cs_matrix, "__init__", counting_init)
+        counts = []
+        for max_iter in (5, 10):
+            m = build_opf(parse_case(case_text("case9_loop")),
+                          PowerFlowKind.AC, CostKind.LAMBDA)
+            built.clear()
+            res, log = solve(m, SolverOptions(max_iter=max_iter))
+            assert res.status == SolveStatus.ITERATION_LIMIT
+            assert len(log) == max_iter
+            counts.append(len(built))
+        assert counts[0] == counts[1]
 
     def test_failed_correction_solve_is_skipped(self, monkeypatch):
         # a second-order-correction solve that fails its residual check

@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
+import opfbench.ipm as ipm_mod
+import opfbench.kkt as kkt_mod
+from opfbench.cases import case_text
+from opfbench.formulations import CostKind, PowerFlowKind, build_opf
 from opfbench.kkt import FactorizationError, factorize
+from opfbench.modelir import SolveStatus
+from opfbench.netdata import parse_case
 
 DEFINITE = [[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]]
 # the KKT shape [[H, J^T], [J, -dc]]: n positive, m negative pivots
@@ -73,3 +80,91 @@ def test_large_solve_residual_raises():
     factor = factorize(sp.csc_matrix(np.outer(v, v)))
     with pytest.raises(FactorizationError, match="numerically singular"):
         factor.solve(np.array([0.0, 1.0, 0.0]))
+
+
+def factored_during_solves():
+    """(K, perm) of every factorization in the case9_loop lambda solves,
+    copied as factored: a solve overwrites its K on every assembly."""
+    factored = []
+    factorize_in_solve = ipm_mod.factorize
+
+    def collecting(K, **kwargs):
+        factored.append((K.copy(), kwargs.get("perm")))
+        return factorize_in_solve(K, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ipm_mod, "factorize", collecting)
+        for pf in (PowerFlowKind.AC, PowerFlowKind.SOC, PowerFlowKind.DC):
+            res, _ = ipm_mod.solve(build_opf(
+                parse_case(case_text("case9_loop")), pf, CostKind.LAMBDA))
+            assert res.status == SolveStatus.OPTIMAL
+    return factored
+
+
+def test_raw_u_pivots_match_splu():
+    factored = factored_during_solves()
+    off_diagonal = 0
+    for K, perm in factored:
+        factor = factorize(K, perm=perm)
+        reference = spla.splu(
+            K, permc_spec="MMD_AT_PLUS_A" if perm is None else "NATURAL",
+            diag_pivot_thresh=0.0,
+            options=dict(SymmetricMode=True, Equil=False),
+        )
+        assert np.array_equal(kkt_mod._u_diagonal(factor._lu),
+                              reference.U.diagonal())
+        assert np.array_equal(factor._lu.perm_r, reference.perm_r)
+        assert factor.fill == reference.nnz
+        off_diagonal += factor.inertia is None
+    # both branches of the inertia read are exercised
+    assert 0 < off_diagonal < len(factored)
+
+
+def test_inertia_matches_eigenvalue_signs():
+    rng = np.random.default_rng(11)
+    checked = 0
+    for _ in range(40):
+        n = int(rng.integers(4, 30))
+        A = sp.random(n, n, density=0.2, random_state=rng)
+        K = (A + A.T + sp.diags(rng.normal(scale=2.0, size=n))).tocsc()
+        eig = np.linalg.eigvalsh(K.toarray())
+        if np.abs(eig).min() < 1e-6:
+            continue
+        factor = factorize(K)
+        if factor.inertia is None:
+            continue
+        assert factor.inertia == (int(np.sum(eig > 0)),
+                                  int(np.sum(eig < 0)), 0)
+        checked += 1
+    assert checked >= 30
+
+
+def test_non_square_matrix_is_rejected():
+    with pytest.raises(ValueError, match="square"):
+        factorize(sp.csc_matrix(np.ones((2, 3))))
+
+
+def test_duplicate_entries_are_summed():
+    # QUASI_DEFINITE with its (0, 0) entry stored as 1.5 + 0.5
+    data = np.array([1.5, 1.0, 0.5, 1.0, 1.0, 1.0, 1.0, -1e-10])
+    indices = np.array([0, 2, 0, 1, 2, 0, 1, 2], dtype=np.int32)
+    indptr = np.array([0, 3, 5, 8], dtype=np.int32)
+    K = sp.csc_matrix((data, indices, indptr), shape=(3, 3))
+    factor = factorize(K)
+    assert factor.inertia == (2, 1, 0)
+    b = np.array([1.0, -2.0, 0.5])
+    assert factor.solve(b) == pytest.approx(
+        np.linalg.solve(QUASI_DEFINITE, b), abs=1e-12)
+
+
+@pytest.mark.parametrize("convert", [
+    np.array,
+    sp.csr_matrix,
+    lambda K: sp.csc_matrix(np.array(K, dtype=int)),
+], ids=["dense", "csr", "integer-csc"])
+def test_other_inputs_are_converted(convert):
+    K = [[4, 1, 0], [1, 3, 1], [0, 1, 2]]
+    factor = factorize(convert(K))
+    assert factor.inertia == (3, 0, 0)
+    b = np.array([1.0, -2.0, 0.5])
+    assert factor.solve(b) == pytest.approx(np.linalg.solve(K, b), abs=1e-12)
