@@ -19,7 +19,7 @@ from .errors import OpfBenchError
 from .formulations import CostKind, PowerFlowKind, build_opf
 from .ipm import SolverOptions, solve
 from .modelir import SolveStatus
-from .netdata import parse_case, validate_network
+from .netdata import read_case, validate_network
 
 # Reporting order of the cost encodings; also breaks runtime ties when
 # designating the fastest encoding of a cell.
@@ -109,14 +109,14 @@ def run_suite(config: BenchConfig) -> BenchReport:
         path = Path(path)
         case_name = path.stem
         try:
-            network = parse_case(path.read_text())
+            network = read_case(path)
             errors = [f for f in validate_network(network)
                       if f.severity == "error"]
             if errors:
                 raise OpfBenchError(
                     "; ".join(f.message for f in errors)
                 )
-        except OpfBenchError as exc:
+        except (OSError, OpfBenchError) as exc:
             for pf in config.pf_kinds:
                 rows.append(BenchRow(
                     case=case_name, n_bus=0, n_branch=0, pf_kind=pf,

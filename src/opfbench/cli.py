@@ -24,7 +24,7 @@ from .formulations import (
 )
 from .ipm import SolverOptions, kkt_check, solve
 from .modelir import SolveStatus
-from .netdata import parse_case, validate_network
+from .netdata import read_case, validate_network
 from .pwlcost import DEFAULT_SLOPE_TOL, preprocess
 
 EXIT_OK = 0
@@ -35,14 +35,19 @@ _PF = {k.value: k for k in PowerFlowKind}
 _COST = {k.value: k for k in CostKind}
 
 
-def _load_network(path):
-    text = Path(path).read_text()
-    return parse_case(text)
+def _write_text(path, text) -> bool:
+    """Write text to path; on failure report it and return False."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return False
+    return True
 
 
 def _cmd_validate(args) -> int:
     try:
-        network = _load_network(args.case)
+        network = read_case(args.case)
     except (OSError, OpfBenchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
@@ -58,7 +63,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_preprocess(args) -> int:
     try:
-        network = _load_network(args.case)
+        network = read_case(args.case)
     except (OSError, OpfBenchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
@@ -87,7 +92,7 @@ def _cmd_solve(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     try:
-        network = _load_network(args.case)
+        network = read_case(args.case)
         errors = [f for f in validate_network(network)
                   if f.severity == "error"]
         if errors:
@@ -101,8 +106,8 @@ def _cmd_solve(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     result, log = solve(model, opts)
-    if args.log_iters:
-        Path(args.log_iters).write_text(log.to_csv())
+    if args.log_iters and not _write_text(args.log_iters, log.to_csv()):
+        return EXIT_INPUT_ERROR
     print(f"status:     {result.status.value}")
     print(f"iterations: {result.iterations}")
     print(f"kkt:        {result.kkt_residual:.3e}")
@@ -158,7 +163,8 @@ def _cmd_bench(args) -> int:
     report = run_suite(config)
     text = render_report(report, args.format)
     if args.out:
-        Path(args.out).write_text(text)
+        if not _write_text(args.out, text):
+            return EXIT_INPUT_ERROR
         print(f"report written to {args.out}")
     else:
         print(text, end="")

@@ -126,65 +126,75 @@ class KktReport:
         return max(self.stationarity, self.feasibility, self.complementarity)
 
 
-def _audit_components(m: ModelIR, x, y, zl, zu, raw, jac_tr) -> KktReport:
-    """KKT residuals of (x, y, zl, zu) against the model, dual-scaled, given
-    the raw rows and the transposed Jacobian at x."""
-    stat = m.obj_coeffs + jac_tr @ y - zl + zu
-    lo, up = m.row_lower, m.row_upper
-    with np.errstate(invalid="ignore"):
-        row_viol = np.maximum(np.maximum(lo - raw, raw - up), 0.0)
-    xlo, xup = m.variable_bounds()
-    bnd_viol = np.maximum(np.maximum(xlo - x, x - xup), 0.0)
-    raw_feas = float(max(
-        row_viol.max() if len(row_viol) else 0.0,
-        bnd_viol.max() if len(bnd_viol) else 0.0,
-    ))
+class _Auditor:
+    """Scaled KKT residuals of model-shape points (x, y, zl, zu) against
+    one model.
 
-    compl_terms = [0.0]
-    ineq = ~m.row_is_eq
-    if ineq.any():
-        yi = y[ineq]
-        gap_up = up[ineq] - raw[ineq]
-        gap_lo = raw[ineq] - lo[ineq]
-        pos = yi > 0
-        up_fin = np.isfinite(gap_up)
-        lo_fin = np.isfinite(gap_lo)
-        term = np.where(
-            pos,
-            np.where(up_fin, np.abs(yi * np.where(up_fin, gap_up, 0.0)),
-                     np.abs(yi)),
-            np.where(lo_fin, np.abs(yi * np.where(lo_fin, gap_lo, 0.0)),
-                     np.abs(yi)),
+    Built once per model: it holds the variable bounds, the inequality rows
+    with their bounds and the index sets of the finite and the infinite
+    variable bounds, so each audit is a few gathers and reductions.
+    """
+
+    def __init__(self, m: ModelIR):
+        self.obj = m.obj_coeffs
+        self.row_lo, self.row_up = m.row_lower, m.row_upper
+        self.xlo, self.xup = m.variable_bounds()
+        self.ineq = np.nonzero(~m.row_is_eq)[0]
+        self.ineq_lo = self.row_lo[self.ineq]
+        self.ineq_up = self.row_up[self.ineq]
+        lo_fin, up_fin = np.isfinite(self.xlo), np.isfinite(self.xup)
+        self.lo_idx, self.up_idx = np.nonzero(lo_fin)[0], np.nonzero(up_fin)[0]
+        self.lo_free, self.up_free = (np.nonzero(~lo_fin)[0],
+                                      np.nonzero(~up_fin)[0])
+
+    def __call__(self, x, y, zl, zu, raw, jac_tr) -> KktReport:
+        """Residuals given the raw rows and the transposed Jacobian at x."""
+        stat = self.obj + jac_tr @ y - zl + zu
+        with np.errstate(invalid="ignore"):
+            row_viol = np.maximum(np.maximum(self.row_lo - raw,
+                                             raw - self.row_up), 0.0)
+        bnd_viol = np.maximum(np.maximum(self.xlo - x, x - self.xup), 0.0)
+        raw_feas = float(max(
+            row_viol.max() if len(row_viol) else 0.0,
+            bnd_viol.max() if len(bnd_viol) else 0.0,
+        ))
+
+        # a row dual pairs with its upper gap when positive, else with its
+        # lower gap; against an infinite bound it is its own residual
+        compl_terms = [0.0]
+        if len(self.ineq):
+            yi, ri = y[self.ineq], raw[self.ineq]
+            pos = yi > 0
+            gap = np.where(pos, self.ineq_up - ri, ri - self.ineq_lo)
+            gap[~np.isfinite(gap)] = 1.0
+            compl_terms.append(float(np.abs(yi * gap).max()))
+        lo, up = self.lo_idx, self.up_idx
+        if len(lo):
+            compl_terms.append(float(np.abs(
+                zl[lo] * (x[lo] - self.xlo[lo])
+            ).max()))
+        if len(self.lo_free):
+            compl_terms.append(float(np.abs(zl[self.lo_free]).max()))
+        if len(up):
+            compl_terms.append(float(np.abs(
+                zu[up] * (self.xup[up] - x[up])
+            ).max()))
+        if len(self.up_free):
+            compl_terms.append(float(np.abs(zu[self.up_free]).max()))
+
+        denom = 1.0 + max(
+            float(np.abs(y).max()) if len(y) else 0.0,
+            float(np.abs(zl).max()) if len(zl) else 0.0,
+            float(np.abs(zu).max()) if len(zu) else 0.0,
         )
-        if len(term):
-            compl_terms.append(float(term.max()))
-    lo_fin = np.isfinite(xlo)
-    up_fin = np.isfinite(xup)
-    if lo_fin.any():
-        compl_terms.append(float(np.abs(
-            zl[lo_fin] * (x[lo_fin] - xlo[lo_fin])
-        ).max()))
-    if (~lo_fin).any():
-        compl_terms.append(float(np.abs(zl[~lo_fin]).max()))
-    if up_fin.any():
-        compl_terms.append(float(np.abs(
-            zu[up_fin] * (xup[up_fin] - x[up_fin])
-        ).max()))
-    if (~up_fin).any():
-        compl_terms.append(float(np.abs(zu[~up_fin]).max()))
-
-    denom = 1.0 + max(
-        float(np.abs(y).max()) if len(y) else 0.0,
-        float(np.abs(zl).max()) if len(zl) else 0.0,
-        float(np.abs(zu).max()) if len(zu) else 0.0,
-    )
-    return KktReport(
-        stationarity=float(np.abs(stat).max()) / denom if len(stat) else 0.0,
-        feasibility=raw_feas / denom,
-        complementarity=max(compl_terms) / denom,
-        denominator=denom,
-        raw_feasibility=raw_feas,
-    )
+        return KktReport(
+            stationarity=(float(np.abs(stat).max()) / denom
+                          if len(stat) else 0.0),
+            feasibility=raw_feas / denom,
+            complementarity=max(compl_terms) / denom,
+            denominator=denom,
+            raw_feasibility=raw_feas,
+        )
 
 
 def kkt_check(m: ModelIR, result: SolveResult) -> KktReport:
@@ -195,8 +205,8 @@ def kkt_check(m: ModelIR, result: SolveResult) -> KktReport:
     """
     m.finalize()
     x = np.asarray(result.x, dtype=float)
-    return _audit_components(
-        m, x,
+    return _Auditor(m)(
+        x,
         np.asarray(result.y, dtype=float),
         np.asarray(result.zl, dtype=float),
         np.asarray(result.zu, dtype=float),
@@ -223,9 +233,20 @@ class _Intake:
         zup = np.concatenate([xup, m.row_upper[self.ineq_rows]])
         zlo[self.fixed_idx] = -INF
         zup[self.fixed_idx] = INF
-        self.zlo, self.zup = zlo, zup
-        self.has_lo = np.isfinite(zlo)
-        self.has_up = np.isfinite(zup)
+        # every finite bound once, lower bounds first: bound k has the gap
+        # sb[k] * (z[ib[k]] - bb[k]) and one multiplier v[k]
+        ilo = np.nonzero(np.isfinite(zlo))[0]
+        iup = np.nonzero(np.isfinite(zup))[0]
+        self.nlo = len(ilo)
+        self.ib = np.concatenate([ilo, iup])
+        self.bb = np.concatenate([zlo[ilo], zup[iup]])
+        self.sb = np.concatenate([np.ones(len(ilo)), -np.ones(len(iup))])
+        # the start point keeps this far inside each bound: a push relative
+        # to the bound's magnitude and to the width between both bounds
+        width = zup[self.ib] - zlo[self.ib]
+        push = np.minimum(_BOUND_PUSH * np.maximum(1.0, np.abs(self.bb)),
+                          _BOUND_PUSH * width)
+        self.b_start = self.bb + self.sb * push
         self.eq_rhs = np.where(m.row_is_eq, m.row_lower, 0.0)
         # Jacobian entries the intake adds to the model's rows and columns:
         # -1 on slack columns, +1 on fix rows
@@ -256,15 +277,22 @@ class _Intake:
         out[self.fixed_idx] += y[self.m.nrows:]
         return out
 
-    def map_duals(self, y_int, zl_int, zu_int, obj_scale):
+    def add_bound_terms(self, out, w):
+        """out - w on the lower bounds + w on the upper bounds, in place."""
+        out[self.ib[:self.nlo]] -= w[:self.nlo]
+        out[self.ib[self.nlo:]] += w[self.nlo:]
+        return out
+
+    def map_duals(self, y_int, v, obj_scale):
         """Internal duals back to model-shape (row duals, bound duals)."""
         y = y_int[:self.m.nrows] / obj_scale
-        zl = zl_int[:self.nx] / obj_scale
-        zu = zu_int[:self.nx] / obj_scale
+        zl, zu = np.zeros(self.nz), np.zeros(self.nz)
+        zl[self.ib[:self.nlo]] = v[:self.nlo]
+        zu[self.ib[self.nlo:]] = v[self.nlo:]
+        zl = zl[:self.nx] / obj_scale
+        zu = zu[:self.nx] / obj_scale
         if self.n_fix:
             y_fix = y_int[self.m.nrows:] / obj_scale
-            zl = zl.copy()
-            zu = zu.copy()
             zl[self.fixed_idx] = np.maximum(-y_fix, 0.0)
             zu[self.fixed_idx] = np.maximum(y_fix, 0.0)
         return y, zl, zu
@@ -327,91 +355,61 @@ class _KktPattern:
         return self._K
 
 
-def _initial_point(intake: _Intake, x0, raw0, mu0):
-    zlo, zup = intake.zlo, intake.zup
+def _gaps(intake, z):
+    """Distance of z to each finite bound, positive inside."""
+    return intake.sb * (z[intake.ib] - intake.bb)
+
+
+def _gap_step(intake, dz):
+    """Change of the bound gaps along a primal step dz."""
+    return intake.sb * dz[intake.ib]
+
+
+def _initial_point(intake, x0, raw0, mu0):
     z0 = np.zeros(intake.nz)
     z0[:intake.nx] = x0
     z0[intake.nx:] = raw0[intake.ineq_rows]
-    lo_f, up_f = intake.has_lo, intake.has_up
-    width = np.where(lo_f & up_f, zup - zlo, INF)
-    push_lo = np.where(
-        lo_f,
-        np.minimum(_BOUND_PUSH * np.maximum(1.0, np.abs(zlo)),
-                   _BOUND_PUSH * width),
-        0.0,
-    )
-    push_up = np.where(
-        up_f,
-        np.minimum(_BOUND_PUSH * np.maximum(1.0, np.abs(zup)),
-                   _BOUND_PUSH * width),
-        0.0,
-    )
-    z0 = np.where(lo_f, np.maximum(z0, zlo + push_lo), z0)
-    z0 = np.where(up_f, np.minimum(z0, zup - push_up), z0)
+    nlo, lo, up = intake.nlo, intake.ib[:intake.nlo], intake.ib[intake.nlo:]
+    z0[lo] = np.maximum(z0[lo], intake.b_start[:nlo])
+    z0[up] = np.minimum(z0[up], intake.b_start[nlo:])
     z0[intake.fixed_idx] = intake.fix_vals
-    zl0 = np.zeros(intake.nz)
-    zu0 = np.zeros(intake.nz)
-    zl0[lo_f] = np.clip(mu0 / (z0[lo_f] - zlo[lo_f]), 1e-10, 1e10)
-    zu0[up_f] = np.clip(mu0 / (zup[up_f] - z0[up_f]), 1e-10, 1e10)
-    return z0, zl0, zu0
+    return z0, np.clip(mu0 / _gaps(intake, z0), 1e-10, 1e10)
 
 
 def _barrier_value(intake, z, obj_lin, mu):
-    gl = z[intake.has_lo] - intake.zlo[intake.has_lo]
-    gu = intake.zup[intake.has_up] - z[intake.has_up]
-    if len(gl) and gl.min() <= 0.0:
+    gap = _gaps(intake, z)
+    if len(gap) and gap.min() <= 0.0:
         return INF
-    if len(gu) and gu.min() <= 0.0:
-        return INF
+    # lower and upper logs as two sums: the split fixes the rounding
+    nlo = intake.nlo
     val = float(obj_lin @ z)
-    if len(gl):
-        val -= mu * float(np.log(gl).sum())
-    if len(gu):
-        val -= mu * float(np.log(gu).sum())
+    if nlo:
+        val -= mu * float(np.log(gap[:nlo]).sum())
+    if len(gap) > nlo:
+        val -= mu * float(np.log(gap[nlo:]).sum())
     return val
 
 
-def _barrier_gradient(intake, z, obj_lin, mu):
-    grad = obj_lin.copy()
-    lo_f, up_f = intake.has_lo, intake.has_up
-    grad[lo_f] -= mu / (z[lo_f] - intake.zlo[lo_f])
-    grad[up_f] += mu / (intake.zup[up_f] - z[up_f])
-    return grad
+def _sigma(intake, gap, v):
+    """Primal barrier diagonal: sum of v / gap over each component's
+    bounds."""
+    return np.bincount(intake.ib, weights=v / gap, minlength=intake.nz)
 
 
-def _max_step(vals, step, lower, upper, mask_lo, mask_up):
-    """Largest alpha in (0, 1] keeping vals + alpha*step a tau-fraction
-    inside its bounds."""
-    alpha = 1.0
-    neg = mask_lo & (step < 0)
-    if neg.any():
-        alpha = min(alpha, float(np.min(
-            -_TAU * (vals[neg] - lower[neg]) / step[neg]
-        )))
-    pos = mask_up & (step > 0)
-    if pos.any():
-        alpha = min(alpha, float(np.min(
-            _TAU * (upper[pos] - vals[pos]) / step[pos]
-        )))
-    return max(alpha, 0.0)
+def _max_step(gap, dgap):
+    """Largest alpha in [0, 1] keeping every gap + alpha*dgap at least a
+    (1 - tau) fraction of its gap."""
+    neg = dgap < 0
+    if not neg.any():
+        return 1.0
+    return max(min(1.0, float(np.min(-_TAU * gap[neg] / dgap[neg]))), 0.0)
 
 
-def _dual_step(intake, mu, gap_lo, gap_up, zl, zu, dz):
-    """Bound-multiplier Newton step (dzl, dzu) for the primal step dz, and
-    the largest fraction-to-the-boundary step length keeping both positive."""
-    nz = intake.nz
-    lo_f, up_f = intake.has_lo, intake.has_up
-    dzl = np.zeros(nz)
-    dzu = np.zeros(nz)
-    dzl[lo_f] = (mu / gap_lo - zl - (zl / gap_lo) * dz)[lo_f]
-    dzu[up_f] = (mu / gap_up - zu + (zu / gap_up) * dz)[up_f]
-    zero, no_upper = np.zeros(nz), np.full(nz, INF)
-    never = np.zeros(nz, dtype=bool)
-    alpha_dual = min(
-        _max_step(zl, dzl, zero, no_upper, lo_f, never),
-        _max_step(zu, dzu, zero, no_upper, up_f, never),
-    )
-    return dzl, dzu, alpha_dual
+def _dual_step(mu, gap, v, dgap):
+    """Bound-multiplier Newton step dv for the gap step dgap, and the
+    largest fraction-to-the-boundary step length keeping v positive."""
+    dv = mu / gap - v - (v / gap) * dgap
+    return dv, _max_step(v, dv)
 
 
 def _curvature(W, diag, dz):
@@ -436,6 +434,7 @@ def solve(m: ModelIR, opts: SolverOptions | None = None):
     log = IterationLog()
 
     intake = _Intake(m)
+    audit = _Auditor(m)
     kkt = _KktPattern(intake)
     nx, nz, m_int = intake.nx, intake.nz, intake.m_int
     # bound once per solve: every iteration overwrites their values, and
@@ -444,10 +443,10 @@ def solve(m: ModelIR, opts: SolverOptions | None = None):
     jac_tr = jac_model.T
     W = m.hess_pattern.matrix(np.zeros(len(m.hess_pattern.slot)))
 
-    def finish(status, z, y_int, zl_int, zu_int, kkt_res):
+    def finish(status, z, y_int, v, kkt_res):
         x = z[:nx].copy()
         x[intake.fixed_idx] = intake.fix_vals
-        y, zl, zu = intake.map_duals(y_int, zl_int, zu_int, obj_scale)
+        y, zl, zu = intake.map_duals(y_int, v, obj_scale)
         return SolveResult(
             status=status,
             objective=m.eval_objective(x),
@@ -465,8 +464,7 @@ def solve(m: ModelIR, opts: SolverOptions | None = None):
     if np.any(m.row_lower > m.row_upper):
         return finish(
             SolveStatus.INFEASIBLE,
-            np.zeros(nz), np.zeros(m_int), np.zeros(nz), np.zeros(nz),
-            INF,
+            np.zeros(nz), np.zeros(m_int), np.zeros(len(intake.ib)), INF,
         )
 
     mu = _MU_INIT
@@ -474,7 +472,7 @@ def solve(m: ModelIR, opts: SolverOptions | None = None):
     # reach tol/10 despite objective scaling
     mu_min = max(opts.tol / 10.0 * obj_scale, 1e-16)
     x0 = m.initial_point()
-    z, zl, zu = _initial_point(intake, x0, m.eval_raw_rows(x0), mu)
+    z, v = _initial_point(intake, x0, m.eval_raw_rows(x0), mu)
     y = np.zeros(m_int)
     is_lp = all(blk.kind in ("LinearEq", "LinearIneq") for blk in m.blocks)
 
@@ -494,9 +492,8 @@ def solve(m: ModelIR, opts: SolverOptions | None = None):
         h = intake.residual(z, raw)
         h_inf = float(np.abs(h).max()) if len(h) else 0.0
 
-        y_true, zl_true, zu_true = intake.map_duals(y, zl, zu, obj_scale)
-        report = _audit_components(m, x, y_true, zl_true, zu_true, raw,
-                                   jac_tr)
+        y_true, zl_true, zu_true = intake.map_duals(y, v, obj_scale)
+        report = audit(x, y_true, zl_true, zu_true, raw, jac_tr)
         kkt_res = report.max_residual
         if kkt_res <= opts.tol and report.raw_feasibility <= opts.tol:
             status = SolveStatus.OPTIMAL
@@ -521,43 +518,34 @@ def solve(m: ModelIR, opts: SolverOptions | None = None):
                     break
 
         # internal barrier-problem residuals
-        gap_lo = np.where(intake.has_lo, z - intake.zlo, 1.0)
-        gap_up = np.where(intake.has_up, intake.zup - z, 1.0)
+        gap = _gaps(intake, z)
+        gv = gap * v
         denom_int = 1.0 + max(
             float(np.abs(y).max()) if len(y) else 0.0,
-            float(zl.max()) if len(zl) else 0.0,
-            float(zu.max()) if len(zu) else 0.0,
+            float(v.max()) if len(v) else 0.0,
         )
-        compl_vec = np.concatenate([
-            (gap_lo * zl - mu)[intake.has_lo],
-            (gap_up * zu - mu)[intake.has_up],
-        ])
-        compl_mu = (float(np.abs(compl_vec).max()) / denom_int
-                    if len(compl_vec) else 0.0)
         # barrier-KKT error of the mu-subproblem; stationarity measured in
         # the primal-dual form, which is what the Newton step drives to zero
         jty = intake.jac_t(jac_tr, y)
-        stat_pd = float(np.abs(obj_lin + jty - zl + zu).max()) / denom_int
-        e_mu = max(stat_pd, h_inf / denom_int, compl_mu)
+        stat_pd = float(np.abs(
+            intake.add_bound_terms(obj_lin + jty, v)
+        ).max()) / denom_int
 
         reductions = 0
-        while e_mu <= _KAPPA_EPS * mu and mu > mu_min and reductions < 8:
-            mu = max(mu_min, _MU_FACTOR * mu)
-            compl_vec = np.concatenate([
-                (gap_lo * zl - mu)[intake.has_lo],
-                (gap_up * zu - mu)[intake.has_up],
-            ])
-            compl_mu = (float(np.abs(compl_vec).max()) / denom_int
-                        if len(compl_vec) else 0.0)
+        while True:
+            compl_mu = (float(np.abs(gv - mu).max()) / denom_int
+                        if len(gv) else 0.0)
             e_mu = max(stat_pd, h_inf / denom_int, compl_mu)
+            if not (e_mu <= _KAPPA_EPS * mu and mu > mu_min
+                    and reductions < 8):
+                break
+            mu = max(mu_min, _MU_FACTOR * mu)
             reductions += 1
-        grad_phi = _barrier_gradient(intake, z, obj_lin, mu)
+        grad_phi = intake.add_bound_terms(obj_lin.copy(), mu / gap)
 
         # Newton system on the perturbed KKT conditions
         eval_lagrangian_hessian(m, x, y[:m.nrows], out=W)
-        sigma = np.zeros(nz)
-        sigma[intake.has_lo] += (zl / gap_lo)[intake.has_lo]
-        sigma[intake.has_up] += (zu / gap_up)[intake.has_up]
+        sigma = _sigma(intake, gap, v)
         r1 = -(grad_phi + jty)
         r2 = -h
         rhs = np.concatenate([r1, r2])
@@ -599,10 +587,9 @@ def solve(m: ModelIR, opts: SolverOptions | None = None):
 
         dz = sol[:nz]
         dy = sol[nz:]
-        lo_f, up_f = intake.has_lo, intake.has_up
-        dzl, dzu, alpha_dual = _dual_step(intake, mu, gap_lo, gap_up, zl, zu,
-                                          dz)
-        alpha_max = _max_step(z, dz, intake.zlo, intake.zup, lo_f, up_f)
+        dgap = _gap_step(intake, dz)
+        dv, alpha_dual = _dual_step(mu, gap, v, dgap)
+        alpha_max = _max_step(gap, dgap)
         if alpha_max <= 0.0:
             status = SolveStatus.NUMERICAL_ERROR
             break
@@ -649,8 +636,7 @@ def solve(m: ModelIR, opts: SolverOptions | None = None):
                     alpha *= 0.5
                     continue
                 dz_soc = sol_soc[:nz]
-                alpha_soc = _max_step(z, dz_soc, intake.zlo, intake.zup,
-                                      lo_f, up_f)
+                alpha_soc = _max_step(gap, _gap_step(intake, dz_soc))
                 z_soc = z + alpha_soc * dz_soc
                 phi_soc, _ = merit_at(z_soc)
                 if math.isfinite(phi_soc) and phi_soc <= (
@@ -659,9 +645,8 @@ def solve(m: ModelIR, opts: SolverOptions | None = None):
                     alpha = alpha_soc
                     dz = dz_soc
                     dy = sol_soc[nz:]
-                    dzl, dzu, alpha_dual = _dual_step(
-                        intake, mu, gap_lo, gap_up, zl, zu, dz
-                    )
+                    dv, alpha_dual = _dual_step(mu, gap, v,
+                                                _gap_step(intake, dz))
                     accepted = True
                     break
             alpha *= 0.5
@@ -684,19 +669,10 @@ def solve(m: ModelIR, opts: SolverOptions | None = None):
         force_reg = 0.0
         z = z_try
         y = y + alpha * dy
-        zl = np.maximum(zl + alpha_dual * dzl, 0.0)
-        zu = np.maximum(zu + alpha_dual * dzu, 0.0)
+        v = np.maximum(v + alpha_dual * dv, 0.0)
         # safeguard corridor keeps bound multipliers consistent with mu
-        gl = np.where(lo_f, z - intake.zlo, 1.0)
-        gu = np.where(up_f, intake.zup - z, 1.0)
-        zl[lo_f] = np.clip(
-            zl[lo_f], (mu / (_KAPPA_SIGMA * gl))[lo_f],
-            (_KAPPA_SIGMA * mu / gl)[lo_f],
-        )
-        zu[up_f] = np.clip(
-            zu[up_f], (mu / (_KAPPA_SIGMA * gu))[up_f],
-            (_KAPPA_SIGMA * mu / gu)[up_f],
-        )
+        gap = _gaps(intake, z)
+        v = np.clip(v, mu / (_KAPPA_SIGMA * gap), _KAPPA_SIGMA * mu / gap)
 
         log.records.append(IterationRecord(
             iteration=it, mu=mu, primal_inf=h_inf,
@@ -705,4 +681,4 @@ def solve(m: ModelIR, opts: SolverOptions | None = None):
             inertia_corrections=corrections, fill=factor.fill,
         ))
 
-    return finish(status, z, y, zl, zu, kkt_res)
+    return finish(status, z, y, v, kkt_res)

@@ -123,9 +123,8 @@ class LinearBlock:
         self.row_upper = _farray(upper)
 
     def residual(self, x):
-        res = np.zeros(self.nrows)
-        np.add.at(res, self._rows, self._vals * x[self._cols])
-        return res
+        return np.bincount(self._rows, weights=self._vals * x[self._cols],
+                           minlength=self.nrows)
 
     def jac_structure(self):
         return self._rows, self._cols
@@ -173,12 +172,18 @@ class QuadraticBlock:
         self._const = _farray(const)
         self.row_lower = _farray(lower)
         self.row_upper = _farray(upper)
+        # each row sums its constant, then its linear, then its quadratic
+        # terms, in entry order
+        self._sum_rows = np.concatenate([
+            np.arange(self.nrows), self._lrows, self._qrows,
+        ])
 
     def residual(self, x):
-        res = self._const.copy()
-        np.add.at(res, self._lrows, self._lvals * x[self._lcols])
-        np.add.at(res, self._qrows, self._qvals * x[self._qi] * x[self._qj])
-        return res
+        return np.bincount(self._sum_rows, weights=np.concatenate([
+            self._const,
+            self._lvals * x[self._lcols],
+            self._qvals * x[self._qi] * x[self._qj],
+        ]), minlength=self.nrows)
 
     def jac_structure(self):
         rows = np.concatenate([self._lrows, self._qrows, self._qrows])

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from .errors import (
     CaseParseError,
@@ -357,6 +358,18 @@ def parse_case(text: str) -> Network:
         gens_at_bus=_index_gens(generators),
         raw_tables=raw,
     )
+
+
+def read_case(path) -> Network:
+    """Parse the case file at path.  A file that is not UTF-8 text raises
+    CaseParseError; one that cannot be read raises OSError."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise CaseParseError(
+            f"{path}: not UTF-8 text (byte {exc.start})"
+        ) from None
+    return parse_case(text)
 
 
 def branch_admittance(branch: Branch) -> ComplexPU:

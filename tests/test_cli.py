@@ -126,3 +126,42 @@ def test_bench_markdown_to_stdout(case_paths, capsys):
 def test_bench_no_match_is_input_error(capsys):
     code = main(["bench", "--cases", "/nonexistent/*.m"])
     assert code == 2
+
+
+def test_solve_unwritable_log_is_input_error(case_paths, tmp_path, capsys):
+    code = main(["solve", case_paths["case1_micro"], "--pf", "dc",
+                 "--cost", "lambda",
+                 "--log-iters", str(tmp_path / "missing" / "log.csv")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_bench_unwritable_out_is_input_error(case_paths, tmp_path, capsys):
+    code = main(["bench", "--cases", case_paths["case1_micro"], "--pf", "dc",
+                 "--trials", "1",
+                 "--out", str(tmp_path / "missing" / "r.csv")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_bench_directory_match_is_recorded_like_a_parse_error(tmp_path,
+                                                              capsys):
+    (tmp_path / "dir.m").mkdir()
+    (tmp_path / "broken.m").write_text("function mpc = broken\n")
+    code = main(["bench", "--cases", str(tmp_path / "*.m"), "--pf", "dc",
+                 "--trials", "1"])
+    rows = capsys.readouterr().out.splitlines()[2:]  # note, header
+    assert code == 1
+    assert [row.split(",")[0] for row in rows] == ["broken", "dir"]
+    assert all("input-error" in row for row in rows)
+
+
+@pytest.mark.parametrize("command", [["validate"], ["preprocess"],
+                                     ["solve", "--pf", "dc", "--cost", "psi"]])
+def test_non_utf8_case_is_input_error(command, tmp_path, capsys):
+    path = tmp_path / "latin1.m"
+    path.write_bytes(CASE2.replace("mpc", "mpc % caf\xe9").encode("latin-1"))
+    code = main([command[0], str(path), *command[1:]])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "UTF-8" in err

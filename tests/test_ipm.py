@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -242,6 +243,16 @@ class TestKktCheck:
         assert report.max_residual <= 1e-6
         assert report.max_residual == pytest.approx(res.kkt_residual)
 
+    @pytest.mark.parametrize("pf", list(PowerFlowKind))
+    @pytest.mark.parametrize("ck", [CostKind.PSI, CostKind.LAMBDA,
+                                    CostKind.DELTA, CostKind.PHI])
+    def test_audit_repeats_the_solver_residual_exactly(self, pf, ck):
+        # the loop's stopping test and kkt_check share one auditor
+        m = build_opf(parse_case(case_text("case9_loop")), pf, ck)
+        res, _ = solve(m, SolverOptions(tol=1e-8))
+        assert res.status == SolveStatus.OPTIMAL
+        assert kkt_check(m, res).max_residual == res.kkt_residual
+
     def test_perturbed_point_fails(self):
         m = lp_two_var()
         res, _ = solve(m)
@@ -298,6 +309,131 @@ class TestRandomLpsAgainstOracle:
             assert res.objective == pytest.approx(oracle, abs=1e-7)
             solved += 1
         assert solved == 20
+
+
+def bound_kinds_model():
+    # three variables each with both bounds, a lower bound only, an upper
+    # bound only, no bound and equal bounds; inequality rows give slacks
+    # with both, lower only and upper only ranges
+    m = ModelIR("kinds")
+    kinds = [(0.0, 1.0), (-1.0, INF), (-INF, 2.0), (-INF, INF), (0.5, 0.5)]
+    for k in range(3):
+        for j, (lo, up) in enumerate(kinds):
+            m.add_variable(f"x{j}_{k}", lo, up, 0.25)
+    m.add_block(LinearBlock(
+        "rows", 3, [(r, c, 1.0 + r + c) for r in range(3) for c in range(15)],
+        [-3.0, 0.0, -INF], [3.0, INF, 5.0], False,
+    ))
+    return m.finalize()
+
+
+def masked_bounds(m):
+    """Full-length internal bounds: variables then slacks, with variables
+    fixed through equal bounds unbounded."""
+    xlo, xup = m.variable_bounds()
+    ineq = ~m.row_is_eq
+    zlo = np.concatenate([xlo, m.row_lower[ineq]])
+    zup = np.concatenate([xup, m.row_upper[ineq]])
+    fixed = np.nonzero(np.isfinite(xlo) & (xlo == xup))[0]
+    zlo[fixed], zup[fixed] = -INF, INF
+    return zlo, zup, np.isfinite(zlo), np.isfinite(zup)
+
+
+def masked_max_step(vals, step, lower, upper, mask_lo, mask_up):
+    alpha = 1.0
+    neg = mask_lo & (step < 0)
+    if neg.any():
+        alpha = min(alpha, float(np.min(
+            -ipm_mod._TAU * (vals[neg] - lower[neg]) / step[neg])))
+    pos = mask_up & (step > 0)
+    if pos.any():
+        alpha = min(alpha, float(np.min(
+            ipm_mod._TAU * (upper[pos] - vals[pos]) / step[pos])))
+    return max(alpha, 0.0)
+
+
+class TestSignedBounds:
+    """The signed compact bound vector against full-length masked
+    arithmetic as the reference: the results must be equal bit for bit."""
+
+    def random_point(self, rng, zlo, zup):
+        z = rng.normal(size=len(zlo)) * 3.0
+        both = np.isfinite(zlo) & np.isfinite(zup)
+        z[both] = zlo[both] + rng.uniform(1e-6, 1.0, both.sum()) * (
+            zup[both] - zlo[both])
+        lo_only = np.isfinite(zlo) & ~np.isfinite(zup)
+        z[lo_only] = zlo[lo_only] + np.exp(rng.normal(size=lo_only.sum()))
+        up_only = np.isfinite(zup) & ~np.isfinite(zlo)
+        z[up_only] = zup[up_only] - np.exp(rng.normal(size=up_only.sum()))
+        return z
+
+    def test_helpers_match_masked_reference(self):
+        m = bound_kinds_model()
+        intake = ipm_mod._Intake(m)
+        zlo, zup, lo_f, up_f = masked_bounds(m)
+        assert (lo_f & up_f).any() and (lo_f & ~up_f).any()
+        assert (up_f & ~lo_f).any() and (~lo_f & ~up_f).any()
+        assert len(intake.ib) == lo_f.sum() + up_f.sum()
+        rng = np.random.default_rng(11)
+        nz = intake.nz
+        for _ in range(50):
+            z = self.random_point(rng, zlo, zup)
+            dz = rng.normal(size=nz) * 10.0 ** rng.uniform(-2, 2)
+            zl = np.where(lo_f, rng.uniform(1e-8, 10.0, nz), 0.0)
+            zu = np.where(up_f, rng.uniform(1e-8, 10.0, nz), 0.0)
+            v = np.concatenate([zl[lo_f], zu[up_f]])
+            mu = float(rng.uniform(1e-9, 1.0))
+            obj = rng.normal(size=nz)
+
+            gap_lo = np.where(lo_f, z - zlo, 1.0)
+            gap_up = np.where(up_f, zup - z, 1.0)
+            gap = ipm_mod._gaps(intake, z)
+            assert np.array_equal(
+                gap, np.concatenate([gap_lo[lo_f], gap_up[up_f]]))
+
+            dgap = ipm_mod._gap_step(intake, dz)
+            assert ipm_mod._max_step(gap, dgap) == masked_max_step(
+                z, dz, zlo, zup, lo_f, up_f)
+
+            dzl = np.where(lo_f, mu / gap_lo - zl - (zl / gap_lo) * dz, 0.0)
+            dzu = np.where(up_f, mu / gap_up - zu + (zu / gap_up) * dz, 0.0)
+            never = np.zeros(nz, dtype=bool)
+            alpha_ref = min(
+                masked_max_step(zl, dzl, np.zeros(nz), np.full(nz, INF),
+                                lo_f, never),
+                masked_max_step(zu, dzu, np.zeros(nz), np.full(nz, INF),
+                                up_f, never),
+            )
+            dv, alpha = ipm_mod._dual_step(mu, gap, v, dgap)
+            assert np.array_equal(dv, np.concatenate([dzl[lo_f], dzu[up_f]]))
+            assert alpha == alpha_ref
+
+            sigma = np.zeros(nz)
+            sigma[lo_f] += (zl / gap_lo)[lo_f]
+            sigma[up_f] += (zu / gap_up)[up_f]
+            assert np.array_equal(ipm_mod._sigma(intake, gap, v), sigma)
+
+            barrier = float(obj @ z)
+            barrier -= mu * float(np.log(gap_lo[lo_f]).sum())
+            barrier -= mu * float(np.log(gap_up[up_f]).sum())
+            assert ipm_mod._barrier_value(intake, z, obj, mu) == barrier
+
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    @pytest.mark.parametrize("offset", [0.0, 1e-3])
+    def test_barrier_is_infinite_at_and_past_a_bound(self, side, offset):
+        m = bound_kinds_model()
+        intake = ipm_mod._Intake(m)
+        zlo, zup, lo_f, up_f = masked_bounds(m)
+        z = self.random_point(np.random.default_rng(5), zlo, zup)
+        obj = np.ones(intake.nz)
+        assert math.isfinite(ipm_mod._barrier_value(intake, z, obj, 0.1))
+        if side == "lower":
+            i = np.nonzero(lo_f & ~up_f)[0][0]
+            z[i] = zlo[i] - offset
+        else:
+            i = np.nonzero(up_f & ~lo_f)[0][0]
+            z[i] = zup[i] + offset
+        assert ipm_mod._barrier_value(intake, z, obj, 0.1) == INF
 
 
 def reference_kkt(m, W, diag, jac, delta_c):

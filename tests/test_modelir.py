@@ -117,6 +117,38 @@ class TestResiduals:
         with pytest.raises(ValueError):
             eval_residuals(m, np.zeros(3))
 
+    def test_repeated_rows_sum_in_entry_order(self):
+        # rows repeat, out of order; the sums must equal sequential
+        # accumulation (np.add.at) bit for bit
+        rng = np.random.default_rng(3)
+        nrows, nvars, nent = 4, 6, 40
+        rows = rng.integers(0, nrows, nent)
+        cols = rng.integers(0, nvars, nent)
+        vals = rng.normal(size=nent) * 10.0 ** rng.integers(-8, 8, nent)
+        qrows = rng.integers(0, nrows, nent)
+        qi = rng.integers(0, nvars, nent)
+        qj = rng.integers(0, nvars, nent)
+        qvals = rng.normal(size=nent)
+        const = rng.normal(size=nrows) * 1e6
+        x = rng.normal(size=nvars)
+        lin = LinearBlock("lin", nrows, list(zip(rows, cols, vals)),
+                          [-INF] * nrows, [INF] * nrows, False)
+        quad = QuadraticBlock("quad", nrows, list(zip(rows, cols, vals)),
+                              list(zip(qrows, qi, qj, qvals)), const,
+                              [-INF] * nrows, [INF] * nrows)
+
+        ref_lin = np.zeros(nrows)
+        np.add.at(ref_lin, rows, vals * x[cols])
+        ref_quad = const.copy()
+        np.add.at(ref_quad, rows, vals * x[cols])
+        np.add.at(ref_quad, qrows, qvals * x[qi] * x[qj])
+        assert np.array_equal(lin.residual(x), ref_lin)
+        assert np.array_equal(quad.residual(x), ref_quad)
+        # a row with no entries still has its place
+        empty = LinearBlock("empty", 3, [(0, 0, 1.0)], [0.0] * 3, [0.0] * 3,
+                            True)
+        assert list(empty.residual(x)) == [x[0], 0.0, 0.0]
+
 
 class TestDerivatives:
     @pytest.mark.parametrize("factory", [
