@@ -168,11 +168,13 @@ def _cmd_bench(args) -> int:
         print(f"report written to {args.out}")
     else:
         print(text, end="")
-    all_ok = all(
-        cell.status == "optimal"
-        for row in report.rows for cell in row.cells.values()
-    )
-    return EXIT_OK if all_ok else EXIT_NOT_OPTIMAL
+    statuses = [cell.status
+                for row in report.rows for cell in row.cells.values()]
+    if all(s.startswith("input-error") for s in statuses):
+        print("error: no case could be read", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    return (EXIT_OK if all(s == "optimal" for s in statuses)
+            else EXIT_NOT_OPTIMAL)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -9,6 +9,16 @@ monotone barrier reduction with inertia-corrected primal regularization.
 Where the factorization cannot report the inertia, the step is accepted
 on an inertia-free curvature test instead (Chiang & Zavala, 2016).
 
+The inertia correction follows Algorithm IC of Waechter & Biegler (2006)
+on models with curvature.  An iteration first tries delta_w = 0, or the
+larger value a failed line search forces; the first nonzero trial is
+kappa_w^- = 1/3 times the delta_w the last correction settled on, and
+each later trial kappa_w^+ = 8 times the one before.  Until a first
+correction, and always on LPs, the trials are 1e-8 and then x10.  The
+first iteration of a model with curvature starts at delta_w = delta_c =
+1e-8: at y = 0 its Hessian block is all zeros, and the unregularized
+matrix is singular.
+
 Inequality rows are converted to equalities with range-bounded slacks at
 intake, and variables fixed through equal bounds become free variables
 pinned by an extra equality row, so the barrier only ever sees strictly
@@ -25,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kkt import FactorizationError, factorize
+from .kkt import FactorizationError, csc_matvec, factorize
 from .modelir import (
     ModelIR,
     SolveResult,
@@ -50,7 +60,11 @@ _MAX_BACKTRACKS = 40
 _MAX_LS_FAILURES = 20
 _REG_FLOOR = 1e-8            # first primal regularization tried
 _REG_MAX = 1e12
+_KAPPA_W_MINUS = 1.0 / 3.0   # warm start: first trial after a correction
+_KAPPA_W_PLUS = 8.0          # growth of delta_w after a warm start
+_REG_GROWTH_COLD = 10.0      # growth of delta_w before a first correction
 _DELTA_C = 1e-10             # dual-block regularization
+_DELTA_C_SINGULAR = 1e-8     # least dual regularization once K is singular
 # The -_DELTA_C*I dual block caps dual growth near 1/_DELTA_C, so an
 # infeasible LP plateaus just below 1e10 and would only be caught by the
 # stall window; blow-up is declared two decades lower.
@@ -149,7 +163,7 @@ class _Auditor:
 
     def __call__(self, x, y, zl, zu, raw, jac_tr) -> KktReport:
         """Residuals given the raw rows and the transposed Jacobian at x."""
-        stat = self.obj + jac_tr @ y - zl + zu
+        stat = self.obj + csc_matvec(jac_tr, y) - zl + zu
         with np.errstate(invalid="ignore"):
             row_viol = np.maximum(np.maximum(self.row_lo - raw,
                                              raw - self.row_up), 0.0)
@@ -272,7 +286,7 @@ class _Intake:
         """J^T y for the internal Jacobian, from the transposed model
         Jacobian."""
         out = np.empty(self.nz)
-        out[:self.nx] = jac_tr @ y[:self.m.nrows]
+        out[:self.nx] = csc_matvec(jac_tr, y[:self.m.nrows])
         out[self.nx:] = -y[self.ineq_rows]
         out[self.fixed_idx] += y[self.m.nrows:]
         return out
@@ -479,6 +493,7 @@ def solve(m: ModelIR, opts: SolverOptions | None = None):
     nu = 1.0
     ls_failures = 0
     force_reg = 0.0
+    delta_last = 0.0
     status = SolveStatus.ITERATION_LIMIT
     kkt_res = INF
     feas_history: list[float] = []
@@ -552,6 +567,11 @@ def solve(m: ModelIR, opts: SolverOptions | None = None):
 
         delta_w = force_reg
         delta_c = _DELTA_C
+        if it == 0 and not is_lp:
+            # at y = 0 the Hessian block is all stored zeros: the
+            # unregularized K is singular, and SuperLU leaves its diagonal
+            delta_w = _REG_FLOOR
+            delta_c = _DELTA_C_SINGULAR
         factor = None
         sol = None
         corrections = 0
@@ -577,13 +597,18 @@ def solve(m: ModelIR, opts: SolverOptions | None = None):
                 singular = True
             corrections += 1
             if singular:
-                delta_c = max(delta_c * 10.0, 1e-8)
-            delta_w = _REG_FLOOR if delta_w == 0.0 else delta_w * 10.0
+                delta_c = max(delta_c * 10.0, _DELTA_C_SINGULAR)
+            if delta_w > 0.0:
+                delta_w *= _KAPPA_W_PLUS if delta_last else _REG_GROWTH_COLD
+            else:
+                delta_w = max(_REG_FLOOR, _KAPPA_W_MINUS * delta_last)
             if delta_w > _REG_MAX:
                 break
         if factor is None:
             status = SolveStatus.NUMERICAL_ERROR
             break
+        if corrections and not is_lp:
+            delta_last = delta_w
 
         dz = sol[:nz]
         dy = sol[nz:]

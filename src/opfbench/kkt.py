@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 from scipy.sparse.linalg._dsolve import _superlu
 
 # Pivots are classified by sign; only exact zeros count as zero, since the
@@ -57,6 +58,15 @@ _SOLVE_RTOL = 1e-6
 
 class FactorizationError(Exception):
     """Factorization broke down (structurally or numerically singular)."""
+
+
+def csc_matvec(A, x):
+    """A @ x for a float CSC matrix A and a float vector x, by the
+    sparsetools kernel that ``@`` ends in, without scipy's dispatch."""
+    out = np.zeros(A.shape[0])
+    _sparsetools.csc_matvec(A.shape[0], A.shape[1], A.indptr, A.indices,
+                            A.data, x, out)
+    return out
 
 
 def _raw_csc(arrays, shape):
@@ -105,11 +115,11 @@ class _SparseFactor:
             b_stored[self._perm] = b
             b = b_stored
         x = self._lu.solve(b)
-        r = b - self._K @ x
+        r = b - csc_matvec(self._K, x)
         x = x + self._lu.solve(r)
         if not np.all(np.isfinite(x)):
             raise FactorizationError("non-finite solution")
-        residual = np.abs(self._K @ x - b).max(initial=0.0)
+        residual = np.abs(csc_matvec(self._K, x) - b).max(initial=0.0)
         if residual > _SOLVE_RTOL * (1.0 + np.abs(b).max(initial=0.0)):
             raise FactorizationError("numerically singular")
         return x if self._perm is None else x[self._perm]

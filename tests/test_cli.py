@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from opfbench.cli import main
@@ -150,10 +152,28 @@ def test_bench_directory_match_is_recorded_like_a_parse_error(tmp_path,
     (tmp_path / "broken.m").write_text("function mpc = broken\n")
     code = main(["bench", "--cases", str(tmp_path / "*.m"), "--pf", "dc",
                  "--trials", "1"])
-    rows = capsys.readouterr().out.splitlines()[2:]  # note, header
-    assert code == 1
+    captured = capsys.readouterr()
+    rows = captured.out.splitlines()[2:]  # note, header
+    # nothing could be read: an input error, not a non-optimal solve
+    assert code == 2
+    assert captured.err.startswith("error: ")
     assert [row.split(",")[0] for row in rows] == ["broken", "dir"]
     assert all("input-error" in row for row in rows)
+
+
+def test_bench_with_one_readable_case_is_not_an_input_error(case_paths,
+                                                            tmp_path, capsys):
+    (tmp_path / "broken.m").write_text("function mpc = broken\n")
+    (tmp_path / "micro.m").write_text(
+        Path(case_paths["case1_micro"]).read_text())
+    code = main(["bench", "--cases", str(tmp_path / "*.m"), "--pf", "dc",
+                 "--trials", "1"])
+    captured = capsys.readouterr()
+    rows = captured.out.splitlines()[2:]
+    assert code == 1
+    assert captured.err == ""
+    assert [row.split(",")[0] for row in rows] == ["broken", "micro"]
+    assert "input-error" not in rows[1]
 
 
 @pytest.mark.parametrize("command", [["validate"], ["preprocess"],

@@ -186,17 +186,46 @@ class TestSolverContracts:
         fills = [[line.rsplit(",", 1)[1] for line in log.to_csv().splitlines()]
                  for log in logs]
         assert fills[0] == fills[1]
-        assert len(set(fills[0][1:])) > 1
+        # SuperLU leaves the diagonal at the free DC angle columns on some
+        # iterations of this cell, and fills in more there
+        m = build_opf(overloaded_network("case30_grid", 0.95),
+                      PowerFlowKind.DC, CostKind.DELTA)
+        _, log = solve(m, SolverOptions(tol=1e-8))
+        assert len({r.fill for r in log.records}) > 1
 
-    def test_first_factorization_fill_is_the_largest(self):
-        # at y = 0 the Hessian block is all stored zeros, so the first
-        # factorization of an AC solve pivots off the diagonal and fills in
+    def test_first_iteration_is_regularized(self):
+        # at y = 0 the Hessian block is all stored zeros; unregularized,
+        # the first K of an AC solve leaves SuperLU's diagonal and fills in
         m = build_opf(parse_case(case_text("case30_grid")),
                       PowerFlowKind.AC, CostKind.LAMBDA)
         res, log = solve(m)
         assert res.status == SolveStatus.OPTIMAL
-        first, *later = [r.fill for r in log.records]
-        assert later and first > max(later)
+        assert len({r.fill for r in log.records}) == 1
+        m = build_opf(parse_case(case_text("case14_mesh")),
+                      PowerFlowKind.AC, CostKind.LAMBDA)
+        res, log = solve(m)
+        assert res.status == SolveStatus.OPTIMAL
+        assert log.records[0].reg == ipm_mod._REG_FLOOR
+        assert log.records[0].inertia_corrections == 0
+
+    def test_correction_warm_starts_from_the_last_one(self):
+        # Algorithm IC of Waechter & Biegler (2006): after a corrected
+        # iteration, the ladder starts at kappa_w^- times the last delta_w
+        # and grows by kappa_w^+
+        m = build_opf(parse_case(case_text("case30_grid")),
+                      PowerFlowKind.SOC, CostKind.PSI)
+        res, log = solve(m, SolverOptions(tol=1e-6))
+        assert res.status == SolveStatus.OPTIMAL
+        warm = [(last.reg, r.reg, r.inertia_corrections)
+                for last, r in zip(log.records, log.records[1:])
+                if last.inertia_corrections and r.inertia_corrections]
+        assert len(warm) >= 5
+        for reg_last, reg, c in warm:
+            assert reg == (max(ipm_mod._REG_FLOOR,
+                               ipm_mod._KAPPA_W_MINUS * reg_last)
+                           * ipm_mod._KAPPA_W_PLUS ** (c - 1))
+        # a warm start that must grow: 1.0 / 3 is too little, 8 / 3 is not
+        assert (1.0, 8.0 / 3.0, 2) in warm
 
 
 def overloaded_network(name, margin):
@@ -221,6 +250,14 @@ class TestInfeasibilityDetection:
         res, _ = solve(m)
         assert res.status == SolveStatus.INFEASIBLE
         assert res.iterations < ipm_mod._STALL_WINDOW
+
+    def test_lp_correction_ladder_is_not_warm_started(self):
+        # warm-starting the LP ladder took this cell to the iteration limit
+        m = build_opf(overloaded_network("case5_ring", 0.995),
+                      PowerFlowKind.DC, CostKind.PSI)
+        res, _ = solve(m, SolverOptions(tol=1e-8))
+        assert res.status == SolveStatus.INFEASIBLE
+        assert res.iterations < 100
 
 
 class TestUnknownInertia:

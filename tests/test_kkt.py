@@ -120,6 +120,19 @@ def test_raw_u_pivots_match_splu():
     assert 0 < off_diagonal < len(factored)
 
 
+def test_csc_matvec_matches_matmul():
+    # the kernel `@` ends in, so the products are equal bit for bit
+    rng = np.random.default_rng(3)
+    matrices = [K for K, _ in factored_during_solves()[::5]]
+    m = build_opf(parse_case(case_text("case9_loop")), PowerFlowKind.AC,
+                  CostKind.LAMBDA)
+    jac = ipm_mod.eval_jacobian(m, m.initial_point())
+    matrices.append(jac.T)  # a CSC view of the CSR Jacobian's arrays
+    for A in matrices:
+        x = rng.normal(size=2 * A.shape[1])[::2]  # strided, as slices are
+        assert np.array_equal(kkt_mod.csc_matvec(A, x), A @ x)
+
+
 def test_inertia_matches_eigenvalue_signs():
     rng = np.random.default_rng(11)
     checked = 0
