@@ -138,7 +138,14 @@ def build_power_flow(network: Network, kind: PowerFlowKind,
     raise ValueError(f"unknown power flow kind {kind}")
 
 
-def _add_generator_vars(m, network, reactive):
+def _add_dispatch_and_flows(m, network, kind):
+    """Generator and oriented-flow variables, which every power-flow kind
+    shares, recorded with the network in ``m.meta``; returns ``m.meta``.
+
+    Without reactive power (DC) a branch rating bounds the active flow
+    directly, and ``qg_idx`` and ``flow_q`` are empty.
+    """
+    reactive = kind != PowerFlowKind.DC
     pg_idx, qg_idx = [], []
     for k, g in enumerate(network.generators):
         pg_idx.append(m.add_variable(
@@ -148,41 +155,59 @@ def _add_generator_vars(m, network, reactive):
             qg_idx.append(m.add_variable(
                 f"qg[{k}]", g.qmin, g.qmax, 0.5 * (g.qmin + g.qmax)
             ))
-    return pg_idx, qg_idx
+    oriented = _oriented_branches(network)
+    flow_p = []
+    for e, f, t, _ in oriented:
+        rate = network.branches[e].rate
+        lim = rate if rate > 0.0 and not reactive else INF
+        flow_p.append(m.add_variable(f"p[{f}->{t}]", -lim, lim, 0.0))
+    flow_q = [m.add_variable(f"q[{f}->{t}]", -INF, INF, 0.0)
+              for _, f, t, _ in oriented] if reactive else []
+    m.meta.update(
+        pf_kind=kind, network=network, oriented=oriented,
+        pg_idx=pg_idx, qg_idx=qg_idx, flow_p=flow_p, flow_q=flow_q,
+    )
+    return m.meta
 
 
-def _balance_rows(network, oriented, pg_idx, qg_idx, flow_p, flow_q):
-    """Per-bus power balance entries: generation minus outgoing flows."""
-    p_entries, q_entries = [], []
-    p_rhs, q_rhs = [], []
+def _balance_block(label, network, outgoing, gen_idx, flow_idx, demand):
+    """Per-bus rows: generation minus outgoing flows equals demand."""
+    entries = []
+    for r, bus in enumerate(network.buses):
+        for k in network.gens_at_bus.get(bus.id, ()):
+            entries.append((r, gen_idx[k], 1.0))
+        for a in outgoing.get(bus.id, ()):
+            entries.append((r, flow_idx[a], -1.0))
+    return LinearBlock(label, len(demand), entries, demand, demand, True)
+
+
+def _add_balance_and_thermal(m):
+    """Active power balance and, with reactive power, reactive balance and
+    the apparent-power limit of every rated oriented branch."""
+    meta = m.meta
+    network, oriented = meta["network"], meta["oriented"]
     outgoing = {}
     for a, (_, f, _, _) in enumerate(oriented):
         outgoing.setdefault(f, []).append(a)
-    for r, bus in enumerate(network.buses):
-        for k in network.gens_at_bus.get(bus.id, ()):
-            p_entries.append((r, pg_idx[k], 1.0))
-            if qg_idx:
-                q_entries.append((r, qg_idx[k], 1.0))
-        for a in outgoing.get(bus.id, ()):
-            p_entries.append((r, flow_p[a], -1.0))
-            if flow_q:
-                q_entries.append((r, flow_q[a], -1.0))
-        p_rhs.append(bus.demand.re)
-        q_rhs.append(bus.demand.im)
-    return p_entries, p_rhs, q_entries, q_rhs
-
-
-def _thermal_block(network, oriented, flow_p, flow_q):
+    m.add_block(_balance_block(
+        "balance-p", network, outgoing, meta["pg_idx"], meta["flow_p"],
+        [bus.demand.re for bus in network.buses],
+    ))
+    if meta["pf_kind"] == PowerFlowKind.DC:
+        return
+    m.add_block(_balance_block(
+        "balance-q", network, outgoing, meta["qg_idx"], meta["flow_q"],
+        [bus.demand.im for bus in network.buses],
+    ))
     idx_p, idx_q, limits = [], [], []
     for a, (e, _, _, _) in enumerate(oriented):
         rate = network.branches[e].rate
         if rate > 0.0:
-            idx_p.append(flow_p[a])
-            idx_q.append(flow_q[a])
+            idx_p.append(meta["flow_p"][a])
+            idx_q.append(meta["flow_q"][a])
             limits.append(rate * rate)
-    if not idx_p:
-        return None
-    return ApparentPowerLimitBlock("thermal", idx_p, idx_q, limits)
+    if idx_p:
+        m.add_block(ApparentPowerLimitBlock("thermal", idx_p, idx_q, limits))
 
 
 def _add_angle_rows(m, network, th_idx):
@@ -214,12 +239,9 @@ def _build_ac(network: Network) -> ModelIR:
             f"v[{bus.id}]", bus.vmin, bus.vmax, 1.0
         )
         th_idx[bus.id] = m.add_variable(f"th[{bus.id}]", -INF, INF, 0.0)
-    pg_idx, qg_idx = _add_generator_vars(m, network, reactive=True)
-    oriented = _oriented_branches(network)
-    flow_p = [m.add_variable(f"p[{f}->{t}]", -INF, INF, 0.0)
-              for _, f, t, _ in oriented]
-    flow_q = [m.add_variable(f"q[{f}->{t}]", -INF, INF, 0.0)
-              for _, f, t, _ in oriented]
+    meta = _add_dispatch_and_flows(m, network, PowerFlowKind.AC)
+    meta.update(v_idx=v_idx, th_idx=th_idx)
+    oriented, flow_p, flow_q = meta["oriented"], meta["flow_p"], meta["flow_q"]
 
     rows = {"flow": [], "vf": [], "vt": [], "thf": [], "tht": [],
             "a1": [], "kc": [], "ks": []}
@@ -249,24 +271,8 @@ def _build_ac(network: Network) -> ModelIR:
             rows["thf"], rows["tht"], rows["a1"], rows["kc"], rows["ks"],
         ))
 
-    p_ent, p_rhs, q_ent, q_rhs = _balance_rows(
-        network, oriented, pg_idx, qg_idx, flow_p, flow_q
-    )
-    nb = len(network.buses)
-    m.add_block(LinearBlock("balance-p", nb, p_ent, p_rhs, p_rhs, True))
-    m.add_block(LinearBlock("balance-q", nb, q_ent, q_rhs, q_rhs, True))
-
-    thermal = _thermal_block(network, oriented, flow_p, flow_q)
-    if thermal is not None:
-        m.add_block(thermal)
-
+    _add_balance_and_thermal(m)
     _add_angle_rows(m, network, th_idx)
-
-    m.meta.update(
-        pf_kind=PowerFlowKind.AC, network=network, oriented=oriented,
-        v_idx=v_idx, th_idx=th_idx, pg_idx=pg_idx, qg_idx=qg_idx,
-        flow_p=flow_p, flow_q=flow_q,
-    )
     return m
 
 
@@ -285,12 +291,9 @@ def _build_soc(network: Network) -> ModelIR:
         wi_idx.append(m.add_variable(
             f"wi[{br.from_bus},{br.to_bus}]", -INF, INF, 0.0
         ))
-    pg_idx, qg_idx = _add_generator_vars(m, network, reactive=True)
-    oriented = _oriented_branches(network)
-    flow_p = [m.add_variable(f"p[{f}->{t}]", -INF, INF, 0.0)
-              for _, f, t, _ in oriented]
-    flow_q = [m.add_variable(f"q[{f}->{t}]", -INF, INF, 0.0)
-              for _, f, t, _ in oriented]
+    meta = _add_dispatch_and_flows(m, network, PowerFlowKind.SOC)
+    meta.update(w_idx=w_idx, wr_idx=wr_idx, wi_idx=wi_idx)
+    oriented, flow_p, flow_q = meta["oriented"], meta["flow_p"], meta["flow_q"]
 
     ohm_entries = []
     nrows = 0
@@ -320,16 +323,7 @@ def _build_soc(network: Network) -> ModelIR:
             [0.0] * nrows, [0.0] * nrows, True,
         ))
 
-    p_ent, p_rhs, q_ent, q_rhs = _balance_rows(
-        network, oriented, pg_idx, qg_idx, flow_p, flow_q
-    )
-    nb = len(network.buses)
-    m.add_block(LinearBlock("balance-p", nb, p_ent, p_rhs, p_rhs, True))
-    m.add_block(LinearBlock("balance-q", nb, q_ent, q_rhs, q_rhs, True))
-
-    thermal = _thermal_block(network, oriented, flow_p, flow_q)
-    if thermal is not None:
-        m.add_block(thermal)
+    _add_balance_and_thermal(m)
 
     ang_entries, ang_lo, ang_up = [], [], []
     for e, br in enumerate(network.branches):
@@ -356,12 +350,6 @@ def _build_soc(network: Network) -> ModelIR:
         [w_idx[br.from_bus] for br in network.branches],
         [w_idx[br.to_bus] for br in network.branches],
     ))
-
-    m.meta.update(
-        pf_kind=PowerFlowKind.SOC, network=network, oriented=oriented,
-        w_idx=w_idx, wr_idx=wr_idx, wi_idx=wi_idx,
-        pg_idx=pg_idx, qg_idx=qg_idx, flow_p=flow_p, flow_q=flow_q,
-    )
     return m
 
 
@@ -370,13 +358,9 @@ def _build_dc(network: Network) -> ModelIR:
     th_idx = {}
     for bus in network.buses:
         th_idx[bus.id] = m.add_variable(f"th[{bus.id}]", -INF, INF, 0.0)
-    pg_idx, _ = _add_generator_vars(m, network, reactive=False)
-    oriented = _oriented_branches(network)
-    flow_p = []
-    for a, (e, f, t, _) in enumerate(oriented):
-        rate = network.branches[e].rate
-        lim = rate if rate > 0.0 else INF
-        flow_p.append(m.add_variable(f"p[{f}->{t}]", -lim, lim, 0.0))
+    meta = _add_dispatch_and_flows(m, network, PowerFlowKind.DC)
+    meta.update(th_idx=th_idx)
+    oriented, flow_p = meta["oriented"], meta["flow_p"]
 
     ohm_entries = []
     for a, (e, f, t, _) in enumerate(oriented):
@@ -393,18 +377,8 @@ def _build_dc(network: Network) -> ModelIR:
             [0.0] * len(oriented), [0.0] * len(oriented), True,
         ))
 
-    p_ent, p_rhs, _, _ = _balance_rows(
-        network, oriented, pg_idx, [], flow_p, []
-    )
-    nb = len(network.buses)
-    m.add_block(LinearBlock("balance-p", nb, p_ent, p_rhs, p_rhs, True))
-
+    _add_balance_and_thermal(m)
     _add_angle_rows(m, network, th_idx)
-
-    m.meta.update(
-        pf_kind=PowerFlowKind.DC, network=network, oriented=oriented,
-        th_idx=th_idx, pg_idx=pg_idx, flow_p=flow_p,
-    )
     return m
 
 
@@ -443,8 +417,8 @@ def attach_cost_psi(m: ModelIR, gens, strict: bool = False) -> ModelIR:
     row = 0
     for k, curve in enumerate(curves):
         cg = m.add_variable(
-            f"cg[{k}]", curve.costs[0], curve.costs[-1],
-            evaluate(curve, m.variables[pg_idx[k]].initial),
+            f"cg[{k}]", min(curve.costs), max(curve.costs),
+            evaluate(curve, m.var_start[pg_idx[k]]),
         )
         for s, b in zip(curve.slopes, curve.intercepts):
             entries.append((row, cg, 1.0))
@@ -466,7 +440,7 @@ def attach_cost_lambda(m: ModelIR, gens, strict: bool = False) -> ModelIR:
     entries, rhs = [], []
     row = 0
     for k, curve in enumerate(curves):
-        x0 = m.variables[pg_idx[k]].initial
+        x0 = m.var_start[pg_idx[k]]
         powers = curve.powers
         l0 = 0
         while l0 < len(powers) - 2 and powers[l0 + 1] <= x0:
@@ -499,7 +473,7 @@ def attach_cost_delta(m: ModelIR, gens, strict: bool = False) -> ModelIR:
     entries, rhs = [], []
     row = 0
     for k, curve in enumerate(curves):
-        x0 = m.variables[pg_idx[k]].initial
+        x0 = m.var_start[pg_idx[k]]
         powers = curve.powers
         entries.append((row, pg_idx[k], 1.0))
         for l, s in enumerate(curve.slopes):
@@ -529,7 +503,7 @@ def attach_cost_phi(m: ModelIR, gens, strict: bool = False) -> ModelIR:
     entries, lo, up = [], [], []
     row = 0
     for k, (g, curve) in enumerate(zip(gens, curves)):
-        x0 = m.variables[pg_idx[k]].initial
+        x0 = m.var_start[pg_idx[k]]
         powers = curve.powers
         m.add_objective_term(pg_idx[k], curve.slopes[0])
         m.add_objective_offset(curve.intercepts[0])
@@ -584,7 +558,7 @@ def attach_cost_polynomial(m: ModelIR, gens) -> ModelIR:
         cg_lo = min(ends)
         if g.pmin < vertex < g.pmax:
             cg_lo = min(cg_lo, evaluate_polynomial(a, b, c, vertex))
-        x0 = m.variables[pg_idx[k]].initial
+        x0 = m.var_start[pg_idx[k]]
         cg = m.add_variable(
             f"cg[{k}]", cg_lo, max(ends), evaluate_polynomial(a, b, c, x0)
         )
@@ -641,7 +615,7 @@ def recover_solution(m: ModelIR, pf_kind: PowerFlowKind, cost_kind: CostKind,
     network: Network = m.meta["network"]
     x = result.x
     pg_idx = m.meta["pg_idx"]
-    qg_idx = m.meta.get("qg_idx") or []
+    qg_idx = m.meta["qg_idx"]
     dispatch = tuple(
         ComplexPU(float(x[pg_idx[k]]),
                   float(x[qg_idx[k]]) if qg_idx else 0.0)
@@ -684,7 +658,7 @@ def recover_solution(m: ModelIR, pf_kind: PowerFlowKind, cost_kind: CostKind,
         voltage = tuple(float(x[th_idx[b]]) for b in bus_ids)
 
     flow_p = m.meta["flow_p"]
-    flow_q = m.meta.get("flow_q")
+    flow_q = m.meta["flow_q"]
     flows = tuple(
         BranchFlowValue(
             from_bus=f, to_bus=t, p=float(x[flow_p[a]]),

@@ -1,11 +1,12 @@
 """Optimization-model representation consumed by the interior-point solver.
 
-A model is an ordered set of bounded variables, a list of structured
-constraint blocks and a linear objective.  Each block belongs to a closed
-set of kinds (linear rows, convex quadratic rows, rotated-cone rows, polar
-power-flow rows, apparent-power limits) and provides its residuals plus
-hand-derived Jacobian and Hessian-of-Lagrangian entries on a sparsity
-pattern fixed at construction.
+A model is an ordered set of bounded variables, stored as columns (names,
+lower bounds, upper bounds, start values), a list of structured constraint
+blocks and a linear objective.  Each block belongs to a closed set of kinds
+(linear rows, convex quadratic rows, rotated-cone rows, polar power-flow
+rows, apparent-power limits) and provides its residuals plus hand-derived
+Jacobian and Hessian-of-Lagrangian entries on a sparsity pattern fixed at
+construction.
 
 Row bounds use a [lower, upper] range; equality rows have lower == upper.
 """
@@ -14,30 +15,12 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 INF = math.inf
-
-
-@dataclass(frozen=True)
-class Variable:
-    """Decision variable with bounds and a start value clamped inside them."""
-
-    name: str
-    lower: float
-    upper: float
-    initial: float
-
-    def __post_init__(self):
-        if self.lower > self.upper:
-            raise ValueError(
-                f"variable {self.name}: lower {self.lower} > upper {self.upper}"
-            )
-        clamped = min(max(self.initial, self.lower), self.upper)
-        object.__setattr__(self, "initial", clamped)
 
 
 def _farray(values):
@@ -410,18 +393,24 @@ class ApparentPowerLimitBlock:
 class ModelIR:
     """Variables, constraint blocks and a linear objective.
 
-    Mutable while being built; :meth:`finalize` freezes the structure and
-    precomputes what every evaluation reuses: the row offsets and ranges,
-    the objective vector, the variable bounds and start point, and the
-    fixed CSR patterns of the Jacobian and of the Hessian of the
-    Lagrangian (``jac_pattern``, ``hess_pattern``), with the slot each
-    block entry sums into.  Evaluation is pure and safe to call
-    concurrently once finalized.
+    Variables live in four columns indexed by variable: ``var_names``,
+    ``var_lower``, ``var_upper`` and ``var_start``.  They are plain lists
+    while the model is built; :meth:`add_variable` appends one entry to
+    each.  :meth:`finalize` freezes the structure, turns the three numeric
+    columns into float arrays and precomputes what every evaluation reuses:
+    the row offsets and ranges, the objective vector, and the fixed CSR
+    patterns of the Jacobian and of the Hessian of the Lagrangian
+    (``jac_pattern``, ``hess_pattern``), with the slot each block entry
+    sums into.  Evaluation is pure and safe to call concurrently once
+    finalized.
     """
 
     def __init__(self, name="model"):
         self.name = name
-        self.variables: list[Variable] = []
+        self.var_names: list[str] = []
+        self.var_lower: list[float] = []
+        self.var_upper: list[float] = []
+        self.var_start: list[float] = []
         self.blocks: list = []
         self._obj_terms: dict[int, float] = {}
         self.obj_offset = 0.0
@@ -431,9 +420,16 @@ class ModelIR:
     # -- construction -------------------------------------------------
 
     def add_variable(self, name, lower=-INF, upper=INF, initial=0.0) -> int:
+        """Append a variable and return its index; the start value is
+        clamped into [lower, upper]."""
         self._check_open()
-        self.variables.append(Variable(name, lower, upper, initial))
-        return len(self.variables) - 1
+        if lower > upper:
+            raise ValueError(f"variable {name}: lower {lower} > upper {upper}")
+        self.var_names.append(name)
+        self.var_lower.append(lower)
+        self.var_upper.append(upper)
+        self.var_start.append(min(max(initial, lower), upper))
+        return len(self.var_names) - 1
 
     def add_block(self, block):
         self._check_open()
@@ -457,7 +453,7 @@ class ModelIR:
         docstring); a second call is a no-op."""
         if self._finalized:
             return self
-        n = len(self.variables)
+        n = len(self.var_names)
         jac_rows, jac_cols = [], []
         hess_rows, hess_cols = [], []
         row_offsets, off = [], 0
@@ -477,7 +473,7 @@ class ModelIR:
             raise ValueError(
                 f"block {blk.label} references variable out of range"
             )
-        if self._obj_terms and max(self._obj_terms) >= n:
+        if any(not 0 <= i < n for i in self._obj_terms):
             raise ValueError("objective references variable out of range")
         self.obj_coeffs = np.zeros(n)
         for idx, coef in self._obj_terms.items():
@@ -501,9 +497,9 @@ class ModelIR:
             np.concatenate(hess_cols) if hess_cols else _iarray([]),
             (n, n),
         )
-        self._xlo = _farray([v.lower for v in self.variables])
-        self._xup = _farray([v.upper for v in self.variables])
-        self._x0 = _farray([v.initial for v in self.variables])
+        self.var_lower = _farray(self.var_lower)
+        self.var_upper = _farray(self.var_upper)
+        self.var_start = _farray(self.var_start)
         self._finalized = True
         return self
 
@@ -519,11 +515,11 @@ class ModelIR:
 
     def variable_bounds(self):
         """(lower, upper) bound arrays of a finalized model, as copies."""
-        return self._xlo.copy(), self._xup.copy()
+        return self.var_lower.copy(), self.var_upper.copy()
 
     def initial_point(self):
         """Start point of a finalized model, as a copy."""
-        return self._x0.copy()
+        return self.var_start.copy()
 
     def eval_objective(self, x):
         x = self._check_x(x)
@@ -586,10 +582,10 @@ def eval_lagrangian_hessian(m: ModelIR, x, duals, out=None) -> sp.csr_matrix:
 def dump_model(m: ModelIR) -> str:
     """Human-readable listing of variables, blocks and objective."""
     lines = [f"model {m.name}: {m.nvars} variables, {m.nrows} rows"]
-    for i, v in enumerate(m.variables):
+    for i, (name, lo, up, x0) in enumerate(zip(
+            m.var_names, m.var_lower, m.var_upper, m.var_start)):
         lines.append(
-            f"var x[{i}] {v.name}: [{v.lower:.12g}, {v.upper:.12g}]"
-            f" init {v.initial:.12g}"
+            f"var x[{i}] {name}: [{lo:.12g}, {up:.12g}] init {x0:.12g}"
         )
     lines.append(f"objective offset {m.obj_offset:.12g}")
     for i in np.nonzero(m.obj_coeffs)[0]:

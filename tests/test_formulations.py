@@ -1,9 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from opfbench.cases import case_text
+from opfbench.cases import case_names, case_text
 from opfbench.errors import ConvexityError, ModelBuildError
 from opfbench.formulations import (
+    PWL_COST_KINDS,
     CostKind,
     PowerFlowKind,
     attach_cost_delta,
@@ -16,7 +19,7 @@ from opfbench.formulations import (
     recover_solution,
 )
 from opfbench.ipm import SolverOptions, solve
-from opfbench.modelir import SolveStatus
+from opfbench.modelir import SolveStatus, dump_model
 from opfbench.netdata import Bus, Branch, ComplexPU, Generator, Network, parse_case
 from opfbench.pwlcost import PiecewiseCost, PolynomialCost, PwlCurve
 
@@ -196,27 +199,27 @@ class TestCostAttachmentCounts:
         p = list(sizes)
 
         m, _ = self.base_model(gens)
-        v0, r0 = len(m.variables), sum(b.nrows for b in m.blocks)
+        v0, r0 = len(m.var_names), sum(b.nrows for b in m.blocks)
         attach_cost_psi(m, gens)
-        assert len(m.variables) - v0 == len(p)
+        assert len(m.var_names) - v0 == len(p)
         assert sum(b.nrows for b in m.blocks) - r0 == sum(n - 1 for n in p)
 
         m, _ = self.base_model(gens)
-        v0, r0 = len(m.variables), sum(b.nrows for b in m.blocks)
+        v0, r0 = len(m.var_names), sum(b.nrows for b in m.blocks)
         attach_cost_lambda(m, gens)
-        assert len(m.variables) - v0 == sum(p)
+        assert len(m.var_names) - v0 == sum(p)
         assert sum(b.nrows for b in m.blocks) - r0 == 2 * len(p)
 
         m, _ = self.base_model(gens)
-        v0, r0 = len(m.variables), sum(b.nrows for b in m.blocks)
+        v0, r0 = len(m.var_names), sum(b.nrows for b in m.blocks)
         attach_cost_delta(m, gens)
-        assert len(m.variables) - v0 == sum(n - 1 for n in p)
+        assert len(m.var_names) - v0 == sum(n - 1 for n in p)
         assert sum(b.nrows for b in m.blocks) - r0 == len(p)
 
         m, _ = self.base_model(gens)
-        v0, r0 = len(m.variables), sum(b.nrows for b in m.blocks)
+        v0, r0 = len(m.var_names), sum(b.nrows for b in m.blocks)
         attach_cost_phi(m, gens)
-        assert len(m.variables) - v0 == sum(n - 2 for n in p)
+        assert len(m.var_names) - v0 == sum(n - 2 for n in p)
         assert sum(b.nrows for b in m.blocks) - r0 == sum(n - 2 for n in p)
 
     def test_strict_mode_requires_validated(self):
@@ -275,9 +278,7 @@ class TestEncodingSemantics:
         x = m.initial_point()
         x[m.meta["pg_idx"][0]] = dispatch
         for name, val in aux.items():
-            idx = next(i for i, v in enumerate(m.variables)
-                       if v.name == name)
-            x[idx] = val
+            x[m.var_names.index(name)] = val
         return x
 
     def test_delta_at_first_breakpoint(self):
@@ -383,10 +384,7 @@ class TestRecovery:
             lam_sum = 0.0
             recon = 0.0
             for l, (p, _) in enumerate(curve.points):
-                idx = next(
-                    i for i, v in enumerate(m.variables)
-                    if v.name == f"lam[{k},{l}]"
-                )
+                idx = m.var_names.index(f"lam[{k},{l}]")
                 lam_sum += res.x[idx]
                 recon += p * res.x[idx]
             assert lam_sum == pytest.approx(1.0, abs=1e-8)
@@ -399,10 +397,7 @@ class TestRecovery:
         for k, curve in enumerate(m.meta["cost_curves"]):
             weights = []
             for l in range(len(curve.points)):
-                idx = next(
-                    i for i, v in enumerate(m.variables)
-                    if v.name == f"lam[{k},{l}]"
-                )
+                idx = m.var_names.index(f"lam[{k},{l}]")
                 weights.append(res.x[idx])
             support = [l for l, w in enumerate(weights) if w > 1e-6]
             assert len(support) <= 2
@@ -452,11 +447,29 @@ class TestRecovery:
             recover_solution(m, PowerFlowKind.DC, CostKind.LAMBDA, res)
 
 
+def non_rising_curves_network():
+    """case5_ring with a decreasing curve on generator 1 and a V-shaped one
+    on generator 2: convex curves whose first cost is not their least nor
+    their last cost their greatest."""
+    text = case_text("case5_ring")
+    for old, new in [
+        ("1\t0\t0\t3\t10\t120\t65\t1440\t120\t3200;",
+         "1\t0\t0\t2\t10\t2500\t120\t260;"),
+        ("1\t0\t0\t2\t10\t260\t90\t2500;",
+         "1\t0\t0\t3\t10\t2500\t50\t260\t90\t2500;"),
+    ]:
+        assert old in text
+        text = text.replace(old, new)
+    return parse_case(text)
+
+
 class TestCrossEncodingEquivalence:
+    @pytest.mark.parametrize("make_net", [three_bus_network,
+                                          non_rising_curves_network])
     @pytest.mark.parametrize("pf", [PowerFlowKind.DC, PowerFlowKind.SOC,
                                     PowerFlowKind.AC])
-    def test_four_encodings_agree(self, pf):
-        net = three_bus_network()
+    def test_four_encodings_agree(self, pf, make_net):
+        net = make_net()
         objs = []
         for ck in (CostKind.PSI, CostKind.LAMBDA, CostKind.DELTA,
                    CostKind.PHI):
@@ -467,3 +480,22 @@ class TestCrossEncodingEquivalence:
         ref = objs[1]
         for o in objs:
             assert abs(o - ref) <= 1e-5 * max(1.0, abs(ref))
+
+
+class TestModelLayout:
+    # sha256 over dump_model of every bundled case x power-flow kind x
+    # piecewise encoding (84 builds).  A change that alters a model on
+    # purpose records the new digest here and says why in CHANGES.md.
+    LAYOUT_SHA256 = (
+        "a01a548530736b78eed4063e19a45b85143321b0e9036f573ea3b6b8e4f01a9b"
+    )
+
+    def test_bundled_models_are_unchanged(self):
+        digest = hashlib.sha256()
+        for name in case_names():
+            net = parse_case(case_text(name))
+            for pf in PowerFlowKind:
+                for ck in PWL_COST_KINDS:
+                    digest.update(f"{name} {pf.value} {ck.value}\n".encode())
+                    digest.update(dump_model(build_opf(net, pf, ck)).encode())
+        assert digest.hexdigest() == self.LAYOUT_SHA256

@@ -254,7 +254,31 @@ class TestSparsityStability:
         assert H.toarray() == pytest.approx(H_ref, rel=1e-15, abs=1e-15)
 
 
+class TestAddVariable:
+    def test_inverted_bounds_name_the_variable(self):
+        m = ModelIR("bad")
+        with pytest.raises(ValueError, match=r"variable cg\[3\]: lower 2"):
+            m.add_variable("cg[3]", 2.0, 1.0, 1.5)
+
+    def test_start_is_clamped_into_bounds(self):
+        m = ModelIR("clamp")
+        m.add_variable("below", 0.0, 1.0, -3.0)
+        m.add_variable("above", -INF, 2.0, 5.0)
+        m.add_variable("inside", -1.0, INF, 0.25)
+        m.finalize()
+        assert list(m.initial_point()) == [0.0, 2.0, 0.25]
+
+
 class TestFinalize:
+    @pytest.mark.parametrize("index", [-1, 2])
+    def test_objective_out_of_range(self, index):
+        m = ModelIR("bad")
+        m.add_variable("a", 0.0, 1.0, 0.5)
+        m.add_variable("b", 0.0, 1.0, 0.5)
+        m.add_objective_term(index, 5.0)
+        with pytest.raises(ValueError, match="objective references"):
+            m.finalize()
+
     def test_block_out_of_range_names_the_block(self):
         m = ModelIR("bad")
         m.add_variable("x", 0.0, 1.0, 0.5)
