@@ -108,7 +108,7 @@ def test_raw_u_pivots_match_splu():
         factor = factorize(K, perm=perm)
         reference = spla.splu(
             K, permc_spec="MMD_AT_PLUS_A" if perm is None else "NATURAL",
-            diag_pivot_thresh=0.0,
+            diag_pivot_thresh=0.0, panel_size=kkt_mod._PANEL_SIZE,
             options=dict(SymmetricMode=True, Equil=False),
         )
         assert np.array_equal(kkt_mod._u_diagonal(factor._lu),
