@@ -17,6 +17,7 @@ from pathlib import Path
 from .bench import BenchConfig, render_report, run_suite
 from .errors import OpfBenchError
 from .formulations import (
+    PWL_COST_KINDS,
     CostKind,
     PowerFlowKind,
     build_opf,
@@ -25,7 +26,7 @@ from .formulations import (
 from .ipm import SolverOptions, kkt_check, solve
 from .modelir import SolveStatus
 from .netdata import read_case, validate_network
-from .pwlcost import DEFAULT_SLOPE_TOL, preprocess
+from .pwlcost import DEFAULT_SLOPE_TOL, check_slope_tol, preprocess
 
 EXIT_OK = 0
 EXIT_NOT_OPTIMAL = 1
@@ -33,6 +34,8 @@ EXIT_INPUT_ERROR = 2
 
 _PF = {k.value: k for k in PowerFlowKind}
 _COST = {k.value: k for k in CostKind}
+# the bench report has one column per piecewise encoding and none for poly
+_BENCH_COST = {k.value: k for k in PWL_COST_KINDS}
 
 
 def _write_text(path, text) -> bool:
@@ -62,6 +65,11 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_preprocess(args) -> int:
+    try:
+        check_slope_tol(args.slope_tol)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
     try:
         network = read_case(args.case)
     except (OSError, OpfBenchError) as exc:
@@ -145,7 +153,7 @@ def _cmd_bench(args) -> int:
         return EXIT_INPUT_ERROR
     try:
         pf_kinds = tuple(_PF[p] for p in args.pf.split(","))
-        cost_kinds = tuple(_COST[c] for c in args.cost.split(","))
+        cost_kinds = tuple(_BENCH_COST[c] for c in args.cost.split(","))
     except KeyError as exc:
         print(f"error: unknown kind {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

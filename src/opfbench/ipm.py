@@ -19,6 +19,17 @@ first iteration of a model with curvature starts at delta_w = delta_c =
 1e-8: at y = 0 its Hessian block is all zeros, and the unregularized
 matrix is singular.
 
+A solve is one ``_Solve`` object.  It owns what an iteration hands to the
+next: the point (z, y, v), the barrier parameter, the merit penalty, the
+regularization a failed line search forces, the last corrected delta_w
+and the LP infeasibility history.  Each iteration runs IPOPT's phases in
+order, one method each: ``evaluate`` (rows, Jacobian, the KKT audit and
+the optimality and infeasibility tests), ``update_barrier`` (mu, the
+gaps and the barrier gradient), ``factor`` (the Hessian, K and the
+inertia correction, ending in the Newton step), ``line_search`` (the
+penalty update, backtracking on ``merit`` and one second-order
+correction) and ``accept`` (the dual step and the move to the new point).
+
 Inequality rows are converted to equalities with range-bounded slacks at
 intake, and variables fixed through equal bounds become free variables
 pinned by an extra equality row, so the barrier only ever sees strictly
@@ -85,8 +96,8 @@ class SolverOptions:
     max_iter: int = 500
 
     def __post_init__(self):
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
+        if not 0.0 < self.tol < INF:
+            raise ValueError("tol must be positive and finite")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
 
@@ -437,6 +448,284 @@ def _curvature(W, diag, dz):
     return float(dx @ (W @ dx)) + float(dz @ (diag * dz))
 
 
+class _Solve:
+    """One solve: the state carried from one iteration to the next, and
+    one method per phase of an iteration."""
+
+    def __init__(self, m: ModelIR, opts: SolverOptions):
+        self.m, self.opts = m, opts
+        self.t_start = time.perf_counter()
+        self.log = IterationLog()
+        self.intake = intake = _Intake(m)
+        self.audit = _Auditor(m)
+        self.kkt = _KktPattern(intake)
+        # bound once per solve: every iteration overwrites their values, and
+        # jac_tr, a CSC view of jac_model's arrays, follows jac_model
+        self.jac_model = m.jac_pattern.matrix(
+            np.zeros(len(m.jac_pattern.slot)))
+        self.jac_tr = self.jac_model.T
+        self.W = m.hess_pattern.matrix(np.zeros(len(m.hess_pattern.slot)))
+
+        grad_norm = float(np.abs(m.obj_coeffs).max()) if m.nvars else 0.0
+        self.obj_scale = (min(1.0, _OBJ_GRAD_TARGET / grad_norm)
+                          if grad_norm > 0 else 1.0)
+        self.obj_lin = np.zeros(intake.nz)
+        self.obj_lin[:intake.nx] = self.obj_scale * m.obj_coeffs
+
+        self.mu = _MU_INIT
+        # barrier floor in internal units so the true-unit duality gap can
+        # reach tol/10 despite objective scaling
+        self.mu_min = max(opts.tol / 10.0 * self.obj_scale, 1e-16)
+        x0 = m.initial_point()
+        self.z, self.v = _initial_point(intake, x0, m.eval_raw_rows(x0),
+                                        self.mu)
+        self.y = np.zeros(intake.m_int)
+        self.is_lp = all(blk.kind in ("LinearEq", "LinearIneq")
+                         for blk in m.blocks)
+        self.nu = 1.0
+        self.ls_failures = 0
+        self.force_reg = 0.0
+        self.delta_last = 0.0
+        self.kkt_res = INF
+        # (raw feasibility, dual magnitude, mu) of each iteration so far
+        self.history: list[tuple[float, float, float]] = []
+
+    def run(self):
+        """Iterate to a status: returns (SolveResult, IterationLog), with
+        one record per iteration that reached a step."""
+        if np.any(self.m.row_lower > self.m.row_upper):
+            self.z = np.zeros(self.intake.nz)
+            self.v = np.zeros(len(self.intake.ib))
+            return self.finish(SolveStatus.INFEASIBLE)
+        for it in range(self.opts.max_iter):
+            status = self.evaluate()
+            if status is not None:
+                return self.finish(status)
+            self.update_barrier()
+            factored = self.factor(it)
+            if factored is None:
+                return self.finish(SolveStatus.NUMERICAL_ERROR)
+            factor, step, delta_w, corrections = factored
+            dgap = _gap_step(self.intake, step[:self.intake.nz])
+            alpha_max = _max_step(self.gap, dgap)
+            if alpha_max <= 0.0:
+                return self.finish(SolveStatus.NUMERICAL_ERROR)
+            point = self.line_search(factor, step, dgap, alpha_max)
+            if point is None:
+                self.ls_failures += 1
+                if self.ls_failures >= _MAX_LS_FAILURES:
+                    return self.finish(SolveStatus.NUMERICAL_ERROR)
+                self.force_reg = 10.0 * max(self.force_reg, delta_w,
+                                            _REG_FLOOR)
+                alpha = alpha_dual = 0.0
+            else:
+                alpha, alpha_dual = self.accept(*point)
+            self.log.records.append(IterationRecord(
+                iteration=it, mu=self.mu, primal_inf=self.h_inf,
+                dual_inf=self.report.stationarity,
+                compl=self.report.complementarity, alpha_primal=alpha,
+                alpha_dual=alpha_dual, reg=delta_w,
+                inertia_corrections=corrections, fill=factor.fill,
+            ))
+            # drop this step's factor before the next one is computed
+            del factored, factor
+        return self.finish(SolveStatus.ITERATION_LIMIT)
+
+    def evaluate(self):
+        """Rows, Jacobian and KKT audit at the current point; returns
+        OPTIMAL or INFEASIBLE when the solve is over, else None."""
+        m, intake, tol = self.m, self.intake, self.opts.tol
+        x = self.z[:intake.nx]
+        raw = m.eval_raw_rows(x)
+        eval_jacobian(m, x, out=self.jac_model)
+        self.h = intake.residual(self.z, raw)
+        self.h_inf = float(np.abs(self.h).max()) if len(self.h) else 0.0
+
+        y_true, zl_true, zu_true = intake.map_duals(self.y, self.v,
+                                                    self.obj_scale)
+        report = self.report = self.audit(x, y_true, zl_true, zu_true, raw,
+                                          self.jac_tr)
+        self.kkt_res = report.max_residual
+        if self.kkt_res <= tol and report.raw_feasibility <= tol:
+            return SolveStatus.OPTIMAL
+        # dual unboundedness on LPs: either outright blow-up, or growing
+        # duals with primal infeasibility and the barrier stalled across a
+        # window; nonlinear models fail through the line search instead
+        feas, dual = report.raw_feasibility, report.denominator
+        self.history.append((feas, dual, self.mu))
+        if self.is_lp and feas > tol:
+            if dual > _DUAL_BLOWUP:
+                return SolveStatus.INFEASIBLE
+            if len(self.history) > _STALL_WINDOW and feas > _STALL_FEAS:
+                feas0, dual0, mu0 = self.history[-_STALL_WINDOW - 1]
+                if feas > 0.99 * feas0 and dual >= dual0 and self.mu == mu0:
+                    return SolveStatus.INFEASIBLE
+        return None
+
+    def update_barrier(self):
+        """Lower mu, up to 8 times, while the barrier subproblem is solved
+        to within kappa_eps*mu; sets the gaps, the barrier gradient and the
+        Newton right-hand side's primal part at the new mu."""
+        intake, y, v, mu = self.intake, self.y, self.v, self.mu
+        gap = self.gap = _gaps(intake, self.z)
+        gv = gap * v
+        denom_int = 1.0 + max(
+            float(np.abs(y).max()) if len(y) else 0.0,
+            float(v.max()) if len(v) else 0.0,
+        )
+        # barrier-KKT error of the mu-subproblem; stationarity measured in
+        # the primal-dual form, which is what the Newton step drives to zero
+        jty = intake.jac_t(self.jac_tr, y)
+        stat_pd = float(np.abs(
+            intake.add_bound_terms(self.obj_lin + jty, v)
+        ).max()) / denom_int
+        for _ in range(8):
+            compl_mu = (float(np.abs(gv - mu).max()) / denom_int
+                        if len(gv) else 0.0)
+            e_mu = max(stat_pd, self.h_inf / denom_int, compl_mu)
+            if not (e_mu <= _KAPPA_EPS * mu and mu > self.mu_min):
+                break
+            mu = max(self.mu_min, _MU_FACTOR * mu)
+        self.mu = mu
+        self.grad_phi = intake.add_bound_terms(self.obj_lin.copy(), mu / gap)
+        self.r1 = -(self.grad_phi + jty)
+
+    def factor(self, it):
+        """Factor the Newton system, correcting the inertia: returns
+        (factor, step, delta_w, corrections), or None once delta_w passes
+        its cap."""
+        m, intake, kkt, W = self.m, self.intake, self.kkt, self.W
+        eval_lagrangian_hessian(m, self.z[:intake.nx], self.y[:m.nrows],
+                                out=W)
+        sigma = _sigma(intake, self.gap, self.v)
+        rhs = np.concatenate([self.r1, -self.h])
+        delta_w, delta_c = self.force_reg, _DELTA_C
+        if it == 0 and not self.is_lp:
+            # at y = 0 the Hessian block is all stored zeros: the
+            # unregularized K is singular, and SuperLU leaves its diagonal
+            delta_w, delta_c = _REG_FLOOR, _DELTA_C_SINGULAR
+        corrections = 0
+        while True:
+            K = kkt.assemble(W, sigma + delta_w, self.jac_model, delta_c)
+            try:
+                factor = factorize(K, perm=kkt.perm)
+                if kkt.perm is None:
+                    kkt.order(factor.perm)
+                inertia = factor.inertia
+                if inertia is None or inertia == (intake.nz, intake.m_int, 0):
+                    # raises on a large solve residual: numerically singular
+                    step = factor.solve(rhs)
+                    # unknown inertia: accept a step of nonnegative
+                    # curvature, otherwise raise delta_w only
+                    if (inertia is not None
+                            or _curvature(W, sigma + delta_w,
+                                          step[:intake.nz]) >= 0.0):
+                        if corrections and not self.is_lp:
+                            self.delta_last = delta_w
+                        return factor, step, delta_w, corrections
+                singular = inertia is not None and inertia[2] > 0
+            except FactorizationError:
+                singular = True
+            corrections += 1
+            if singular:
+                delta_c = max(delta_c * 10.0, _DELTA_C_SINGULAR)
+            if delta_w > 0.0:
+                delta_w *= (_KAPPA_W_PLUS if self.delta_last
+                            else _REG_GROWTH_COLD)
+            else:
+                delta_w = max(_REG_FLOOR, _KAPPA_W_MINUS * self.delta_last)
+            if delta_w > _REG_MAX:
+                return None
+
+    def merit(self, z):
+        """(l1 exact-penalty merit at z, constraint residual at z)."""
+        intake = self.intake
+        h = intake.residual(z, self.m.eval_raw_rows(z[:intake.nx]))
+        return (_barrier_value(intake, z, self.obj_lin, self.mu)
+                + self.nu * float(np.abs(h).sum()), h)
+
+    def line_search(self, factor, step, dgap, alpha_max):
+        """Raise the merit penalty to what the step needs, then backtrack
+        from alpha_max; returns the accepted (z, alpha, dgap, dy), where
+        dgap is the step's change of the bound gaps, or None."""
+        intake, z, h = self.intake, self.z, self.h
+        nz, m_int = intake.nz, intake.m_int
+        dz, dy = step[:nz], step[nz:]
+        h_l1 = float(np.abs(h).sum())
+        slope_obj = float(self.grad_phi @ dz)
+        if h_l1 > 1e-12:
+            nu_req = max(
+                1.1 * float(np.abs(self.y + dy).max()) if m_int else 0.0,
+                slope_obj / (0.5 * h_l1) if slope_obj > 0 else 0.0,
+            )
+            if self.nu > 10.0 * (nu_req + 1e-6):
+                self.nu = max(nu_req + 1e-6, self.nu / 10.0)
+            self.nu = max(self.nu, nu_req + 1e-6)
+        merit_slope = slope_obj - self.nu * h_l1
+
+        phi0 = (_barrier_value(intake, z, self.obj_lin, self.mu)
+                + self.nu * h_l1)
+        alpha = alpha_max
+        for trial in range(_MAX_BACKTRACKS):
+            z_try = z + alpha * dz
+            phi_try, h_try = self.merit(z_try)
+            if math.isfinite(phi_try) and (
+                    phi_try <= phi0 + _ARMIJO_ETA * alpha * merit_slope
+                    or phi_try <= phi0 + 1e-10 * (1.0 + abs(phi0))):
+                return z_try, alpha, dgap, dy
+            if trial == 0 and m_int:
+                # second-order correction: re-center the constraint residual
+                # at the rejected trial point to step around merit rejection
+                # of pure Newton steps caused by constraint curvature
+                rhs_soc = np.concatenate([self.r1, -(alpha * h + h_try)])
+                try:
+                    sol_soc = factor.solve(rhs_soc)
+                except FactorizationError:
+                    # an inaccurate correction is no correction: backtrack
+                    alpha *= 0.5
+                    continue
+                dz_soc = sol_soc[:nz]
+                dgap_soc = _gap_step(intake, dz_soc)
+                alpha_soc = _max_step(self.gap, dgap_soc)
+                z_soc = z + alpha_soc * dz_soc
+                phi_soc, _ = self.merit(z_soc)
+                if math.isfinite(phi_soc) and phi_soc <= (
+                        phi0 + _ARMIJO_ETA * alpha_soc * merit_slope):
+                    return z_soc, alpha_soc, dgap_soc, sol_soc[nz:]
+            alpha *= 0.5
+        return None
+
+    def accept(self, z, alpha, dgap, dy):
+        """Move to the accepted point z with its dual step; returns the
+        primal and dual step lengths."""
+        mu = self.mu
+        dv, alpha_dual = _dual_step(mu, self.gap, self.v, dgap)
+        self.ls_failures = 0
+        self.force_reg = 0.0
+        self.z = z
+        self.y = self.y + alpha * dy
+        v = np.maximum(self.v + alpha_dual * dv, 0.0)
+        # safeguard corridor keeps bound multipliers consistent with mu
+        gap = _gaps(self.intake, z)
+        self.v = np.clip(v, mu / (_KAPPA_SIGMA * gap), _KAPPA_SIGMA * mu / gap)
+        return alpha, alpha_dual
+
+    def finish(self, status):
+        """(SolveResult, IterationLog) at the current point."""
+        intake = self.intake
+        x = self.z[:intake.nx].copy()
+        x[intake.fixed_idx] = intake.fix_vals
+        y, zl, zu = intake.map_duals(self.y, self.v, self.obj_scale)
+        return SolveResult(
+            status=status,
+            objective=self.m.eval_objective(x),
+            x=x, y=y, zl=zl, zu=zu,
+            kkt_residual=self.kkt_res,
+            iterations=len(self.log.records),
+            wall_time=time.perf_counter() - self.t_start,
+        ), self.log
+
+
 def solve(m: ModelIR, opts: SolverOptions | None = None):
     """Minimize a ModelIR, returning (SolveResult, IterationLog).
 
@@ -445,269 +734,5 @@ def solve(m: ModelIR, opts: SolverOptions | None = None):
     the largest dual magnitude) and the raw constraint violation all fall
     below opts.tol.
     """
-    if opts is None:
-        opts = SolverOptions()
     m.finalize()
-    t_start = time.perf_counter()
-    log = IterationLog()
-
-    intake = _Intake(m)
-    audit = _Auditor(m)
-    kkt = _KktPattern(intake)
-    nx, nz, m_int = intake.nx, intake.nz, intake.m_int
-    # bound once per solve: every iteration overwrites their values, and
-    # jac_tr, a CSC view of jac_model's arrays, follows jac_model
-    jac_model = m.jac_pattern.matrix(np.zeros(len(m.jac_pattern.slot)))
-    jac_tr = jac_model.T
-    W = m.hess_pattern.matrix(np.zeros(len(m.hess_pattern.slot)))
-
-    def finish(status, z, y_int, v, kkt_res):
-        x = z[:nx].copy()
-        x[intake.fixed_idx] = intake.fix_vals
-        y, zl, zu = intake.map_duals(y_int, v, obj_scale)
-        return SolveResult(
-            status=status,
-            objective=m.eval_objective(x),
-            x=x, y=y, zl=zl, zu=zu,
-            kkt_residual=kkt_res,
-            iterations=len(log.records),
-            wall_time=time.perf_counter() - t_start,
-        ), log
-
-    grad_norm = float(np.abs(m.obj_coeffs).max()) if m.nvars else 0.0
-    obj_scale = min(1.0, _OBJ_GRAD_TARGET / grad_norm) if grad_norm > 0 else 1.0
-    obj_lin = np.zeros(nz)
-    obj_lin[:nx] = obj_scale * m.obj_coeffs
-
-    if np.any(m.row_lower > m.row_upper):
-        return finish(
-            SolveStatus.INFEASIBLE,
-            np.zeros(nz), np.zeros(m_int), np.zeros(len(intake.ib)), INF,
-        )
-
-    mu = _MU_INIT
-    # barrier floor in internal units so the true-unit duality gap can
-    # reach tol/10 despite objective scaling
-    mu_min = max(opts.tol / 10.0 * obj_scale, 1e-16)
-    x0 = m.initial_point()
-    z, v = _initial_point(intake, x0, m.eval_raw_rows(x0), mu)
-    y = np.zeros(m_int)
-    is_lp = all(blk.kind in ("LinearEq", "LinearIneq") for blk in m.blocks)
-
-    nu = 1.0
-    ls_failures = 0
-    force_reg = 0.0
-    delta_last = 0.0
-    status = SolveStatus.ITERATION_LIMIT
-    kkt_res = INF
-    feas_history: list[float] = []
-    dual_history: list[float] = []
-    mu_history: list[float] = []
-
-    for it in range(opts.max_iter):
-        x = z[:nx]
-        raw = m.eval_raw_rows(x)
-        eval_jacobian(m, x, out=jac_model)
-        h = intake.residual(z, raw)
-        h_inf = float(np.abs(h).max()) if len(h) else 0.0
-
-        y_true, zl_true, zu_true = intake.map_duals(y, v, obj_scale)
-        report = audit(x, y_true, zl_true, zu_true, raw, jac_tr)
-        kkt_res = report.max_residual
-        if kkt_res <= opts.tol and report.raw_feasibility <= opts.tol:
-            status = SolveStatus.OPTIMAL
-            break
-        # dual unboundedness on LPs: either outright blow-up, or growing
-        # duals with primal infeasibility and the barrier stalled across a
-        # window; nonlinear models fail through the line search instead
-        feas_history.append(report.raw_feasibility)
-        dual_history.append(report.denominator)
-        mu_history.append(mu)
-        if is_lp and report.raw_feasibility > opts.tol:
-            if report.denominator > _DUAL_BLOWUP:
-                status = SolveStatus.INFEASIBLE
-                break
-            if (len(feas_history) > _STALL_WINDOW
-                    and report.raw_feasibility > _STALL_FEAS):
-                back = -_STALL_WINDOW - 1
-                if (report.raw_feasibility > 0.99 * feas_history[back]
-                        and report.denominator >= dual_history[back]
-                        and mu == mu_history[back]):
-                    status = SolveStatus.INFEASIBLE
-                    break
-
-        # internal barrier-problem residuals
-        gap = _gaps(intake, z)
-        gv = gap * v
-        denom_int = 1.0 + max(
-            float(np.abs(y).max()) if len(y) else 0.0,
-            float(v.max()) if len(v) else 0.0,
-        )
-        # barrier-KKT error of the mu-subproblem; stationarity measured in
-        # the primal-dual form, which is what the Newton step drives to zero
-        jty = intake.jac_t(jac_tr, y)
-        stat_pd = float(np.abs(
-            intake.add_bound_terms(obj_lin + jty, v)
-        ).max()) / denom_int
-
-        reductions = 0
-        while True:
-            compl_mu = (float(np.abs(gv - mu).max()) / denom_int
-                        if len(gv) else 0.0)
-            e_mu = max(stat_pd, h_inf / denom_int, compl_mu)
-            if not (e_mu <= _KAPPA_EPS * mu and mu > mu_min
-                    and reductions < 8):
-                break
-            mu = max(mu_min, _MU_FACTOR * mu)
-            reductions += 1
-        grad_phi = intake.add_bound_terms(obj_lin.copy(), mu / gap)
-
-        # Newton system on the perturbed KKT conditions
-        eval_lagrangian_hessian(m, x, y[:m.nrows], out=W)
-        sigma = _sigma(intake, gap, v)
-        r1 = -(grad_phi + jty)
-        r2 = -h
-        rhs = np.concatenate([r1, r2])
-
-        delta_w = force_reg
-        delta_c = _DELTA_C
-        if it == 0 and not is_lp:
-            # at y = 0 the Hessian block is all stored zeros: the
-            # unregularized K is singular, and SuperLU leaves its diagonal
-            delta_w = _REG_FLOOR
-            delta_c = _DELTA_C_SINGULAR
-        factor = None
-        sol = None
-        corrections = 0
-        while True:
-            K = kkt.assemble(W, sigma + delta_w, jac_model, delta_c)
-            try:
-                cand = factorize(K, perm=kkt.perm)
-                if kkt.perm is None:
-                    kkt.order(cand.perm)
-                inertia = cand.inertia
-                if inertia is None or inertia == (nz, m_int, 0):
-                    # raises on a large solve residual: numerically singular
-                    candidate = cand.solve(rhs)
-                    # unknown inertia: accept a step of nonnegative
-                    # curvature, otherwise raise delta_w only
-                    if (inertia is not None
-                            or _curvature(W, sigma + delta_w,
-                                          candidate[:nz]) >= 0.0):
-                        factor, sol = cand, candidate
-                        break
-                singular = inertia is not None and inertia[2] > 0
-            except FactorizationError:
-                singular = True
-            corrections += 1
-            if singular:
-                delta_c = max(delta_c * 10.0, _DELTA_C_SINGULAR)
-            if delta_w > 0.0:
-                delta_w *= _KAPPA_W_PLUS if delta_last else _REG_GROWTH_COLD
-            else:
-                delta_w = max(_REG_FLOOR, _KAPPA_W_MINUS * delta_last)
-            if delta_w > _REG_MAX:
-                break
-        if factor is None:
-            status = SolveStatus.NUMERICAL_ERROR
-            break
-        if corrections and not is_lp:
-            delta_last = delta_w
-
-        dz = sol[:nz]
-        dy = sol[nz:]
-        dgap = _gap_step(intake, dz)
-        dv, alpha_dual = _dual_step(mu, gap, v, dgap)
-        alpha_max = _max_step(gap, dgap)
-        if alpha_max <= 0.0:
-            status = SolveStatus.NUMERICAL_ERROR
-            break
-
-        h_l1 = float(np.abs(h).sum())
-        slope_obj = float(grad_phi @ dz)
-        if h_l1 > 1e-12:
-            nu_req = max(
-                1.1 * float(np.abs(y + dy).max()) if m_int else 0.0,
-                slope_obj / (0.5 * h_l1) if slope_obj > 0 else 0.0,
-            )
-            if nu > 10.0 * (nu_req + 1e-6):
-                nu = max(nu_req + 1e-6, nu / 10.0)
-            nu = max(nu, nu_req + 1e-6)
-        merit_slope = slope_obj - nu * h_l1
-
-        def merit_at(z_pt):
-            raw_pt = m.eval_raw_rows(z_pt[:nx])
-            h_pt = intake.residual(z_pt, raw_pt)
-            return (_barrier_value(intake, z_pt, obj_lin, mu)
-                    + nu * float(np.abs(h_pt).sum()), h_pt)
-
-        phi0 = _barrier_value(intake, z, obj_lin, mu) + nu * h_l1
-        alpha = alpha_max
-        accepted = False
-        z_try = z
-        for trial in range(_MAX_BACKTRACKS):
-            z_try = z + alpha * dz
-            phi_try, h_try = merit_at(z_try)
-            if math.isfinite(phi_try) and (
-                    phi_try <= phi0 + _ARMIJO_ETA * alpha * merit_slope
-                    or phi_try <= phi0 + 1e-10 * (1.0 + abs(phi0))):
-                accepted = True
-                break
-            if trial == 0 and m_int:
-                # second-order correction: re-center the constraint residual
-                # at the rejected trial point to step around merit rejection
-                # of pure Newton steps caused by constraint curvature
-                rhs_soc = np.concatenate([r1, -(alpha * h + h_try)])
-                try:
-                    sol_soc = factor.solve(rhs_soc)
-                except FactorizationError:
-                    # an inaccurate correction is no correction: backtrack
-                    alpha *= 0.5
-                    continue
-                dz_soc = sol_soc[:nz]
-                alpha_soc = _max_step(gap, _gap_step(intake, dz_soc))
-                z_soc = z + alpha_soc * dz_soc
-                phi_soc, _ = merit_at(z_soc)
-                if math.isfinite(phi_soc) and phi_soc <= (
-                        phi0 + _ARMIJO_ETA * alpha_soc * merit_slope):
-                    z_try = z_soc
-                    alpha = alpha_soc
-                    dz = dz_soc
-                    dy = sol_soc[nz:]
-                    dv, alpha_dual = _dual_step(mu, gap, v,
-                                                _gap_step(intake, dz))
-                    accepted = True
-                    break
-            alpha *= 0.5
-
-        if not accepted:
-            ls_failures += 1
-            if ls_failures >= _MAX_LS_FAILURES:
-                status = SolveStatus.NUMERICAL_ERROR
-                break
-            force_reg = 10.0 * max(force_reg, delta_w, _REG_FLOOR)
-            log.records.append(IterationRecord(
-                iteration=it, mu=mu, primal_inf=h_inf,
-                dual_inf=report.stationarity, compl=report.complementarity,
-                alpha_primal=0.0, alpha_dual=0.0, reg=delta_w,
-                inertia_corrections=corrections, fill=factor.fill,
-            ))
-            continue
-
-        ls_failures = 0
-        force_reg = 0.0
-        z = z_try
-        y = y + alpha * dy
-        v = np.maximum(v + alpha_dual * dv, 0.0)
-        # safeguard corridor keeps bound multipliers consistent with mu
-        gap = _gaps(intake, z)
-        v = np.clip(v, mu / (_KAPPA_SIGMA * gap), _KAPPA_SIGMA * mu / gap)
-
-        log.records.append(IterationRecord(
-            iteration=it, mu=mu, primal_inf=h_inf,
-            dual_inf=report.stationarity, compl=report.complementarity,
-            alpha_primal=alpha, alpha_dual=alpha_dual, reg=delta_w,
-            inertia_corrections=corrections, fill=factor.fill,
-        ))
-
-    return finish(status, z, y, v, kkt_res)
+    return _Solve(m, opts or SolverOptions()).run()

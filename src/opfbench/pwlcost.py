@@ -11,6 +11,7 @@ curve through four mathematically equivalent routes.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 
 from .errors import (
@@ -138,6 +139,14 @@ def check_assumptions(curve: PwlCurve, pmin: float, pmax: float):
     return violations
 
 
+def check_slope_tol(slope_tol: float) -> None:
+    """Raise ValueError unless slope_tol is finite and nonnegative."""
+    if not 0.0 <= slope_tol < math.inf:
+        raise ValueError(
+            f"slope_tol must be finite and nonnegative, got {slope_tol}"
+        )
+
+
 def preprocess(curve, pmin: float, pmax: float,
                slope_tol: float = DEFAULT_SLOPE_TOL) -> PwlCurve:
     """Clean a raw convex curve so it satisfies :func:`check_assumptions`.
@@ -149,8 +158,10 @@ def preprocess(curve, pmin: float, pmax: float,
     breakpoints whose adjacent segments differ in slope by at most slope_tol.
 
     Idempotent, and value-preserving on [pmin, pmax] up to slope_tol effects.
-    Raises ConvexityError if slopes decrease by more than slope_tol.
+    Raises ConvexityError if slopes decrease by more than slope_tol, and
+    ValueError if slope_tol is negative or not finite.
     """
+    check_slope_tol(slope_tol)
     if isinstance(curve, PwlCurve):
         pts = list(curve.points)
     else:

@@ -40,6 +40,16 @@ def test_preprocess_reports_points(case_paths, capsys):
     assert "generator 2: 4 -> 3 points" in out
 
 
+@pytest.mark.parametrize("slope_tol", ["-1000", "inf", "nan"])
+def test_preprocess_rejects_bad_slope_tol(case_paths, capsys, slope_tol):
+    code = main(["preprocess", case_paths["case9_loop"],
+                 "--slope-tol", slope_tol])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
+
+
 def test_solve_dc_lambda(case_paths, capsys, tmp_path):
     log_path = tmp_path / "iters.csv"
     code = main([
@@ -83,8 +93,8 @@ def test_solve_rejects_unknown_pf(case_paths):
 
 
 @pytest.mark.parametrize("options", [
-    ["--tol", "-1"], ["--max-iter", "0"],
-], ids=["tol", "max-iter"])
+    ["--tol", "-1"], ["--max-iter", "0"], ["--tol", "inf"],
+], ids=["tol", "max-iter", "tol-inf"])
 def test_solve_rejects_bad_numeric_option(case_paths, capsys, options):
     code = main(["solve", case_paths["case2_line"], "--pf", "dc",
                  "--cost", "psi", *options])
@@ -93,8 +103,8 @@ def test_solve_rejects_bad_numeric_option(case_paths, capsys, options):
 
 
 @pytest.mark.parametrize("options", [
-    ["--trials", "0"], ["--tol", "0"],
-], ids=["trials", "tol"])
+    ["--trials", "0"], ["--tol", "0"], ["--tol", "inf"],
+], ids=["trials", "tol", "tol-inf"])
 def test_bench_rejects_bad_numeric_option(case_paths, capsys, options):
     code = main(["bench", "--cases", case_paths["case1_micro"], "--pf", "dc",
                  *options])
@@ -123,6 +133,14 @@ def test_bench_markdown_to_stdout(case_paths, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out.startswith("| Case | PF |")
+
+
+def test_bench_rejects_polynomial_cost(case_paths, capsys):
+    # the report has one column per piecewise encoding and none for poly
+    code = main(["bench", "--cases", case_paths["case1_micro"], "--pf", "dc",
+                 "--cost", "lambda,poly", "--trials", "1"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: unknown kind 'poly'")
 
 
 def test_bench_no_match_is_input_error(capsys):

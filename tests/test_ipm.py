@@ -163,6 +163,8 @@ class TestSolverContracts:
         with pytest.raises(ValueError):
             SolverOptions(tol=0.0)
         with pytest.raises(ValueError):
+            SolverOptions(tol=math.inf)
+        with pytest.raises(ValueError):
             SolverOptions(max_iter=0)
 
     def test_csv_log_columns(self):
@@ -649,3 +651,30 @@ class TestKktAssembly:
         assert failed
         assert res.status == SolveStatus.OPTIMAL
         assert kkt_check(m, res).max_residual <= 1e-6
+
+    def test_solve_calls_the_module_attributes_tracing_wraps(
+            self, monkeypatch):
+        # perfbench's tracer wraps these module attributes; solve must
+        # look each one up when it calls it
+        calls = {}
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args, **kwargs)
+            return counted
+
+        for name in ("factorize", "_barrier_value", "eval_jacobian",
+                     "eval_lagrangian_hessian"):
+            monkeypatch.setattr(ipm_mod, name,
+                                counting(name, getattr(ipm_mod, name)))
+        m = build_opf(parse_case(case_text("case9_loop")),
+                      PowerFlowKind.AC, CostKind.LAMBDA)
+        res, log = solve(m)
+        assert res.status == SolveStatus.OPTIMAL
+        assert calls["factorize"] == len(log) + sum(
+            r.inertia_corrections for r in log.records)
+        # one Jacobian per iteration and one at the optimum; two barrier
+        # values per iteration: the line search's start and one trial
+        assert calls == {"factorize": 16, "_barrier_value": 32,
+                         "eval_jacobian": 17, "eval_lagrangian_hessian": 16}

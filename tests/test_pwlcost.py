@@ -110,6 +110,14 @@ class TestPreprocess:
         with pytest.raises(ConvexityError):
             preprocess([(0, 0), (10, 20), (20, 25)], pmin=2, pmax=18)
 
+    @pytest.mark.parametrize("slope_tol", [-1000.0, np.inf, np.nan])
+    def test_bad_slope_tol_rejected(self, slope_tol):
+        # -1000 would call a rising slope "decreasing"; inf would merge the
+        # two segments of this convex curve into one
+        with pytest.raises(ValueError, match="slope_tol"):
+            preprocess([(0, 0), (1, 1), (2, 2.5)], pmin=0, pmax=2,
+                       slope_tol=slope_tol)
+
     def test_extension_covers_bounds(self):
         out = preprocess([(5, 10), (10, 20)], pmin=0, pmax=20)
         assert out.powers[0] == 0.0
