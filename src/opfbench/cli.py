@@ -152,8 +152,10 @@ def _cmd_bench(args) -> int:
         print(f"error: no case files match {args.cases!r}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     try:
-        pf_kinds = tuple(_PF[p] for p in args.pf.split(","))
-        cost_kinds = tuple(_BENCH_COST[c] for c in args.cost.split(","))
+        # a repeated kind is benchmarked once, in its first place
+        pf_kinds = tuple(dict.fromkeys(_PF[p] for p in args.pf.split(",")))
+        cost_kinds = tuple(dict.fromkeys(
+            _BENCH_COST[c] for c in args.cost.split(",")))
     except KeyError as exc:
         print(f"error: unknown kind {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

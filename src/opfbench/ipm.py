@@ -34,6 +34,23 @@ Inequality rows are converted to equalities with range-bounded slacks at
 intake, and variables fixed through equal bounds become free variables
 pinned by an extra equality row, so the barrier only ever sees strictly
 feasible gaps.  Solves are deterministic functions of (model, options).
+
+The intake also scales the model variables, x = D x' (Waechter & Biegler
+2006, section 3.8).  A variable whose largest finite bound magnitude
+exceeds 100 gets D_j = that magnitude rounded to a power of two, so x' and
+its bounds are exact; every other variable keeps D_j = 1.  The solver
+iterates on x': its bounds are divided by D, the objective gradient and
+the Jacobian's columns are multiplied by D and the Hessian by D_r D_c,
+while rows are evaluated and results returned in model units.  Without
+this the bound push, the fraction-to-the-boundary rule and the
+multiplier corridor all act on the scale of psi's epigraph costs (bounds
+up to 5760), and psi paid two to five times lambda's iterations.  Slacks
+are never scaled: they share their row's units, and scaling them by the
+row bounds sent the 120-bus SOC-psi solve to the iteration limit.  The
+objective scaling is taken from the scaled gradient, the one the solver
+sees: taken from the model's, it would leave that gradient up to D times
+the target magnitude.  On models with no large bound nothing is scaled,
+and each step is the unscaled solver's, bit for bit.
 """
 
 from __future__ import annotations
@@ -60,7 +77,9 @@ INF = math.inf
 
 # Internal algorithm constants.
 _OBJ_GRAD_TARGET = 100.0     # objective gradient scaled down to this magnitude
-_BOUND_PUSH = 1e-2           # relative push of the start point off its bounds
+_BOUND_PUSH = 1e-2           # push of the start point off its bounds, relative
+                             # to the scaled bound's magnitude and width
+_SCALE_BOUND = 100.0         # variables with a larger finite bound are scaled
 _KAPPA_EPS = 10.0            # barrier subproblem tolerance factor
 _MU_INIT = 0.1               # initial barrier parameter
 _MU_FACTOR = 0.2             # monotone barrier reduction factor
@@ -253,6 +272,21 @@ class _Intake:
         fixed = np.isfinite(xlo) & (xlo == xup)
         self.fixed_idx = np.nonzero(fixed)[0]
         self.fix_vals = xlo[self.fixed_idx]
+        # column scaling x = d * x': d is the largest finite bound magnitude
+        # rounded to a power of two where that exceeds _SCALE_BOUND, else 1,
+        # so x' and its bounds are exact; fixed variables stay unscaled
+        mag = np.maximum(*(np.where(np.isfinite(b), np.abs(b), 0.0)
+                           for b in (xlo, xup)))
+        big = (mag > _SCALE_BOUND) & ~fixed
+        self.d = np.ones(self.nx)
+        self.d[big] = np.exp2(np.round(np.log2(mag[big])))
+        self.scaled = bool(big.any())
+        if self.scaled:
+            # factors of the Jacobian's and the Hessian's stored entries
+            self.jac_d = self.d[m.jac_pattern.coords()[1]]
+            wr, wc = m.hess_pattern.coords()
+            self.hess_d = self.d[wr] * self.d[wc]
+        xlo, xup = xlo / self.d, xup / self.d
         self.ineq_rows = np.nonzero(~m.row_is_eq)[0]
         self.ns = len(self.ineq_rows)
         self.nz = self.nx + self.ns
@@ -290,6 +324,10 @@ class _Intake:
         self.extra_vals = np.concatenate([-np.ones(self.ns),
                                           np.ones(self.n_fix)])
 
+    def model_x(self, z):
+        """The model variables, in model units, of the internal point z."""
+        return z[:self.nx] * self.d if self.scaled else z[:self.nx]
+
     def residual(self, z, raw):
         res = raw - self.eq_rhs
         res[self.ineq_rows] -= z[self.nx:]
@@ -320,6 +358,8 @@ class _Intake:
         zu[self.ib[self.nlo:]] = v[self.nlo:]
         zl = zl[:self.nx] / obj_scale
         zu = zu[:self.nx] / obj_scale
+        if self.scaled:
+            zl, zu = zl / self.d, zu / self.d
         if self.n_fix:
             y_fix = y_int[self.m.nrows:] / obj_scale
             zl[self.fixed_idx] = np.maximum(-y_fix, 0.0)
@@ -466,19 +506,21 @@ class _Solve:
         self.jac_tr = self.jac_model.T
         self.W = m.hess_pattern.matrix(np.zeros(len(m.hess_pattern.slot)))
 
-        grad_norm = float(np.abs(m.obj_coeffs).max()) if m.nvars else 0.0
+        # the gradient in the scaled variables sets the objective scaling
+        grad = m.obj_coeffs * intake.d
+        grad_norm = float(np.abs(grad).max()) if m.nvars else 0.0
         self.obj_scale = (min(1.0, _OBJ_GRAD_TARGET / grad_norm)
                           if grad_norm > 0 else 1.0)
         self.obj_lin = np.zeros(intake.nz)
-        self.obj_lin[:intake.nx] = self.obj_scale * m.obj_coeffs
+        self.obj_lin[:intake.nx] = self.obj_scale * grad
 
         self.mu = _MU_INIT
         # barrier floor in internal units so the true-unit duality gap can
         # reach tol/10 despite objective scaling
         self.mu_min = max(opts.tol / 10.0 * self.obj_scale, 1e-16)
         x0 = m.initial_point()
-        self.z, self.v = _initial_point(intake, x0, m.eval_raw_rows(x0),
-                                        self.mu)
+        self.z, self.v = _initial_point(intake, x0 / intake.d,
+                                        m.eval_raw_rows(x0), self.mu)
         self.y = np.zeros(intake.m_int)
         self.is_lp = all(blk.kind in ("LinearEq", "LinearIneq")
                          for blk in m.blocks)
@@ -535,7 +577,7 @@ class _Solve:
         """Rows, Jacobian and KKT audit at the current point; returns
         OPTIMAL or INFEASIBLE when the solve is over, else None."""
         m, intake, tol = self.m, self.intake, self.opts.tol
-        x = self.z[:intake.nx]
+        x = intake.model_x(self.z)
         raw = m.eval_raw_rows(x)
         eval_jacobian(m, x, out=self.jac_model)
         self.h = intake.residual(self.z, raw)
@@ -545,6 +587,10 @@ class _Solve:
                                                     self.obj_scale)
         report = self.report = self.audit(x, y_true, zl_true, zu_true, raw,
                                           self.jac_tr)
+        if intake.scaled:
+            # the audit is done: the Jacobian's columns go to x' (and jac_tr,
+            # a view of the same values, with them)
+            self.jac_model.data *= intake.jac_d
         self.kkt_res = report.max_residual
         if self.kkt_res <= tol and report.raw_feasibility <= tol:
             return SolveStatus.OPTIMAL
@@ -595,8 +641,10 @@ class _Solve:
         (factor, step, delta_w, corrections), or None once delta_w passes
         its cap."""
         m, intake, kkt, W = self.m, self.intake, self.kkt, self.W
-        eval_lagrangian_hessian(m, self.z[:intake.nx], self.y[:m.nrows],
+        eval_lagrangian_hessian(m, intake.model_x(self.z), self.y[:m.nrows],
                                 out=W)
+        if intake.scaled:
+            W.data *= intake.hess_d
         sigma = _sigma(intake, self.gap, self.v)
         rhs = np.concatenate([self.r1, -self.h])
         delta_w, delta_c = self.force_reg, _DELTA_C
@@ -640,7 +688,7 @@ class _Solve:
     def merit(self, z):
         """(l1 exact-penalty merit at z, constraint residual at z)."""
         intake = self.intake
-        h = intake.residual(z, self.m.eval_raw_rows(z[:intake.nx]))
+        h = intake.residual(z, self.m.eval_raw_rows(intake.model_x(z)))
         return (_barrier_value(intake, z, self.obj_lin, self.mu)
                 + self.nu * float(np.abs(h).sum()), h)
 
@@ -713,7 +761,7 @@ class _Solve:
     def finish(self, status):
         """(SolveResult, IterationLog) at the current point."""
         intake = self.intake
-        x = self.z[:intake.nx].copy()
+        x = self.z[:intake.nx] * intake.d
         x[intake.fixed_idx] = intake.fix_vals
         y, zl, zu = intake.map_duals(self.y, self.v, self.obj_scale)
         return SolveResult(

@@ -143,6 +143,14 @@ def test_bench_rejects_polynomial_cost(case_paths, capsys):
     assert capsys.readouterr().err.startswith("error: unknown kind 'poly'")
 
 
+def test_bench_solves_a_repeated_kind_once(case_paths, capsys):
+    code = main(["bench", "--cases", case_paths["case1_micro"],
+                 "--pf", "dc,dc", "--cost", "lambda,lambda", "--trials", "1"])
+    rows = capsys.readouterr().out.splitlines()[2:]  # note, header
+    assert code == 0
+    assert [row.split(",")[:2] for row in rows] == [["case1_micro", "dc"]]
+
+
 def test_bench_no_match_is_input_error(capsys):
     code = main(["bench", "--cases", "/nonexistent/*.m"])
     assert code == 2

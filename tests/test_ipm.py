@@ -8,7 +8,7 @@ from scipy.sparse._compressed import _cs_matrix
 
 import opfbench.ipm as ipm_mod
 import opfbench.kkt as kkt_mod
-from opfbench.cases import case_text
+from opfbench.cases import case_names, case_text
 from opfbench.formulations import CostKind, PowerFlowKind, build_opf
 from opfbench.ipm import IterationLog, SolverOptions, kkt_check, solve
 from opfbench.modelir import (
@@ -210,25 +210,102 @@ class TestSolverContracts:
         assert log.records[0].reg == ipm_mod._REG_FLOOR
         assert log.records[0].inertia_corrections == 0
 
-    def test_correction_warm_starts_from_the_last_one(self):
+    def test_correction_warm_starts_from_the_last_one(self, monkeypatch):
         # Algorithm IC of Waechter & Biegler (2006): after a corrected
         # iteration, the ladder starts at kappa_w^- times the last delta_w
-        # and grows by kappa_w^+
-        m = build_opf(parse_case(case_text("case30_grid")),
-                      PowerFlowKind.SOC, CostKind.PSI)
-        res, log = solve(m, SolverOptions(tol=1e-6))
-        assert res.status == SolveStatus.OPTIMAL
-        warm = [(last.reg, r.reg, r.inertia_corrections)
-                for last, r in zip(log.records, log.records[1:])
-                if last.inertia_corrections and r.inertia_corrections]
+        # and grows by kappa_w^+.  factorize reports a wrong inertia for
+        # the first `wrong` trials of each factor call, at one point of a
+        # nonlinear model, so every kind of ladder is driven on purpose
+        m = build_opf(parse_case(case_text("case9_loop")),
+                      PowerFlowKind.AC, CostKind.LAMBDA)
+        s = ipm_mod._Solve(m, SolverOptions())
+        assert s.evaluate() is None
+        s.update_barrier()
+        right = (s.intake.nz, s.intake.m_int, 0)
+        factorize = ipm_mod.factorize
+        trials = []
+
+        def misreporting(K, **kwargs):
+            factor = factorize(K, **kwargs)
+            factor.inertia = (right if len(trials) >= wrong
+                              else (right[0] - 1, right[1] + 1, 0))
+            trials.append(factor.inertia)
+            return factor
+
+        monkeypatch.setattr(ipm_mod, "factorize", misreporting)
+        ladders = []
+        for wrong in (3, 1, 2, 1, 1, 1, 1, 1, 3):
+            trials.clear()
+            _, _, reg, corrections = s.factor(1)
+            assert corrections == wrong
+            ladders.append((reg, corrections))
+        # before any correction the ladder is cold: 1e-8, then x10
+        reg, c = ladders[0]
+        assert reg == ipm_mod._REG_FLOOR * ipm_mod._REG_GROWTH_COLD ** (c - 1)
+        warm = [(reg_last, reg, c)
+                for (reg_last, _), (reg, c) in zip(ladders, ladders[1:])]
         assert len(warm) >= 5
         for reg_last, reg, c in warm:
             assert reg == (max(ipm_mod._REG_FLOOR,
                                ipm_mod._KAPPA_W_MINUS * reg_last)
                            * ipm_mod._KAPPA_W_PLUS ** (c - 1))
-        # a warm start that must grow: 1.34217728 / 3 is too little, eight
-        # times that is not
-        assert (1.34217728, 3.5791394133333334, 2) in warm
+        # warm starts that must grow, and ones that stop at the floor
+        assert any(c > 1 for _, _, c in warm)
+        assert any(ipm_mod._KAPPA_W_MINUS * reg_last < ipm_mod._REG_FLOOR
+                   for reg_last, _, _ in warm)
+
+
+class TestVariableScaling:
+    # x = D x' at intake: D_j is a power of two on variables with a
+    # finite bound above _SCALE_BOUND, and 1 on every other variable
+
+    @staticmethod
+    def _intake(name, pf, ck):
+        m = build_opf(parse_case(case_text(name)), pf, ck)
+        return m, ipm_mod._Intake(m.finalize())
+
+    @pytest.mark.parametrize("name", case_names())
+    @pytest.mark.parametrize("pf", list(PowerFlowKind))
+    def test_psi_scales_exactly_its_cost_columns(self, name, pf):
+        m, intake = self._intake(name, pf, CostKind.PSI)
+        scaled = np.nonzero(intake.d != 1.0)[0]
+        assert intake.scaled
+        assert [m.var_names[j] for j in scaled] == [
+            n for n in m.var_names if n.startswith("cg[")]
+        mantissa, _ = np.frexp(intake.d[scaled])
+        assert np.all(mantissa == 0.5) and np.all(intake.d[scaled] > 1.0)
+
+    @pytest.mark.parametrize("name", case_names())
+    @pytest.mark.parametrize("pf", list(PowerFlowKind))
+    @pytest.mark.parametrize("ck", [CostKind.LAMBDA, CostKind.DELTA,
+                                    CostKind.PHI])
+    def test_other_encodings_scale_nothing(self, name, pf, ck):
+        _, intake = self._intake(name, pf, ck)
+        assert not intake.scaled
+        assert np.all(intake.d == 1.0)
+
+    @pytest.mark.parametrize("pf", list(PowerFlowKind))
+    def test_psi_results_are_in_model_units(self, pf):
+        m = build_opf(parse_case(case_text("case30_grid")), pf, CostKind.PSI)
+        res, _ = solve(m, SolverOptions(tol=1e-8))
+        assert res.status == SolveStatus.OPTIMAL
+        report = kkt_check(m, res)
+        assert report.max_residual <= 1e-8
+        assert report.max_residual == res.kkt_residual
+        lo, up = m.variable_bounds()
+        assert np.all((lo <= res.x) & (res.x <= up))
+
+    def test_psi_iterations_match_lambda(self):
+        # unscaled, the epigraph costs (bounds up to 5760) made this cell
+        # take 120 iterations against lambda's 26
+        net = parse_case(case_text("case30_grid"))
+        iters = {}
+        for ck in (CostKind.PSI, CostKind.LAMBDA):
+            res, _ = solve(build_opf(net, PowerFlowKind.SOC, ck),
+                           SolverOptions(tol=1e-8))
+            assert res.status == SolveStatus.OPTIMAL
+            iters[ck] = res.iterations
+        assert iters[CostKind.PSI] <= 1.25 * iters[CostKind.LAMBDA]
 
 
 def overloaded_network(name, margin):
