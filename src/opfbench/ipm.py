@@ -49,8 +49,9 @@ are never scaled: they share their row's units, and scaling them by the
 row bounds sent the 120-bus SOC-psi solve to the iteration limit.  The
 objective scaling is taken from the scaled gradient, the one the solver
 sees: taken from the model's, it would leave that gradient up to D times
-the target magnitude.  On models with no large bound nothing is scaled,
-and each step is the unscaled solver's, bit for bit.
+the target magnitude.  The scaling is applied on every model: where no
+bound is large, D = 1 and each product with it is exact, so every step is
+the unscaled solver's, bit for bit.
 """
 
 from __future__ import annotations
@@ -280,12 +281,10 @@ class _Intake:
         big = (mag > _SCALE_BOUND) & ~fixed
         self.d = np.ones(self.nx)
         self.d[big] = np.exp2(np.round(np.log2(mag[big])))
-        self.scaled = bool(big.any())
-        if self.scaled:
-            # factors of the Jacobian's and the Hessian's stored entries
-            self.jac_d = self.d[m.jac_pattern.coords()[1]]
-            wr, wc = m.hess_pattern.coords()
-            self.hess_d = self.d[wr] * self.d[wc]
+        # factors of the Jacobian's and the Hessian's stored entries
+        self.jac_d = self.d[m.jac_pattern.coords()[1]]
+        wr, wc = m.hess_pattern.coords()
+        self.hess_d = self.d[wr] * self.d[wc]
         xlo, xup = xlo / self.d, xup / self.d
         self.ineq_rows = np.nonzero(~m.row_is_eq)[0]
         self.ns = len(self.ineq_rows)
@@ -326,7 +325,7 @@ class _Intake:
 
     def model_x(self, z):
         """The model variables, in model units, of the internal point z."""
-        return z[:self.nx] * self.d if self.scaled else z[:self.nx]
+        return z[:self.nx] * self.d
 
     def residual(self, z, raw):
         res = raw - self.eq_rhs
@@ -356,10 +355,8 @@ class _Intake:
         zl, zu = np.zeros(self.nz), np.zeros(self.nz)
         zl[self.ib[:self.nlo]] = v[:self.nlo]
         zu[self.ib[self.nlo:]] = v[self.nlo:]
-        zl = zl[:self.nx] / obj_scale
-        zu = zu[:self.nx] / obj_scale
-        if self.scaled:
-            zl, zu = zl / self.d, zu / self.d
+        zl = zl[:self.nx] / obj_scale / self.d
+        zu = zu[:self.nx] / obj_scale / self.d
         if self.n_fix:
             y_fix = y_int[self.m.nrows:] / obj_scale
             zl[self.fixed_idx] = np.maximum(-y_fix, 0.0)
@@ -587,10 +584,9 @@ class _Solve:
                                                     self.obj_scale)
         report = self.report = self.audit(x, y_true, zl_true, zu_true, raw,
                                           self.jac_tr)
-        if intake.scaled:
-            # the audit is done: the Jacobian's columns go to x' (and jac_tr,
-            # a view of the same values, with them)
-            self.jac_model.data *= intake.jac_d
+        # the audit is done: the Jacobian's columns go to x' (and jac_tr, a
+        # view of the same values, with them)
+        self.jac_model.data *= intake.jac_d
         self.kkt_res = report.max_residual
         if self.kkt_res <= tol and report.raw_feasibility <= tol:
             return SolveStatus.OPTIMAL
@@ -643,8 +639,7 @@ class _Solve:
         m, intake, kkt, W = self.m, self.intake, self.kkt, self.W
         eval_lagrangian_hessian(m, intake.model_x(self.z), self.y[:m.nrows],
                                 out=W)
-        if intake.scaled:
-            W.data *= intake.hess_d
+        W.data *= intake.hess_d
         sigma = _sigma(intake, self.gap, self.v)
         rhs = np.concatenate([self.r1, -self.h])
         delta_w, delta_c = self.force_reg, _DELTA_C

@@ -269,7 +269,7 @@ class TestVariableScaling:
     def test_psi_scales_exactly_its_cost_columns(self, name, pf):
         m, intake = self._intake(name, pf, CostKind.PSI)
         scaled = np.nonzero(intake.d != 1.0)[0]
-        assert intake.scaled
+        assert len(scaled)
         assert [m.var_names[j] for j in scaled] == [
             n for n in m.var_names if n.startswith("cg[")]
         mantissa, _ = np.frexp(intake.d[scaled])
@@ -281,8 +281,9 @@ class TestVariableScaling:
                                     CostKind.PHI])
     def test_other_encodings_scale_nothing(self, name, pf, ck):
         _, intake = self._intake(name, pf, ck)
-        assert not intake.scaled
         assert np.all(intake.d == 1.0)
+        # the Jacobian and Hessian factors exist, and multiply by one
+        assert np.all(intake.jac_d == 1.0) and np.all(intake.hess_d == 1.0)
 
     @pytest.mark.parametrize("pf", list(PowerFlowKind))
     def test_psi_results_are_in_model_units(self, pf):
