@@ -59,12 +59,13 @@ from __future__ import annotations
 import csv
 import io
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kkt import FactorizationError, csc_matvec, factorize
+from .kkt import FactorizationError, csc_matvec, factorize, fill_order
 from .modelir import (
     ModelIR,
     SolveResult,
@@ -118,8 +119,9 @@ class SolverOptions:
     def __post_init__(self):
         if not 0.0 < self.tol < INF:
             raise ValueError("tol must be positive and finite")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+        if (not isinstance(self.max_iter, numbers.Integral)
+                or self.max_iter < 1):
+            raise ValueError("max_iter must be an integer of at least 1")
 
 
 @dataclass
@@ -373,13 +375,14 @@ class _KktPattern:
     of values.  Stored zeros on the diagonal are harmless: SuperLU skips a
     zero diagonal pivot as it would a missing one.
 
-    The first factorization of a solve computes the fill-reducing order of
-    this pattern; ``order(perm)`` then stores K in that order, so every
-    later assembly comes out pre-permuted and is factored with SuperLU's
-    natural order, without ordering again.
+    K is stored in the fill-reducing order of this pattern from the start
+    (``fill_order``, which the full diagonal keeps from breaking down;
+    ``perm`` maps each row and column to its stored position), so every
+    assembly comes out pre-permuted and is factored in SuperLU's natural
+    order, and no solve orders it again.
 
-    K is one matrix bound to the pattern, built again only by ``order``;
-    every assembly overwrites its values.
+    K is one matrix bound to the pattern; every assembly overwrites its
+    values.
     """
 
     def __init__(self, intake: _Intake):
@@ -390,29 +393,24 @@ class _KktPattern:
         jr = nz + np.concatenate([jr, intake.extra_rows])
         jc = np.concatenate([jc, intake.extra_cols])
         d = np.arange(nz + m_int)
-        self._rows = np.concatenate([wr, jr, jc, d])
-        self._cols = np.concatenate([wc, jc, jr, d])
-        self._shape = (nz + m_int, nz + m_int)
-        self._pattern = SparsePattern(self._rows, self._cols, self._shape,
-                                      fmt="csc")
+        rows = np.concatenate([wr, jr, jc, d])
+        cols = np.concatenate([wc, jc, jr, d])
+        shape = (nz + m_int, nz + m_int)
+        zeros = np.zeros(len(rows))
+        self.perm = fill_order(
+            SparsePattern(rows, cols, shape, fmt="csc").matrix(zeros))
+        self._pattern = SparsePattern(self.perm[rows], self.perm[cols],
+                                      shape, fmt="csc")
         self._extra_vals = intake.extra_vals
         self._m_int = m_int
-        self._K = self._pattern.matrix(np.zeros(len(self._rows)))
-        self.perm = None
-
-    def order(self, perm):
-        """Store K from now on with entry (i, j) at (perm[i], perm[j])."""
-        self.perm = perm
-        self._pattern = SparsePattern(perm[self._rows], perm[self._cols],
-                                      self._shape, fmt="csc")
-        self._K = self._pattern.matrix(np.zeros(len(self._rows)))
+        self._K = self._pattern.matrix(zeros)
 
     def assemble(self, W, diag, jac_model, delta_c):
         """K for the model Hessian W and Jacobian on their model patterns;
         diag is added to the primal diagonal, -delta_c is the dual one.
 
-        Returns the same K object on every call until ``order``, with the
-        values of the previous assembly overwritten.
+        Returns the same K object on every call, with the values of the
+        previous assembly overwritten.
         """
         jv = np.concatenate([jac_model.data, self._extra_vals])
         self._pattern.scatter(np.concatenate([
@@ -652,8 +650,6 @@ class _Solve:
             K = kkt.assemble(W, sigma + delta_w, self.jac_model, delta_c)
             try:
                 factor = factorize(K, perm=kkt.perm)
-                if kkt.perm is None:
-                    kkt.order(factor.perm)
                 inertia = factor.inertia
                 if inertia is None or inertia == (intake.nz, intake.m_int, 0):
                     # raises on a large solve residual: numerically singular

@@ -5,9 +5,9 @@ One backend solves the augmented system
     [ H   J^T ] [dz]   [r1]
     [ J  -dc*I] [dy] = [r2]
 
-with SuperLU restricted to a symmetric fill-reducing permutation and
-numerical pivoting disabled, so the U diagonal holds the LDL^T pivots and
-gives the matrix inertia.  The caller regularizes until the factorization
+with SuperLU in the order the matrix is stored in, a symmetric
+fill-reducing one (see below), and numerical pivoting disabled, so the U
+diagonal holds the LDL^T pivots and gives the matrix inertia.  The caller regularizes until the factorization
 has exactly ``n`` positive and ``m`` negative pivots.
 
 SuperLU still pivots off the diagonal where a diagonal pivot is exactly
@@ -16,27 +16,29 @@ solve stays valid, but the pivots no longer give the inertia; the factor
 then reports ``inertia = None`` and the caller checks the curvature of the
 step instead.
 
-The fill-reducing order depends on the sparsity pattern alone.  A caller
-that factors one pattern many times orders it once: the first
-``factorize(K)`` runs SuperLU's minimum-degree ordering and exposes it as
-``factor.perm``; later calls pass that order as ``perm=`` with K already
-stored in it, and SuperLU factors with its natural order, skipping the
-ordering.  A symmetric permutation leaves the inertia unchanged, and
-``solve`` takes and returns vectors in the original order either way.
+The fill-reducing order depends on the sparsity pattern alone, so a
+caller that factors one pattern many times orders it once, when the
+pattern is fixed: ``fill_order(K)`` runs SuperLU's minimum-degree ordering
+on identity values stored on K's pattern, a matrix that factors without
+breaking down whenever the pattern holds its full diagonal.  The caller
+stores K in that order and passes it as ``perm=``; every factorization
+takes K in its stored order (SuperLU's natural order), and ``solve`` takes
+and returns vectors in the original order.  A symmetric permutation
+leaves the inertia unchanged.
 
 Each solve applies one step of iterative refinement and then checks the
 residual; a residual too large for the right-hand side means the matrix is
 numerically singular, and the solve raises.
 
 SuperLU is called through scipy's private ``_superlu.gstrf``, the routine
-``splu`` ends in, with the options ``splu`` would pass apart from the
-panel width below.  ``factorize``
-does the input checks ``splu`` did (CSC, float, square, duplicates
-summed), and they cost nothing on a matrix already in that form, which is
-what a caller that binds its matrix once hands in on every call.  The
-factor's ``L``/``U`` come back as raw ``(data, indices, indptr)`` arrays,
-not as matrices, and the pivots are read from U's storage, where each
-column ends at its diagonal entry.
+``splu`` ends in, from one place (``_gstrf``) with the options ``splu``
+would pass apart from the panel width below.  ``factorize`` does the input
+checks ``splu`` did (CSC, float, square, duplicates summed), and they cost
+nothing on a matrix already in that form, which is what a caller that
+binds its matrix once hands in on every call.  The factor's ``L``/``U``
+come back as raw ``(data, indices, indptr)`` arrays, not as matrices, and
+the pivots are read from U's storage, where each column ends at its
+diagonal entry.
 
 SuperLU factors in panels of adjacent columns, sharing each column's
 symbolic and numeric update with the rest of its panel (Demmel, Eisenstat,
@@ -95,6 +97,33 @@ def _raw_csc(arrays, shape):
     return arrays
 
 
+def _as_csc(K):
+    """K as a square float CSC matrix with its duplicates summed; a float
+    CSC K is used as it is, after its duplicates are summed in place."""
+    if not (sp.issparse(K) and K.format == "csc" and K.dtype == np.float64):
+        K = sp.csc_matrix(K, dtype=float)
+    if K.shape[0] != K.shape[1]:
+        raise ValueError("can only factor square matrices")
+    K.sum_duplicates()
+    return K
+
+
+def _gstrf(K, data, col_perm):
+    """SuperLU's LU of the values ``data`` on K's pattern, in the column
+    order ``col_perm`` names: diagonal pivots in a symmetric order, no
+    equilibration."""
+    try:
+        return _superlu.gstrf(
+            K.shape[0], K.nnz, data, K.indices, K.indptr,
+            csc_construct_func=_raw_csc, ilu=False,
+            options=dict(ColPerm=col_perm, DiagPivotThresh=0.0,
+                         SymmetricMode=True, Equil=False,
+                         PanelSize=_PANEL_SIZE),
+        )
+    except RuntimeError as exc:
+        raise FactorizationError(str(exc)) from exc
+
+
 def _u_diagonal(lu):
     """The pivots: SuperLU stores U by columns, each ending at its
     diagonal entry."""
@@ -102,24 +131,26 @@ def _u_diagonal(lu):
     return data[indptr[1:] - 1]
 
 
+def fill_order(K):
+    """SuperLU's minimum-degree order of K's sparsity pattern (the
+    ``MMD_AT_PLUS_A`` order ``splu`` computes), whatever K's values.
+
+    Factoring K with entry (i, j) stored at (perm[i], perm[j]) in its
+    natural order fills L and U as factoring K in this order does.  Raises
+    FactorizationError when the pattern misses a diagonal entry.
+    """
+    K = _as_csc(K)
+    cols = np.repeat(np.arange(K.shape[0]), np.diff(K.indptr))
+    lu = _gstrf(K, (K.indices == cols).astype(float), "MMD_AT_PLUS_A")
+    # a copy: perm_c is a view that would keep the whole LU alive
+    return lu.perm_c.copy()
+
+
 class _SparseFactor:
     def __init__(self, K: sp.csc_matrix, perm):
         self._K = K
         self._perm = perm
-        try:
-            self._lu = _superlu.gstrf(
-                K.shape[0], K.nnz, K.data, K.indices, K.indptr,
-                csc_construct_func=_raw_csc, ilu=False,
-                options=dict(
-                    ColPerm="MMD_AT_PLUS_A" if perm is None else "NATURAL",
-                    DiagPivotThresh=0.0, SymmetricMode=True, Equil=False,
-                    PanelSize=_PANEL_SIZE,
-                ),
-            )
-        except RuntimeError as exc:
-            raise FactorizationError(str(exc)) from exc
-        # a copy: perm_c is a view that would keep the whole LU alive
-        self.perm = self._lu.perm_c.copy() if perm is None else perm
+        self._lu = _gstrf(K, K.data, "NATURAL")
         self.fill = self._lu.nnz
         piv = _u_diagonal(self._lu)
         if not np.all(np.isfinite(piv)):
@@ -148,24 +179,18 @@ class _SparseFactor:
 
 
 def factorize(K, *, perm=None):
-    """Factor a symmetric indefinite matrix, returning a factor with
-    ``solve(rhs)``, ``inertia``: (pos, neg, zero), or None when pivoting
-    left the diagonal and the inertia is unknown, ``perm``, the
-    fill-reducing order of K's pattern, and ``fill``, the number of entries
-    in L and U.
+    """Factor a symmetric indefinite matrix in its stored order, returning
+    a factor with ``solve(rhs)``, ``inertia``: (pos, neg, zero), or None
+    when pivoting left the diagonal and the inertia is unknown, and
+    ``fill``, the number of entries in L and U.
 
-    With ``perm=None`` the order is computed; otherwise entry (i, j) of the
-    matrix being factored is stored at (perm[i], perm[j]) of K, and K is
-    factored in that order.  ``solve`` works in the unpermuted order.
+    With ``perm`` given, entry (i, j) of the matrix being factored is
+    stored at (perm[i], perm[j]) of K, typically in the order
+    ``fill_order`` returns, and ``solve`` works in the unpermuted order.
 
     K is dense or sparse; a float CSC K is used as it is, after its
     duplicate entries are summed in place.  Raises ValueError if K is not
     square, and FactorizationError on breakdown; the caller is expected to
     add regularization and retry.
     """
-    if not (sp.issparse(K) and K.format == "csc" and K.dtype == np.float64):
-        K = sp.csc_matrix(K, dtype=float)
-    if K.shape[0] != K.shape[1]:
-        raise ValueError("can only factor square matrices")
-    K.sum_duplicates()
-    return _SparseFactor(K, perm)
+    return _SparseFactor(_as_csc(K), perm)

@@ -167,6 +167,12 @@ class TestSolverContracts:
         with pytest.raises(ValueError):
             SolverOptions(max_iter=0)
 
+    @pytest.mark.parametrize("max_iter", [2.5, 3.0, "3"])
+    def test_non_integer_max_iter_is_rejected(self, max_iter):
+        # rejected when built, not by range() inside the solve
+        with pytest.raises(ValueError, match="integer"):
+            SolverOptions(max_iter=max_iter)
+
     def test_csv_log_columns(self):
         _, log = solve(lp_two_var())
         text = log.to_csv()
@@ -613,6 +619,10 @@ class TestKktAssembly:
         x_rand = np.clip(x0 + 0.1 * rng.normal(size=m.nvars), lo, up)
         # y = 0 makes every Hessian value a stored zero
         points = [(x0, np.zeros(m.nrows)), (x_rand, rng.normal(size=m.nrows))]
+        n = intake.nz + intake.m_int
+        # K is stored in the pattern's fill order: P ref P^T
+        P = sp.csc_matrix((np.ones(n), (kkt.perm, np.arange(n))),
+                          shape=(n, n))
         pattern = None
         for x, y in points:
             W = eval_lagrangian_hessian(m, x, y)
@@ -622,26 +632,12 @@ class TestKktAssembly:
             for delta_w in (0.0, 1e-4):
                 for delta_c in (1e-10, 1e-6):
                     K = kkt.assemble(W, sigma + delta_w, jac, delta_c)
-                    ref = reference_kkt(m, W, sigma + delta_w, jac, delta_c)
-                    if kkt.perm is not None:
-                        # once ordered, K is P ref P^T
-                        n = ref.shape[0]
-                        P = sp.csc_matrix(
-                            (np.ones(n), (kkt.perm, np.arange(n))),
-                            shape=ref.shape)
-                        ref = P @ ref @ P.T
+                    ref = P @ reference_kkt(m, W, sigma + delta_w, jac,
+                                            delta_c) @ P.T
                     assert K.format == "csc" and K.shape == ref.shape
                     scale = abs(ref).max()
                     assert abs(K - ref).max() <= 1e-14 * scale
-                    if kkt.perm is None:
-                        # as in a solve, the first factorization that does
-                        # not break down orders K
-                        try:
-                            kkt.order(ipm_mod.factorize(K).perm)
-                        except kkt_mod.FactorizationError:
-                            pass
-                        continue
-                    # the pattern is the same for every ordered assembly
+                    # the pattern is the same for every assembly
                     if pattern is None:
                         pattern = (K.indptr.copy(), K.indices.copy())
                     assert np.array_equal(K.indptr, pattern[0])
@@ -674,10 +670,13 @@ class TestKktAssembly:
         monkeypatch.setattr(kkt_mod._superlu, "gstrf", counting_gstrf)
         res, log = solve(m)
         assert res.status == SolveStatus.OPTIMAL
-        # one factorization per iteration and one per inertia correction
-        assert len(orderings) == len(log) + sum(
+        # the pattern is ordered once, before any factorization; then one
+        # natural-order factorization per iteration and per correction
+        assert orderings[0] == "MMD_AT_PLUS_A"
+        assert orderings.count("MMD_AT_PLUS_A") == 1
+        assert orderings.count("NATURAL") == len(log) + sum(
             r.inertia_corrections for r in log.records)
-        assert sum(spec != "NATURAL" for spec in orderings) == 1
+        assert len(orderings) == 1 + orderings.count("NATURAL")
 
     def test_sparse_matrices_built_per_solve_not_per_iteration(
             self, monkeypatch):

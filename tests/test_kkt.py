@@ -7,7 +7,7 @@ import opfbench.ipm as ipm_mod
 import opfbench.kkt as kkt_mod
 from opfbench.cases import case_text
 from opfbench.formulations import CostKind, PowerFlowKind, build_opf
-from opfbench.kkt import FactorizationError, factorize
+from opfbench.kkt import FactorizationError, factorize, fill_order
 from opfbench.modelir import SolveStatus
 from opfbench.netdata import parse_case
 
@@ -47,37 +47,57 @@ def test_off_diagonal_pivoting_leaves_inertia_unknown():
     (QUASI_DEFINITE, [1, 2, 0]),
     (SWAP, [1, 0]),
 ], ids=["definite", "quasi-definite", "swap"])
-def test_given_order_matches_computed_order(K, perm):
+def test_given_order_matches_stored_order(K, perm):
+    # K stored as P K P^T with perm= given solves in K's own order
     perm = np.array(perm)
     reference = factorize(sp.csc_matrix(np.array(K)))
     factor = factorize(permuted(K, perm), perm=perm)
     assert factor.inertia == reference.inertia
-    assert np.array_equal(factor.perm, perm)
     b = np.array([1.0, -2.0, 0.5][:len(perm)])
     assert factor.solve(b) == pytest.approx(reference.solve(b), abs=1e-12)
 
 
-def test_first_factorization_exposes_its_order():
-    # factoring the pattern stored in the exposed order reproduces the
-    # inertia and the solution of the first factorization
+def splu_mmd(K):
+    """splu with the solver's options and SuperLU's minimum-degree order."""
+    return spla.splu(
+        K, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+        panel_size=kkt_mod._PANEL_SIZE,
+        options=dict(SymmetricMode=True, Equil=False),
+    )
+
+
+def test_fill_order_is_the_splu_order_of_the_pattern():
+    # the order splu computes for K, and K stored in it factors in natural
+    # order with the inertia, the solution and the fill of that splu
     rng = np.random.default_rng(3)
     A = sp.random(40, 40, density=0.08, random_state=5)
     K = (A + A.T + sp.diags(rng.uniform(1.0, 2.0, 40) * 5.0)).tocsc()
-    first = factorize(K)
-    assert sorted(first.perm) == list(range(40))
-    # the order outlives the factor: it must not hold the LU's memory
-    assert first.perm.flags.owndata
-    again = factorize(permuted(K.toarray(), first.perm), perm=first.perm)
-    assert again.inertia == first.inertia == (40, 0, 0)
+    order = fill_order(K)
+    reference = splu_mmd(K)
+    assert np.array_equal(order, reference.perm_c)
+    assert sorted(order) == list(range(40))
+    assert not np.array_equal(order, np.arange(40))
+    # the order outlives its factorization: it must not hold the LU's memory
+    assert order.flags.owndata
+    factor = factorize(permuted(K.toarray(), order), perm=order)
+    assert factor.inertia == factorize(K).inertia == (40, 0, 0)
+    assert factor.fill == reference.nnz
     b = rng.normal(size=40)
-    assert again.solve(b) == pytest.approx(first.solve(b), abs=1e-12)
+    assert factor.solve(b) == pytest.approx(reference.solve(b), abs=1e-12)
+
+
+def test_fill_order_needs_the_full_diagonal():
+    # identity values on a pattern without its diagonal are singular
+    with pytest.raises(FactorizationError):
+        fill_order(sp.csc_matrix(np.array(SWAP)))
 
 
 def test_large_solve_residual_raises():
     # a rank-one matrix whose rounded pivots miss zero: it factors, since
     # only exact zero pivots fail, but b is outside its range
-    v = np.array([1.0, 0.1, 0.7])
+    v = np.array([0.7, 0.1, 1.0])
     factor = factorize(sp.csc_matrix(np.outer(v, v)))
+    assert factor.inertia is not None and factor.inertia[2] == 0
     with pytest.raises(FactorizationError, match="numerically singular"):
         factor.solve(np.array([0.0, 1.0, 0.0]))
 
@@ -107,8 +127,8 @@ def test_raw_u_pivots_match_splu():
     for K, perm in factored:
         factor = factorize(K, perm=perm)
         reference = spla.splu(
-            K, permc_spec="MMD_AT_PLUS_A" if perm is None else "NATURAL",
-            diag_pivot_thresh=0.0, panel_size=kkt_mod._PANEL_SIZE,
+            K, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+            panel_size=kkt_mod._PANEL_SIZE,
             options=dict(SymmetricMode=True, Equil=False),
         )
         assert np.array_equal(kkt_mod._u_diagonal(factor._lu),
@@ -118,6 +138,12 @@ def test_raw_u_pivots_match_splu():
         off_diagonal += factor.inertia is None
     # both branches of the inertia read are exercised
     assert 0 < off_diagonal < len(factored)
+
+
+def test_fill_order_matches_splu_on_solve_matrices():
+    factored = factored_during_solves()
+    for K, _ in factored:
+        assert np.array_equal(fill_order(K), splu_mmd(K).perm_c)
 
 
 def test_csc_matvec_matches_matmul():
