@@ -10,6 +10,7 @@ failures are recorded in the report rather than aborting the suite.
 
 from __future__ import annotations
 
+import numbers
 import statistics
 import time
 from dataclasses import dataclass, field
@@ -40,8 +41,8 @@ class BenchConfig:
     solver_options: SolverOptions = field(default_factory=SolverOptions)
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
+        if not isinstance(self.trials, numbers.Integral) or self.trials < 1:
+            raise ValueError("trials must be an integer of at least 1")
 
 
 @dataclass
@@ -130,7 +131,8 @@ def run_suite(config: BenchConfig) -> BenchReport:
             cells = {}
             for ck in config.cost_kinds:
                 try:
-                    model = build_opf(network, pf, ck)
+                    # validated above, once per case
+                    model = build_opf(network, pf, ck, validate=False)
                 except OpfBenchError as exc:
                     cells[ck] = CellResult(ck, f"build-error: {exc}", None,
                                            None, None)

@@ -109,7 +109,7 @@ def _cmd_solve(args) -> int:
             return EXIT_INPUT_ERROR
         pf = _PF[args.pf]
         cost = _COST[args.cost]
-        model = build_opf(network, pf, cost)
+        model = build_opf(network, pf, cost, validate=False)
     except (OSError, OpfBenchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

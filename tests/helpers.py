@@ -138,3 +138,17 @@ def enumerate_lp_vertices(m: ModelIR):
     if best is None:
         raise ValueError("no feasible vertex found")
     return best
+
+
+def counting_validations(monkeypatch, *modules):
+    """Count validate_network calls through each module's reference."""
+    calls = []
+    for module in modules:
+        validate = module.validate_network
+
+        def counted(network, _validate=validate):
+            calls.append(network)
+            return _validate(network)
+
+        monkeypatch.setattr(module, "validate_network", counted)
+    return calls

@@ -1,5 +1,7 @@
 import pytest
 
+import opfbench.bench as bench_mod
+from opfbench import formulations
 from opfbench.bench import (
     BenchConfig,
     BenchReport,
@@ -10,6 +12,8 @@ from opfbench.bench import (
 )
 from opfbench.formulations import CostKind, PowerFlowKind
 from opfbench.ipm import SolverOptions
+
+from helpers import counting_validations
 
 PSI, LAM = CostKind.PSI, CostKind.LAMBDA
 DEL, PHI = CostKind.DELTA, CostKind.PHI
@@ -41,6 +45,23 @@ class TestConfig:
     def test_trials_validated(self):
         with pytest.raises(ValueError):
             BenchConfig(case_paths=[], trials=0)
+
+    @pytest.mark.parametrize("trials", [1.5, 2.0, "2"])
+    def test_non_integer_trials_rejected(self, trials):
+        # rejected when built, not by range() inside run_suite
+        with pytest.raises(ValueError, match="integer"):
+            BenchConfig(case_paths=[], trials=trials)
+
+
+def test_run_suite_validates_each_network_once(case_paths, monkeypatch):
+    calls = counting_validations(monkeypatch, bench_mod, formulations)
+    report = run_suite(BenchConfig(case_paths=[case_paths["case1_micro"]],
+                                   trials=1))
+    assert len(report.rows) == 3
+    assert all(c.status == "optimal" for row in report.rows
+               for c in row.cells.values())
+    # one case, 3 models x 4 encodings built from it
+    assert len(calls) == 1
 
 
 @pytest.fixture(scope="module")

@@ -2,8 +2,11 @@ from pathlib import Path
 
 import pytest
 
+import opfbench.cli as cli_mod
+from opfbench import formulations
 from opfbench.cli import main
 
+from helpers import counting_validations
 from test_netdata import CASE2
 
 
@@ -83,6 +86,14 @@ def test_solve_iteration_limited_exit_code(case_paths, capsys):
         "--max-iter", "2",
     ])
     assert code == 1
+
+
+def test_solve_validates_the_network_once(case_paths, capsys, monkeypatch):
+    calls = counting_validations(monkeypatch, cli_mod, formulations)
+    code = main(["solve", case_paths["case3_cycle"], "--pf", "dc",
+                 "--cost", "lambda"])
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_solve_rejects_unknown_pf(case_paths):
