@@ -7,8 +7,9 @@ One backend solves the augmented system
 
 with SuperLU in the order the matrix is stored in, a symmetric
 fill-reducing one (see below), and numerical pivoting disabled, so the U
-diagonal holds the LDL^T pivots and gives the matrix inertia.  The caller regularizes until the factorization
-has exactly ``n`` positive and ``m`` negative pivots.
+diagonal holds the LDL^T pivots and gives the matrix inertia.  The caller
+regularizes until the factorization has exactly ``n`` positive and ``m``
+negative pivots.
 
 SuperLU still pivots off the diagonal where a diagonal pivot is exactly
 zero (a row permutation differing from the column permutation).  The LU
@@ -98,8 +99,8 @@ def _raw_csc(arrays, shape):
 
 
 def _as_csc(K):
-    """K as a square float CSC matrix with its duplicates summed; a float
-    CSC K is used as it is, after its duplicates are summed in place."""
+    """K as a square float CSC matrix with its duplicates summed, in place
+    when K already is one."""
     if not (sp.issparse(K) and K.format == "csc" and K.dtype == np.float64):
         K = sp.csc_matrix(K, dtype=float)
     if K.shape[0] != K.shape[1]:
