@@ -23,11 +23,8 @@ from .errors import ConvexityError, ModelBuildError, RecoveryMismatchError
 from .modelir import (
     INF,
     AcFlowPolarBlock,
-    ApparentPowerLimitBlock,
-    LinearBlock,
     ModelIR,
     QuadraticBlock,
-    SocConeBlock,
     SolveResult,
     SolveStatus,
 )
@@ -172,13 +169,17 @@ def _add_dispatch_and_flows(m, network, kind):
 
 def _balance_block(label, network, outgoing, gen_idx, flow_idx, demand):
     """Per-bus rows: generation minus outgoing flows equals demand."""
-    entries = []
+    rows, cols, vals = [], [], []
     for r, bus in enumerate(network.buses):
         for k in network.gens_at_bus.get(bus.id, ()):
-            entries.append((r, gen_idx[k], 1.0))
+            rows.append(r)
+            cols.append(gen_idx[k])
+            vals.append(1.0)
         for a in outgoing.get(bus.id, ()):
-            entries.append((r, flow_idx[a], -1.0))
-    return LinearBlock(label, len(demand), entries, demand, demand, True)
+            rows.append(r)
+            cols.append(flow_idx[a])
+            vals.append(-1.0)
+    return QuadraticBlock(label, demand, demand, linear=(rows, cols, vals))
 
 
 def _add_balance_and_thermal(m):
@@ -199,35 +200,37 @@ def _add_balance_and_thermal(m):
         "balance-q", network, outgoing, meta["qg_idx"], meta["flow_q"],
         [bus.demand.im for bus in network.buses],
     ))
-    idx_p, idx_q, limits = [], [], []
-    for a, (e, _, _, _) in enumerate(oriented):
-        rate = network.branches[e].rate
-        if rate > 0.0:
-            idx_p.append(meta["flow_p"][a])
-            idx_q.append(meta["flow_q"][a])
-            limits.append(rate * rate)
-    if idx_p:
-        m.add_block(ApparentPowerLimitBlock("thermal", idx_p, idx_q, limits))
+    # p^2 + q^2 <= rate^2 on every rated oriented branch
+    rated = [a for a, (e, _, _, _) in enumerate(oriented)
+             if network.branches[e].rate > 0.0]
+    if rated:
+        rates = [network.branches[oriented[a][0]].rate for a in rated]
+        pq = ([meta["flow_p"][a] for a in rated]
+              + [meta["flow_q"][a] for a in rated])
+        m.add_block(QuadraticBlock(
+            "thermal", [-INF] * len(rated), [r * r for r in rates],
+            quadratic=(list(range(len(rated))) * 2, pq, pq,
+                       [1.0] * len(pq)),
+        ))
 
 
 def _add_angle_rows(m, network, th_idx):
     """Branch angle-difference limits and the reference-angle pin, for the
     models that carry bus angles explicitly (AC and DC)."""
-    ang_entries, ang_lo, ang_up = [], [], []
-    for r, br in enumerate(network.branches):
-        ang_entries.append((r, th_idx[br.from_bus], 1.0))
-        ang_entries.append((r, th_idx[br.to_bus], -1.0))
-        ang_lo.append(br.angmin)
-        ang_up.append(br.angmax)
-    if network.branches:
-        m.add_block(LinearBlock(
-            "angle-diff", len(network.branches), ang_entries,
-            ang_lo, ang_up, False,
+    branches, nb = network.branches, len(network.branches)
+    if branches:
+        m.add_block(QuadraticBlock(
+            "angle-diff", [br.angmin for br in branches],
+            [br.angmax for br in branches], linear=(
+                list(range(nb)) * 2,
+                [th_idx[br.from_bus] for br in branches]
+                + [th_idx[br.to_bus] for br in branches],
+                [1.0] * nb + [-1.0] * nb,
+            ),
         ))
-
-    ref = network.reference_bus
-    m.add_block(LinearBlock(
-        "angle-reference", 1, [(0, th_idx[ref], 1.0)], [0.0], [0.0], True
+    m.add_block(QuadraticBlock(
+        "angle-reference", [0.0], [0.0],
+        linear=([0], [th_idx[network.reference_bus]], [1.0]),
     ))
 
 
@@ -295,60 +298,46 @@ def _build_soc(network: Network) -> ModelIR:
     meta.update(w_idx=w_idx, wr_idx=wr_idx, wi_idx=wi_idx)
     oriented, flow_p, flow_q = meta["oriented"], meta["flow_p"], meta["flow_q"]
 
-    ohm_entries = []
-    nrows = 0
+    rows, cols, vals = [], [], []
     for a, (e, f, t, fwd) in enumerate(oriented):
         gff, bff, gft, bft = _admittance_coefficients(network, e, fwd)
-        wii = w_idx[f]
-        wr, wi = wr_idx[e], wi_idx[e]
+        wii, wr, wi = w_idx[f], wr_idx[e], wi_idx[e]
         im_sign = 1.0 if fwd else -1.0  # reverse rows see conj(W_ij)
-        rp = nrows
-        ohm_entries += [
-            (rp, flow_p[a], 1.0),
-            (rp, wii, -gff),
-            (rp, wr, -gft),
-            (rp, wi, -im_sign * bft),
-        ]
-        rq = nrows + 1
-        ohm_entries += [
-            (rq, flow_q[a], 1.0),
-            (rq, wii, bff),
-            (rq, wi, -im_sign * gft),
-            (rq, wr, bft),
-        ]
-        nrows += 2
+        rows += [2 * a] * 4 + [2 * a + 1] * 4
+        cols += [flow_p[a], wii, wr, wi, flow_q[a], wii, wi, wr]
+        vals += [1.0, -gff, -gft, -im_sign * bft,
+                 1.0, bff, -im_sign * gft, bft]
     if oriented:
-        m.add_block(LinearBlock(
-            "ohm-lifted", nrows, ohm_entries,
-            [0.0] * nrows, [0.0] * nrows, True,
+        m.add_block(QuadraticBlock(
+            "ohm-lifted", [0.0] * (2 * len(oriented)),
+            [0.0] * (2 * len(oriented)), linear=(rows, cols, vals),
         ))
 
     _add_balance_and_thermal(m)
 
-    ang_entries, ang_lo, ang_up = [], [], []
+    rows, cols, vals = [], [], []
     for e, br in enumerate(network.branches):
         # tan(angmin)*Re(W) <= Im(W) <= tan(angmax)*Re(W), split at zero:
         # row 2e:   Im(W) - tan(angmax)*Re(W) in (-inf, 0]
         # row 2e+1: Im(W) - tan(angmin)*Re(W) in [0, inf)
-        ang_entries.append((2 * e, wi_idx[e], 1.0))
-        ang_entries.append((2 * e, wr_idx[e], -math.tan(br.angmax)))
-        ang_lo.append(-INF)
-        ang_up.append(0.0)
-        ang_entries.append((2 * e + 1, wi_idx[e], 1.0))
-        ang_entries.append((2 * e + 1, wr_idx[e], -math.tan(br.angmin)))
-        ang_lo.append(0.0)
-        ang_up.append(INF)
-    if network.branches:
-        m.add_block(LinearBlock(
-            "angle-diff", 2 * len(network.branches), ang_entries,
-            ang_lo, ang_up, False,
+        rows += [2 * e, 2 * e, 2 * e + 1, 2 * e + 1]
+        cols += [wi_idx[e], wr_idx[e], wi_idx[e], wr_idx[e]]
+        vals += [1.0, -math.tan(br.angmax), 1.0, -math.tan(br.angmin)]
+    nb = len(network.branches)
+    if nb:
+        m.add_block(QuadraticBlock(
+            "angle-diff", [-INF, 0.0] * nb, [0.0, INF] * nb,
+            linear=(rows, cols, vals),
         ))
 
-    m.add_block(SocConeBlock(
-        "voltage-product-cone",
-        wr_idx, wi_idx,
-        [w_idx[br.from_bus] for br in network.branches],
-        [w_idx[br.to_bus] for br in network.branches],
+    # Re(W)^2 + Im(W)^2 - W_ff*W_tt <= 0 on every branch
+    w_from = [w_idx[br.from_bus] for br in network.branches]
+    w_to = [w_idx[br.to_bus] for br in network.branches]
+    m.add_block(QuadraticBlock(
+        "voltage-product-cone", [-INF] * nb, [0.0] * nb, quadratic=(
+            list(range(nb)) * 3, wr_idx + wi_idx + w_from,
+            wr_idx + wi_idx + w_to, [1.0] * (2 * nb) + [-1.0] * nb,
+        ),
     ))
     return m
 
@@ -362,19 +351,18 @@ def _build_dc(network: Network) -> ModelIR:
     meta.update(th_idx=th_idx)
     oriented, flow_p = meta["oriented"], meta["flow_p"]
 
-    ohm_entries = []
+    rows, cols, vals = [], [], []
     for a, (e, f, t, _) in enumerate(oriented):
         br = network.branches[e]
-        y = branch_admittance(br)
         # first-order flow around the flat start: p = (-b/t)*(th_f - th_t)
-        coef = -y.im / br.effective_tap
-        ohm_entries.append((a, flow_p[a], 1.0))
-        ohm_entries.append((a, th_idx[f], -coef))
-        ohm_entries.append((a, th_idx[t], coef))
+        coef = -branch_admittance(br).im / br.effective_tap
+        rows += [a] * 3
+        cols += [flow_p[a], th_idx[f], th_idx[t]]
+        vals += [1.0, -coef, coef]
     if oriented:
-        m.add_block(LinearBlock(
-            "ohm-dc", len(oriented), ohm_entries,
-            [0.0] * len(oriented), [0.0] * len(oriented), True,
+        m.add_block(QuadraticBlock(
+            "ohm-dc", [0.0] * len(oriented), [0.0] * len(oriented),
+            linear=(rows, cols, vals),
         ))
 
     _add_balance_and_thermal(m)
@@ -413,21 +401,24 @@ def attach_cost_psi(m: ModelIR, gens, strict: bool = False) -> ModelIR:
     curve's cost range, one inequality row per segment."""
     curves = _ready_curves(m, gens, strict)
     pg_idx = m.meta["pg_idx"]
-    entries, lo, up = [], [], []
-    row = 0
+    cg_cols, pg_cols, slopes, lo = [], [], [], []
     for k, curve in enumerate(curves):
         cg = m.add_variable(
             f"cg[{k}]", min(curve.costs), max(curve.costs),
             evaluate(curve, m.var_start[pg_idx[k]]),
         )
-        for s, b in zip(curve.slopes, curve.intercepts):
-            entries.append((row, cg, 1.0))
-            entries.append((row, pg_idx[k], -s))
-            lo.append(b)
-            up.append(INF)
-            row += 1
+        # cg - s*pg >= b for every segment
+        cg_cols += [cg] * len(curve.slopes)
+        pg_cols += [pg_idx[k]] * len(curve.slopes)
+        slopes += curve.slopes
+        lo += curve.intercepts
         m.add_objective_term(cg, 1.0)
-    m.add_block(LinearBlock("cost-epigraph", row, entries, lo, up, False))
+    m.add_block(QuadraticBlock(
+        "cost-epigraph", lo, [INF] * len(lo), linear=(
+            list(range(len(lo))) * 2, cg_cols + pg_cols,
+            [1.0] * len(lo) + [-s for s in slopes],
+        ),
+    ))
     m.meta["cost_kind"] = CostKind.PSI
     return m
 
@@ -437,8 +428,7 @@ def attach_cost_lambda(m: ModelIR, gens, strict: bool = False) -> ModelIR:
     tied to dispatch and summing to one."""
     curves = _ready_curves(m, gens, strict)
     pg_idx = m.meta["pg_idx"]
-    entries, rhs = [], []
-    row = 0
+    rows, cols, vals, rhs = [], [], [], []
     for k, curve in enumerate(curves):
         x0 = m.var_start[pg_idx[k]]
         powers = curve.powers
@@ -451,16 +441,14 @@ def attach_cost_lambda(m: ModelIR, gens, strict: bool = False) -> ModelIR:
             init = {l0: 1.0 - w, l0 + 1: w}.get(l, 0.0)
             lam_idx.append(m.add_variable(f"lam[{k},{l}]", 0.0, 1.0, init))
             m.add_objective_term(lam_idx[-1], c)
-        for l, p in enumerate(powers):
-            entries.append((row, lam_idx[l], p))
-        entries.append((row, pg_idx[k], -1.0))
-        rhs.append(0.0)
-        row += 1
-        for l in range(len(powers)):
-            entries.append((row, lam_idx[l], 1.0))
-        rhs.append(1.0)
-        row += 1
-    m.add_block(LinearBlock("cost-interpolation", row, entries, rhs, rhs, True))
+        # sum(p_l * lam_l) - pg = 0, then sum(lam_l) = 1
+        row, n = len(rhs), len(powers)
+        rows += [row] * (n + 1) + [row + 1] * n
+        cols += lam_idx + [pg_idx[k]] + lam_idx
+        vals += list(powers) + [-1.0] + [1.0] * n
+        rhs += [0.0, 1.0]
+    m.add_block(QuadraticBlock("cost-interpolation", rhs, rhs,
+                               linear=(rows, cols, vals)))
     m.meta["cost_kind"] = CostKind.LAMBDA
     return m
 
@@ -470,22 +458,24 @@ def attach_cost_delta(m: ModelIR, gens, strict: bool = False) -> ModelIR:
     to the first breakpoint plus the filled bins."""
     curves = _ready_curves(m, gens, strict)
     pg_idx = m.meta["pg_idx"]
-    entries, rhs = [], []
-    row = 0
+    rows, cols, vals, rhs = [], [], [], []
     for k, curve in enumerate(curves):
         x0 = m.var_start[pg_idx[k]]
         powers = curve.powers
-        entries.append((row, pg_idx[k], 1.0))
+        # pg - sum(dpg_l) = the first breakpoint
+        rows += [len(rhs)] * len(powers)
+        cols.append(pg_idx[k])
+        vals += [1.0] + [-1.0] * len(curve.slopes)
         for l, s in enumerate(curve.slopes):
             width = powers[l + 1] - powers[l]
             init = min(max(x0 - powers[l], 0.0), width)
             d = m.add_variable(f"dpg[{k},{l}]", 0.0, width, init)
             m.add_objective_term(d, s)
-            entries.append((row, d, -1.0))
+            cols.append(d)
         m.add_objective_offset(curve.costs[0])
         rhs.append(powers[0])
-        row += 1
-    m.add_block(LinearBlock("cost-bins", row, entries, rhs, rhs, True))
+    m.add_block(QuadraticBlock("cost-bins", rhs, rhs,
+                               linear=(rows, cols, vals)))
     m.meta["cost_kind"] = CostKind.DELTA
     return m
 
@@ -500,8 +490,7 @@ def attach_cost_phi(m: ModelIR, gens, strict: bool = False) -> ModelIR:
     curves = _ready_curves(m, gens, strict)
     pg_idx = m.meta["pg_idx"]
     notes = m.meta.setdefault("build_notes", [])
-    entries, lo, up = [], [], []
-    row = 0
+    rows, cols, lo = [], [], []
     for k, (g, curve) in enumerate(zip(gens, curves)):
         x0 = m.var_start[pg_idx[k]]
         powers = curve.powers
@@ -519,13 +508,15 @@ def attach_cost_phi(m: ModelIR, gens, strict: bool = False) -> ModelIR:
                 f"phi[{k},{l}]", 0.0, g.pmax - pb, max(0.0, x0 - pb)
             )
             m.add_objective_term(ph, curve.slopes[l] - curve.slopes[l - 1])
-            entries.append((row, ph, 1.0))
-            entries.append((row, pg_idx[k], -1.0))
+            # phi - pg >= -pb
+            rows += [len(lo)] * 2
+            cols += [ph, pg_idx[k]]
             lo.append(-pb)
-            up.append(INF)
-            row += 1
-    if row:
-        m.add_block(LinearBlock("cost-excess", row, entries, lo, up, False))
+    if lo:
+        m.add_block(QuadraticBlock(
+            "cost-excess", lo, [INF] * len(lo),
+            linear=(rows, cols, [1.0, -1.0] * len(lo)),
+        ))
     m.meta["cost_kind"] = CostKind.PHI
     return m
 
@@ -535,8 +526,7 @@ def attach_cost_polynomial(m: ModelIR, gens) -> ModelIR:
     row per generator with curvature; pure linear costs stay in the
     objective."""
     pg_idx = m.meta["pg_idx"]
-    lin_entries, quad_entries, const, lo, up = [], [], [], [], []
-    row = 0
+    pg_cols, cg_cols, b_coefs, c_coefs, const = [], [], [], [], []
     for k, g in enumerate(gens):
         if not isinstance(g.cost, PolynomialCost):
             raise ModelBuildError(
@@ -563,17 +553,18 @@ def attach_cost_polynomial(m: ModelIR, gens) -> ModelIR:
             f"cg[{k}]", cg_lo, max(ends), evaluate_polynomial(a, b, c, x0)
         )
         m.add_objective_term(cg, 1.0)
-        quad_entries.append((row, pg_idx[k], pg_idx[k], c))
-        lin_entries.append((row, pg_idx[k], b))
-        lin_entries.append((row, cg, -1.0))
+        # c*pg^2 + b*pg - cg + a <= 0
+        pg_cols.append(pg_idx[k])
+        cg_cols.append(cg)
+        b_coefs.append(b)
+        c_coefs.append(c)
         const.append(a)
-        lo.append(-INF)
-        up.append(0.0)
-        row += 1
-    if row:
+    if const:
+        r = list(range(len(const)))
         m.add_block(QuadraticBlock(
-            "cost-quadratic-epigraph", row, lin_entries, quad_entries,
-            const, lo, up,
+            "cost-quadratic-epigraph", [-INF] * len(r), [0.0] * len(r),
+            linear=(r * 2, pg_cols + cg_cols, b_coefs + [-1.0] * len(r)),
+            quadratic=(r, pg_cols, pg_cols, c_coefs), const=const,
         ))
     m.meta["cost_kind"] = CostKind.POLYNOMIAL
     return m

@@ -10,7 +10,8 @@ Where the factorization cannot report the inertia, the step is accepted
 on an inertia-free curvature test instead (Chiang & Zavala, 2016).
 
 The inertia correction follows Algorithm IC of Waechter & Biegler (2006)
-on models with curvature.  An iteration first tries delta_w = 0, or the
+on models with curvature, those with a nonempty Hessian pattern; a model
+without is an LP.  An iteration first tries delta_w = 0, or the
 larger value a failed line search forces; the first nonzero trial is
 kappa_w^- = 1/3 times the delta_w the last correction settled on, and
 each later trial kappa_w^+ = 8 times the one before.  Until a first
@@ -517,8 +518,7 @@ class _Solve:
         self.z, self.v = _initial_point(intake, x0 / intake.d,
                                         m.eval_raw_rows(x0), self.mu)
         self.y = np.zeros(intake.m_int)
-        self.is_lp = all(blk.kind in ("LinearEq", "LinearIneq")
-                         for blk in m.blocks)
+        self.is_lp = m.hess_pattern.nnz == 0
         self.nu = 1.0
         self.ls_failures = 0
         self.force_reg = 0.0

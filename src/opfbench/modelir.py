@@ -1,12 +1,17 @@
 """Optimization-model representation consumed by the interior-point solver.
 
 A model is an ordered set of bounded variables, stored as columns (names,
-lower bounds, upper bounds, start values), a list of structured constraint
-blocks and a linear objective.  Each block belongs to a closed set of kinds
-(linear rows, convex quadratic rows, rotated-cone rows, polar power-flow
-rows, apparent-power limits) and provides its residuals plus hand-derived
-Jacobian and Hessian-of-Lagrangian entries on a sparsity pattern fixed at
-construction.
+lower bounds, upper bounds, start values), a list of constraint blocks and
+a linear objective.  There are two row kinds.  A :class:`QuadraticBlock`
+holds polynomial rows of degree two or less: a constant, linear terms and
+products of two variables.  Linear rows, convex quadratic cost rows,
+rotated-cone rows and apparent-power limits are all of this kind.  An
+:class:`AcFlowPolarBlock` holds the polar power-flow rows, with
+hand-derived derivatives.  Each block provides its residuals plus Jacobian
+and Hessian-of-Lagrangian entries on a sparsity pattern fixed at
+construction.  A finalized model stacks the terms of all its polynomial
+rows into one QuadraticBlock and evaluates them in one pass, then each
+polar block.
 
 Row bounds use a [lower, upper] range; equality rows have lower == upper.
 """
@@ -16,6 +21,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -91,73 +97,36 @@ class SparsePattern:
         )
 
 
-class LinearBlock:
-    """Rows of the form lo <= sum(coef * x) <= up."""
-
-    def __init__(self, label, nrows, entries, lower, upper, equality):
-        self.label = label
-        self.kind = "LinearEq" if equality else "LinearIneq"
-        self.nrows = int(nrows)
-        rows = _iarray([e[0] for e in entries])
-        self._rows = rows
-        self._cols = _iarray([e[1] for e in entries])
-        self._vals = _farray([e[2] for e in entries])
-        self.row_lower = _farray(lower)
-        self.row_upper = _farray(upper)
-
-    def residual(self, x):
-        return np.bincount(self._rows, weights=self._vals * x[self._cols],
-                           minlength=self.nrows)
-
-    def jac_structure(self):
-        return self._rows, self._cols
-
-    def jac_values(self, x):
-        return self._vals
-
-    def hess_structure(self):
-        return _iarray([]), _iarray([])
-
-    def hess_values(self, x, w):
-        return _farray([])
-
-    def dump_lines(self):
-        terms: list[list[str]] = [[] for _ in range(self.nrows)]
-        for r, c, v in zip(self._rows, self._cols, self._vals):
-            terms[r].append(f"{v:.12g}*x[{c}]")
-        return [
-            f"  row {r}: {self.row_lower[r]:.12g} <= "
-            + " + ".join(terms[r]) + f" <= {self.row_upper[r]:.12g}"
-            for r in range(self.nrows)
-        ]
-
-
 class QuadraticBlock:
-    """Rows const + sum(a*x) + sum(q * x_i * x_j) within a range.
+    """Rows const + sum(a * x_c) + sum(q * x_i * x_j) within a range.
 
-    Quadratic terms are stored once per unordered index pair; a diagonal
-    term (i, i, q) contributes q * x_i^2.
+    The one polynomial row kind: linear rows have no product terms, and
+    convex quadratic, rotated-cone and apparent-power rows are products of
+    two variables.  Terms come as parallel arrays with row indices local to
+    the block: ``linear`` is (rows, cols, coefs) and ``quadratic`` is
+    (rows, i, j, coefs), one product term per unordered index pair; a
+    diagonal term (r, i, i, q) contributes q * x_i^2.  ``const`` defaults
+    to zero.  Each row sums its constant, then its linear, then its product
+    terms, in the order given.
     """
 
-    kind = "QuadraticIneq"
-
-    def __init__(self, label, nrows, lin_entries, quad_entries, const,
-                 lower, upper):
+    def __init__(self, label, lower, upper, linear=((), (), ()),
+                 quadratic=((), (), (), ()), const=None):
         self.label = label
-        self.nrows = int(nrows)
-        self._lrows = _iarray([e[0] for e in lin_entries])
-        self._lcols = _iarray([e[1] for e in lin_entries])
-        self._lvals = _farray([e[2] for e in lin_entries])
-        self._qrows = _iarray([e[0] for e in quad_entries])
-        self._qi = _iarray([e[1] for e in quad_entries])
-        self._qj = _iarray([e[2] for e in quad_entries])
-        self._qvals = _farray([e[3] for e in quad_entries])
-        self._const = _farray(const)
         self.row_lower = _farray(lower)
         self.row_upper = _farray(upper)
-        # each row sums its constant, then its linear, then its quadratic
-        # terms, in entry order
-        self._sum_rows = np.concatenate([
+        self.nrows = len(self.row_lower)
+        rows, cols, vals = linear
+        self._lrows, self._lcols = _iarray(rows), _iarray(cols)
+        self._lvals = _farray(vals)
+        rows, i, j, vals = quadratic
+        self._qrows, self._qi, self._qj = _iarray(rows), _iarray(i), _iarray(j)
+        self._qvals = _farray(vals)
+        self._const = np.zeros(self.nrows) if const is None else _farray(const)
+
+    @cached_property
+    def _sum_rows(self):
+        return np.concatenate([
             np.arange(self.nrows), self._lrows, self._qrows,
         ])
 
@@ -189,61 +158,15 @@ class QuadraticBlock:
         return np.concatenate([wv, wv])
 
     def dump_lines(self):
-        terms: list[list[str]] = [[f"{c:.12g}"] for c in self._const]
+        terms: list[list[str]] = [[f"{c:.12g}"] if c else []
+                                  for c in self._const]
         for r, c, v in zip(self._lrows, self._lcols, self._lvals):
             terms[r].append(f"{v:.12g}*x[{c}]")
         for r, i, j, v in zip(self._qrows, self._qi, self._qj, self._qvals):
             terms[r].append(f"{v:.12g}*x[{i}]*x[{j}]")
         return [
             f"  row {r}: {self.row_lower[r]:.12g} <= "
-            + " + ".join(terms[r]) + f" <= {self.row_upper[r]:.12g}"
-            for r in range(self.nrows)
-        ]
-
-
-class SocConeBlock:
-    """Rotated second-order cone rows re^2 + im^2 - a*b <= 0."""
-
-    kind = "SocCone"
-
-    def __init__(self, label, idx_re, idx_im, idx_a, idx_b):
-        self.label = label
-        self._re = _iarray(idx_re)
-        self._im = _iarray(idx_im)
-        self._a = _iarray(idx_a)
-        self._b = _iarray(idx_b)
-        self.nrows = len(self._re)
-        self.row_lower = np.full(self.nrows, -INF)
-        self.row_upper = np.zeros(self.nrows)
-
-    def residual(self, x):
-        return (x[self._re] ** 2 + x[self._im] ** 2
-                - x[self._a] * x[self._b])
-
-    def jac_structure(self):
-        r = np.arange(self.nrows, dtype=np.int64)
-        rows = np.concatenate([r, r, r, r])
-        cols = np.concatenate([self._re, self._im, self._a, self._b])
-        return rows, cols
-
-    def jac_values(self, x):
-        return np.concatenate([
-            2.0 * x[self._re], 2.0 * x[self._im],
-            -x[self._b], -x[self._a],
-        ])
-
-    def hess_structure(self):
-        rows = np.concatenate([self._re, self._im, self._a, self._b])
-        cols = np.concatenate([self._re, self._im, self._b, self._a])
-        return rows, cols
-
-    def hess_values(self, x, w):
-        return np.concatenate([2.0 * w, 2.0 * w, -w, -w])
-
-    def dump_lines(self):
-        return [
-            f"  row {r}: x[{self._re[r]}]^2 + x[{self._im[r]}]^2"
-            f" - x[{self._a[r]}]*x[{self._b[r]}] <= 0"
+            + (" + ".join(terms[r]) or "0") + f" <= {self.row_upper[r]:.12g}"
             for r in range(self.nrows)
         ]
 
@@ -256,8 +179,6 @@ class AcFlowPolarBlock:
     Active and reactive rows share this shape; they differ only in the
     (a1, kc, ks) coefficients derived from the branch admittance.
     """
-
-    kind = "AcFlowPolar"
 
     def __init__(self, label, idx_flow, idx_vf, idx_vt, idx_thf, idx_tht,
                  a1, kc, ks):
@@ -352,44 +273,6 @@ class AcFlowPolarBlock:
         ]
 
 
-class ApparentPowerLimitBlock:
-    """Thermal limit rows p^2 + q^2 <= limit^2."""
-
-    kind = "ApparentPowerLimit"
-
-    def __init__(self, label, idx_p, idx_q, limit_sq):
-        self.label = label
-        self._p = _iarray(idx_p)
-        self._q = _iarray(idx_q)
-        self.nrows = len(self._p)
-        self.row_lower = np.full(self.nrows, -INF)
-        self.row_upper = _farray(limit_sq)
-
-    def residual(self, x):
-        return x[self._p] ** 2 + x[self._q] ** 2
-
-    def jac_structure(self):
-        r = np.arange(self.nrows, dtype=np.int64)
-        return np.concatenate([r, r]), np.concatenate([self._p, self._q])
-
-    def jac_values(self, x):
-        return np.concatenate([2.0 * x[self._p], 2.0 * x[self._q]])
-
-    def hess_structure(self):
-        return (np.concatenate([self._p, self._q]),
-                np.concatenate([self._p, self._q]))
-
-    def hess_values(self, x, w):
-        return np.concatenate([2.0 * w, 2.0 * w])
-
-    def dump_lines(self):
-        return [
-            f"  row {r}: x[{self._p[r]}]^2 + x[{self._q[r]}]^2"
-            f" <= {self.row_upper[r]:.12g}"
-            for r in range(self.nrows)
-        ]
-
-
 class ModelIR:
     """Variables, constraint blocks and a linear objective.
 
@@ -398,11 +281,14 @@ class ModelIR:
     while the model is built; :meth:`add_variable` appends one entry to
     each.  :meth:`finalize` freezes the structure, turns the three numeric
     columns into float arrays and precomputes what every evaluation reuses:
-    the row offsets and ranges, the objective vector, and the fixed CSR
-    patterns of the Jacobian and of the Hessian of the Lagrangian
-    (``jac_pattern``, ``hess_pattern``), with the slot each block entry
-    sums into.  Evaluation is pure and safe to call concurrently once
-    finalized.
+    the row ranges, the objective vector, one QuadraticBlock holding the
+    terms of every polynomial row at its model row, the row offset of
+    each polar block, and the fixed CSR patterns of the Jacobian and of
+    the Hessian of the Lagrangian (``jac_pattern``, ``hess_pattern``),
+    with the slot each entry sums into.  Entries come in one order for
+    patterns and values alike: the stacked linear terms, the products'
+    two Jacobian halves, then each polar block's.  Evaluation is pure and
+    safe to call concurrently once finalized.
     """
 
     def __init__(self, name="model"):
@@ -454,47 +340,41 @@ class ModelIR:
         if self._finalized:
             return self
         n = len(self.var_names)
-        jac_rows, jac_cols = [], []
-        hess_rows, hess_cols = [], []
-        row_offsets, off = [], 0
-        for blk in self.blocks:
-            row_offsets.append(off)
-            jr, jc = blk.jac_structure()
-            jac_rows.append(jr + off)
-            jac_cols.append(jc)
-            hr, hc = blk.hess_structure()
-            hess_rows.append(hr)
-            hess_cols.append(hc)
-            off += blk.nrows
-        cols = np.concatenate(jac_cols) if jac_cols else _iarray([])
-        if len(cols) and (cols.min() < 0 or cols.max() >= n):
-            blk = next(b for b, c in zip(self.blocks, jac_cols)
-                       if len(c) and (c.min() < 0 or c.max() >= n))
-            raise ValueError(
-                f"block {blk.label} references variable out of range"
-            )
         if any(not 0 <= i < n for i in self._obj_terms):
             raise ValueError("objective references variable out of range")
+        poly, self._polar, off = [], [], 0
+        for blk in self.blocks:
+            (poly if isinstance(blk, QuadraticBlock)
+             else self._polar).append((off, blk))
+            off += blk.nrows
         self.obj_coeffs = np.zeros(n)
         for idx, coef in self._obj_terms.items():
             self.obj_coeffs[idx] = coef
-        self._row_offsets = row_offsets
         self.nrows = off
         self.nvars = n
         self.row_lower = np.concatenate(
-            [blk.row_lower for blk in self.blocks]
-        ) if self.blocks else np.zeros(0)
+            [_NO_ROWS.row_lower] + [blk.row_lower for blk in self.blocks])
         self.row_upper = np.concatenate(
-            [blk.row_upper for blk in self.blocks]
-        ) if self.blocks else np.zeros(0)
+            [_NO_ROWS.row_upper] + [blk.row_upper for blk in self.blocks])
         self.row_is_eq = self.row_lower == self.row_upper
+        self._poly = _stacked(poly, self.row_lower, self.row_upper)
+        self._parts = [(0, self._poly)] + self._polar
+        cat = np.concatenate
+        jac = [(off, blk.jac_structure()) for off, blk in self._parts]
+        cols = cat([cols for _, (_, cols) in jac])
+        if len(cols) and (cols.min() < 0 or cols.max() >= n):
+            blk = next(b for b in self.blocks
+                       if any(not 0 <= c < n for c in b.jac_structure()[1]))
+            raise ValueError(
+                f"block {blk.label} references variable out of range"
+            )
         self.jac_pattern = SparsePattern(
-            np.concatenate(jac_rows) if jac_rows else _iarray([]), cols,
+            cat([rows + off for off, (rows, _) in jac]), cols,
             (self.nrows, n),
         )
+        hess = [blk.hess_structure() for _, blk in self._parts]
         self.hess_pattern = SparsePattern(
-            np.concatenate(hess_rows) if hess_rows else _iarray([]),
-            np.concatenate(hess_cols) if hess_cols else _iarray([]),
+            cat([rows for rows, _ in hess]), cat([cols for _, cols in hess]),
             (n, n),
         )
         self.var_lower = _farray(self.var_lower)
@@ -526,11 +406,51 @@ class ModelIR:
         return float(self.obj_coeffs @ x + self.obj_offset)
 
     def eval_raw_rows(self, x):
-        """Raw row values g(x) without any range shift."""
+        """Raw row values g(x) without any range shift: every polynomial
+        row in one pass, then the rows of each polar block."""
         x = self._check_x(x)
-        if not self.blocks:
-            return np.zeros(0)
-        return np.concatenate([blk.residual(x) for blk in self.blocks])
+        res = self._poly.residual(x)
+        for off, blk in self._polar:
+            res[off:off + blk.nrows] = blk.residual(x)
+        return res
+
+
+# Zero rows and no terms: the seed of every stack, so each concatenation
+# has at least one part of the right type.
+_NO_ROWS = QuadraticBlock("no rows", (), ())
+
+
+def _stacked(parts, lower, upper) -> QuadraticBlock:
+    """One QuadraticBlock over all model rows with the terms of every
+    (row offset, QuadraticBlock) part, in part order; rows of no part have
+    no terms.  A term outside the rows of its own block raises ValueError
+    naming the block: stacked, it would land in a neighbour's row."""
+    blocks = [_NO_ROWS] + [blk for _, blk in parts]
+    const = np.zeros(len(lower))
+    for off, blk in parts:
+        const[off:off + blk.nrows] = blk._const
+    lc, lv, qi, qj, qv = (np.concatenate(terms) for terms in zip(*[
+        (blk._lcols, blk._lvals, blk._qi, blk._qj, blk._qvals)
+        for blk in blocks
+    ]))
+    # the rows of all linear terms, then of all products, local to their
+    # block until checked and then shifted to the model's rows
+    counts = ([len(blk._lrows) for blk in blocks]
+              + [len(blk._qrows) for blk in blocks])
+    rows = np.concatenate([blk._lrows for blk in blocks]
+                          + [blk._qrows for blk in blocks])
+    # a negative row reads as a huge unsigned one
+    stray = rows.view(np.uint64) >= np.array(
+        [blk.nrows for blk in blocks] * 2, dtype=np.uint64).repeat(counts)
+    if stray.any():
+        owner = np.searchsorted(np.cumsum(counts), stray.argmax(), "right")
+        raise ValueError(f"block {blocks[owner % len(blocks)].label} "
+                         f"references row out of range")
+    rows += np.array(([0] + [off for off, _ in parts]) * 2).repeat(counts)
+    nlin = sum(counts[:len(blocks)])
+    return QuadraticBlock("polynomial rows", lower, upper,
+                          linear=(rows[:nlin], lc, lv),
+                          quadratic=(rows[nlin:], qi, qj, qv), const=const)
 
 
 def eval_residuals(m: ModelIR, x) -> np.ndarray:
@@ -555,8 +475,7 @@ def eval_jacobian(m: ModelIR, x, out=None) -> sp.csr_matrix:
     """Sparse Jacobian of the raw row values at x, on ``m.jac_pattern``: a
     new matrix, or ``out``, a matrix on that pattern, overwritten."""
     x = m._check_x(x)
-    vals = (np.concatenate([blk.jac_values(x) for blk in m.blocks])
-            if m.blocks else np.zeros(0))
+    vals = np.concatenate([blk.jac_values(x) for _, blk in m._parts])
     return _evaluated(m.jac_pattern, vals, out)
 
 
@@ -572,11 +491,9 @@ def eval_lagrangian_hessian(m: ModelIR, x, duals, out=None) -> sp.csr_matrix:
         raise ValueError(
             f"duals have shape {duals.shape}, model has {m.nrows} rows"
         )
-    vals = []
-    for blk, off in zip(m.blocks, m._row_offsets):
-        vals.append(blk.hess_values(x, duals[off:off + blk.nrows]))
-    return _evaluated(m.hess_pattern,
-                      np.concatenate(vals) if vals else np.zeros(0), out)
+    vals = np.concatenate([blk.hess_values(x, duals[off:off + blk.nrows])
+                           for off, blk in m._parts])
+    return _evaluated(m.hess_pattern, vals, out)
 
 
 def dump_model(m: ModelIR) -> str:
@@ -591,7 +508,7 @@ def dump_model(m: ModelIR) -> str:
     for i in np.nonzero(m.obj_coeffs)[0]:
         lines.append(f"obj x[{i}] coef {m.obj_coeffs[i]:.12g}")
     for blk in m.blocks:
-        lines.append(f"block {blk.label} kind={blk.kind} rows={blk.nrows}")
+        lines.append(f"block {blk.label} rows={blk.nrows}")
         lines.extend(blk.dump_lines())
     return "\n".join(lines)
 

@@ -123,17 +123,27 @@ def _index_gens(generators):
     return {bus: tuple(ks) for bus, ks in idx.items()}
 
 
-def parse_gencost_row(values):
+def _integer(value, what, line=None) -> int:
+    """A table entry that must hold a whole number, as an int; anything
+    else (a fraction, an infinity, NaN) raises CaseParseError."""
+    if not float(value).is_integer():
+        raise CaseParseError(f"{what} must be an integer, got {value!r}",
+                             line=line)
+    return int(value)
+
+
+def parse_gencost_row(values, line=None):
     """Map one gencost table row onto its raw cost description.
 
     Returns ("poly", (a, b, c)) for model 2 rows (coefficients given high to
     low degree) or ("pwl", [(p, c), ...]) for model 1 rows.  No unit
-    conversion happens here; power stays in MW.
+    conversion happens here; power stays in MW.  ``line`` is the row's line
+    number, reported when its model code or count is not an integer.
     """
     if len(values) < 4:
         raise CaseStructureError(f"gencost row too short: {values}")
-    model = int(values[0])
-    n = int(values[3])
+    model = _integer(values[0], "gencost MODEL", line)
+    n = _integer(values[3], "gencost NCOST", line)
     tail = values[4:]
     if model == 2:
         if n < 1 or n > 3:
@@ -247,7 +257,7 @@ def parse_case(text: str) -> Network:
             raise CaseParseError(
                 f"bus row needs 13 columns, got {len(row)}", line=lineno
             )
-        bus_id = int(row[0])
+        bus_id = _integer(row[0], "bus id", lineno)
         if bus_id <= 0:
             raise CaseStructureError(f"bus id must be positive, got {bus_id}")
         if bus_id in seen_ids:
@@ -265,7 +275,7 @@ def parse_case(text: str) -> Network:
             )
         buses.append(Bus(
             id=bus_id,
-            bus_type=int(row[1]),
+            bus_type=_integer(row[1], "bus type", lineno),
             vmin=vmin,
             vmax=vmax,
             demand=ComplexPU(row[2] / base, row[3] / base),
@@ -277,7 +287,8 @@ def parse_case(text: str) -> Network:
             raise CaseParseError(
                 f"branch row needs 13 columns, got {len(row)}", line=lineno
             )
-        f_bus, t_bus = int(row[0]), int(row[1])
+        f_bus = _integer(row[0], "branch from-bus", lineno)
+        t_bus = _integer(row[1], "branch to-bus", lineno)
         if f_bus == t_bus:
             raise CaseStructureError(f"branch connects bus {f_bus} to itself")
         r, x = row[2], row[3]
@@ -319,7 +330,8 @@ def parse_case(text: str) -> Network:
             raise CaseParseError(
                 f"gen row needs 10 columns, got {len(row)}", line=lineno
             )
-        kind, payload = parse_gencost_row(crow)
+        gen_bus = _integer(row[0], "generator bus", lineno)
+        kind, payload = parse_gencost_row(crow, clineno)
         if kind == "poly":
             a, b, c = payload
             cost: CostSpec = PolynomialCost(a=a, b=b * base, c=c * base * base)
@@ -331,14 +343,14 @@ def parse_case(text: str) -> Network:
         qmin, qmax = row[4] / base, row[3] / base
         if pmin > pmax:
             raise CaseStructureError(
-                f"generator at bus {int(row[0])} has pmin > pmax"
+                f"generator at bus {gen_bus} has pmin > pmax"
             )
         if qmin > qmax:
             raise CaseStructureError(
-                f"generator at bus {int(row[0])} has qmin > qmax"
+                f"generator at bus {gen_bus} has qmin > qmax"
             )
         generators.append(Generator(
-            bus=int(row[0]),
+            bus=gen_bus,
             pmin=pmin, pmax=pmax, qmin=qmin, qmax=qmax,
             cost=cost,
         ))

@@ -158,15 +158,15 @@ def test_criterion_4_pwl_four_form_equivalence():
 def test_criterion_5_derivative_audit():
     rng = np.random.default_rng(77)
     factories = {
-        "LinearEq": block_models.linear_eq_model,
-        "LinearIneq": block_models.linear_ineq_model,
-        "SocCone": block_models.soc_model,
-        "AcFlowPolar": block_models.acflow_model,
-        "QuadraticIneq": block_models.quad_model,
-        "ApparentPowerLimit": block_models.limit_model,
+        "linear equality": block_models.linear_eq_model,
+        "linear inequality": block_models.linear_ineq_model,
+        "rotated cone": block_models.soc_model,
+        "polar flow": block_models.acflow_model,
+        "convex quadratic": block_models.quad_model,
+        "apparent power": block_models.limit_model,
     }
     ok = True
-    for kind, factory in factories.items():
+    for shape, factory in factories.items():
         model = factory()
         lo, up = model.variable_bounds()
         lo = np.where(np.isfinite(lo), lo, -1.5)
@@ -184,7 +184,7 @@ def test_criterion_5_derivative_audit():
             dH = np.abs(H - H_fd)
             if not np.all((dH <= 1e-6) | (dH <= 1e-5 * np.abs(H))):
                 ok = False
-    _report(5, "analytic Jacobian/Hessian of every constraint kind match "
+    _report(5, "analytic Jacobian/Hessian of every constraint shape match "
                "central finite differences at 100 random points", ok)
 
 

@@ -222,3 +222,37 @@ def test_non_utf8_case_is_input_error(command, tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "UTF-8" in err
+
+
+@pytest.mark.parametrize("command", [
+    ["validate"], ["preprocess"], ["solve", "--pf", "dc", "--cost", "psi"],
+    ["bench", "--pf", "dc", "--trials", "1"],
+], ids=["validate", "preprocess", "solve", "bench"])
+@pytest.mark.parametrize("row, bad_row, line", [
+    # gencost NCOST, then MODEL
+    ("\t1\t0\t0\t5\t30\t", "\t1\t0\t0\tnan\t30\t", 40),
+    ("\t1\t0\t0\t5\t30\t", "\t1\t0\t0\tinf\t30\t", 40),
+    ("\t1\t0\t0\t6\t20\t", "\t1.5\t0\t0\t6\t20\t", 41),
+    # bus type, branch end, generator bus
+    ("\t4\t1\t90\t", "\t4\tnan\t90\t", 10),
+    ("\t1\t4\t0\t0.0576\t", "\t1\t-inf\t0\t0.0576\t", 27),
+    ("\t2\t0\t0\t90\t-60\t", "\t2.5\t0\t0\t90\t-60\t", 21),
+], ids=["ncost-nan", "ncost-inf", "model-fraction", "bus-type-nan",
+        "branch-end-inf", "gen-bus-fraction"])
+def test_non_integer_index_or_count_is_input_error(case_paths, tmp_path,
+                                                   capsys, command, row,
+                                                   bad_row, line):
+    text = Path(case_paths["case9_loop"]).read_text()
+    assert text.count(row) == 1
+    path = tmp_path / "bad.m"
+    path.write_text(text.replace(row, bad_row))
+    if command[0] == "bench":
+        args = ["bench", "--cases", str(path), *command[1:]]
+    else:
+        args = [command[0], str(path), *command[1:]]
+    code = main(args)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ")
+    assert f"line {line}: " in captured.out + captured.err
+    assert "must be an integer" in captured.out + captured.err

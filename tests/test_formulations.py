@@ -66,7 +66,7 @@ class TestPowerFlowStructure:
     def test_soc_single_cone_per_branch(self):
         net = parse_case(case_text("case2_line"))
         m = build_power_flow(net, PowerFlowKind.SOC)
-        cones = [b for b in m.blocks if b.kind == "SocCone"]
+        cones = [b for b in m.blocks if b.label == "voltage-product-cone"]
         assert len(cones) == 1
         assert cones[0].nrows == 1
 
@@ -98,7 +98,7 @@ class TestPowerFlowStructure:
         unlimited = Network(net.base_mva, net.buses, branches,
                             net.generators, net.gens_at_bus)
         m_ac = build_power_flow(unlimited, PowerFlowKind.AC)
-        assert all(b.kind != "ApparentPowerLimit" for b in m_ac.blocks)
+        assert all(b.label != "thermal" for b in m_ac.blocks)
         m_dc = build_power_flow(unlimited, PowerFlowKind.DC).finalize()
         lo, up = m_dc.variable_bounds()
         for idx in m_dc.meta["flow_p"]:
@@ -115,7 +115,7 @@ class TestFlowPhysics:
         net = parse_case(case_text("case5_ring"))
         m = build_power_flow(net, PowerFlowKind.AC).finalize()
         rng = np.random.default_rng(31)
-        block = next(b for b in m.blocks if b.kind == "AcFlowPolar")
+        block = next(b for b in m.blocks if b.label == "ohm-polar")
         for _ in range(20):
             x = m.initial_point()
             for bus in net.buses:
@@ -170,7 +170,8 @@ class TestFlowPhysics:
             x[m_soc.meta["flow_q"][a]] = flow.q
         ohm = next(b for b in m_soc.blocks if b.label == "ohm-lifted")
         assert np.abs(ohm.residual(x)).max() <= 1e-9
-        cone = next(b for b in m_soc.blocks if b.kind == "SocCone")
+        cone = next(b for b in m_soc.blocks
+                    if b.label == "voltage-product-cone")
         assert np.abs(cone.residual(x)).max() <= 1e-9
 
 
@@ -320,7 +321,7 @@ class TestPolynomialCosts:
         net = single_bus_network(0.5, 0.0, 0.0, 2.0,
                                  PolynomialCost(0.0, 1.0, 0.0))
         m = build_opf(net, PowerFlowKind.DC, CostKind.POLYNOMIAL)
-        assert all(b.kind != "QuadraticIneq" for b in m.blocks)
+        assert all(b.label != "cost-quadratic-epigraph" for b in m.blocks)
         res, _ = solve(m, TIGHT)
         assert res.objective == pytest.approx(0.5, abs=1e-7)
 
@@ -487,7 +488,7 @@ class TestModelLayout:
     # piecewise encoding (84 builds).  A change that alters a model on
     # purpose records the new digest here and says why in CHANGES.md.
     LAYOUT_SHA256 = (
-        "a01a548530736b78eed4063e19a45b85143321b0e9036f573ea3b6b8e4f01a9b"
+        "cfe5676d1e7e5654a66cabfff731ccbf0f2a48402ee4060b9cf3c6fb1299d71a"
     )
 
     def test_bundled_models_are_unchanged(self):

@@ -13,7 +13,6 @@ from opfbench.formulations import CostKind, PowerFlowKind, build_opf
 from opfbench.ipm import IterationLog, SolverOptions, kkt_check, solve
 from opfbench.modelir import (
     INF,
-    LinearBlock,
     ModelIR,
     QuadraticBlock,
     SolveResult,
@@ -38,8 +37,8 @@ def lp_two_var():
     m = ModelIR("lp2")
     m.add_variable("x", 0.0, 3.0, 1.0)
     m.add_variable("y", 0.0, 3.0, 1.0)
-    m.add_block(LinearBlock("cap", 1, [(0, 0, 1.0), (0, 1, 1.0)],
-                            [-INF], [4.0], False))
+    m.add_block(QuadraticBlock("cap", [-INF], [4.0],
+                               linear=([0, 0], [0, 1], [1.0, 1.0])))
     m.add_objective_term(0, -1.0)
     m.add_objective_term(1, -2.0)
     return m.finalize()
@@ -51,8 +50,8 @@ def qp_epigraph():
     m.add_variable("x", -5.0, 5.0, 3.0)
     m.add_variable("t", 0.0, 100.0, 10.0)
     m.add_block(QuadraticBlock(
-        "epi", 1, [(0, 0, -2.0), (0, 1, -1.0)], [(0, 0, 0, 1.0)],
-        [1.0], [-INF], [0.0],
+        "epi", [-INF], [0.0], linear=([0, 0], [0, 1], [-2.0, -1.0]),
+        quadratic=([0], [0], [0], [1.0]), const=[1.0],
     ))
     m.add_objective_term(1, 1.0)
     return m.finalize()
@@ -64,8 +63,8 @@ def fixed_variable_model(n_pad):
     m = ModelIR("fix")
     m.add_variable("x", 2.0, 2.0, 2.0)
     m.add_variable("y", 0.0, 10.0, 5.0)
-    m.add_block(LinearBlock("link", 1, [(0, 0, 1.0), (0, 1, -1.0)],
-                            [0.0], [0.0], True))
+    m.add_block(QuadraticBlock("link", [0.0], [0.0],
+                               linear=([0, 0], [0, 1], [1.0, -1.0])))
     m.add_objective_term(1, 3.0)
     for k in range(n_pad):
         m.add_variable(f"pad{k}", -1.0, 1.0, 0.5)
@@ -76,7 +75,8 @@ def infeasible_lp():
     # x >= 0 but row forces x = -1
     m = ModelIR("bad")
     m.add_variable("x", 0.0, INF, 1.0)
-    m.add_block(LinearBlock("pin", 1, [(0, 0, 1.0)], [-1.0], [-1.0], True))
+    m.add_block(QuadraticBlock("pin", [-1.0], [-1.0],
+                               linear=([0], [0], [1.0])))
     m.add_objective_term(0, 1.0)
     return m.finalize()
 
@@ -215,6 +215,17 @@ class TestSolverContracts:
         assert res.status == SolveStatus.OPTIMAL
         assert log.records[0].reg == ipm_mod._REG_FLOOR
         assert log.records[0].inertia_corrections == 0
+
+    def test_model_without_curvature_is_solved_as_an_lp(self):
+        # case1_micro has no branches, so its SOC model has no cone rows:
+        # an empty Hessian pattern makes it an LP, whose first K needs no
+        # regularization
+        m = build_opf(parse_case(case_text("case1_micro")),
+                      PowerFlowKind.SOC, CostKind.LAMBDA)
+        assert m.hess_pattern.nnz == 0
+        res, log = solve(m)
+        assert res.status == SolveStatus.OPTIMAL
+        assert log.records[0].reg == 0.0
 
     def test_correction_warm_starts_from_the_last_one(self, monkeypatch):
         # Algorithm IC of Waechter & Biegler (2006): after a corrected
@@ -407,8 +418,8 @@ class TestKktCheck:
         ix = m.add_variable("x", -INF, INF, 1.0)
         it = m.add_variable("t", 0.0, INF, 1.0)
         m.add_block(QuadraticBlock(
-            "epi", 1, [(0, it, -1.0)], [(0, ix, ix, 1.0)],
-            [0.0], [-INF], [0.0],
+            "epi", [-INF], [0.0], linear=([0], [it], [-1.0]),
+            quadratic=([0], [ix], [ix], [1.0]),
         ))
         m.add_objective_term(it, 1.0)
         m.finalize()
@@ -432,13 +443,16 @@ class TestRandomLpsAgainstOracle:
             for j in range(n):
                 m.add_variable(f"x{j}", 0.0, float(rng.uniform(1.0, 3.0)), 0.5)
             n_rows = int(rng.integers(1, 3))
-            entries, lo, up = [], [], []
+            rows, cols, vals, lo, up = [], [], [], [], []
             for r in range(n_rows):
                 for j in range(n):
-                    entries.append((r, j, float(rng.uniform(-1.0, 1.0))))
+                    rows.append(r)
+                    cols.append(j)
+                    vals.append(float(rng.uniform(-1.0, 1.0)))
                 lo.append(-INF)
                 up.append(float(rng.uniform(0.5, 2.0)))
-            m.add_block(LinearBlock("rows", n_rows, entries, lo, up, False))
+            m.add_block(QuadraticBlock("rows", lo, up,
+                                       linear=(rows, cols, vals)))
             for j in range(n):
                 m.add_objective_term(j, float(rng.uniform(-2.0, 2.0)))
             m.finalize()
@@ -459,9 +473,12 @@ def bound_kinds_model():
     for k in range(3):
         for j, (lo, up) in enumerate(kinds):
             m.add_variable(f"x{j}_{k}", lo, up, 0.25)
-    m.add_block(LinearBlock(
-        "rows", 3, [(r, c, 1.0 + r + c) for r in range(3) for c in range(15)],
-        [-3.0, 0.0, -INF], [3.0, INF, 5.0], False,
+    m.add_block(QuadraticBlock(
+        "rows", [-3.0, 0.0, -INF], [3.0, INF, 5.0], linear=(
+            [r for r in range(3) for c in range(15)],
+            [c for r in range(3) for c in range(15)],
+            [1.0 + r + c for r in range(3) for c in range(15)],
+        ),
     ))
     return m.finalize()
 

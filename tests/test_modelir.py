@@ -7,12 +7,10 @@ import scipy.sparse as sp
 
 from opfbench.modelir import (
     AcFlowPolarBlock,
-    ApparentPowerLimitBlock,
     INF,
-    LinearBlock,
     ModelIR,
     QuadraticBlock,
-    SocConeBlock,
+    SparsePattern,
     dump_model,
     eval_jacobian,
     eval_lagrangian_hessian,
@@ -32,8 +30,8 @@ def linear_eq_model():
     m = ModelIR("lin")
     m.add_variable("x1", 0.0, 1.0, 0.5)
     m.add_variable("x2", 0.0, 1.0, 0.5)
-    m.add_block(LinearBlock("sum", 1, [(0, 0, 1.0), (0, 1, 1.0)],
-                            [1.0], [1.0], True))
+    m.add_block(QuadraticBlock("sum", [1.0], [1.0],
+                               linear=([0, 0], [0, 1], [1.0, 1.0])))
     m.add_objective_term(0, 1.0)
     return m.finalize()
 
@@ -42,9 +40,8 @@ def linear_ineq_model():
     m = ModelIR("linineq")
     m.add_variable("x1", -2.0, 2.0, 0.0)
     m.add_variable("x2", -2.0, 2.0, 0.0)
-    m.add_block(LinearBlock("range", 2,
-                            [(0, 0, 1.0), (0, 1, -1.0), (1, 0, 0.5)],
-                            [-0.5, -INF], [0.5, 1.0], False))
+    m.add_block(QuadraticBlock("range", [-0.5, -INF], [0.5, 1.0],
+                               linear=([0, 0, 1], [0, 1, 0], [1.0, -1.0, 0.5])))
     m.add_objective_term(1, 1.0)
     return m.finalize()
 
@@ -53,7 +50,9 @@ def soc_model():
     m = ModelIR("cone")
     for name, init in [("wr", 1.0), ("wi", 0.0), ("wii", 1.0), ("wjj", 1.0)]:
         m.add_variable(name, -5.0, 5.0, init)
-    m.add_block(SocConeBlock("cone", [0], [1], [2], [3]))
+    # wr^2 + wi^2 - wii*wjj <= 0
+    m.add_block(QuadraticBlock("cone", [-INF], [0.0], quadratic=(
+        [0, 0, 0], [0, 1, 2], [0, 1, 3], [1.0, 1.0, -1.0])))
     return m.finalize()
 
 
@@ -75,8 +74,8 @@ def quad_model():
     m.add_variable("c", -10.0, 10.0, 1.0)
     # 2*p^2 + 3*p - c + 1 <= 0
     m.add_block(QuadraticBlock(
-        "epi", 1, [(0, 0, 3.0), (0, 1, -1.0)], [(0, 0, 0, 2.0)],
-        [1.0], [-INF], [0.0],
+        "epi", [-INF], [0.0], linear=([0, 0], [0, 1], [3.0, -1.0]),
+        quadratic=([0], [0], [0], [2.0]), const=[1.0],
     ))
     return m.finalize()
 
@@ -85,7 +84,9 @@ def limit_model():
     m = ModelIR("lim")
     m.add_variable("p", -3.0, 3.0, 0.4)
     m.add_variable("q", -3.0, 3.0, -0.2)
-    m.add_block(ApparentPowerLimitBlock("thermal", [0], [1], [2.25]))
+    # p^2 + q^2 <= 2.25
+    m.add_block(QuadraticBlock("thermal", [-INF], [2.25], quadratic=(
+        [0, 0], [0, 1], [0, 1], [1.0, 1.0])))
     return m.finalize()
 
 
@@ -131,11 +132,10 @@ class TestResiduals:
         qvals = rng.normal(size=nent)
         const = rng.normal(size=nrows) * 1e6
         x = rng.normal(size=nvars)
-        lin = LinearBlock("lin", nrows, list(zip(rows, cols, vals)),
-                          [-INF] * nrows, [INF] * nrows, False)
-        quad = QuadraticBlock("quad", nrows, list(zip(rows, cols, vals)),
-                              list(zip(qrows, qi, qj, qvals)), const,
-                              [-INF] * nrows, [INF] * nrows)
+        free = ([-INF] * nrows, [INF] * nrows)
+        lin = QuadraticBlock("lin", *free, linear=(rows, cols, vals))
+        quad = QuadraticBlock("quad", *free, linear=(rows, cols, vals),
+                              quadratic=(qrows, qi, qj, qvals), const=const)
 
         ref_lin = np.zeros(nrows)
         np.add.at(ref_lin, rows, vals * x[cols])
@@ -145,8 +145,8 @@ class TestResiduals:
         assert np.array_equal(lin.residual(x), ref_lin)
         assert np.array_equal(quad.residual(x), ref_quad)
         # a row with no entries still has its place
-        empty = LinearBlock("empty", 3, [(0, 0, 1.0)], [0.0] * 3, [0.0] * 3,
-                            True)
+        empty = QuadraticBlock("empty", [0.0] * 3, [0.0] * 3,
+                               linear=([0], [0], [1.0]))
         assert list(empty.residual(x)) == [x[0], 0.0, 0.0]
 
 
@@ -254,6 +254,55 @@ class TestSparsityStability:
         assert H.toarray() == pytest.approx(H_ref, rel=1e-15, abs=1e-15)
 
 
+def mixed_model():
+    """Every row shape in one model, with rows in both orders around the
+    polar block; the curved blocks act on disjoint variables."""
+    m = ModelIR("mixed")
+    for k in range(12):
+        m.add_variable(f"x{k}", -2.0, 2.0, 0.1 * k)
+    m.add_block(QuadraticBlock("balance", [0.5, 0.5], [0.5, 0.5], linear=(
+        [0, 0, 1, 1, 0], [1, 5, 9, 11, 1], [1.0, -1.0, 2.0, 0.5, 3.0])))
+    m.add_block(QuadraticBlock("cone", [-INF] * 2, [0.0] * 2, quadratic=(
+        [0, 1, 0, 1, 0, 1], [0, 2, 1, 3, 2, 0], [0, 2, 1, 3, 3, 1],
+        [1.0, 1.0, 1.0, 1.0, -1.0, -1.0])))
+    m.add_block(AcFlowPolarBlock("polar", [4, 5], [6, 7], [7, 6], [8, 8],
+                                 [9, 9], [0.3, -0.2], [1.5, -0.7],
+                                 [-4.0, 2.5]))
+    m.add_block(QuadraticBlock("thermal", [-INF], [2.0], quadratic=(
+        [0, 0], [4, 5], [4, 5], [1.0, 1.0])))
+    m.add_block(QuadraticBlock("angle", [-0.5], [INF], linear=(
+        [0, 0], [8, 9], [1.0, -1.0])))
+    m.add_block(QuadraticBlock(
+        "cost", [-INF], [0.0], linear=([0, 0], [10, 11], [3.0, -1.0]),
+        quadratic=([0], [10], [10], [0.7]), const=[2.0]))
+    return m.finalize()
+
+
+class TestOnePassEvaluation:
+    def test_equals_each_block_evaluated_alone(self):
+        m = mixed_model()
+        rng = np.random.default_rng(12)
+        offsets = np.cumsum([0] + [blk.nrows for blk in m.blocks])
+        for _ in range(20):
+            x = rng.uniform(-2.0, 2.0, size=m.nvars)
+            duals = rng.normal(size=m.nrows)
+            rows = np.concatenate([blk.residual(x) for blk in m.blocks])
+            J = sp.vstack([
+                SparsePattern(*blk.jac_structure(), (blk.nrows, m.nvars))
+                .matrix(blk.jac_values(x)) for blk in m.blocks
+            ])
+            H = sum(
+                SparsePattern(*blk.hess_structure(), (m.nvars, m.nvars))
+                .matrix(blk.hess_values(x, duals[off:off + blk.nrows]))
+                .toarray() for blk, off in zip(m.blocks, offsets)
+            )
+            assert np.array_equal(m.eval_raw_rows(x), rows)
+            assert np.array_equal(eval_jacobian(m, x).toarray(),
+                                  J.toarray())
+            assert np.array_equal(
+                eval_lagrangian_hessian(m, x, duals).toarray(), H)
+
+
 class TestAddVariable:
     def test_inverted_bounds_name_the_variable(self):
         m = ModelIR("bad")
@@ -282,9 +331,29 @@ class TestFinalize:
     def test_block_out_of_range_names_the_block(self):
         m = ModelIR("bad")
         m.add_variable("x", 0.0, 1.0, 0.5)
-        m.add_block(LinearBlock("ok", 1, [(0, 0, 1.0)], [0.0], [1.0], False))
-        m.add_block(LinearBlock("far", 1, [(0, 3, 1.0)], [0.0], [1.0], False))
-        with pytest.raises(ValueError, match="block far references"):
+        m.add_block(QuadraticBlock("ok", [0.0], [1.0],
+                                   linear=([0], [0], [1.0])))
+        m.add_block(QuadraticBlock("far", [0.0], [1.0],
+                                   linear=([0], [3], [1.0])))
+        with pytest.raises(ValueError,
+                           match="block far references variable"):
+            m.finalize()
+
+    @pytest.mark.parametrize("row", [1, -1])
+    @pytest.mark.parametrize("term", ["linear", "quadratic"])
+    def test_block_row_out_of_range_names_the_block(self, row, term):
+        # stacked with its neighbours, a stray row would land silently in
+        # the next block's row, or in the previous one's
+        m = ModelIR("bad")
+        m.add_variable("x", 0.0, 1.0, 0.5)
+        terms = {"linear": ([row], [0], [1.0]),
+                 "quadratic": ([row], [0], [0], [1.0])}
+        ok = {"linear": ([0], [0], [1.0])}
+        m.add_block(QuadraticBlock("zeroth", [0.0], [1.0], **ok))
+        m.add_block(QuadraticBlock("first", [0.0], [1.0],
+                                   **{term: terms[term]}))
+        m.add_block(QuadraticBlock("second", [0.0], [1.0], **ok))
+        with pytest.raises(ValueError, match="block first references row"):
             m.finalize()
 
     def test_bounds_and_start_point_are_copies(self):
@@ -319,19 +388,24 @@ class TestDump:
         text2 = dump_model(m)
         assert text1 == text2
         assert "var x[0] x1" in text1
-        assert "kind=LinearEq" in text1
+        assert "block sum rows=1" in text1
 
     def test_dump_golden(self):
         m = ModelIR("tiny")
         m.add_variable("u", 0.0, 2.0, 1.0)
-        m.add_block(LinearBlock("only", 1, [(0, 0, 3.0)], [0.0], [6.0], False))
+        m.add_block(QuadraticBlock("only", [0.0], [6.0],
+                                   linear=([0], [0], [3.0])))
+        m.add_block(QuadraticBlock("epi", [-INF], [0.0], const=[-1.0],
+                                   quadratic=([0], [0], [0], [2.0])))
         m.add_objective_term(0, 1.5)
         m.finalize()
         assert dump_model(m) == (
-            "model tiny: 1 variables, 1 rows\n"
+            "model tiny: 1 variables, 2 rows\n"
             "var x[0] u: [0, 2] init 1\n"
             "objective offset 0\n"
             "obj x[0] coef 1.5\n"
-            "block only kind=LinearIneq rows=1\n"
-            "  row 0: 0 <= 3*x[0] <= 6"
+            "block only rows=1\n"
+            "  row 0: 0 <= 3*x[0] <= 6\n"
+            "block epi rows=1\n"
+            "  row 0: -inf <= -1 + 2*x[0]*x[0] <= 0"
         )
