@@ -132,6 +132,16 @@ def _integer(value, what, line=None) -> int:
     return int(value)
 
 
+def _check_numbers(row, cols, table, line):
+    """Raise CaseParseError when a column of ``row`` the parser reads as a
+    number holds NaN: a NaN compares false with every bound, so no later
+    check would reject it.  ``cols`` are 0-based."""
+    for c in cols:
+        if row[c] != row[c]:  # NaN, the one float unequal to itself
+            raise CaseParseError(f"mpc.{table} column {c + 1} is NaN",
+                                 line=line)
+
+
 def parse_gencost_row(values, line=None):
     """Map one gencost table row onto its raw cost description.
 
@@ -154,6 +164,7 @@ def parse_gencost_row(values, line=None):
             raise CaseStructureError(
                 f"gencost row declares {n} coefficients but has {len(tail)}"
             )
+        _check_numbers(values, range(4, 4 + n), "gencost", line)
         coeffs = [0.0] * (3 - n) + [float(v) for v in tail[:n]]
         c, b, a = coeffs
         return "poly", (a, b, c)
@@ -162,6 +173,7 @@ def parse_gencost_row(values, line=None):
             raise CaseStructureError(
                 f"gencost row declares {n} points but has {len(tail)} values"
             )
+        _check_numbers(values, range(4, 4 + 2 * n), "gencost", line)
         pts = [(float(tail[2 * i]), float(tail[2 * i + 1])) for i in range(n)]
         return "pwl", pts
     raise UnsupportedFeatureError(f"unknown gencost model code {model}")
@@ -246,7 +258,9 @@ def parse_case(text: str) -> Network:
     for name in ("bus", "gen", "branch", "gencost"):
         if name not in tables:
             raise CaseParseError(f"case text has no mpc.{name} table")
-    base = scalars["baseMVA"][0]
+    base, base_line = scalars["baseMVA"]
+    if math.isnan(base):
+        raise CaseParseError("mpc.baseMVA is NaN", line=base_line)
     if base <= 0:
         raise CaseStructureError(f"baseMVA must be positive, got {base}")
 
@@ -257,6 +271,7 @@ def parse_case(text: str) -> Network:
             raise CaseParseError(
                 f"bus row needs 13 columns, got {len(row)}", line=lineno
             )
+        _check_numbers(row, (2, 3, 4, 5, 11, 12), "bus", lineno)
         bus_id = _integer(row[0], "bus id", lineno)
         if bus_id <= 0:
             raise CaseStructureError(f"bus id must be positive, got {bus_id}")
@@ -287,6 +302,7 @@ def parse_case(text: str) -> Network:
             raise CaseParseError(
                 f"branch row needs 13 columns, got {len(row)}", line=lineno
             )
+        _check_numbers(row, (2, 3, 4, 5, 8, 9, 11, 12), "branch", lineno)
         f_bus = _integer(row[0], "branch from-bus", lineno)
         t_bus = _integer(row[1], "branch to-bus", lineno)
         if f_bus == t_bus:
@@ -330,6 +346,7 @@ def parse_case(text: str) -> Network:
             raise CaseParseError(
                 f"gen row needs 10 columns, got {len(row)}", line=lineno
             )
+        _check_numbers(row, (3, 4, 8, 9), "gen", lineno)
         gen_bus = _integer(row[0], "generator bus", lineno)
         kind, payload = parse_gencost_row(crow, clineno)
         if kind == "poly":
@@ -468,7 +485,10 @@ def validate_network(network: Network) -> list[Finding]:
     Errors (dangling references, empty component sets, non-convex polynomial
     costs) make the network unacceptable to the formulation builders;
     warnings document conventions applied (unlimited thermal ratings,
-    defaulted angle bounds, reference-bus fallback).
+    defaulted angle bounds, reference-bus fallback) and flag a network no
+    dispatch can serve: total generator pmax below total active demand.
+    That one is a warning, so the infeasible network still builds and its
+    solves are labelled infeasible.
     """
     findings = []
     bus_ids = {b.id for b in network.buses}
@@ -520,6 +540,14 @@ def validate_network(network: Network) -> list[Finding]:
                     "warning", "isolated-bus",
                     f"bus {b.id} has no incident branch",
                 ))
+    capacity = sum(g.pmax for g in network.generators)
+    demand = sum(b.demand.re for b in network.buses)
+    if network.generators and capacity < demand:
+        findings.append(Finding(
+            "warning", "insufficient-capacity",
+            f"total generator pmax {capacity * network.base_mva:.6g} MW is "
+            f"below total active demand {demand * network.base_mva:.6g} MW",
+        ))
     if network.buses and not any(b.bus_type == 3 for b in network.buses):
         if network.generators:
             findings.append(Finding(

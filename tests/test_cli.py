@@ -256,3 +256,34 @@ def test_non_integer_index_or_count_is_input_error(case_paths, tmp_path,
     assert captured.err.startswith("error: ")
     assert f"line {line}: " in captured.out + captured.err
     assert "must be an integer" in captured.out + captured.err
+
+
+@pytest.mark.parametrize("command", [
+    ["validate"], ["preprocess"], ["solve", "--pf", "dc", "--cost", "lambda"],
+    ["bench", "--pf", "dc", "--trials", "1"],
+], ids=["validate", "preprocess", "solve", "bench"])
+@pytest.mark.parametrize("row, bad_row, line", [
+    # generator pmax, bus demand, branch reactance, a cost point, baseMVA
+    ("\t1\t100\t1\t260\t30;", "\t1\t100\t1\tnan\t30;", 20),
+    ("\t4\t1\t90\t30\t", "\t4\t1\tNaN\t30\t", 10),
+    ("\t5\t6\t0.039\t0.17\t", "\t5\t6\t0.039\tnan\t", 29),
+    ("\t4\t20\t220\t66.7\t", "\t4\t20\tnan\t66.7\t", 42),
+    ("mpc.baseMVA = 100;", "mpc.baseMVA = nan;", 3),
+], ids=["pmax", "demand", "reactance", "cost-point", "base-mva"])
+def test_nan_in_a_numeric_column_is_input_error(case_paths, tmp_path, capsys,
+                                                command, row, bad_row, line):
+    # NaN compares false with every bound, so only the parser can reject it
+    text = Path(case_paths["case9_loop"]).read_text()
+    assert text.count(row) == 1
+    path = tmp_path / "nan.m"
+    path.write_text(text.replace(row, bad_row))
+    if command[0] == "bench":
+        args = ["bench", "--cases", str(path), *command[1:]]
+    else:
+        args = [command[0], str(path), *command[1:]]
+    code = main(args)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ")
+    assert f"line {line}: " in captured.out + captured.err
+    assert "NaN" in captured.out + captured.err

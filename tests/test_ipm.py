@@ -114,6 +114,37 @@ class TestToyProblems:
         assert res.x[1] == pytest.approx(2.0, abs=1e-7)
         assert res.objective == pytest.approx(6.0, abs=1e-6)
 
+    @pytest.mark.parametrize("curved", [False, True],
+                             ids=["linear", "quadratic"])
+    def test_rows_without_a_finite_bound_are_dropped(self, curved):
+        # a row ranged over (-inf, inf) constrains nothing: the intake drops
+        # it, and the solve reports a zero dual for it; the others are
+        # lp_two_var's rows (and a curved free row makes the model a QP)
+        def model(free_row):
+            m = ModelIR("free-row")
+            m.add_variable("x", 0.0, 3.0, 1.0)
+            m.add_variable("y", 0.0, 3.0, 1.0)
+            m.add_block(QuadraticBlock("cap", [-INF], [4.0],
+                                       linear=([0, 0], [0, 1], [1.0, 1.0])))
+            if free_row:
+                m.add_block(QuadraticBlock(
+                    "free", [-INF, -INF], [INF, INF],
+                    linear=([0, 1], [0, 1], [1.0, -3.0]),
+                    quadratic=([0], [0], [1], [1.0]) if curved else
+                    ((), (), (), ())))
+            m.add_objective_term(0, -1.0)
+            m.add_objective_term(1, -2.0)
+            return m.finalize()
+
+        m = model(True)
+        assert ipm_mod._Intake(m).m_int == m.nrows - 2
+        res, _ = solve(m, SolverOptions(tol=1e-9))
+        assert res.status == SolveStatus.OPTIMAL
+        assert kkt_check(m, res).max_residual <= 1e-9
+        assert list(res.y[1:]) == [0.0, 0.0]
+        ref, _ = solve(model(False), SolverOptions(tol=1e-9))
+        assert res.objective == pytest.approx(ref.objective, abs=1e-8)
+
     def test_infeasible_detected(self):
         res, _ = solve(infeasible_lp())
         assert res.status == SolveStatus.INFEASIBLE
@@ -238,7 +269,8 @@ class TestSolverContracts:
         s = ipm_mod._Solve(m, SolverOptions())
         assert s.evaluate() is None
         s.update_barrier()
-        right = (s.intake.nz, s.intake.m_int, 0)
+        # K is condensed: its primal block holds the model variables only
+        right = (s.intake.nx, s.intake.m_int, 0)
         factorize = ipm_mod.factorize
         trials = []
 
@@ -610,6 +642,52 @@ def reference_kkt(m, W, diag, jac, delta_c):
                    format="csc")
 
 
+def condensed_reference(K, nx, ns):
+    """The Schur complement of the slack block of K, the dense
+    [[W + diag, J^T], [J, -delta_c*I]] of ``reference_kkt``:
+    K_kk - K_ks K_ss^-1 K_sk over the model variables and rows."""
+    keep = np.r_[0:nx, nx + ns:K.shape[0]]
+    slack = np.arange(nx, nx + ns)
+    K_ss = np.diag(K[np.ix_(slack, slack)])
+    return (K[np.ix_(keep, keep)] - K[np.ix_(keep, slack)]
+            @ (K[np.ix_(slack, keep)] / K_ss[:, None]))
+
+
+def inertia_of(K):
+    """(positive, negative) eigenvalue counts of a dense symmetric K."""
+    eig = np.linalg.eigvalsh(K)
+    return int(np.sum(eig > 0)), int(np.sum(eig < 0))
+
+
+class ExactFactor:
+    """A dense exact solve of K stored as P K P^T, in K's own order: the
+    factor a condensation test compares with, free of the rounding that
+    SuperLU's unrefined solves keep within their residual check."""
+
+    def __init__(self, K, perm):
+        self._K = K.toarray()[np.ix_(perm, perm)]
+
+    def solve(self, b):
+        return np.linalg.solve(self._K, b)
+
+
+def solver_points(m, count):
+    """``_Solve`` objects of m at its first ``count`` iterates, each after
+    its ``factor`` phase: W and the Jacobian hold the iterate's values,
+    r1 and h its Newton right-hand side."""
+    s = ipm_mod._Solve(m, SolverOptions(tol=1e-8))
+    for it in range(count):
+        assert s.evaluate() is None
+        s.update_barrier()
+        factor, step, _, _ = s.factor(it)
+        yield s
+        dgap = ipm_mod._gap_step(s.intake, step[:s.intake.nz])
+        point = s.line_search(factor, step, dgap,
+                              ipm_mod._max_step(s.gap, dgap))
+        assert point is not None
+        s.accept(*point)
+
+
 KKT_MODELS = [f"case9_loop-{pf.value}-{ck.value}"
               for pf in PowerFlowKind
               for ck in (CostKind.PSI, CostKind.LAMBDA, CostKind.DELTA,
@@ -636,29 +714,66 @@ class TestKktAssembly:
         x_rand = np.clip(x0 + 0.1 * rng.normal(size=m.nvars), lo, up)
         # y = 0 makes every Hessian value a stored zero
         points = [(x0, np.zeros(m.nrows)), (x_rand, rng.normal(size=m.nrows))]
-        n = intake.nz + intake.m_int
+        nx, ns = intake.nx, intake.ns
+        n = nx + intake.m_int
         # K is stored in the pattern's fill order: P ref P^T
-        P = sp.csc_matrix((np.ones(n), (kkt.perm, np.arange(n))),
-                          shape=(n, n))
+        P = np.zeros((n, n))
+        P[kkt.perm, np.arange(n)] = 1.0
         pattern = None
         for x, y in points:
             W = eval_lagrangian_hessian(m, x, y)
             jac = eval_jacobian(m, x)
+            # bounded slacks always carry a positive barrier term
             sigma = rng.uniform(0.0, 2.0, intake.nz)
-            sigma[::3] = 0.0
+            sigma[:nx:3] = 0.0
+            sigma[nx:] += 0.5
             for delta_w in (0.0, 1e-4):
                 for delta_c in (1e-10, 1e-6):
-                    K = kkt.assemble(W, sigma + delta_w, jac, delta_c)
-                    ref = P @ reference_kkt(m, W, sigma + delta_w, jac,
-                                            delta_c) @ P.T
+                    K = kkt.assemble(W, sigma, delta_w, jac, delta_c)
+                    ref = P @ condensed_reference(reference_kkt(
+                        m, W, sigma + delta_w, jac, delta_c).toarray(),
+                        nx, ns) @ P.T
                     assert K.format == "csc" and K.shape == ref.shape
                     scale = abs(ref).max()
-                    assert abs(K - ref).max() <= 1e-14 * scale
+                    assert abs(K.toarray() - ref).max() <= 1e-14 * scale
                     # the pattern is the same for every assembly
                     if pattern is None:
                         pattern = (K.indptr.copy(), K.indices.copy())
                     assert np.array_equal(K.indptr, pattern[0])
                     assert np.array_equal(K.indices, pattern[1])
+
+    @pytest.mark.parametrize("name", KKT_MODELS[:-1])
+    def test_condensed_step_solves_the_full_system(self, name):
+        # at iterates of a solve, the step of the condensed K, slacks
+        # recovered, is the step of the full system assembled block by
+        # block, and the condensed inertia is the full one less one
+        # positive eigenvalue per slack
+        m = kkt_model(name)
+        for s in solver_points(m, 4):
+            intake, kkt = s.intake, s.kkt
+            sigma = ipm_mod._sigma(intake, s.gap, s.v)
+            rhs = np.concatenate([s.r1, -s.h])
+            for delta_w, delta_c in ((0.0, 1e-10), (1e-4, 1e-8)):
+                K = kkt.assemble(s.W, sigma, delta_w, s.jac_model, delta_c)
+                full = reference_kkt(m, s.W, sigma + delta_w, s.jac_model,
+                                     delta_c).toarray()
+                ref = np.linalg.solve(full, rhs)
+                step = kkt.step(ExactFactor(K, kkt.perm), s.r1, -s.h)
+                assert (np.abs(step - ref).max()
+                        <= 1e-9 * np.abs(ref).max())
+                # SuperLU's step meets the full system to the accuracy its
+                # residual check asks of the condensed one
+                factor = kkt_mod.factorize(K, perm=kkt.perm)
+                step = kkt.step(factor, s.r1, -s.h)
+                r_s = s.r1[intake.nx:] / (sigma[intake.nx:] + delta_w)
+                assert np.abs(full @ step - rhs).max() <= (
+                    kkt_mod._SOLVE_RTOL * (1.0 + np.abs(rhs).max()
+                                           + np.abs(r_s).max()))
+                pos, neg = inertia_of(full)
+                assert inertia_of(condensed_reference(
+                    full, intake.nx, intake.ns)) == (pos - intake.ns, neg)
+                if factor.inertia is not None:
+                    assert factor.inertia == (pos - intake.ns, neg, 0)
 
     def test_solve_builds_no_sparse_matrices_per_iteration(self,
                                                            monkeypatch):

@@ -48,13 +48,50 @@ def test_off_diagonal_pivoting_leaves_inertia_unknown():
     (SWAP, [1, 0]),
 ], ids=["definite", "quasi-definite", "swap"])
 def test_given_order_matches_stored_order(K, perm):
-    # K stored as P K P^T with perm= given solves in K's own order
+    # K stored as P K P^T with perm= given solves in K's own order, to the
+    # accuracy of the residual check: the quasi-definite K in this order
+    # takes its -1e-10 pivot early, and its unrefined solve passes the
+    # check about 4e-7 away from the exact solution
     perm = np.array(perm)
     reference = factorize(sp.csc_matrix(np.array(K)))
     factor = factorize(permuted(K, perm), perm=perm)
     assert factor.inertia == reference.inertia
     b = np.array([1.0, -2.0, 0.5][:len(perm)])
-    assert factor.solve(b) == pytest.approx(reference.solve(b), abs=1e-12)
+    x = factor.solve(b)
+    assert np.abs(np.array(K) @ x - b).max() <= (
+        kkt_mod._SOLVE_RTOL * (1.0 + np.abs(b).max()))
+    assert x == pytest.approx(np.linalg.solve(K, b), rel=1e-6)
+
+
+class CountingLU:
+    """A SuperLU factor that counts its triangular solves."""
+
+    def __init__(self, lu):
+        self._lu, self.solves = lu, 0
+
+    def solve(self, b):
+        self.solves += 1
+        return self._lu.solve(b)
+
+
+# a first pivot of 1e-12: the unrefined solve misses the residual check by
+# far (8.5e-5 against 3e-6), and one refinement step meets it (1.3e-10)
+TINY_PIVOT = [[1e-12, 1.0, 0.3], [1.0, 1.0, 0.7], [0.3, 0.7, -2.0]]
+
+
+@pytest.mark.parametrize("K, solves", [
+    (DEFINITE, 1),
+    (QUASI_DEFINITE, 1),
+    (TINY_PIVOT, 2),
+], ids=["definite", "quasi-definite", "tiny-pivot"])
+def test_refinement_runs_only_on_a_failed_check(K, solves):
+    factor = factorize(sp.csc_matrix(np.array(K)))
+    factor._lu = CountingLU(factor._lu)
+    b = np.array([1.0, -2.0, 0.5])
+    x = factor.solve(b)
+    assert factor._lu.solves == solves
+    assert np.abs(np.array(K) @ x - b).max() <= (
+        kkt_mod._SOLVE_RTOL * (1.0 + np.abs(b).max()))
 
 
 def splu_mmd(K):

@@ -1,7 +1,9 @@
 import math
+from dataclasses import replace
 
 import pytest
 
+from opfbench.cases import case_names, case_text
 from opfbench.errors import (
     CaseParseError,
     CaseStructureError,
@@ -232,6 +234,33 @@ class TestValidate:
         codes = [f.code for f in validate_network(net)]
         assert "reference-bus-fallback" in codes
         assert net.reference_bus == 1  # lowest-id generator bus
+
+    @staticmethod
+    def _loaded(name, margin):
+        """Bundled case with its demand scaled to ``margin`` times its total
+        generator pmax."""
+        net = parse_case(case_text(name))
+        factor = margin * sum(g.pmax for g in net.generators) / sum(
+            b.demand.re for b in net.buses)
+        return replace(net, buses=tuple(
+            replace(b, demand=ComplexPU(factor * b.demand.re,
+                                        factor * b.demand.im))
+            for b in net.buses))
+
+    @pytest.mark.parametrize("margin, fires", [
+        (0.95, False), (1.001, True), (1.15, True), (3.0, True)])
+    def test_insufficient_capacity_warning(self, margin, fires):
+        findings = validate_network(self._loaded("case9_loop", margin))
+        found = [f for f in findings if f.code == "insufficient-capacity"]
+        assert len(found) == fires
+        # a warning: the infeasible network still builds
+        assert all(f.severity == "warning" for f in found)
+        assert [f for f in findings if f.severity == "error"] == []
+
+    @pytest.mark.parametrize("name", case_names())
+    def test_no_bundled_case_lacks_capacity(self, name):
+        codes = [f.code for f in validate_network(parse_case(case_text(name)))]
+        assert "insufficient-capacity" not in codes
 
 
 class TestRoundTrip:

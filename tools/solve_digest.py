@@ -8,13 +8,16 @@ tolerance.  The script prints one line per cell,
 
     cell SEED WORKLOAD CASE/PF/ENCODING STATUS ITERATIONS SHA256
 
-then, per workload, its iteration total, its status counts and one sha256
-over all its cells.  A cell's sha256 covers the status, repr(objective),
-the bytes of x, y, zl and zu and the iteration log's CSV, so two versions
-that print the same line took the same steps, bit for bit.  Diff the output
-of two checkouts to find the cells that differ.  The workloads module is
-only imported; the program under test is the ``src`` tree next to this
-script.
+then, per workload, its iteration total, its factorizations (one per
+iteration plus one per inertia correction), the L+U fill summed over every
+iteration's accepted factorization, its status counts and one sha256 over
+all its cells.  The factorization and fill totals show a change in the
+size of the KKT systems in one line.  A cell's sha256 covers the status,
+repr(objective), the bytes of x, y, zl and zu and the iteration log's CSV,
+so two versions that print the same line took the same steps, bit for
+bit.  Diff the output of two checkouts to find the cells that differ.  The
+workloads module is only imported; the program under test is the ``src``
+tree next to this script.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ def run_workload(workload: str, seed: int):
     networks = {c.name: parse_case(c.text) for c in cases}
     opts = SolverOptions(tol=TOL)
     total = hashlib.sha256()
-    statuses, iterations = Counter(), 0
+    statuses, iterations, factorizations, fill = Counter(), 0, 0, 0
     for case, pf, ck in sorted(cells):
         model = build_opf(networks[case], PowerFlowKind(pf), CostKind(ck))
         result, log = solve(model, opts)
@@ -61,10 +64,14 @@ def run_workload(workload: str, seed: int):
         total.update(digest.encode())
         statuses[result.status.value] += 1
         iterations += result.iterations
+        factorizations += len(log) + sum(
+            r.inertia_corrections for r in log.records)
+        fill += sum(r.fill for r in log.records)
         print(f"cell {seed} {workload} {case}/{pf}/{ck} "
               f"{result.status.value} {result.iterations} {digest}")
     counts = " ".join(f"{s}={n}" for s, n in sorted(statuses.items()))
-    print(f"workload {seed} {workload} iterations={iterations} {counts} "
+    print(f"workload {seed} {workload} iterations={iterations} "
+          f"factorizations={factorizations} fill={fill} {counts} "
           f"sha256={total.hexdigest()}")
 
 
