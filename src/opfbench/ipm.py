@@ -307,18 +307,17 @@ class _Intake:
         self.hess_d = self.d[wr] * self.d[wc]
         xlo, xup = xlo / self.d, xup / self.d
         # rows without a finite bound constrain nothing and keep a zero
-        # dual: they are dropped; ``rows`` selects the others, and
+        # dual: they are dropped; ``rows`` indexes the others, and
         # ``jac_rows`` the Jacobian entries on them
-        free = (m.row_lower == -INF) & (m.row_upper == INF)
-        if free.any():
-            self.rows = np.nonzero(~free)[0]
-            self.jac_rows = np.isin(m.jac_pattern.coords()[0], self.rows)
-        else:  # every row is kept: slices select them as views
-            self.rows = self.jac_rows = slice(None)
-        self.n_rows = m.nrows - int(free.sum())
+        kept = (m.row_lower > -INF) | (m.row_upper < INF)
+        self.rows = np.nonzero(kept)[0]
+        self.jac_rows = np.nonzero(kept[m.jac_pattern.coords()[0]])[0]
+        self.n_rows = len(self.rows)
+        # the model rows' duals, zero on the dropped rows (see ``model_y``)
+        self._y_model = np.zeros(m.nrows)
         # inequality rows: positions among the kept rows, and model rows
         self.ineq = np.nonzero(~m.row_is_eq[self.rows])[0]
-        self.ineq_rows = np.nonzero(~m.row_is_eq & ~free)[0]
+        self.ineq_rows = self.rows[self.ineq]
         self.ns = len(self.ineq)
         self.nz = self.nx + self.ns
         self.n_fix = len(self.fixed_idx)
@@ -349,10 +348,10 @@ class _Intake:
 
     def model_y(self, y):
         """The model rows' duals of the internal duals y, zero on the
-        dropped rows."""
-        out = np.zeros(self.m.nrows)
-        out[self.rows] = y[:self.n_rows]
-        return out
+        dropped rows: one array, overwritten on every call, for a caller
+        that uses it before the next."""
+        self._y_model[self.rows] = y[:self.n_rows]
+        return self._y_model
 
     def residual(self, z, raw):
         res = raw[self.rows] - self.eq_rhs

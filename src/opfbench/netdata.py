@@ -136,6 +136,8 @@ def _check_numbers(row, cols, table, line):
     """Raise CaseParseError when a column of ``row`` the parser reads as a
     number holds NaN: a NaN compares false with every bound, so no later
     check would reject it.  ``cols`` are 0-based."""
+    if not math.isnan(sum(row)):  # the common case: a NaN makes the sum NaN
+        return
     for c in cols:
         if row[c] != row[c]:  # NaN, the one float unequal to itself
             raise CaseParseError(f"mpc.{table} column {c + 1} is NaN",

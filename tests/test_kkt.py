@@ -48,19 +48,24 @@ def test_off_diagonal_pivoting_leaves_inertia_unknown():
     (SWAP, [1, 0]),
 ], ids=["definite", "quasi-definite", "swap"])
 def test_given_order_matches_stored_order(K, perm):
-    # K stored as P K P^T with perm= given solves in K's own order, to the
-    # accuracy of the residual check: the quasi-definite K in this order
-    # takes its -1e-10 pivot early, and its unrefined solve passes the
-    # check about 4e-7 away from the exact solution
+    # K stored as P K P^T with perm= given solves in K's own order: it
+    # returns exactly what the same stored matrix factored without perm=
+    # returns for b scattered to the stored order, gathered back
     perm = np.array(perm)
     reference = factorize(sp.csc_matrix(np.array(K)))
+    stored = factorize(permuted(K, perm))
     factor = factorize(permuted(K, perm), perm=perm)
-    assert factor.inertia == reference.inertia
+    assert factor.inertia == reference.inertia == stored.inertia
     b = np.array([1.0, -2.0, 0.5][:len(perm)])
+    b_stored = np.empty_like(b)
+    b_stored[perm] = b
     x = factor.solve(b)
+    assert np.array_equal(x, stored.solve(b_stored)[perm])
+    # and x solves K itself to the residual check's accuracy (the
+    # quasi-definite K in this order takes its -1e-10 pivot early, so its
+    # solution may differ from the unpermuted factor's in the 7th digit)
     assert np.abs(np.array(K) @ x - b).max() <= (
         kkt_mod._SOLVE_RTOL * (1.0 + np.abs(b).max()))
-    assert x == pytest.approx(np.linalg.solve(K, b), rel=1e-6)
 
 
 class CountingLU:

@@ -124,6 +124,19 @@ def test_malformed_number_reports_line():
     assert err.value.line is not None
 
 
+@pytest.mark.parametrize("row, bad_row", [
+    # bus Va and Vm, columns the parser does not read
+    ("1	3	0	0	0	0	1	1	0	110", "1	3	0	0	0	0	1	1	nan	110"),
+    ("2	1	100	20	0	0	1	1	0", "2	1	100	20	0	0	1	nan	0"),
+    # a row whose sum is NaN without a NaN in it
+    ("1	0	0	80	-40	1	100	1	200	20", "1	0	0	inf	-inf	1	100	1	200	20"),
+], ids=["va", "vm", "inf-minus-inf"])
+def test_rows_without_nan_in_a_column_read_parse(row, bad_row):
+    assert CASE2.count(row) == 1
+    net = parse_case(CASE2.replace(row, bad_row))
+    assert len(net.buses) == 2 and len(net.generators) == 1
+
+
 def test_missing_table_rejected():
     text = CASE2.replace("mpc.gencost", "mpc.other")
     with pytest.raises(CaseParseError):
