@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from opfbench.cases import case_names, case_text
-from opfbench.errors import ConvexityError, ModelBuildError
+from opfbench.errors import (
+    ConvexityError,
+    ModelBuildError,
+    RecoveryMismatchError,
+)
 from opfbench.formulations import (
     PWL_COST_KINDS,
     CostKind,
@@ -439,6 +443,20 @@ class TestRecovery:
                 assert np.hypot(f.p, f.q) <= rate * (1 + 1e-6)
         for (vm, _), bus in zip(sol.voltage, net.buses):
             assert bus.vmin - 1e-8 <= vm <= bus.vmax + 1e-8
+
+    @pytest.mark.xfail(strict=True, raises=RecoveryMismatchError,
+                       reason="ROADMAP item 2: audit denominator hides the "
+                              "error")
+    def test_degenerate_psi_recovers_its_objective(self):
+        # one bus, no demand, pmax 1 MW, curve (0 MW, $0)-(100 MW, $1000):
+        # psi ends optimal with objective 1.68e-5 against a recomputed
+        # 6.07e-7, its duals near 1.3e4 shrinking every audited residual
+        net = single_bus_network(0.0, 0.0, 0.0, 0.01,
+                                 curve_cost([(0.0, 0.0), (1.0, 1000.0)]))
+        m = build_opf(net, PowerFlowKind.DC, CostKind.PSI)
+        res, _ = solve(m, TIGHT)
+        assert res.status == SolveStatus.OPTIMAL
+        recover_solution(m, PowerFlowKind.DC, CostKind.PSI, res)
 
     def test_recovery_requires_optimal(self):
         net = three_bus_network()

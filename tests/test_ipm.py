@@ -209,20 +209,23 @@ class TestSolverContracts:
         text = log.to_csv()
         header = text.splitlines()[0]
         assert header == ("iter,mu,primal_inf,dual_inf,compl,"
-                          "alpha_primal,alpha_dual,reg,corrections,fill")
+                          "alpha_primal,alpha_dual,reg,corrections,fill,"
+                          "audited")
         assert len(text.splitlines()) == len(log.records) + 1
         rows = [line.split(",") for line in text.splitlines()[1:]]
-        assert [int(row[-2]) for row in rows] == \
+        assert [int(row[-3]) for row in rows] == \
             [r.inertia_corrections for r in log.records]
-        assert [int(row[-1]) for row in rows] == \
+        assert [int(row[-2]) for row in rows] == \
             [r.fill for r in log.records]
         assert all(r.fill > 0 for r in log.records)
+        assert [row[-1] for row in rows] == \
+            [str(int(r.audited)) for r in log.records]
 
     def test_fill_column_repeats_across_solves(self):
         logs = [solve(build_opf(parse_case(case_text("case9_loop")),
                                 PowerFlowKind.SOC, CostKind.PSI))[1]
                 for _ in range(2)]
-        fills = [[line.rsplit(",", 1)[1] for line in log.to_csv().splitlines()]
+        fills = [[line.split(",")[-2] for line in log.to_csv().splitlines()]
                  for log in logs]
         assert fills[0] == fills[1]
         # SuperLU leaves the diagonal at the free DC angle columns on some
@@ -463,6 +466,77 @@ class TestKktCheck:
         )
         report = kkt_check(m, result)
         assert report.max_residual <= 1e-12
+
+
+    @pytest.mark.parametrize("pf", [PowerFlowKind.AC, PowerFlowKind.DC])
+    def test_iteration_limit_residual_is_the_returned_points(self, pf):
+        # the residual was once the audit of the point one step earlier:
+        # 2.26 against kkt_check's 0.66 (AC), 2.25 against 0.54 (DC)
+        m = build_opf(parse_case(case_text("case9_loop")), pf,
+                      CostKind.LAMBDA)
+        res, _ = solve(m, SolverOptions(max_iter=3))
+        assert res.status == SolveStatus.ITERATION_LIMIT
+        assert res.kkt_residual == kkt_check(m, res).max_residual
+
+    def test_infeasible_residual_is_the_returned_points(self):
+        m = build_opf(overloaded_network("case5_ring", 1.4),
+                      PowerFlowKind.DC, CostKind.LAMBDA)
+        res, _ = solve(m)
+        assert res.status == SolveStatus.INFEASIBLE
+        assert res.kkt_residual == kkt_check(m, res).max_residual
+
+
+def same_solve(a, b):
+    (ra, la), (rb, lb) = a, b
+    assert (ra.status, ra.iterations, repr(ra.objective),
+            repr(ra.kkt_residual)) == (rb.status, rb.iterations,
+                                       repr(rb.objective),
+                                       repr(rb.kkt_residual))
+    for va, vb in ((ra.x, rb.x), (ra.y, rb.y), (ra.zl, rb.zl),
+                   (ra.zu, rb.zu)):
+        assert va.tobytes() == vb.tobytes()
+    assert len(la) == len(lb)
+
+
+class TestAuditGate:
+    """The KKT audit runs only once the internal residuals are within
+    _GATE * tol; run on every iteration, it must change nothing."""
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-6])
+    @pytest.mark.parametrize("name", case_names())
+    def test_gate_never_skips_a_passing_audit(self, monkeypatch, name, tol):
+        net = parse_case(case_text(name))
+        cells = [(pf, ck) for pf in PowerFlowKind
+                 for ck in (CostKind.PSI, CostKind.LAMBDA, CostKind.DELTA,
+                            CostKind.PHI)]
+        opts = SolverOptions(tol=tol)
+        gated = [solve(build_opf(net, pf, ck), opts) for pf, ck in cells]
+        monkeypatch.setattr(ipm_mod, "_GATE", math.inf)
+        for (pf, ck), expected in zip(cells, gated):
+            always = solve(build_opf(net, pf, ck), opts)
+            assert all(r.audited for r in always[1].records)
+            same_solve(expected, always)
+
+    def test_gate_keeps_the_lp_infeasibility_label(self, monkeypatch):
+        def run():
+            return solve(build_opf(overloaded_network("case5_ring", 0.995),
+                                   PowerFlowKind.DC, CostKind.PSI),
+                         SolverOptions(tol=1e-8))
+        gated = run()
+        assert gated[0].status == SolveStatus.INFEASIBLE
+        monkeypatch.setattr(ipm_mod, "_GATE", math.inf)
+        same_solve(gated, run())
+
+    def test_audit_runs_near_convergence_only(self):
+        m = build_opf(parse_case(case_text("case30_grid")),
+                      PowerFlowKind.AC, CostKind.LAMBDA)
+        # at the default tol 1e-6, 1 of 17 rows; the last evaluation, the
+        # one that ends the solve, is always audited but logs no row
+        res, log = solve(m)
+        assert res.status == SolveStatus.OPTIMAL
+        audited = [r.audited for r in log.records]
+        assert sum(audited) < len(audited) / 4
+        assert audited[-1]
 
 
 class TestRandomLpsAgainstOracle:

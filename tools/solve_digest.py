@@ -9,15 +9,16 @@ tolerance.  The script prints one line per cell,
     cell SEED WORKLOAD CASE/PF/ENCODING STATUS ITERATIONS SHA256
 
 then, per workload, its iteration total, its factorizations (one per
-iteration plus one per inertia correction), the L+U fill summed over every
-iteration's accepted factorization, its status counts and one sha256 over
-all its cells.  The factorization and fill totals show a change in the
+iteration plus one per inertia correction), its audited iterations (those
+whose log row holds the KKT audit's residuals), the L+U fill summed over
+every iteration's accepted factorization, its status counts and one sha256
+over all its cells.  The factorization and fill totals show a change in the
 size of the KKT systems in one line.  A cell's sha256 covers the status,
-repr(objective), the bytes of x, y, zl and zu and the iteration log's CSV,
-so two versions that print the same line took the same steps, bit for
-bit.  Diff the output of two checkouts to find the cells that differ.  The
-workloads module is only imported; the program under test is the ``src``
-tree next to this script.
+repr(objective), the bytes of x, y, zl and zu, repr(kkt_residual) and the
+iteration log's CSV, so two versions that print the same line took the
+same steps, bit for bit.  Diff the output of two checkouts to find the
+cells that differ.  The workloads module is only imported; the program
+under test is the ``src`` tree next to this script.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ def cell_digest(result, log) -> str:
     h.update(repr(result.objective).encode())
     for vec in (result.x, result.y, result.zl, result.zu):
         h.update(vec.tobytes())
+    h.update(repr(result.kkt_residual).encode())
     h.update(log.to_csv().encode())
     return h.hexdigest()
 
@@ -56,7 +58,7 @@ def run_workload(workload: str, seed: int):
     networks = {c.name: parse_case(c.text) for c in cases}
     opts = SolverOptions(tol=TOL)
     total = hashlib.sha256()
-    statuses, iterations, factorizations, fill = Counter(), 0, 0, 0
+    statuses, iterations, factorizations, audited, fill = Counter(), 0, 0, 0, 0
     for case, pf, ck in sorted(cells):
         model = build_opf(networks[case], PowerFlowKind(pf), CostKind(ck))
         result, log = solve(model, opts)
@@ -66,13 +68,14 @@ def run_workload(workload: str, seed: int):
         iterations += result.iterations
         factorizations += len(log) + sum(
             r.inertia_corrections for r in log.records)
+        audited += sum(r.audited for r in log.records)
         fill += sum(r.fill for r in log.records)
         print(f"cell {seed} {workload} {case}/{pf}/{ck} "
               f"{result.status.value} {result.iterations} {digest}")
     counts = " ".join(f"{s}={n}" for s, n in sorted(statuses.items()))
     print(f"workload {seed} {workload} iterations={iterations} "
-          f"factorizations={factorizations} fill={fill} {counts} "
-          f"sha256={total.hexdigest()}")
+          f"factorizations={factorizations} audited={audited} fill={fill} "
+          f"{counts} sha256={total.hexdigest()}")
 
 
 def main(argv):
