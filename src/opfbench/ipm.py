@@ -21,16 +21,27 @@ first iteration of a model with curvature starts at delta_w = delta_c =
 matrix is singular.
 
 A solve is one ``_Solve`` object.  It owns what an iteration hands to the
-next: the point (z, y, v), the barrier parameter, the merit penalty, the
-regularization a failed line search forces, the last corrected delta_w
-and the LP infeasibility history.  Each iteration runs IPOPT's phases in
-order, one method each: ``evaluate`` (rows, Jacobian, the solver's own
-residuals, the KKT audit and the optimality and infeasibility tests),
-``update_barrier`` (mu and the barrier gradient), ``factor`` (the
-Hessian, K and the inertia correction, ending in the Newton step),
-``line_search`` (the penalty update, backtracking on ``merit`` and one
-second-order correction) and ``accept`` (the dual step and the move to the
-new point).
+next: the point (z, y, v) with its evaluation, the barrier parameter, the
+merit penalty, the regularization a failed line search forces, the last
+corrected delta_w and the LP infeasibility history.  Each iteration runs
+IPOPT's phases in order, one method each: ``evaluate`` (Jacobian, the
+solver's own residuals, the KKT audit and the optimality and
+infeasibility tests), ``update_barrier`` (mu and the barrier gradient),
+``factor`` (the Hessian, K and the inertia correction, ending in the
+Newton step), ``line_search`` (the penalty update, backtracking on
+``merit`` and one second-order correction) and ``accept`` (the dual step
+and the move to the new point).
+
+Each point is evaluated once, as IPOPT caches its evaluations per iterate
+(Waechter & Biegler 2006).  ``evaluate_point`` computes the rows, the
+internal residual and the barrier terms at z: the bound gaps, obj . z and
+the lower and upper log sums.  The start point is evaluated when the solve
+is set up, and every later point by ``merit`` as a trial point of the line
+search; ``accept`` carries the evaluation of the point it accepts into the
+next iteration.  ``evaluate`` reads the rows, residual and gaps from it,
+and the line search's merit at its start is formed from its barrier terms
+at the current mu.  A failed line search keeps the point and its
+evaluation.
 
 ``evaluate`` computes J^T y once per iteration, in model units and then
 multiplied by D (see below), and from it the solver's own residuals: the
@@ -95,6 +106,7 @@ import math
 import numbers
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -530,18 +542,43 @@ def _initial_point(intake, x0, raw0, mu0):
     return z0, np.clip(mu0 / _gaps(intake, z0), 1e-10, 1e10)
 
 
-def _barrier_value(intake, z, obj_lin, mu):
+def _barrier_terms(intake, z, obj_lin):
+    """(gaps, sums) at z: the bound gaps, and sums = (obj_lin @ z, lower
+    log sum, upper log sum), the mu-free parts of the barrier objective,
+    or None at or past a bound."""
     gap = _gaps(intake, z)
     if len(gap) and gap.min() <= 0.0:
-        return INF
+        return gap, None
     # lower and upper logs as two sums: the split fixes the rounding
     nlo = intake.nlo
-    val = float(obj_lin @ z)
-    if nlo:
-        val -= mu * float(np.log(gap[:nlo]).sum())
-    if len(gap) > nlo:
-        val -= mu * float(np.log(gap[nlo:]).sum())
+    return gap, (float(obj_lin @ z), float(np.log(gap[:nlo]).sum()),
+                 float(np.log(gap[nlo:]).sum()))
+
+
+def _barrier_value(terms, mu):
+    """The barrier objective at mu from ``_barrier_terms``; INF at or past
+    a bound.  An empty log sum is 0.0, and subtracting mu * 0.0 leaves the
+    value unchanged, bit for bit."""
+    sums = terms[1]
+    if sums is None:
+        return INF
+    val, lo, up = sums
+    val -= mu * lo
+    val -= mu * up
     return val
+
+
+class _Point(NamedTuple):
+    """One evaluation of an internal point z, made once per point (see
+    ``_Solve.evaluate_point``)."""
+
+    raw: np.ndarray  # the model rows at z, in model units
+    h: np.ndarray    # the internal constraint residual
+    terms: tuple     # ``_barrier_terms`` at z
+
+    @property
+    def gap(self):
+        return self.terms[0]
 
 
 def _sigma(intake, gap, v):
@@ -606,6 +643,9 @@ class _Solve:
         x0 = m.initial_point()
         self.z, self.v = _initial_point(intake, x0 / intake.d,
                                         m.eval_raw_rows(x0), self.mu)
+        # the evaluation of z: of z0 here, then the line search's of each
+        # point it accepts
+        self.point = self.evaluate_point(self.z)
         self.y = np.zeros(intake.m_int)
         self.is_lp = m.hess_pattern.nnz == 0
         self.nu = 1.0
@@ -633,11 +673,11 @@ class _Solve:
                 return self.finish(SolveStatus.NUMERICAL_ERROR)
             factor, step, delta_w, corrections = factored
             dgap = _gap_step(self.intake, step[:self.intake.nz])
-            alpha_max = _max_step(self.gap, dgap)
+            alpha_max = _max_step(self.point.gap, dgap)
             if alpha_max <= 0.0:
                 return self.finish(SolveStatus.NUMERICAL_ERROR)
-            point = self.line_search(factor, step, dgap, alpha_max)
-            if point is None:
+            accepted = self.line_search(factor, step, dgap, alpha_max)
+            if accepted is None:
                 self.ls_failures += 1
                 if self.ls_failures >= _MAX_LS_FAILURES:
                     return self.finish(SolveStatus.NUMERICAL_ERROR)
@@ -645,7 +685,7 @@ class _Solve:
                                             _REG_FLOOR)
                 alpha = alpha_dual = 0.0
             else:
-                alpha, alpha_dual = self.accept(*point)
+                alpha, alpha_dual = self.accept(*accepted)
             dual_inf, compl, audited = self.residuals
             self.log.records.append(IterationRecord(
                 iteration=it, mu=self.mu, primal_inf=self.h_inf,
@@ -658,22 +698,29 @@ class _Solve:
             del factored, factor
         return self.finish(SolveStatus.ITERATION_LIMIT)
 
+    def evaluate_point(self, z):
+        """The rows, the internal residual and the barrier terms at z."""
+        intake = self.intake
+        raw = self.m.eval_raw_rows(intake.model_x(z))
+        return _Point(raw, intake.residual(z, raw),
+                      _barrier_terms(intake, z, self.obj_lin))
+
     def evaluate(self):
-        """Rows, Jacobian and the solver's own residuals at the current
-        point, and the KKT audit once those are within _GATE * tol;
-        returns OPTIMAL or INFEASIBLE when the solve is over, else None."""
+        """Jacobian and the solver's own residuals at the current point,
+        from the rows, residual and gaps carried in ``self.point``, and the
+        KKT audit once those are within _GATE * tol; returns OPTIMAL or
+        INFEASIBLE when the solve is over, else None."""
         m, intake, tol = self.m, self.intake, self.opts.tol
-        y, v = self.y, self.v
+        y, v, point = self.y, self.v, self.point
         x = intake.model_x(self.z)
-        raw = m.eval_raw_rows(x)
+        raw, h = point.raw, point.h
         eval_jacobian(m, x, out=self.jac_model)
-        self.h = intake.residual(self.z, raw)
-        self.h_inf = float(np.abs(self.h).max()) if len(self.h) else 0.0
+        self.h_inf = float(np.abs(h).max()) if len(h) else 0.0
 
         # the internal residuals, all independent of mu: the stationarity
         # in the primal-dual form, which is what the Newton step drives to
         # zero, and the complementarity of the gaps
-        gap = self.gap = _gaps(intake, self.z)
+        gap = point.gap
         self.gv = gap * v
         denom = self.denom_int = 1.0 + max(
             float(np.abs(y).max()) if len(y) else 0.0,
@@ -738,7 +785,7 @@ class _Solve:
             mu = max(self.mu_min, _MU_FACTOR * mu)
         self.mu = mu
         self.grad_phi = intake.add_bound_terms(self.obj_lin.copy(),
-                                               mu / self.gap)
+                                               mu / self.point.gap)
         self.r1 = -(self.grad_phi + self.jty)
 
     def factor(self, it):
@@ -749,7 +796,7 @@ class _Solve:
         eval_lagrangian_hessian(m, intake.model_x(self.z),
                                 intake.model_y(self.y), out=W)
         W.data *= intake.hess_d
-        sigma = _sigma(intake, self.gap, self.v)
+        sigma = _sigma(intake, self.point.gap, self.v)
         delta_w, delta_c = self.force_reg, _DELTA_C
         if it == 0 and not self.is_lp:
             # at y = 0 the Hessian block is all stored zeros: the
@@ -764,7 +811,7 @@ class _Solve:
                 # each condensed slack takes one positive pivot with it
                 if inertia is None or inertia == (intake.nx, intake.m_int, 0):
                     # raises on a large solve residual: numerically singular
-                    step = kkt.step(factor, self.r1, -self.h)
+                    step = kkt.step(factor, self.r1, -self.point.h)
                     # unknown inertia: accept a step of nonnegative
                     # curvature, otherwise raise delta_w only
                     if (inertia is not None
@@ -788,17 +835,17 @@ class _Solve:
                 return None
 
     def merit(self, z):
-        """(l1 exact-penalty merit at z, constraint residual at z)."""
-        intake = self.intake
-        h = intake.residual(z, self.m.eval_raw_rows(intake.model_x(z)))
-        return (_barrier_value(intake, z, self.obj_lin, self.mu)
-                + self.nu * float(np.abs(h).sum()), h)
+        """(l1 exact-penalty merit at z, the evaluation of z)."""
+        point = self.evaluate_point(z)
+        return (_barrier_value(point.terms, self.mu)
+                + self.nu * float(np.abs(point.h).sum()), point)
 
     def line_search(self, factor, step, dgap, alpha_max):
         """Raise the merit penalty to what the step needs, then backtrack
-        from alpha_max; returns the accepted (z, alpha, dgap, dy), where
-        dgap is the step's change of the bound gaps, or None."""
-        intake, z, h = self.intake, self.z, self.h
+        from alpha_max; returns the accepted (z, alpha, dgap, dy, point),
+        where dgap is the step's change of the bound gaps and point the
+        evaluation of z, or None."""
+        intake, z, h = self.intake, self.z, self.point.h
         nz, m_int = intake.nz, intake.m_int
         dz, dy = step[:nz], step[nz:]
         h_l1 = float(np.abs(h).sum())
@@ -813,50 +860,49 @@ class _Solve:
             self.nu = max(self.nu, nu_req + 1e-6)
         merit_slope = slope_obj - self.nu * h_l1
 
-        phi0 = (_barrier_value(intake, z, self.obj_lin, self.mu)
-                + self.nu * h_l1)
+        phi0 = _barrier_value(self.point.terms, self.mu) + self.nu * h_l1
         alpha = alpha_max
         for trial in range(_MAX_BACKTRACKS):
             z_try = z + alpha * dz
-            phi_try, h_try = self.merit(z_try)
+            phi_try, point = self.merit(z_try)
             if math.isfinite(phi_try) and (
                     phi_try <= phi0 + _ARMIJO_ETA * alpha * merit_slope
                     or phi_try <= phi0 + 1e-10 * (1.0 + abs(phi0))):
-                return z_try, alpha, dgap, dy
+                return z_try, alpha, dgap, dy, point
             if trial == 0 and m_int:
                 # second-order correction: re-center the constraint residual
                 # at the rejected trial point to step around merit rejection
                 # of pure Newton steps caused by constraint curvature
                 try:
                     sol_soc = self.kkt.step(factor, self.r1,
-                                            -(alpha * h + h_try))
+                                            -(alpha * h + point.h))
                 except FactorizationError:
                     # an inaccurate correction is no correction: backtrack
                     alpha *= 0.5
                     continue
                 dz_soc = sol_soc[:nz]
                 dgap_soc = _gap_step(intake, dz_soc)
-                alpha_soc = _max_step(self.gap, dgap_soc)
+                alpha_soc = _max_step(self.point.gap, dgap_soc)
                 z_soc = z + alpha_soc * dz_soc
-                phi_soc, _ = self.merit(z_soc)
+                phi_soc, point_soc = self.merit(z_soc)
                 if math.isfinite(phi_soc) and phi_soc <= (
                         phi0 + _ARMIJO_ETA * alpha_soc * merit_slope):
-                    return z_soc, alpha_soc, dgap_soc, sol_soc[nz:]
+                    return z_soc, alpha_soc, dgap_soc, sol_soc[nz:], point_soc
             alpha *= 0.5
         return None
 
-    def accept(self, z, alpha, dgap, dy):
-        """Move to the accepted point z with its dual step; returns the
-        primal and dual step lengths."""
+    def accept(self, z, alpha, dgap, dy, point):
+        """Move to the accepted point z, with its evaluation, and take the
+        dual step; returns the primal and dual step lengths."""
         mu = self.mu
-        dv, alpha_dual = _dual_step(mu, self.gap, self.v, dgap)
+        dv, alpha_dual = _dual_step(mu, self.point.gap, self.v, dgap)
         self.ls_failures = 0
         self.force_reg = 0.0
-        self.z = z
+        self.z, self.point = z, point
         self.y = self.y + alpha * dy
         v = np.maximum(self.v + alpha_dual * dv, 0.0)
         # safeguard corridor keeps bound multipliers consistent with mu
-        gap = _gaps(self.intake, z)
+        gap = point.gap
         self.v = np.clip(v, mu / (_KAPPA_SIGMA * gap), _KAPPA_SIGMA * mu / gap)
         return alpha, alpha_dual
 

@@ -491,6 +491,9 @@ def eval_lagrangian_hessian(m: ModelIR, x, duals, out=None) -> sp.csr_matrix:
         raise ValueError(
             f"duals have shape {duals.shape}, model has {m.nrows} rows"
         )
+    if not m.hess_pattern.nnz:
+        # an LP: no block has curvature, and there is nothing to scatter
+        return out if out is not None else m.hess_pattern.matrix(np.empty(0))
     vals = np.concatenate([blk.hess_values(x, duals[off:off + blk.nrows])
                            for off, blk in m._parts])
     return _evaluated(m.hess_pattern, vals, out)

@@ -539,6 +539,77 @@ class TestAuditGate:
         assert audited[-1]
 
 
+class TestCarriedEvaluation:
+    """Each point is evaluated once: the line search's evaluation of the
+    point it accepts is the next iteration's.  Before every ``evaluate``
+    the carried evaluation must equal a fresh one of z, bit for bit."""
+
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        """Check the carried evaluation before every ``evaluate``; returns
+        the z of each checked call and the number of accepted points that
+        came from a second-order correction."""
+        evaluate = ipm_mod._Solve.evaluate
+        line_search = ipm_mod._Solve.line_search
+        seen = {"z": [], "soc": 0}
+
+        def checked_evaluate(slv):
+            carried, fresh = slv.point, slv.evaluate_point(slv.z)
+            assert np.array_equal(carried.raw, fresh.raw)
+            assert np.array_equal(carried.h, fresh.h)
+            assert np.array_equal(carried.gap, fresh.gap)
+            assert carried.terms[1] == fresh.terms[1]
+            seen["z"].append(slv.z)
+            return evaluate(slv)
+
+        def counted_line_search(slv, factor, step, dgap, alpha_max):
+            out = line_search(slv, factor, step, dgap, alpha_max)
+            # a corrected step returns its own gap change
+            seen["soc"] += out is not None and out[2] is not dgap
+            return out
+
+        monkeypatch.setattr(ipm_mod._Solve, "evaluate", checked_evaluate)
+        monkeypatch.setattr(ipm_mod._Solve, "line_search",
+                            counted_line_search)
+        return seen
+
+    @pytest.mark.parametrize("name", case_names())
+    def test_every_bundled_cell(self, checked, name):
+        net = parse_case(case_text(name))
+        for pf in PowerFlowKind:
+            for ck in (CostKind.PSI, CostKind.LAMBDA, CostKind.DELTA,
+                       CostKind.PHI):
+                res, _ = solve(build_opf(net, pf, ck),
+                               SolverOptions(tol=1e-8))
+                assert res.status == SolveStatus.OPTIMAL, (pf, ck)
+        assert checked["z"]
+
+    def test_a_corrected_step_is_carried(self, checked):
+        m = build_opf(parse_case(case_text("case5_ring")),
+                      PowerFlowKind.AC, CostKind.LAMBDA)
+        res, _ = solve(m, SolverOptions(tol=1e-8))
+        assert res.status == SolveStatus.OPTIMAL
+        assert checked["soc"] > 0
+
+    def test_lp_infeasibility_stall(self, checked):
+        m = build_opf(overloaded_network("case5_ring", 0.995),
+                      PowerFlowKind.DC, CostKind.PSI)
+        res, _ = solve(m, SolverOptions(tol=1e-8))
+        assert res.status == SolveStatus.INFEASIBLE
+        assert len(checked["z"]) == res.iterations + 1
+
+    def test_failed_line_searches_keep_the_point(self, checked, monkeypatch):
+        # no trial point at all: every line search fails and z never moves
+        monkeypatch.setattr(ipm_mod, "_MAX_BACKTRACKS", 0)
+        m = build_opf(parse_case(case_text("case9_loop")),
+                      PowerFlowKind.AC, CostKind.LAMBDA)
+        res, log = solve(m)
+        assert res.status == SolveStatus.NUMERICAL_ERROR
+        assert len(log) == ipm_mod._MAX_LS_FAILURES - 1
+        assert len(checked["z"]) == ipm_mod._MAX_LS_FAILURES
+        assert all(z is checked["z"][0] for z in checked["z"])
+
+
 class TestRandomLpsAgainstOracle:
     def test_small_random_lps(self):
         rng = np.random.default_rng(2024)
@@ -678,7 +749,8 @@ class TestSignedBounds:
             barrier = float(obj @ z)
             barrier -= mu * float(np.log(gap_lo[lo_f]).sum())
             barrier -= mu * float(np.log(gap_up[up_f]).sum())
-            assert ipm_mod._barrier_value(intake, z, obj, mu) == barrier
+            assert ipm_mod._barrier_value(
+                ipm_mod._barrier_terms(intake, z, obj), mu) == barrier
 
     @pytest.mark.parametrize("side", ["lower", "upper"])
     @pytest.mark.parametrize("offset", [0.0, 1e-3])
@@ -688,14 +760,16 @@ class TestSignedBounds:
         zlo, zup, lo_f, up_f = masked_bounds(m)
         z = self.random_point(np.random.default_rng(5), zlo, zup)
         obj = np.ones(intake.nz)
-        assert math.isfinite(ipm_mod._barrier_value(intake, z, obj, 0.1))
+        assert math.isfinite(ipm_mod._barrier_value(
+            ipm_mod._barrier_terms(intake, z, obj), 0.1))
         if side == "lower":
             i = np.nonzero(lo_f & ~up_f)[0][0]
             z[i] = zlo[i] - offset
         else:
             i = np.nonzero(up_f & ~lo_f)[0][0]
             z[i] = zup[i] + offset
-        assert ipm_mod._barrier_value(intake, z, obj, 0.1) == INF
+        assert ipm_mod._barrier_value(
+            ipm_mod._barrier_terms(intake, z, obj), 0.1) == INF
 
 
 def reference_kkt(m, W, diag, jac, delta_c):
@@ -757,7 +831,7 @@ def solver_points(m, count):
         yield s
         dgap = ipm_mod._gap_step(s.intake, step[:s.intake.nz])
         point = s.line_search(factor, step, dgap,
-                              ipm_mod._max_step(s.gap, dgap))
+                              ipm_mod._max_step(s.point.gap, dgap))
         assert point is not None
         s.accept(*point)
 
@@ -825,20 +899,20 @@ class TestKktAssembly:
         m = kkt_model(name)
         for s in solver_points(m, 4):
             intake, kkt = s.intake, s.kkt
-            sigma = ipm_mod._sigma(intake, s.gap, s.v)
-            rhs = np.concatenate([s.r1, -s.h])
+            sigma = ipm_mod._sigma(intake, s.point.gap, s.v)
+            rhs = np.concatenate([s.r1, -s.point.h])
             for delta_w, delta_c in ((0.0, 1e-10), (1e-4, 1e-8)):
                 K = kkt.assemble(s.W, sigma, delta_w, s.jac_model, delta_c)
                 full = reference_kkt(m, s.W, sigma + delta_w, s.jac_model,
                                      delta_c).toarray()
                 ref = np.linalg.solve(full, rhs)
-                step = kkt.step(ExactFactor(K, kkt.perm), s.r1, -s.h)
+                step = kkt.step(ExactFactor(K, kkt.perm), s.r1, -s.point.h)
                 assert (np.abs(step - ref).max()
                         <= 1e-9 * np.abs(ref).max())
                 # SuperLU's step meets the full system to the accuracy its
                 # residual check asks of the condensed one
                 factor = kkt_mod.factorize(K, perm=kkt.perm)
-                step = kkt.step(factor, s.r1, -s.h)
+                step = kkt.step(factor, s.r1, -s.point.h)
                 r_s = s.r1[intake.nx:] / (sigma[intake.nx:] + delta_w)
                 assert np.abs(full @ step - rhs).max() <= (
                     kkt_mod._SOLVE_RTOL * (1.0 + np.abs(rhs).max()
@@ -951,6 +1025,8 @@ class TestKktAssembly:
                      "eval_lagrangian_hessian"):
             monkeypatch.setattr(ipm_mod, name,
                                 counting(name, getattr(ipm_mod, name)))
+        monkeypatch.setattr(ModelIR, "eval_raw_rows",
+                            counting("eval_raw_rows", ModelIR.eval_raw_rows))
         m = build_opf(parse_case(case_text("case9_loop")),
                       PowerFlowKind.AC, CostKind.LAMBDA)
         res, log = solve(m)
@@ -958,6 +1034,8 @@ class TestKktAssembly:
         assert calls["factorize"] == len(log) + sum(
             r.inertia_corrections for r in log.records)
         # one Jacobian per iteration and one at the optimum; two barrier
-        # values per iteration: the line search's start and one trial
+        # values per iteration: the line search's start and one trial; rows
+        # at x0, at z0 and at each trial point, each evaluated once
         assert calls == {"factorize": 16, "_barrier_value": 32,
-                         "eval_jacobian": 17, "eval_lagrangian_hessian": 16}
+                         "eval_jacobian": 17, "eval_lagrangian_hessian": 16,
+                         "eval_raw_rows": 18}

@@ -186,9 +186,18 @@ class TestDerivatives:
             assert _matches(H, H_fd, rtol=1e-5, atol=1e-6)
 
     def test_all_linear_model_hessian_is_zero(self):
+        # an LP's Hessian is the empty matrix, returned without evaluating
+        # a block; the point and the duals are still checked
         m = linear_eq_model()
-        H = eval_lagrangian_hessian(m, np.array([0.3, 0.7]), np.array([2.0]))
-        assert H.nnz == 0 or np.all(H.toarray() == 0.0)
+        x, duals = np.array([0.3, 0.7]), np.array([2.0])
+        H = eval_lagrangian_hessian(m, x, duals)
+        assert H.format == "csr" and H.shape == (2, 2) and H.nnz == 0
+        out = m.hess_pattern.matrix(np.empty(0))
+        assert eval_lagrangian_hessian(m, x, duals, out=out) is out
+        with pytest.raises(ValueError, match="point has shape"):
+            eval_lagrangian_hessian(m, np.zeros(3), duals)
+        with pytest.raises(ValueError, match="duals have shape"):
+            eval_lagrangian_hessian(m, x, np.zeros(2))
 
     def test_cone_hessian_structure(self):
         m = soc_model()

@@ -10,10 +10,12 @@ tolerance.  The script prints one line per cell,
 
 then, per workload, its iteration total, its factorizations (one per
 iteration plus one per inertia correction), its audited iterations (those
-whose log row holds the KKT audit's residuals), the L+U fill summed over
-every iteration's accepted factorization, its status counts and one sha256
-over all its cells.  The factorization and fill totals show a change in the
-size of the KKT systems in one line.  A cell's sha256 covers the status,
+whose log row holds the KKT audit's residuals), its row evaluations (calls
+of ``ModelIR.eval_raw_rows``), the L+U fill summed over every iteration's
+accepted factorization, its status counts and one sha256 over all its
+cells.  The factorization and fill totals show a change in the size of the
+KKT systems in one line, and the row evaluations a change in how often the
+solver evaluates a point.  A cell's sha256 covers the status,
 repr(objective), the bytes of x, y, zl and zu, repr(kkt_residual) and the
 iteration log's CSV, so two versions that print the same line took the
 same steps, bit for bit.  Diff the output of two checkouts to find the
@@ -33,6 +35,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from opfbench.formulations import CostKind, PowerFlowKind, build_opf  # noqa: E402
 from opfbench.ipm import SolverOptions, solve  # noqa: E402
+from opfbench.modelir import ModelIR  # noqa: E402
 from opfbench.netdata import parse_case  # noqa: E402
 
 import workloads  # noqa: E402
@@ -59,9 +62,21 @@ def run_workload(workload: str, seed: int):
     opts = SolverOptions(tol=TOL)
     total = hashlib.sha256()
     statuses, iterations, factorizations, audited, fill = Counter(), 0, 0, 0, 0
+    row_evals = 0
+    eval_raw_rows = ModelIR.eval_raw_rows
+
+    def counted(model, x):
+        nonlocal row_evals
+        row_evals += 1
+        return eval_raw_rows(model, x)
+
     for case, pf, ck in sorted(cells):
         model = build_opf(networks[case], PowerFlowKind(pf), CostKind(ck))
-        result, log = solve(model, opts)
+        ModelIR.eval_raw_rows = counted
+        try:
+            result, log = solve(model, opts)
+        finally:
+            ModelIR.eval_raw_rows = eval_raw_rows
         digest = cell_digest(result, log)
         total.update(digest.encode())
         statuses[result.status.value] += 1
@@ -74,7 +89,8 @@ def run_workload(workload: str, seed: int):
               f"{result.status.value} {result.iterations} {digest}")
     counts = " ".join(f"{s}={n}" for s, n in sorted(statuses.items()))
     print(f"workload {seed} {workload} iterations={iterations} "
-          f"factorizations={factorizations} audited={audited} fill={fill} "
+          f"factorizations={factorizations} audited={audited} "
+          f"row_evals={row_evals} fill={fill} "
           f"{counts} sha256={total.hexdigest()}")
 
 
