@@ -373,8 +373,8 @@ def _build_dc(network: Network) -> ModelIR:
 # -- cost attachments ----------------------------------------------------
 
 
-def _ready_curves(m: ModelIR, gens, strict: bool):
-    """Validated curves for every generator, preprocessing unless strict."""
+def _ready_curves(m: ModelIR, gens):
+    """Every generator's curve, preprocessed against its bounds."""
     curves = []
     for k, g in enumerate(gens):
         if not isinstance(g.cost, PiecewiseCost):
@@ -382,24 +382,15 @@ def _ready_curves(m: ModelIR, gens, strict: bool):
                 f"generator {k} has no piecewise cost curve; "
                 f"use the polynomial attachment"
             )
-        curve = g.cost.curve
-        if strict:
-            if not curve.validated:
-                raise ModelBuildError(
-                    f"generator {k} curve is not validated and strict "
-                    f"mode forbids preprocessing"
-                )
-        elif not curve.validated:
-            curve = preprocess(curve, g.pmin, g.pmax)
-        curves.append(curve)
+        curves.append(preprocess(g.cost.curve, g.pmin, g.pmax))
     m.meta["cost_curves"] = curves
     return curves
 
 
-def attach_cost_psi(m: ModelIR, gens, strict: bool = False) -> ModelIR:
+def attach_cost_psi(m: ModelIR, gens) -> ModelIR:
     """Epigraph encoding: one cost variable per generator bounded by its
     curve's cost range, one inequality row per segment."""
-    curves = _ready_curves(m, gens, strict)
+    curves = _ready_curves(m, gens)
     pg_idx = m.meta["pg_idx"]
     cg_cols, pg_cols, slopes, lo = [], [], [], []
     for k, curve in enumerate(curves):
@@ -423,10 +414,10 @@ def attach_cost_psi(m: ModelIR, gens, strict: bool = False) -> ModelIR:
     return m
 
 
-def attach_cost_lambda(m: ModelIR, gens, strict: bool = False) -> ModelIR:
+def attach_cost_lambda(m: ModelIR, gens) -> ModelIR:
     """Convex-combination encoding: interpolation weights over breakpoints
     tied to dispatch and summing to one."""
-    curves = _ready_curves(m, gens, strict)
+    curves = _ready_curves(m, gens)
     pg_idx = m.meta["pg_idx"]
     rows, cols, vals, rhs = [], [], [], []
     for k, curve in enumerate(curves):
@@ -453,10 +444,10 @@ def attach_cost_lambda(m: ModelIR, gens, strict: bool = False) -> ModelIR:
     return m
 
 
-def attach_cost_delta(m: ModelIR, gens, strict: bool = False) -> ModelIR:
+def attach_cost_delta(m: ModelIR, gens) -> ModelIR:
     """Generation-bin encoding: one bounded bin per segment, dispatch equal
     to the first breakpoint plus the filled bins."""
-    curves = _ready_curves(m, gens, strict)
+    curves = _ready_curves(m, gens)
     pg_idx = m.meta["pg_idx"]
     rows, cols, vals, rhs = [], [], [], []
     for k, curve in enumerate(curves):
@@ -480,14 +471,14 @@ def attach_cost_delta(m: ModelIR, gens, strict: bool = False) -> ModelIR:
     return m
 
 
-def attach_cost_phi(m: ModelIR, gens, strict: bool = False) -> ModelIR:
+def attach_cost_phi(m: ModelIR, gens) -> ModelIR:
     """Marginal-excess encoding: first-segment line plus slope-difference
     terms over the excess above each interior breakpoint.
 
     Two-point curves contribute only their linear term; this is noted in
     the model's build log.
     """
-    curves = _ready_curves(m, gens, strict)
+    curves = _ready_curves(m, gens)
     pg_idx = m.meta["pg_idx"]
     notes = m.meta.setdefault("build_notes", [])
     rows, cols, lo = [], [], []
@@ -571,18 +562,18 @@ def attach_cost_polynomial(m: ModelIR, gens) -> ModelIR:
 
 
 def build_opf(network: Network, pf_kind: PowerFlowKind, cost_kind: CostKind,
-              strict_curves: bool = False, validate: bool = True) -> ModelIR:
+              validate: bool = True) -> ModelIR:
     """Complete formulation: power-flow structure plus cost encoding."""
     m = build_power_flow(network, pf_kind, validate=validate)
     gens = network.generators
     if cost_kind == CostKind.PSI:
-        attach_cost_psi(m, gens, strict_curves)
+        attach_cost_psi(m, gens)
     elif cost_kind == CostKind.LAMBDA:
-        attach_cost_lambda(m, gens, strict_curves)
+        attach_cost_lambda(m, gens)
     elif cost_kind == CostKind.DELTA:
-        attach_cost_delta(m, gens, strict_curves)
+        attach_cost_delta(m, gens)
     elif cost_kind == CostKind.PHI:
-        attach_cost_phi(m, gens, strict_curves)
+        attach_cost_phi(m, gens)
     elif cost_kind == CostKind.POLYNOMIAL:
         attach_cost_polynomial(m, gens)
     else:

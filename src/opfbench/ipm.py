@@ -22,15 +22,14 @@ matrix is singular.
 
 A solve is one ``_Solve`` object.  It owns what an iteration hands to the
 next: the point (z, y, v) with its evaluation, the barrier parameter, the
-merit penalty, the regularization a failed line search forces, the last
-corrected delta_w and the LP infeasibility history.  Each iteration runs
-IPOPT's phases in order, one method each: ``evaluate`` (Jacobian, the
-solver's own residuals, the KKT audit and the optimality and
-infeasibility tests), ``update_barrier`` (mu and the barrier gradient),
-``factor`` (the Hessian, K and the inertia correction, ending in the
-Newton step), ``line_search`` (the penalty update, backtracking on
-``merit`` and one second-order correction) and ``accept`` (the dual step
-and the move to the new point).
+merit penalty, the regularization a failed line search forces and the
+last corrected delta_w.  Each iteration runs IPOPT's phases in order, one
+method each: ``evaluate`` (Jacobian, the solver's own residuals, the KKT
+audit and the optimality and infeasibility tests), ``update_barrier`` (mu
+and the barrier gradient), ``factor`` (the Hessian, K and the inertia
+correction, ending in the Newton step), ``line_search`` (the penalty
+update, backtracking on ``merit`` and one second-order correction) and
+``accept`` (the dual step and the move to the new point).
 
 Each point is evaluated once, as IPOPT caches its evaluations per iterate
 (Waechter & Biegler 2006).  ``evaluate_point`` computes the rows, the
@@ -52,16 +51,22 @@ within ``_GATE`` times tol, as IPOPT tests termination on the residuals it
 already holds (Waechter & Biegler 2006); only an audited iteration may end
 optimal, so every optimal result passes ``kkt_check`` by construction.
 On the benchmark workloads the gate opens on about 8% of evaluations.
-The LP infeasibility test reads the audit's raw feasibility and dual
-magnitude, ``_Auditor.feasibility`` and ``_Auditor.denominator``, on
-every LP iteration, audited or not.  A solve that ends other than optimal
-is audited at the point it returns.
+
+One rule ends a solve of any model, LP, QCQP or NLP, as infeasible: the
+audit's dual magnitude (``_Auditor.denominator``, one plus the largest
+dual in model units) passes ``_DUAL_BLOWUP`` while its raw violation
+(``_Auditor.feasibility``) exceeds tol.  An audited iteration reads both
+from its report; any other computes the dual magnitude, and the violation
+only once that is past the threshold.  A solve that ends other than
+optimal is audited at the point it returns.
 
 Inequality rows are converted to equalities with range-bounded slacks at
 intake, and variables fixed through equal bounds become free variables
 pinned by an extra equality row, so the barrier only ever sees strictly
-feasible gaps.  Rows with no finite bound constrain nothing: the intake
-drops them, and their duals are reported as zero.  Solves are
+feasible gaps.  Bounds so close that the start point's push off them
+rounds to zero count as equal, at the lower one, for variables and rows
+alike (``_pinned``).  Rows with no finite bound constrain nothing: the
+intake drops them, and their duals are reported as zero.  Solves are
 deterministic functions of (model, options).
 
 Each Newton system is factored with its slacks condensed, the slack
@@ -142,16 +147,11 @@ _KAPPA_W_PLUS = 8.0          # growth of delta_w after a warm start
 _REG_GROWTH_COLD = 10.0      # growth of delta_w before a first correction
 _DELTA_C = 1e-10             # dual-block regularization
 _DELTA_C_SINGULAR = 1e-8     # least dual regularization once K is singular
-# The -_DELTA_C*I dual block caps dual growth near 1/_DELTA_C, so an
-# infeasible LP plateaus just below 1e10 and would only be caught by the
-# stall window; blow-up is declared two decades lower.
+# A solve of any model ends infeasible once the audit's dual magnitude
+# passes this while its raw violation exceeds tol: no point satisfies the
+# rows, and the duals grow without bound.  The -_DELTA_C*I dual block caps
+# that growth near 1/_DELTA_C, so blow-up is declared two decades lower.
 _DUAL_BLOWUP = 1e-2 / _DELTA_C
-_STALL_WINDOW = 30           # iterations of no feasibility progress => infeasible
-# Only declare infeasibility above this violation.  An infeasible LP can
-# stall with its violation just under 1e-3 (case5_ring DC at 0.995 x pmax,
-# psi: mu at its floor, steps of 1e-10), where rounding alone decided
-# whether the window fired.
-_STALL_FEAS = 1e-4
 # The KKT audit runs once the internal stationarity and complementarity
 # are both within this factor of tol.  Over seeds 1-3 of the benchmark
 # workloads, every passing audit had them within 0.97 and 0.70 x tol.  The
@@ -328,6 +328,16 @@ def kkt_check(m: ModelIR, result: SolveResult) -> KktReport:
     )
 
 
+def _pinned(lo, up):
+    """Where the start point's push off the bounds lo and up (see
+    ``_Intake``'s ``b_start``) rounds to zero, so that z0 would sit on a
+    bound: equal bounds, or ones within about 1e-14 relative.  Only the
+    push's width term can round to zero."""
+    push = _BOUND_PUSH * (up - lo)
+    with np.errstate(invalid="ignore"):  # inf - inf: an infinite bound
+        return (lo + push == lo) | (up - push == up)
+
+
 class _Intake:
     """Reformulation of a ModelIR into the internal equality-only shape."""
 
@@ -335,7 +345,8 @@ class _Intake:
         self.m = m
         xlo, xup = m.variable_bounds()
         self.nx = m.nvars
-        fixed = np.isfinite(xlo) & (xlo == xup)
+        # pinned variables are fixed at their lower bound
+        fixed = _pinned(xlo, xup)
         self.fixed_idx = np.nonzero(fixed)[0]
         self.fix_vals = xlo[self.fixed_idx]
         # column scaling x = d * x': d is the largest finite bound magnitude
@@ -360,8 +371,10 @@ class _Intake:
         self.n_rows = len(self.rows)
         # the model rows' duals, zero on the dropped rows (see ``model_y``)
         self._y_model = np.zeros(m.nrows)
-        # inequality rows: positions among the kept rows, and model rows
-        self.ineq = np.nonzero(~m.row_is_eq[self.rows])[0]
+        # inequality rows: positions among the kept rows, and model rows;
+        # a pinned row is an equality at its lower bound
+        row_eq = _pinned(m.row_lower, m.row_upper)
+        self.ineq = np.nonzero(~row_eq[self.rows])[0]
         self.ineq_rows = self.rows[self.ineq]
         self.ns = len(self.ineq)
         self.nz = self.nx + self.ns
@@ -385,7 +398,7 @@ class _Intake:
         push = np.minimum(_BOUND_PUSH * np.maximum(1.0, np.abs(self.bb)),
                           _BOUND_PUSH * width)
         self.b_start = self.bb + self.sb * push
-        self.eq_rhs = np.where(m.row_is_eq, m.row_lower, 0.0)[self.rows]
+        self.eq_rhs = np.where(row_eq, m.row_lower, 0.0)[self.rows]
 
     def model_x(self, z):
         """The model variables, in model units, of the internal point z."""
@@ -612,7 +625,9 @@ def _curvature(W, diag, dz):
 
 class _Solve:
     """One solve: the state carried from one iteration to the next, and
-    one method per phase of an iteration."""
+    one method per phase of an iteration.  ``evaluate`` ends the solve as
+    optimal on a passing audit, and as infeasible on dual blow-up at an
+    infeasible point, whatever the model."""
 
     def __init__(self, m: ModelIR, opts: SolverOptions):
         self.m, self.opts = m, opts
@@ -652,9 +667,6 @@ class _Solve:
         self.ls_failures = 0
         self.force_reg = 0.0
         self.delta_last = 0.0
-        # on LPs, (raw feasibility, dual magnitude, mu) of each iteration
-        # so far, both numbers as the audit computes them
-        self.history: list[tuple[float, float, float]] = []
 
     def run(self):
         """Iterate to a status: returns (SolveResult, IterationLog), with
@@ -748,26 +760,17 @@ class _Solve:
         if (report is not None and report.max_residual <= tol
                 and report.raw_feasibility <= tol):
             return SolveStatus.OPTIMAL
-        if not self.is_lp:
-            return None
-        # dual unboundedness on LPs: either outright blow-up, or growing
-        # duals with primal infeasibility and the barrier stalled across a
-        # window; nonlinear models fail through the line search instead
-        if report is not None:
-            feas, dual = report.raw_feasibility, report.denominator
-        else:
-            feas = self.audit.feasibility(x, raw)
+        # dual blow-up at an infeasible point, on any model (see
+        # _DUAL_BLOWUP); unaudited, the violation is computed only once the
+        # duals are past the threshold
+        if report is None:
             dual = self.audit.denominator(
                 *intake.map_duals(y, v, self.obj_scale))
-        self.history.append((feas, dual, self.mu))
-        if feas > tol:
-            if dual > _DUAL_BLOWUP:
-                return SolveStatus.INFEASIBLE
-            if len(self.history) > _STALL_WINDOW and feas > _STALL_FEAS:
-                feas0, dual0, mu0 = self.history[-_STALL_WINDOW - 1]
-                if feas > 0.99 * feas0 and dual >= dual0 and self.mu == mu0:
-                    return SolveStatus.INFEASIBLE
-        return None
+            blown = dual > _DUAL_BLOWUP and self.audit.feasibility(x, raw) > tol
+        else:
+            blown = (report.denominator > _DUAL_BLOWUP
+                     and report.raw_feasibility > tol)
+        return SolveStatus.INFEASIBLE if blown else None
 
     def update_barrier(self):
         """Lower mu, up to 8 times, while the barrier subproblem is solved

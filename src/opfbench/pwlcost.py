@@ -33,14 +33,11 @@ class PwlCurve:
     points holds (power, cost) pairs with strictly increasing power.  Segment
     ``l`` (0-based) spans points[l]..points[l+1] with slope slopes[l] and
     intercept intercepts[l], so cost(x) = slopes[l]*x + intercepts[l] there.
-    ``validated`` marks a curve that passed :func:`check_assumptions` against
-    its generator bounds (set by :func:`preprocess`).
     """
 
     points: tuple[tuple[float, float], ...]
     slopes: tuple[float, ...]
     intercepts: tuple[float, ...]
-    validated: bool = False
 
     @staticmethod
     def from_points(points) -> "PwlCurve":
@@ -204,7 +201,7 @@ def preprocess(curve, pmin: float, pmax: float,
                 break
 
     slopes, intercepts = derive_slopes_intercepts(pts)
-    out = PwlCurve(tuple(pts), tuple(slopes), tuple(intercepts), validated=True)
+    out = PwlCurve(tuple(pts), tuple(slopes), tuple(intercepts))
     bad = check_assumptions(out, pmin, pmax)
     if bad:
         raise DegenerateSegmentError(

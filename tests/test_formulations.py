@@ -227,12 +227,6 @@ class TestCostAttachmentCounts:
         assert len(m.var_names) - v0 == sum(n - 2 for n in p)
         assert sum(b.nrows for b in m.blocks) - r0 == sum(n - 2 for n in p)
 
-    def test_strict_mode_requires_validated(self):
-        gens = self.curves(3)
-        m, _ = self.base_model(gens)
-        with pytest.raises(ModelBuildError):
-            attach_cost_psi(m, gens, strict=True)
-
     def test_pwl_attachment_rejects_polynomial_cost(self):
         gen = Generator(1, 0.0, 1.0, -1.0, 1.0, PolynomialCost(0.0, 1.0, 0.0))
         m, _ = self.base_model([gen])

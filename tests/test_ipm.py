@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -144,6 +145,50 @@ class TestToyProblems:
         assert list(res.y[1:]) == [0.0, 0.0]
         ref, _ = solve(model(False), SolverOptions(tol=1e-9))
         assert res.objective == pytest.approx(ref.objective, abs=1e-8)
+
+    @pytest.mark.parametrize("pf", list(PowerFlowKind))
+    def test_near_fixed_variable_is_fixed(self, pf):
+        # generator 2 at pmin 50 MW and pmax 1e-14 MW above it: the start
+        # push off its bounds rounds to zero, and z0 on a bound once ended
+        # the solve at iteration 0 (DC infeasible, AC/SOC numerical error)
+        text = case_text("case5_ring")
+        line = "3\t0\t0\t60\t-40\t1\t100\t1\t120\t10;"
+        assert line in text
+
+        def run(pmax):
+            net = parse_case(text.replace(
+                line, line.replace("120\t10", f"{pmax}\t50")))
+            return solve(build_opf(net, pf, CostKind.LAMBDA),
+                         SolverOptions(tol=1e-8))[0]
+
+        fixed = run("50")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            near = run("50.00000000000001")
+        assert near.status == fixed.status == SolveStatus.OPTIMAL
+        assert near.iterations == fixed.iterations
+        assert near.objective == fixed.objective
+
+    def test_near_equal_row_bounds_are_an_equality(self):
+        # the slack's start push rounds to zero as a near-fixed variable's
+        # does: 0.5 <= x + y <= 0.5 + 1e-16 once ended at iteration 0
+        def run(up):
+            m = ModelIR("row")
+            x = m.add_variable("x", 0.0, 1.0, 0.2)
+            y = m.add_variable("y", 0.0, 1.0, 0.2)
+            m.add_block(QuadraticBlock("sum", [0.5], [up],
+                                       linear=([0, 0], [x, y], [1.0, 1.0])))
+            m.add_objective_term(x, 1.0)
+            m.add_objective_term(y, 2.0)
+            return solve(m.finalize())[0]
+
+        equal = run(0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            near = run(0.5000000000000001)
+        assert near.status == equal.status == SolveStatus.OPTIMAL
+        assert near.iterations == equal.iterations
+        assert near.objective == equal.objective
 
     def test_infeasible_detected(self):
         res, _ = solve(infeasible_lp())
@@ -376,13 +421,14 @@ def overloaded_network(name, margin):
 
 class TestInfeasibilityDetection:
     def test_sparse_lp_infeasible_before_stall_window(self):
-        # the dual regularization caps dual growth below the old blow-up
-        # threshold; detection must not wait for the stall window
+        # the dual regularization caps dual growth near 1/_DELTA_C, below a
+        # blow-up threshold at that value; detection must not take the 30
+        # iterations a stall window once waited
         m = build_opf(overloaded_network("case9_loop", 1.4),
                       PowerFlowKind.DC, CostKind.PSI)
         res, _ = solve(m)
         assert res.status == SolveStatus.INFEASIBLE
-        assert res.iterations < ipm_mod._STALL_WINDOW
+        assert res.iterations < 30
 
     def test_lp_correction_ladder_is_not_warm_started(self):
         # warm-starting the LP ladder took this cell to the iteration limit
@@ -393,11 +439,12 @@ class TestInfeasibilityDetection:
         assert res.iterations < 100
 
     @pytest.mark.parametrize("panel_size", [None, 1])
-    def test_stall_label_survives_a_change_in_rounding(self, monkeypatch,
-                                                       panel_size):
-        # psi stalls with its violation just under 1e-3, mu at its floor
-        # and tiny steps; the SuperLU panel width (scipy's default or one
-        # column) moves its last bits, and must not decide the label
+    def test_blowup_label_survives_a_change_in_rounding(self, monkeypatch,
+                                                        panel_size):
+        # psi once stalled here with its violation just under 1e-3, mu at
+        # its floor and tiny steps; the SuperLU panel width (scipy's default
+        # or one column) moves the last bits of every encoding, and must not
+        # decide the dual blow-up label
         monkeypatch.setattr(kkt_mod, "_PANEL_SIZE", panel_size)
         for ck in (CostKind.PSI, CostKind.LAMBDA, CostKind.DELTA,
                    CostKind.PHI):
@@ -406,6 +453,29 @@ class TestInfeasibilityDetection:
             res, _ = solve(m, SolverOptions(tol=1e-8))
             assert res.status == SolveStatus.INFEASIBLE, ck
             assert res.iterations < 100, ck
+
+    @pytest.mark.parametrize("ck", [CostKind.PSI, CostKind.LAMBDA,
+                                    CostKind.DELTA, CostKind.PHI])
+    @pytest.mark.parametrize("pf", [PowerFlowKind.AC, PowerFlowKind.SOC])
+    @pytest.mark.parametrize("name, margin", [("case9_loop", 1.4),
+                                              ("case5_ring", 0.995)])
+    def test_nonlinear_overload_is_infeasible(self, name, margin, pf, ck):
+        # one rule for every model: dual blow-up at an infeasible point;
+        # these cells once ran all 500 iterations to the iteration limit
+        m = build_opf(overloaded_network(name, margin), pf, ck)
+        res, _ = solve(m, SolverOptions(tol=1e-8))
+        assert res.status == SolveStatus.INFEASIBLE
+        assert res.iterations < 100
+        assert res.kkt_residual == kkt_check(m, res).max_residual
+
+    @pytest.mark.parametrize("ck", [CostKind.PSI, CostKind.LAMBDA,
+                                    CostKind.DELTA, CostKind.PHI])
+    @pytest.mark.parametrize("pf", [PowerFlowKind.AC, PowerFlowKind.SOC])
+    def test_nonlinear_near_capacity_stays_optimal(self, pf, ck):
+        m = build_opf(overloaded_network("case5_ring", 0.95), pf, ck)
+        res, _ = solve(m, SolverOptions(tol=1e-8))
+        assert res.status == SolveStatus.OPTIMAL
+        assert res.kkt_residual <= 1e-8
 
 
 class TestUnknownInertia:
@@ -591,7 +661,7 @@ class TestCarriedEvaluation:
         assert res.status == SolveStatus.OPTIMAL
         assert checked["soc"] > 0
 
-    def test_lp_infeasibility_stall(self, checked):
+    def test_infeasible_lp_until_dual_blowup(self, checked):
         m = build_opf(overloaded_network("case5_ring", 0.995),
                       PowerFlowKind.DC, CostKind.PSI)
         res, _ = solve(m, SolverOptions(tol=1e-8))

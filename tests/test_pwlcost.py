@@ -72,7 +72,7 @@ class TestPreprocess:
         out = preprocess(pts, pmin=15, pmax=45)
         assert out.powers == (10.0, 20.0, 30.0, 45.0)
         assert out.costs == (10.0, 30.0, 60.0, 120.0)
-        assert out.validated
+        assert check_assumptions(out, 15, 45) == []
         # value preservation against the hand-extended original on [15, 45]
         extended = curve(pts + [(45, 100 + 4 * 5)])
         for x in np.linspace(15, 45, 61):
