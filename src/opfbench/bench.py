@@ -170,7 +170,8 @@ def run_suite(config: BenchConfig) -> BenchReport:
                 cells=cells, ratios=ratios, fastest=fastest,
             ))
     notes = [
-        f"runtimes time the solve call only (model build excluded); "
+        f"runtimes time the solve call only (model build excluded; each "
+        f"model's first trial also builds its solver structure); "
         f"statistic=median of {config.trials} trial(s)",
     ]
     return BenchReport(rows=rows, trials=config.trials, notes=notes)

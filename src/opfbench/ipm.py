@@ -31,12 +31,32 @@ correction, ending in the Newton step), ``line_search`` (the penalty
 update, backtracking on ``merit`` and one second-order correction) and
 ``accept`` (the dual step and the move to the new point).
 
+What a solve derives from its model alone is built once per model, at
+the model's first solve, and reused by every later solve of it: the
+``_Structure``.  It holds the intake (index sets, column scaling, bounds
+and start-point bounds), the auditor's index sets, the KKT pattern with
+its fill order (one ordering factorization), the objective scaling,
+whether the model is an LP, and the start point (z0, v0) with its
+evaluation (two row evaluations).  Every value buffer stays with the
+solve: K, the Jacobian and Hessian matrices, the model-row duals, the
+iterates and the log.  ``ipm`` keeps each structure in a
+``weakref.WeakKeyDictionary`` keyed by its model, so it lives exactly as
+long as the model; it holds no reference to the model, which would keep
+its own key alive.  Its arrays are read-only, as are the model arrays it
+is derived from (``ModelIR.finalize``), so a structure cannot go stale and
+no solve can write into what another reads; solves of one model from two
+threads at once share it.  It depends on no ``SolverOptions`` value, and
+reads the module constants ``_SCALE_BOUND``, ``_BOUND_PUSH``,
+``_OBJ_GRAD_TARGET`` and ``_MU_INIT`` when it is built, so a change to one
+of them reaches only models first solved after it.  A later solve takes
+the same steps as the first, bit for bit.
+
 Each point is evaluated once, as IPOPT caches its evaluations per iterate
 (Waechter & Biegler 2006).  ``evaluate_point`` computes the rows, the
 internal residual and the barrier terms at z: the bound gaps, obj . z and
-the lower and upper log sums.  The start point is evaluated when the solve
-is set up, and every later point by ``merit`` as a trial point of the line
-search; ``accept`` carries the evaluation of the point it accepts into the
+the lower and upper log sums.  The start point is evaluated once per
+model, with its structure, and every later point by ``merit`` as a trial
+point of the line search; ``accept`` carries the evaluation of the point it accepts into the
 next iteration.  ``evaluate`` reads the rows, residual and gaps from it,
 and the line search's merit at its start is formed from its barrier terms
 at the current mu.  A failed line search keeps the point and its
@@ -56,9 +76,11 @@ One rule ends a solve of any model, LP, QCQP or NLP, as infeasible: the
 audit's dual magnitude (``_Auditor.denominator``, one plus the largest
 dual in model units) passes ``_DUAL_BLOWUP`` while its raw violation
 (``_Auditor.feasibility``) exceeds tol.  An audited iteration reads both
-from its report; any other computes the dual magnitude, and the violation
-only once that is past the threshold.  A solve that ends other than
-optimal is audited at the point it returns.
+from its report.  Any other first bounds the dual magnitude from the
+internal duals it already holds (``_dual_bound``), maps the duals to model
+units only once that bound passes the threshold, and computes the
+violation only once the mapped magnitude does too.  A solve that ends
+other than optimal is audited at the point it returns.
 
 Inequality rows are converted to equalities with range-bounded slacks at
 intake, and variables fixed through equal bounds become free variables
@@ -110,6 +132,7 @@ import io
 import math
 import numbers
 import time
+import weakref
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -238,13 +261,14 @@ class _Auditor:
 
     Built once per model: it holds the variable bounds, the inequality rows
     with their bounds and the index sets of the finite and the infinite
-    variable bounds, so each audit is a few gathers and reductions.
+    variable bounds, so each audit is a few gathers and reductions.  Its
+    arrays are read-only, the model's own ones included.
     """
 
     def __init__(self, m: ModelIR):
         self.obj = m.obj_coeffs
         self.row_lo, self.row_up = m.row_lower, m.row_upper
-        self.xlo, self.xup = m.variable_bounds()
+        self.xlo, self.xup = m.var_lower, m.var_upper
         self.ineq = np.nonzero(~m.row_is_eq)[0]
         self.ineq_lo = self.row_lo[self.ineq]
         self.ineq_up = self.row_up[self.ineq]
@@ -252,6 +276,7 @@ class _Auditor:
         self.lo_idx, self.up_idx = np.nonzero(lo_fin)[0], np.nonzero(up_fin)[0]
         self.lo_free, self.up_free = (np.nonzero(~lo_fin)[0],
                                       np.nonzero(~up_fin)[0])
+        _read_only(self)
 
     def feasibility(self, x, raw) -> float:
         """Largest violation of a row or variable bound, in model units."""
@@ -328,6 +353,15 @@ def kkt_check(m: ModelIR, result: SolveResult) -> KktReport:
     )
 
 
+def _read_only(obj):
+    """obj, with every array among its attributes marked read-only: all
+    solves of a model share its structure, and none may write into it."""
+    for value in vars(obj).values():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    return obj
+
+
 def _pinned(lo, up):
     """Where the start point's push off the bounds lo and up (see
     ``_Intake``'s ``b_start``) rounds to zero, so that z0 would sit on a
@@ -339,12 +373,13 @@ def _pinned(lo, up):
 
 
 class _Intake:
-    """Reformulation of a ModelIR into the internal equality-only shape."""
+    """Reformulation of a ModelIR into the internal equality-only shape:
+    index sets, scaling and bounds, read-only, with no reference to the
+    model."""
 
     def __init__(self, m: ModelIR):
-        self.m = m
         xlo, xup = m.variable_bounds()
-        self.nx = m.nvars
+        self.nx, self.nrows = m.nvars, m.nrows
         # pinned variables are fixed at their lower bound
         fixed = _pinned(xlo, xup)
         self.fixed_idx = np.nonzero(fixed)[0]
@@ -369,8 +404,6 @@ class _Intake:
         self.rows = np.nonzero(kept)[0]
         self.jac_rows = np.nonzero(kept[m.jac_pattern.coords()[0]])[0]
         self.n_rows = len(self.rows)
-        # the model rows' duals, zero on the dropped rows (see ``model_y``)
-        self._y_model = np.zeros(m.nrows)
         # inequality rows: positions among the kept rows, and model rows;
         # a pinned row is an equality at its lower bound
         row_eq = _pinned(m.row_lower, m.row_upper)
@@ -399,17 +432,19 @@ class _Intake:
                           _BOUND_PUSH * width)
         self.b_start = self.bb + self.sb * push
         self.eq_rhs = np.where(row_eq, m.row_lower, 0.0)[self.rows]
+        _read_only(self)
 
     def model_x(self, z):
         """The model variables, in model units, of the internal point z."""
         return z[:self.nx] * self.d
 
-    def model_y(self, y):
-        """The model rows' duals of the internal duals y, zero on the
-        dropped rows: one array, overwritten on every call, for a caller
-        that uses it before the next."""
-        self._y_model[self.rows] = y[:self.n_rows]
-        return self._y_model
+    def model_y(self, y, out):
+        """The model rows' duals of the internal duals y, written into and
+        returned as out, a model-length array that is zero on the dropped
+        rows: a solve passes one such array on every call and uses each
+        result before the next."""
+        out[self.rows] = y[:self.n_rows]
+        return out
 
     def residual(self, z, raw):
         res = raw[self.rows] - self.eq_rhs
@@ -418,13 +453,13 @@ class _Intake:
             res = np.concatenate([res, z[self.fixed_idx] - self.fix_vals])
         return res
 
-    def jac_t(self, jac_tr, y):
+    def jac_t(self, jac_tr, y, y_model):
         """J^T y for the internal Jacobian, from the transposed model
-        Jacobian in model units: each d_j is a power of two, so scaling
-        the product equals the product over the scaled columns, bit for
-        bit."""
+        Jacobian in model units, with y_model the array ``model_y`` writes
+        into: each d_j is a power of two, so scaling the product equals the
+        product over the scaled columns, bit for bit."""
         out = np.empty(self.nz)
-        out[:self.nx] = csc_matvec(jac_tr, self.model_y(y)) * self.d
+        out[:self.nx] = csc_matvec(jac_tr, self.model_y(y, y_model)) * self.d
         out[self.nx:] = -y[self.ineq]
         out[self.fixed_idx] += y[self.n_rows:]
         return out
@@ -437,7 +472,7 @@ class _Intake:
 
     def map_duals(self, y_int, v, obj_scale):
         """Internal duals back to model-shape (row duals, bound duals)."""
-        y = self.model_y(y_int) / obj_scale
+        y = self.model_y(y_int, np.zeros(self.nrows)) / obj_scale
         zl, zu = np.zeros(self.nz), np.zeros(self.nz)
         zl[self.ib[:self.nlo]] = v[:self.nlo]
         zu[self.ib[self.nlo:]] = v[self.nlo:]
@@ -452,7 +487,9 @@ class _Intake:
 
 class _KktPattern:
     """CSC pattern of the condensed K = [[W + diag, J^T], [J, -diag_c]]
-    for one solve, over the model variables and the internal rows.
+    of one model, over the model variables and the internal rows, with the
+    index maps every assembly scatters through; ``_Kkt`` binds K to it for
+    one solve.
 
     The slacks are eliminated before K is formed (see ``assemble``), so J
     holds the model Jacobian on the kept rows and the intake's +1 fix
@@ -467,13 +504,9 @@ class _KktPattern:
     ``perm`` maps each row and column to its stored position), so every
     assembly comes out pre-permuted and is factored in SuperLU's natural
     order, and no solve orders it again.
-
-    K is one matrix bound to the pattern; every assembly overwrites its
-    values.
     """
 
-    def __init__(self, intake: _Intake):
-        m = intake.m
+    def __init__(self, m: ModelIR, intake: _Intake):
         nx, n_fix = intake.nx, intake.n_fix
         n = nx + intake.m_int
         wr, wc = m.hess_pattern.coords()
@@ -487,15 +520,24 @@ class _KktPattern:
         rows = np.concatenate([wr, jr, jc, d])
         cols = np.concatenate([wc, jc, jr, d])
         self.perm = fill_order(SparsePattern(rows, cols, (n, n), fmt="csc"))
-        self._pattern = SparsePattern(self.perm[rows], self.perm[cols],
-                                      (n, n), fmt="csc")
-        self._nx, self._m_int = nx, intake.m_int
-        self._ineq = intake.ineq
+        self.csc = SparsePattern(self.perm[rows], self.perm[cols], (n, n),
+                                 fmt="csc")
+        self.nx, self.m_int = nx, intake.m_int
+        self.ineq = intake.ineq
         # the slacks' dual rows, in K's unpermuted order
-        self._slack_rows = nx + intake.ineq
-        self._jac_rows = intake.jac_rows
-        self._fix_vals = np.ones(n_fix)
-        self._K = self._pattern.matrix(np.zeros(len(rows)))
+        self.slack_rows = nx + intake.ineq
+        self.jac_rows = intake.jac_rows
+        self.fix_vals = np.ones(n_fix)
+        _read_only(self)
+
+
+class _Kkt:
+    """The condensed K of one solve, bound to its model's ``_KktPattern``:
+    every assembly overwrites its values."""
+
+    def __init__(self, pattern: _KktPattern):
+        self.pattern, self.perm = pattern, pattern.perm
+        self._K = pattern.csc.matrix(np.zeros(len(pattern.csc.slot)))
 
     def assemble(self, W, sigma, delta_w, jac_model, delta_c):
         """K for the model Hessian W and Jacobian on their model patterns,
@@ -507,12 +549,13 @@ class _KktPattern:
         Returns the same K object on every call, with the values of the
         previous assembly overwritten, and keeps S for ``step``.
         """
-        nx = self._nx
+        p = self.pattern
+        nx = p.nx
         self.slack_diag = sigma[nx:] + delta_w
-        diag_c = np.full(self._m_int, -delta_c)
-        diag_c[self._ineq] -= 1.0 / self.slack_diag
-        jv = np.concatenate([jac_model.data[self._jac_rows], self._fix_vals])
-        self._pattern.scatter(np.concatenate([
+        diag_c = np.full(p.m_int, -delta_c)
+        diag_c[p.ineq] -= 1.0 / self.slack_diag
+        jv = np.concatenate([jac_model.data[p.jac_rows], p.fix_vals])
+        p.csc.scatter(np.concatenate([
             W.data, jv, jv, sigma[:nx] + delta_w, diag_c,
         ]), self._K.data)
         return self._K
@@ -522,7 +565,8 @@ class _KktPattern:
         from the factor of the last assembled K: each slack's row r1_s
         moves to its dual row as r1_s / S, and the slack step is recovered
         as ds = (r1_s + dy_s) / S."""
-        nx, s_diag, rows_s = self._nx, self.slack_diag, self._slack_rows
+        nx, s_diag = self.pattern.nx, self.slack_diag
+        rows_s = self.pattern.slack_rows
         b = np.concatenate([r1[:nx], r2])
         b[rows_s] += r1[nx:] / s_diag
         sol = factor.solve(b)
@@ -583,7 +627,7 @@ def _barrier_value(terms, mu):
 
 class _Point(NamedTuple):
     """One evaluation of an internal point z, made once per point (see
-    ``_Solve.evaluate_point``)."""
+    ``_evaluate_point``)."""
 
     raw: np.ndarray  # the model rows at z, in model units
     h: np.ndarray    # the internal constraint residual
@@ -592,6 +636,13 @@ class _Point(NamedTuple):
     @property
     def gap(self):
         return self.terms[0]
+
+
+def _evaluate_point(m, intake, obj_lin, z):
+    """The rows, the internal residual and the barrier terms at z."""
+    raw = m.eval_raw_rows(intake.model_x(z))
+    return _Point(raw, intake.residual(z, raw),
+                  _barrier_terms(intake, z, obj_lin))
 
 
 def _sigma(intake, gap, v):
@@ -623,6 +674,57 @@ def _curvature(W, diag, dz):
     return float(dx @ (W @ dx)) + float(dz @ (diag * dz))
 
 
+def _dual_bound(dual_int, obj_scale):
+    """An upper bound on ``_Auditor.denominator`` of the duals
+    ``_Intake.map_duals`` makes from internal duals (y, v) whose largest
+    magnitude, max(max |y|, max v), is dual_int: each model-unit dual is
+    an internal one divided by obj_scale, a bound dual also by its d >= 1,
+    and rounding is monotone, so none exceeds dual_int / obj_scale."""
+    return 1.0 + dual_int / obj_scale
+
+
+class _Structure:
+    """What every solve of one finalized model shares, built from the
+    model alone at its first solve (see ``_structure``): the intake, the
+    auditor, the KKT pattern with its fill order, the objective scaling,
+    whether the model is an LP, and the start point with its evaluation.
+    It holds no reference to the model, and its arrays are read-only."""
+
+    def __init__(self, m: ModelIR):
+        self.intake = intake = _Intake(m)
+        self.audit = _Auditor(m)
+        self.kkt = _KktPattern(m, intake)
+        self.is_lp = m.hess_pattern.nnz == 0
+        # the gradient in the scaled variables sets the objective scaling
+        grad = m.obj_coeffs * intake.d
+        grad_norm = float(np.abs(grad).max()) if m.nvars else 0.0
+        self.obj_scale = (min(1.0, _OBJ_GRAD_TARGET / grad_norm)
+                          if grad_norm > 0 else 1.0)
+        self.obj_lin = np.zeros(intake.nz)
+        self.obj_lin[:intake.nx] = self.obj_scale * grad
+        x0 = m.initial_point()
+        self.z0, self.v0 = _initial_point(intake, x0 / intake.d,
+                                          m.eval_raw_rows(x0), _MU_INIT)
+        _read_only(self)
+        self.point0 = _evaluate_point(m, intake, self.obj_lin, self.z0)
+        for a in (self.point0.raw, self.point0.h, self.point0.gap):
+            a.flags.writeable = False
+
+
+# Each model's structure, from its first solve for as long as it lives.
+_STRUCTURES = weakref.WeakKeyDictionary()
+
+
+def _structure(m: ModelIR) -> _Structure:
+    """The structure of the finalized model m, built at its first solve.
+    Two threads that solve a new model at once may both build one; every
+    solve then uses the one stored first, and both are equal."""
+    found = _STRUCTURES.get(m)
+    if found is None:
+        found = _STRUCTURES.setdefault(m, _Structure(m))
+    return found
+
+
 class _Solve:
     """One solve: the state carried from one iteration to the next, and
     one method per phase of an iteration.  ``evaluate`` ends the solve as
@@ -633,36 +735,28 @@ class _Solve:
         self.m, self.opts = m, opts
         self.t_start = time.perf_counter()
         self.log = IterationLog()
-        self.intake = intake = _Intake(m)
-        self.audit = _Auditor(m)
-        self.kkt = _KktPattern(intake)
+        structure = _structure(m)
+        self.intake = intake = structure.intake
+        self.audit, self.is_lp = structure.audit, structure.is_lp
+        self.obj_scale, self.obj_lin = structure.obj_scale, structure.obj_lin
+        self.kkt = _Kkt(structure.kkt)
         # bound once per solve: every iteration overwrites their values, and
         # jac_tr, a CSC view of jac_model's arrays, follows jac_model
         self.jac_model = m.jac_pattern.matrix(
             np.zeros(len(m.jac_pattern.slot)))
         self.jac_tr = self.jac_model.T
         self.W = m.hess_pattern.matrix(np.zeros(len(m.hess_pattern.slot)))
-
-        # the gradient in the scaled variables sets the objective scaling
-        grad = m.obj_coeffs * intake.d
-        grad_norm = float(np.abs(grad).max()) if m.nvars else 0.0
-        self.obj_scale = (min(1.0, _OBJ_GRAD_TARGET / grad_norm)
-                          if grad_norm > 0 else 1.0)
-        self.obj_lin = np.zeros(intake.nz)
-        self.obj_lin[:intake.nx] = self.obj_scale * grad
+        self.y_model = np.zeros(m.nrows)  # see ``_Intake.model_y``
 
         self.mu = _MU_INIT
         # barrier floor in internal units so the true-unit duality gap can
         # reach tol/10 despite objective scaling
         self.mu_min = max(opts.tol / 10.0 * self.obj_scale, 1e-16)
-        x0 = m.initial_point()
-        self.z, self.v = _initial_point(intake, x0 / intake.d,
-                                        m.eval_raw_rows(x0), self.mu)
         # the evaluation of z: of z0 here, then the line search's of each
         # point it accepts
-        self.point = self.evaluate_point(self.z)
+        self.z, self.v = structure.z0, structure.v0
+        self.point = structure.point0
         self.y = np.zeros(intake.m_int)
-        self.is_lp = m.hess_pattern.nnz == 0
         self.nu = 1.0
         self.ls_failures = 0
         self.force_reg = 0.0
@@ -712,10 +806,7 @@ class _Solve:
 
     def evaluate_point(self, z):
         """The rows, the internal residual and the barrier terms at z."""
-        intake = self.intake
-        raw = self.m.eval_raw_rows(intake.model_x(z))
-        return _Point(raw, intake.residual(z, raw),
-                      _barrier_terms(intake, z, self.obj_lin))
+        return _evaluate_point(self.m, self.intake, self.obj_lin, z)
 
     def evaluate(self):
         """Jacobian and the solver's own residuals at the current point,
@@ -734,11 +825,12 @@ class _Solve:
         # zero, and the complementarity of the gaps
         gap = point.gap
         self.gv = gap * v
-        denom = self.denom_int = 1.0 + max(
+        dual_int = max(
             float(np.abs(y).max()) if len(y) else 0.0,
             float(v.max()) if len(v) else 0.0,
         )
-        self.jty = intake.jac_t(self.jac_tr, y)
+        denom = self.denom_int = 1.0 + dual_int
+        self.jty = intake.jac_t(self.jac_tr, y, self.y_model)
         self.stat_pd = float(np.abs(
             intake.add_bound_terms(self.obj_lin + self.jty, v)
         ).max()) / denom
@@ -761,12 +853,14 @@ class _Solve:
                 and report.raw_feasibility <= tol):
             return SolveStatus.OPTIMAL
         # dual blow-up at an infeasible point, on any model (see
-        # _DUAL_BLOWUP); unaudited, the violation is computed only once the
-        # duals are past the threshold
+        # _DUAL_BLOWUP); unaudited, the model-unit duals are mapped only
+        # once their bound passes the threshold, and the violation computed
+        # only once they do
         if report is None:
-            dual = self.audit.denominator(
-                *intake.map_duals(y, v, self.obj_scale))
-            blown = dual > _DUAL_BLOWUP and self.audit.feasibility(x, raw) > tol
+            blown = (_dual_bound(dual_int, self.obj_scale) > _DUAL_BLOWUP
+                     and self.audit.denominator(*intake.map_duals(
+                         y, v, self.obj_scale)) > _DUAL_BLOWUP
+                     and self.audit.feasibility(x, raw) > tol)
         else:
             blown = (report.denominator > _DUAL_BLOWUP
                      and report.raw_feasibility > tol)
@@ -797,7 +891,7 @@ class _Solve:
         its cap."""
         m, intake, kkt, W = self.m, self.intake, self.kkt, self.W
         eval_lagrangian_hessian(m, intake.model_x(self.z),
-                                intake.model_y(self.y), out=W)
+                                intake.model_y(self.y, self.y_model), out=W)
         W.data *= intake.hess_d
         sigma = _sigma(intake, self.point.gap, self.v)
         delta_w, delta_c = self.force_reg, _DELTA_C

@@ -74,9 +74,10 @@ class SparsePattern:
         self.indices = (keys % nminor).astype(idx)
         self.indptr = np.searchsorted(
             keys, np.arange(nmajor + 1) * nminor).astype(idx)
-        # every matrix shares these arrays: an in-place change must fail
-        self.indices.flags.writeable = False
-        self.indptr.flags.writeable = False
+        # every matrix and evaluation shares these arrays: an in-place
+        # change must fail
+        for a in (self.slot, self.indices, self.indptr):
+            a.flags.writeable = False
 
     def coords(self):
         """(rows, cols) of the stored entries, in storage order."""
@@ -287,8 +288,12 @@ class ModelIR:
     the Hessian of the Lagrangian (``jac_pattern``, ``hess_pattern``),
     with the slot each entry sums into.  Entries come in one order for
     patterns and values alike: the stacked linear terms, the products'
-    two Jacobian halves, then each polar block's.  Evaluation is pure and
-    safe to call concurrently once finalized.
+    two Jacobian halves, then each polar block's.  The arrays it publishes
+    (the three variable columns, ``row_lower``, ``row_upper``,
+    ``row_is_eq``, ``obj_coeffs`` and the patterns' index arrays) are
+    read-only, so whatever a solver derives from a finalized model cannot
+    go stale.  Evaluation is pure and safe to call concurrently once
+    finalized.
     """
 
     def __init__(self, name="model"):
@@ -380,6 +385,11 @@ class ModelIR:
         self.var_lower = _farray(self.var_lower)
         self.var_upper = _farray(self.var_upper)
         self.var_start = _farray(self.var_start)
+        # what a solver derives from these stays valid: none can change
+        for a in (self.var_lower, self.var_upper, self.var_start,
+                  self.row_lower, self.row_upper, self.row_is_eq,
+                  self.obj_coeffs):
+            a.flags.writeable = False
         self._finalized = True
         return self
 

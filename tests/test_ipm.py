@@ -1,5 +1,9 @@
+import gc
 import math
+import sys
+import threading
 import warnings
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -419,7 +423,42 @@ def overloaded_network(name, margin):
     return replace(net, buses=buses, raw_tables=None)
 
 
+def scaled_fixed_model():
+    # d = 2^10, 2^12 and 2^7 on a, b and c; f and g fixed through equal
+    # bounds; an inequality row, an equality row and a row with no finite
+    # bound, which the intake drops
+    m = ModelIR("scaled-fixed")
+    for name, lo, up in [("a", 0.0, 1000.0), ("b", -5000.0, 300.0),
+                         ("c", -INF, 150.0), ("f", 2.0, 2.0),
+                         ("g", -1.0, -1.0), ("x", -1.0, 1.0),
+                         ("w", -INF, INF)]:
+        m.add_variable(name, lo, up, 0.0)
+    m.add_block(QuadraticBlock(
+        "rows", [-3.0, 1.0, -INF], [3.0, 1.0, INF],
+        linear=([r for r in range(3) for _ in range(7)], list(range(7)) * 3,
+                [1.0 + r - 0.5 * c for r in range(3) for c in range(7)])))
+    m.add_objective_term(0, 1.0)
+    return m.finalize()
+
+
 class TestInfeasibilityDetection:
+    def test_dual_bound_is_never_below_the_audit_denominator(self):
+        # evaluate maps the duals for the blow-up test only once this
+        # bound passes _DUAL_BLOWUP: it must hold for every dual vector
+        m = scaled_fixed_model()
+        intake, audit = ipm_mod._Intake(m), ipm_mod._Auditor(m)
+        assert sorted(set(intake.d)) == [1.0, 128.0, 1024.0, 4096.0]
+        assert intake.n_fix == 2 and intake.n_rows == m.nrows - 1
+        rng = np.random.default_rng(18)
+        for _ in range(2000):
+            y = rng.normal(size=intake.m_int) * 10.0 ** rng.uniform(
+                -3, 12, intake.m_int)
+            v = 10.0 ** rng.uniform(-10, 12, len(intake.ib))
+            obj_scale = 10.0 ** rng.uniform(-6, 0)
+            dual_int = max(float(np.abs(y).max()), float(v.max()))
+            assert ipm_mod._dual_bound(dual_int, obj_scale) >= (
+                audit.denominator(*intake.map_duals(y, v, obj_scale)))
+
     def test_sparse_lp_infeasible_before_stall_window(self):
         # the dual regularization caps dual growth near 1/_DELTA_C, below a
         # blow-up threshold at that value; detection must not take the 30
@@ -926,7 +965,7 @@ class TestKktAssembly:
         m = kkt_model(name)
         rng = np.random.default_rng(7)
         intake = ipm_mod._Intake(m)
-        kkt = ipm_mod._KktPattern(intake)
+        kkt = ipm_mod._Kkt(ipm_mod._KktPattern(m, intake))
         lo, up = m.variable_bounds()
         x0 = m.initial_point()
         x_rand = np.clip(x0 + 0.1 * rng.normal(size=m.nvars), lo, up)
@@ -1011,22 +1050,36 @@ class TestKktAssembly:
         m = build_opf(parse_case(case_text("case9_loop")),
                       PowerFlowKind.AC, CostKind.LAMBDA)
         gstrf = kkt_mod._superlu.gstrf
-        orderings = []
+        orderings, intakes = [], []
 
         def counting_gstrf(*args, options, **kwargs):
             orderings.append(options["ColPerm"])
             return gstrf(*args, options=options, **kwargs)
 
+        def counting_intake(model):
+            intakes.append(model)
+            return intake(model)
+
+        intake = ipm_mod._Intake
         monkeypatch.setattr(kkt_mod._superlu, "gstrf", counting_gstrf)
+        monkeypatch.setattr(ipm_mod, "_Intake", counting_intake)
         res, log = solve(m)
         assert res.status == SolveStatus.OPTIMAL
         # the pattern is ordered once, before any factorization; then one
         # natural-order factorization per iteration and per correction
+        factorizations = len(log) + sum(
+            r.inertia_corrections for r in log.records)
         assert orderings[0] == "MMD_AT_PLUS_A"
         assert orderings.count("MMD_AT_PLUS_A") == 1
-        assert orderings.count("NATURAL") == len(log) + sum(
-            r.inertia_corrections for r in log.records)
-        assert len(orderings) == 1 + orderings.count("NATURAL")
+        assert orderings.count("NATURAL") == factorizations
+        assert len(orderings) == 1 + factorizations
+        assert len(intakes) == 1
+        # a second solve of the model reuses its structure: no ordering
+        # and no intake
+        orderings.clear()
+        solve(m, SolverOptions(tol=1e-8))
+        assert orderings and set(orderings) == {"NATURAL"}
+        assert len(intakes) == 1
 
     def test_sparse_matrices_built_per_solve_not_per_iteration(
             self, monkeypatch):
@@ -1109,3 +1162,91 @@ class TestKktAssembly:
         assert calls == {"factorize": 16, "_barrier_value": 32,
                          "eval_jacobian": 17, "eval_lagrangian_hessian": 16,
                          "eval_raw_rows": 18}
+        # a second solve takes z0 and its rows from the model's structure
+        calls.clear()
+        solve(m)
+        assert calls == {"factorize": 16, "_barrier_value": 32,
+                         "eval_jacobian": 17, "eval_lagrangian_hessian": 16,
+                         "eval_raw_rows": 16}
+
+
+def identical_solve(a, b):
+    """``same_solve``, and the same iteration log, row for row."""
+    same_solve(a, b)
+    assert a[1].to_csv() == b[1].to_csv()
+
+
+class TestStructure:
+    """Each model's solver structure is built at its first solve and
+    reused by every later one, which must take the same steps, bit for
+    bit, whatever the options."""
+
+    @staticmethod
+    def model(pf=PowerFlowKind.AC):
+        # psi scales its cost columns; case9_loop has inequality rows
+        return build_opf(parse_case(case_text("case9_loop")), pf,
+                         CostKind.PSI)
+
+    @pytest.mark.parametrize("pf", list(PowerFlowKind))
+    def test_warm_solve_is_the_cold_one(self, pf):
+        m = self.model(pf)
+        cold = solve(m, SolverOptions(tol=1e-8))
+        assert cold[0].status == SolveStatus.OPTIMAL
+        identical_solve(cold, solve(m, SolverOptions(tol=1e-8)))
+
+    def test_warm_solve_at_other_options(self):
+        m = self.model()
+        assert solve(m, SolverOptions(tol=1e-8))[0].status == (
+            SolveStatus.OPTIMAL)
+        for opts in (SolverOptions(tol=1e-6), SolverOptions(max_iter=5)):
+            identical_solve(solve(self.model(), opts), solve(m, opts))
+
+    def test_two_threads_solving_one_model(self):
+        opts = SolverOptions(tol=1e-8)
+        expected = solve(self.model(), opts)
+        m = self.model()
+        results = []
+        start = threading.Barrier(2, timeout=60)
+
+        def run():
+            start.wait()
+            results.append(solve(m, opts))
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            # the first round builds the structure in both threads at once,
+            # the second shares it
+            for _ in range(2):
+                threads = [threading.Thread(target=run) for _ in range(2)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=120)
+                assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(switch)
+        assert len(results) == 4
+        for result in results:
+            identical_solve(expected, result)
+
+    def test_structure_dies_with_its_model(self):
+        m = self.model()
+        solve(m)
+        assert m in ipm_mod._STRUCTURES
+        alive = weakref.ref(m)
+        del m
+        gc.collect()
+        assert alive() is None
+
+    def test_structure_arrays_are_read_only(self):
+        m = self.model()
+        solve(m)
+        st = ipm_mod._STRUCTURES[m]
+        arrays = [a for part in (st, st.intake, st.audit, st.kkt, st.kkt.csc)
+                  for a in vars(part).values() if isinstance(a, np.ndarray)]
+        arrays += [st.point0.raw, st.point0.h, st.point0.gap]
+        assert len(arrays) >= 30
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0

@@ -374,6 +374,17 @@ class TestFinalize:
         assert list(m.variable_bounds()[1]) == [2.0, 2.0]
         assert list(m.initial_point()) == [0.0, 0.0]
 
+    def test_published_arrays_are_read_only(self):
+        # a solver derives its structure from these once per model
+        m = linear_ineq_model()
+        arrays = [m.var_lower, m.var_upper, m.var_start, m.row_lower,
+                  m.row_upper, m.row_is_eq, m.obj_coeffs]
+        for pattern in (m.jac_pattern, m.hess_pattern):
+            arrays += [pattern.slot, pattern.indices, pattern.indptr]
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
+
 
 class TestObjective:
     def test_linear_objective_exact(self):

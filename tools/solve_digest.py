@@ -21,6 +21,11 @@ iteration log's CSV, so two versions that print the same line took the
 same steps, bit for bit.  Diff the output of two checkouts to find the
 cells that differ.  The workloads module is only imported; the program
 under test is the ``src`` tree next to this script.
+
+Every cell is then solved a second time, warm: the solver reuses what it
+built for the model at its first solve.  The printed lines cover the first
+solves only.  A cell whose second digest differs from its first is named
+on standard error, and the script exits 1 once every seed has run.
 """
 
 from __future__ import annotations
@@ -56,13 +61,14 @@ def cell_digest(result, log) -> str:
 
 
 def run_workload(workload: str, seed: int):
-    """Print one line per cell and the workload's summary line."""
+    """Print one line per cell and the workload's summary line; returns
+    the cells whose warm solve differs from their first."""
     cases, cells = workloads.workload_cells(workload, seed)
     networks = {c.name: parse_case(c.text) for c in cases}
     opts = SolverOptions(tol=TOL)
     total = hashlib.sha256()
     statuses, iterations, factorizations, audited, fill = Counter(), 0, 0, 0, 0
-    row_evals = 0
+    row_evals, warm_differs = 0, []
     eval_raw_rows = ModelIR.eval_raw_rows
 
     def counted(model, x):
@@ -78,6 +84,8 @@ def run_workload(workload: str, seed: int):
         finally:
             ModelIR.eval_raw_rows = eval_raw_rows
         digest = cell_digest(result, log)
+        if cell_digest(*solve(model, opts)) != digest:
+            warm_differs.append(f"cell {seed} {workload} {case}/{pf}/{ck}")
         total.update(digest.encode())
         statuses[result.status.value] += 1
         iterations += result.iterations
@@ -92,6 +100,7 @@ def run_workload(workload: str, seed: int):
           f"factorizations={factorizations} audited={audited} "
           f"row_evals={row_evals} fill={fill} "
           f"{counts} sha256={total.hexdigest()}")
+    return warm_differs
 
 
 def main(argv):
@@ -99,10 +108,13 @@ def main(argv):
         print("usage: python tools/solve_digest.py SEED [SEED ...]",
               file=sys.stderr)
         return 2
+    warm_differs = []
     for seed in map(int, argv):
         for workload in WORKLOADS:
-            run_workload(workload, seed)
-    return 0
+            warm_differs += run_workload(workload, seed)
+    for cell in warm_differs:
+        print(f"warm solve differs from the first: {cell}", file=sys.stderr)
+    return 1 if warm_differs else 0
 
 
 if __name__ == "__main__":
