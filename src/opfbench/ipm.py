@@ -56,11 +56,11 @@ Each point is evaluated once, as IPOPT caches its evaluations per iterate
 internal residual and the barrier terms at z: the bound gaps, obj . z and
 the lower and upper log sums.  The start point is evaluated once per
 model, with its structure, and every later point by ``merit`` as a trial
-point of the line search; ``accept`` carries the evaluation of the point it accepts into the
-next iteration.  ``evaluate`` reads the rows, residual and gaps from it,
-and the line search's merit at its start is formed from its barrier terms
-at the current mu.  A failed line search keeps the point and its
-evaluation.
+point of the line search; ``accept`` carries the evaluation of the point
+it accepts into the next iteration.  ``evaluate`` reads the rows, residual
+and gaps from it, and the line search's merit at its start is formed from
+its barrier terms at the current mu.  A failed line search keeps the point
+and its evaluation.
 
 ``evaluate`` computes J^T y once per iteration, in model units and then
 multiplied by D (see below), and from it the solver's own residuals: the
