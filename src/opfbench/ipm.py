@@ -36,10 +36,15 @@ the model's first solve, and reused by every later solve of it: the
 ``_Structure``.  It holds the intake (index sets, column scaling, bounds
 and start-point bounds), the auditor's index sets, the KKT pattern with
 its fill order (one ordering factorization), the objective scaling,
-whether the model is an LP, and the start point (z0, v0) with its
-evaluation (two row evaluations).  Every value buffer stays with the
-solve: K, the Jacobian and Hessian matrices, the model-row duals, the
-iterates and the log.  ``ipm`` keeps each structure in a
+whether the model is an LP or has a row with crossed bounds, and the
+start point (z0, v0) with its evaluation (two row evaluations).  Every
+value stays with the solve: the iterates, the model-row duals, the log,
+and the Jacobian, the Hessian and K as plain value arrays on the
+structure's fixed patterns (``modelir.SparsePattern``).  No solve builds,
+transposes or converts a scipy matrix: J^T y, the curvature's W dx and
+the factor's residual run the sparsetools kernels on (pattern, values),
+and K is factored as (pattern, values) (``kkt.factorize``), bit for bit
+what the matrices gave.  ``ipm`` keeps each structure in a
 ``weakref.WeakKeyDictionary`` keyed by its model, so it lives exactly as
 long as the model; it holds no reference to the model, which would keep
 its own key alive.  Its arrays are read-only, as are the model arrays it
@@ -53,20 +58,23 @@ the same steps as the first, bit for bit.
 
 Each point is evaluated once, as IPOPT caches its evaluations per iterate
 (Waechter & Biegler 2006).  ``evaluate_point`` computes the rows, the
-internal residual and the barrier terms at z: the bound gaps, obj . z and
-the lower and upper log sums.  The start point is evaluated once per
-model, with its structure, and every later point by ``merit`` as a trial
-point of the line search; ``accept`` carries the evaluation of the point
-it accepts into the next iteration.  ``evaluate`` reads the rows, residual
-and gaps from it, and the line search's merit at its start is formed from
-its barrier terms at the current mu.  A failed line search keeps the point
-and its evaluation.
+internal residual with its l1 norm and the barrier terms at z: the bound
+gaps, obj . z and the lower and upper log sums.  The start point is
+evaluated once per model, with its structure, and every later point by
+``merit`` as a trial point of the line search; ``accept`` carries the
+evaluation of the point it accepts into the next iteration.  ``evaluate``
+reads the rows, residual and gaps from it, and the line search's merit at
+its start is formed from its barrier terms at the current mu and its l1
+norm.  A failed line search keeps the point and its evaluation.
 
 ``evaluate`` computes J^T y once per iteration, in model units and then
 multiplied by D (see below), and from it the solver's own residuals: the
 primal-dual stationarity and the complementarity of the gaps, divided by
 one plus the largest internal dual.  ``update_barrier`` reuses all of
-them.  The independent audit, ``_Auditor``, runs only when both are
+them; it reads the barrier error max |gap v - mu| at each trial mu from
+the least and the largest product alone (``_largest_distance``), and
+keeps mu / gap for the dual step, as ``factor`` keeps v / gap.  The
+independent audit, ``_Auditor``, runs only when both are
 within ``_GATE`` times tol, as IPOPT tests termination on the residuals it
 already holds (Waechter & Biegler 2006); only an audited iteration may end
 optimal, so every optimal result passes ``kkt_check`` by construction.
@@ -138,7 +146,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .kkt import FactorizationError, csc_matvec, factorize, fill_order
+from .kkt import FactorizationError, factorize, fill_order
 from .modelir import (
     ModelIR,
     SolveResult,
@@ -260,13 +268,15 @@ class _Auditor:
     one model.
 
     Built once per model: it holds the variable bounds, the inequality rows
-    with their bounds and the index sets of the finite and the infinite
-    variable bounds, so each audit is a few gathers and reductions.  Its
-    arrays are read-only, the model's own ones included.
+    with their bounds, the index sets of the finite and the infinite
+    variable bounds and the Jacobian's pattern, so each audit is a few
+    gathers and reductions.  Its arrays are read-only, the model's own ones
+    included.
     """
 
     def __init__(self, m: ModelIR):
         self.obj = m.obj_coeffs
+        self.jac_pattern = m.jac_pattern
         self.row_lo, self.row_up = m.row_lower, m.row_upper
         self.xlo, self.xup = m.var_lower, m.var_upper
         self.ineq = np.nonzero(~m.row_is_eq)[0]
@@ -297,9 +307,10 @@ class _Auditor:
             float(np.abs(zu).max()) if len(zu) else 0.0,
         )
 
-    def __call__(self, x, y, zl, zu, raw, jac_tr) -> KktReport:
-        """Residuals given the raw rows and the transposed Jacobian at x."""
-        stat = self.obj + csc_matvec(jac_tr, y) - zl + zu
+    def __call__(self, x, y, zl, zu, raw, jac) -> KktReport:
+        """Residuals given the raw rows and the Jacobian's values (on the
+        model's pattern) at x."""
+        stat = self.obj + self.jac_pattern.rmatvec(jac, y) - zl + zu
         raw_feas = self.feasibility(x, raw)
 
         # a row dual pairs with its upper gap when positive, else with its
@@ -349,7 +360,8 @@ def kkt_check(m: ModelIR, result: SolveResult) -> KktReport:
         np.asarray(result.y, dtype=float),
         np.asarray(result.zl, dtype=float),
         np.asarray(result.zu, dtype=float),
-        m.eval_raw_rows(x), eval_jacobian(m, x).T,
+        m.eval_raw_rows(x),
+        eval_jacobian(m, x, out=np.empty(m.jac_pattern.nnz)),
     )
 
 
@@ -393,6 +405,7 @@ class _Intake:
         self.d = np.ones(self.nx)
         self.d[big] = np.exp2(np.round(np.log2(mag[big])))
         # factors of the Jacobian's and the Hessian's stored entries
+        self.jac_pattern = m.jac_pattern
         self.jac_d = self.d[m.jac_pattern.coords()[1]]
         wr, wc = m.hess_pattern.coords()
         self.hess_d = self.d[wr] * self.d[wc]
@@ -453,13 +466,14 @@ class _Intake:
             res = np.concatenate([res, z[self.fixed_idx] - self.fix_vals])
         return res
 
-    def jac_t(self, jac_tr, y, y_model):
-        """J^T y for the internal Jacobian, from the transposed model
-        Jacobian in model units, with y_model the array ``model_y`` writes
-        into: each d_j is a power of two, so scaling the product equals the
+    def jac_t(self, jac, y, y_model):
+        """J^T y for the internal Jacobian, from the model Jacobian's values
+        in model units, with y_model the array ``model_y`` writes into:
+        each d_j is a power of two, so scaling the product equals the
         product over the scaled columns, bit for bit."""
         out = np.empty(self.nz)
-        out[:self.nx] = csc_matvec(jac_tr, self.model_y(y, y_model)) * self.d
+        jty = self.jac_pattern.rmatvec(jac, self.model_y(y, y_model))
+        np.multiply(jty, self.d, out=out[:self.nx])
         out[self.nx:] = -y[self.ineq]
         out[self.fixed_idx] += y[self.n_rows:]
         return out
@@ -532,33 +546,36 @@ class _KktPattern:
 
 
 class _Kkt:
-    """The condensed K of one solve, bound to its model's ``_KktPattern``:
-    every assembly overwrites its values."""
+    """The condensed K of one solve: its values on its model's
+    ``_KktPattern``, one array that every assembly overwrites."""
 
     def __init__(self, pattern: _KktPattern):
         self.pattern, self.perm = pattern, pattern.perm
-        self._K = pattern.csc.matrix(np.zeros(len(pattern.csc.slot)))
+        # one array per solve: a new one per assembly, each kept alive by
+        # its factor, raised the peak RSS of three passes over the 120-bus
+        # benchmark case (seed 4) from 88.2 to 89.7 MB, median of 6 runs
+        self.values = np.empty(pattern.csc.nnz)
 
-    def assemble(self, W, sigma, delta_w, jac_model, delta_c):
-        """K for the model Hessian W and Jacobian on their model patterns,
-        the barrier diagonal sigma of every internal variable, slacks
-        included, and the regularizations delta_w and delta_c.
+    def assemble(self, w, sigma, delta_w, jac, delta_c):
+        """K's values on ``pattern.csc`` for the values w and jac of the
+        model Hessian and Jacobian on their model patterns, the barrier
+        diagonal sigma of every internal variable, slacks included, and the
+        regularizations delta_w and delta_c.
 
         The full system's slack rows are eliminated: with S = sigma_s +
         delta_w, each inequality row's dual diagonal is -(delta_c + 1/S).
-        Returns the same K object on every call, with the values of the
-        previous assembly overwritten, and keeps S for ``step``.
+        Returns the same value array on every call, with the values of
+        the previous assembly overwritten, and keeps S for ``step``.
         """
         p = self.pattern
         nx = p.nx
         self.slack_diag = sigma[nx:] + delta_w
         diag_c = np.full(p.m_int, -delta_c)
         diag_c[p.ineq] -= 1.0 / self.slack_diag
-        jv = np.concatenate([jac_model.data[p.jac_rows], p.fix_vals])
-        p.csc.scatter(np.concatenate([
-            W.data, jv, jv, sigma[:nx] + delta_w, diag_c,
-        ]), self._K.data)
-        return self._K
+        jv = np.concatenate([jac[p.jac_rows], p.fix_vals])
+        return p.csc.scatter(np.concatenate([
+            w, jv, jv, sigma[:nx] + delta_w, diag_c,
+        ]), self.values)
 
     def step(self, factor, r1, r2):
         """The full system's step (dz, dy) for the right-hand side (r1, r2),
@@ -573,7 +590,9 @@ class _Kkt:
         nz = len(r1)
         out = np.empty(nz + len(r2))
         out[:nx] = sol[:nx]
-        out[nx:nz] = (r1[nx:] + sol[rows_s]) / s_diag
+        ds = sol[rows_s]
+        ds += r1[nx:]
+        np.divide(ds, s_diag, out=out[nx:nz])
         out[nz:] = sol[nx:]
         return out
 
@@ -607,9 +626,9 @@ def _barrier_terms(intake, z, obj_lin):
     if len(gap) and gap.min() <= 0.0:
         return gap, None
     # lower and upper logs as two sums: the split fixes the rounding
-    nlo = intake.nlo
-    return gap, (float(obj_lin @ z), float(np.log(gap[:nlo]).sum()),
-                 float(np.log(gap[nlo:]).sum()))
+    nlo, logs = intake.nlo, np.log(gap)
+    return gap, (float(obj_lin @ z), float(logs[:nlo].sum()),
+                 float(logs[nlo:].sum()))
 
 
 def _barrier_value(terms, mu):
@@ -631,6 +650,7 @@ class _Point(NamedTuple):
 
     raw: np.ndarray  # the model rows at z, in model units
     h: np.ndarray    # the internal constraint residual
+    h_l1: float      # its l1 norm, the merit's penalty term
     terms: tuple     # ``_barrier_terms`` at z
 
     @property
@@ -639,39 +659,69 @@ class _Point(NamedTuple):
 
 
 def _evaluate_point(m, intake, obj_lin, z):
-    """The rows, the internal residual and the barrier terms at z."""
+    """The rows, the internal residual with its l1 norm and the barrier
+    terms at z."""
     raw = m.eval_raw_rows(intake.model_x(z))
-    return _Point(raw, intake.residual(z, raw),
+    h = intake.residual(z, raw)
+    return _Point(raw, h, float(np.abs(h).sum()),
                   _barrier_terms(intake, z, obj_lin))
 
 
-def _sigma(intake, gap, v):
-    """Primal barrier diagonal: sum of v / gap over each component's
-    bounds."""
-    return np.bincount(intake.ib, weights=v / gap, minlength=intake.nz)
+def _sigma(intake, v_gap):
+    """Primal barrier diagonal: sum of v_gap = v / gap over each
+    component's bounds."""
+    return np.bincount(intake.ib, weights=v_gap, minlength=intake.nz)
 
 
 def _max_step(gap, dgap):
     """Largest alpha in [0, 1] keeping every gap + alpha*dgap at least a
-    (1 - tau) fraction of its gap."""
-    neg = dgap < 0
-    if not neg.any():
-        return 1.0
-    return max(min(1.0, float(np.min(-_TAU * gap[neg] / dgap[neg]))), 0.0)
+    (1 - tau) fraction of its gap: one divide, over the shrinking gaps
+    alone, and one minimum."""
+    ratio = np.empty(len(gap))
+    ratio.fill(1.0)
+    np.divide(-_TAU * gap, dgap, out=ratio, where=dgap < 0)
+    return max(float(ratio.min(initial=1.0)), 0.0)
 
 
-def _dual_step(mu, gap, v, dgap):
-    """Bound-multiplier Newton step dv for the gap step dgap, and the
-    largest fraction-to-the-boundary step length keeping v positive."""
-    dv = mu / gap - v - (v / gap) * dgap
+def _largest_distance(extremes, mu):
+    """max |g - mu| over the entries of an array g, from extremes, its
+    (least, largest) entries, or 0.0 when g is empty (extremes None).
+    Rounding is monotone and symmetric: fl(g - mu) grows with g, and
+    fl(mu - g) = -fl(g - mu), so the largest distance is at the least or
+    the largest entry, bit for bit."""
+    if extremes is None:
+        return 0.0
+    least, largest = extremes
+    return max(largest - mu, mu - least)
+
+
+def _dual_step(mu_gap, v_gap, v, dgap):
+    """Bound-multiplier Newton step dv = mu/gap - v - (v/gap) dgap for the
+    gap step dgap, from mu_gap = mu/gap and v_gap = v/gap, and the largest
+    fraction-to-the-boundary step length keeping v positive."""
+    dv = np.subtract(mu_gap, v)
+    dv -= np.multiply(v_gap, dgap)
     return dv, _max_step(v, dv)
 
 
-def _curvature(W, diag, dz):
-    """dz^T (W + diag(diag)) dz, the primal curvature along the step; W
-    covers the leading model variables of dz, the slacks have none."""
-    dx = dz[:W.shape[0]]
-    return float(dx @ (W @ dx)) + float(dz @ (diag * dz))
+def _dual_update(v, alpha, dv, mu, gap):
+    """v + alpha dv, floored at zero and held in the safeguard corridor
+    [mu / (kappa_sigma gap), kappa_sigma mu / gap] that keeps the bound
+    multipliers consistent with mu; dv is overwritten with the result."""
+    dv *= alpha
+    dv += v
+    np.maximum(dv, 0.0, out=dv)
+    lo = np.multiply(_KAPPA_SIGMA, gap)
+    np.divide(mu, lo, out=lo)
+    return np.clip(dv, lo, np.divide(_KAPPA_SIGMA * mu, gap), out=dv)
+
+
+def _curvature(w_pattern, w, diag, dz):
+    """dz^T (W + diag(diag)) dz, the primal curvature along the step, for
+    W with the values w on ``w_pattern``; W covers the leading model
+    variables of dz, the slacks have none."""
+    dx = dz[:w_pattern.shape[0]]
+    return float(dx @ w_pattern.matvec(w, dx)) + float(dz @ (diag * dz))
 
 
 def _dual_bound(dual_int, obj_scale):
@@ -687,7 +737,8 @@ class _Structure:
     """What every solve of one finalized model shares, built from the
     model alone at its first solve (see ``_structure``): the intake, the
     auditor, the KKT pattern with its fill order, the objective scaling,
-    whether the model is an LP, and the start point with its evaluation.
+    whether the model is an LP or has crossed row bounds, and the start
+    point with its evaluation.
     It holds no reference to the model, and its arrays are read-only."""
 
     def __init__(self, m: ModelIR):
@@ -695,6 +746,8 @@ class _Structure:
         self.audit = _Auditor(m)
         self.kkt = _KktPattern(m, intake)
         self.is_lp = m.hess_pattern.nnz == 0
+        # a row whose bounds cross: no point is feasible
+        self.crossed = bool(np.any(m.row_lower > m.row_upper))
         # the gradient in the scaled variables sets the objective scaling
         grad = m.obj_coeffs * intake.d
         grad_norm = float(np.abs(grad).max()) if m.nvars else 0.0
@@ -738,14 +791,13 @@ class _Solve:
         structure = _structure(m)
         self.intake = intake = structure.intake
         self.audit, self.is_lp = structure.audit, structure.is_lp
+        self.crossed = structure.crossed
         self.obj_scale, self.obj_lin = structure.obj_scale, structure.obj_lin
         self.kkt = _Kkt(structure.kkt)
-        # bound once per solve: every iteration overwrites their values, and
-        # jac_tr, a CSC view of jac_model's arrays, follows jac_model
-        self.jac_model = m.jac_pattern.matrix(
-            np.zeros(len(m.jac_pattern.slot)))
-        self.jac_tr = self.jac_model.T
-        self.W = m.hess_pattern.matrix(np.zeros(len(m.hess_pattern.slot)))
+        # the Jacobian's and the Hessian's values on the model's patterns,
+        # one array each per solve, overwritten by every evaluation
+        self.jac = np.zeros(m.jac_pattern.nnz)
+        self.hess = np.zeros(m.hess_pattern.nnz)
         self.y_model = np.zeros(m.nrows)  # see ``_Intake.model_y``
 
         self.mu = _MU_INIT
@@ -765,7 +817,7 @@ class _Solve:
     def run(self):
         """Iterate to a status: returns (SolveResult, IterationLog), with
         one record per iteration that reached a step."""
-        if np.any(self.m.row_lower > self.m.row_upper):
+        if self.crossed:
             self.z = np.zeros(self.intake.nz)
             self.v = np.zeros(len(self.intake.ib))
             return self.finish(SolveStatus.INFEASIBLE)
@@ -815,40 +867,43 @@ class _Solve:
         INFEASIBLE when the solve is over, else None."""
         m, intake, tol = self.m, self.intake, self.opts.tol
         y, v, point = self.y, self.v, self.point
-        x = intake.model_x(self.z)
+        x = self.x = intake.model_x(self.z)
         raw, h = point.raw, point.h
-        eval_jacobian(m, x, out=self.jac_model)
+        eval_jacobian(m, x, out=self.jac)
         self.h_inf = float(np.abs(h).max()) if len(h) else 0.0
 
         # the internal residuals, all independent of mu: the stationarity
         # in the primal-dual form, which is what the Newton step drives to
-        # zero, and the complementarity of the gaps
-        gap = point.gap
-        self.gv = gap * v
+        # zero, and the complementarity of the gaps, whose least and
+        # largest products update_barrier reads too
         dual_int = max(
             float(np.abs(y).max()) if len(y) else 0.0,
             float(v.max()) if len(v) else 0.0,
         )
         denom = self.denom_int = 1.0 + dual_int
-        self.jty = intake.jac_t(self.jac_tr, y, self.y_model)
+        self.jty = intake.jac_t(self.jac, y, self.y_model)
         self.stat_pd = float(np.abs(
             intake.add_bound_terms(self.obj_lin + self.jty, v)
         ).max()) / denom
-        compl = float(self.gv.max()) / denom if len(self.gv) else 0.0
+        if len(v):
+            gv = point.gap * v
+            self.gv_extremes = float(gv.min()), float(gv.max())
+            compl = self.gv_extremes[1] / denom
+        else:
+            self.gv_extremes, compl = None, 0.0
 
         # the independent audit is the final word on optimality, and runs
         # only once the internal residuals say the point is close
         report = self.report = None
         if max(self.stat_pd, compl) <= _GATE * tol:
             report = self.report = self.audit(
-                x, *intake.map_duals(y, v, self.obj_scale), raw, self.jac_tr)
+                x, *intake.map_duals(y, v, self.obj_scale), raw, self.jac)
             self.residuals = (report.stationarity, report.complementarity,
                               True)
         else:
             self.residuals = (self.stat_pd, compl, False)
-        # the audit is done: the Jacobian's columns go to x' (and jac_tr, a
-        # view of the same values, with them)
-        self.jac_model.data *= intake.jac_d
+        # the audit is done: the Jacobian's columns go to x'
+        self.jac *= intake.jac_d
         if (report is not None and report.max_residual <= tol
                 and report.raw_feasibility <= tol):
             return SolveStatus.OPTIMAL
@@ -870,30 +925,32 @@ class _Solve:
         """Lower mu, up to 8 times, while the barrier subproblem is solved
         to within kappa_eps*mu; sets the barrier gradient and the Newton
         right-hand side's primal part at the new mu."""
-        intake, gv, mu = self.intake, self.gv, self.mu
-        denom_int = self.denom_int
+        mu, denom_int = self.mu, self.denom_int
         # barrier-KKT error of the mu-subproblem, from evaluate's residuals
+        # and the extremes of the gap-multiplier products
         for _ in range(8):
-            compl_mu = (float(np.abs(gv - mu).max()) / denom_int
-                        if len(gv) else 0.0)
+            compl_mu = _largest_distance(self.gv_extremes, mu) / denom_int
             e_mu = max(self.stat_pd, self.h_inf / denom_int, compl_mu)
             if not (e_mu <= _KAPPA_EPS * mu and mu > self.mu_min):
                 break
             mu = max(self.mu_min, _MU_FACTOR * mu)
         self.mu = mu
-        self.grad_phi = intake.add_bound_terms(self.obj_lin.copy(),
-                                               mu / self.point.gap)
-        self.r1 = -(self.grad_phi + self.jty)
+        self.mu_gap = mu / self.point.gap
+        self.grad_phi = self.intake.add_bound_terms(self.obj_lin.copy(),
+                                                    self.mu_gap)
+        self.r1 = np.add(self.grad_phi, self.jty)
+        np.negative(self.r1, out=self.r1)
 
     def factor(self, it):
         """Factor the Newton system, correcting the inertia: returns
         (factor, step, delta_w, corrections), or None once delta_w passes
         its cap."""
-        m, intake, kkt, W = self.m, self.intake, self.kkt, self.W
-        eval_lagrangian_hessian(m, intake.model_x(self.z),
-                                intake.model_y(self.y, self.y_model), out=W)
-        W.data *= intake.hess_d
-        sigma = _sigma(intake, self.point.gap, self.v)
+        m, intake, kkt, w = self.m, self.intake, self.kkt, self.hess
+        eval_lagrangian_hessian(m, self.x,
+                                intake.model_y(self.y, self.y_model), out=w)
+        w *= intake.hess_d
+        self.v_gap = self.v / self.point.gap
+        sigma = _sigma(intake, self.v_gap)
         delta_w, delta_c = self.force_reg, _DELTA_C
         if it == 0 and not self.is_lp:
             # at y = 0 the Hessian block is all stored zeros: the
@@ -901,9 +958,9 @@ class _Solve:
             delta_w, delta_c = _REG_FLOOR, _DELTA_C_SINGULAR
         corrections = 0
         while True:
-            K = kkt.assemble(W, sigma, delta_w, self.jac_model, delta_c)
+            K = kkt.assemble(w, sigma, delta_w, self.jac, delta_c)
             try:
-                factor = factorize(K, perm=kkt.perm)
+                factor = factorize(kkt.pattern.csc, data=K, perm=kkt.perm)
                 inertia = factor.inertia
                 # each condensed slack takes one positive pivot with it
                 if inertia is None or inertia == (intake.nx, intake.m_int, 0):
@@ -912,7 +969,7 @@ class _Solve:
                     # unknown inertia: accept a step of nonnegative
                     # curvature, otherwise raise delta_w only
                     if (inertia is not None
-                            or _curvature(W, sigma + delta_w,
+                            or _curvature(m.hess_pattern, w, sigma + delta_w,
                                           step[:intake.nz]) >= 0.0):
                         if corrections and not self.is_lp:
                             self.delta_last = delta_w
@@ -935,17 +992,17 @@ class _Solve:
         """(l1 exact-penalty merit at z, the evaluation of z)."""
         point = self.evaluate_point(z)
         return (_barrier_value(point.terms, self.mu)
-                + self.nu * float(np.abs(point.h).sum()), point)
+                + self.nu * point.h_l1, point)
 
     def line_search(self, factor, step, dgap, alpha_max):
         """Raise the merit penalty to what the step needs, then backtrack
         from alpha_max; returns the accepted (z, alpha, dgap, dy, point),
         where dgap is the step's change of the bound gaps and point the
         evaluation of z, or None."""
-        intake, z, h = self.intake, self.z, self.point.h
+        intake, z = self.intake, self.z
+        h, h_l1 = self.point.h, self.point.h_l1
         nz, m_int = intake.nz, intake.m_int
         dz, dy = step[:nz], step[nz:]
-        h_l1 = float(np.abs(h).sum())
         slope_obj = float(self.grad_phi @ dz)
         if h_l1 > 1e-12:
             nu_req = max(
@@ -991,16 +1048,12 @@ class _Solve:
     def accept(self, z, alpha, dgap, dy, point):
         """Move to the accepted point z, with its evaluation, and take the
         dual step; returns the primal and dual step lengths."""
-        mu = self.mu
-        dv, alpha_dual = _dual_step(mu, self.point.gap, self.v, dgap)
+        dv, alpha_dual = _dual_step(self.mu_gap, self.v_gap, self.v, dgap)
         self.ls_failures = 0
         self.force_reg = 0.0
         self.z, self.point = z, point
         self.y = self.y + alpha * dy
-        v = np.maximum(self.v + alpha_dual * dv, 0.0)
-        # safeguard corridor keeps bound multipliers consistent with mu
-        gap = point.gap
-        self.v = np.clip(v, mu / (_KAPPA_SIGMA * gap), _KAPPA_SIGMA * mu / gap)
+        self.v = _dual_update(self.v, alpha_dual, dv, self.mu, point.gap)
         return alpha, alpha_dual
 
     def finish(self, status):
@@ -1015,7 +1068,7 @@ class _Solve:
             report = self.report
         else:
             report = self.audit(x, y, zl, zu, m.eval_raw_rows(x),
-                                eval_jacobian(m, x, out=self.jac_model).T)
+                                eval_jacobian(m, x, out=self.jac))
         return SolveResult(
             status=status,
             objective=m.eval_objective(x),

@@ -56,13 +56,20 @@ product.
 
 SuperLU is called through scipy's private ``_superlu.gstrf``, the routine
 ``splu`` ends in, from one place (``_gstrf``) with the options ``splu``
-would pass apart from the panel width below.  ``factorize`` does the input
-checks ``splu`` did (CSC, float, square, duplicates summed), and they cost
-nothing on a matrix already in that form, which is what a caller that
-binds its matrix once hands in on every call.  The factor's ``L``/``U``
-come back as raw ``(data, indices, indptr)`` arrays, not as matrices, and
-the pivots are read from U's storage, where each column ends at its
-diagonal entry.
+would pass apart from the panel width below.  ``factorize`` takes K in one
+of two forms.  A caller that factors one pattern many times passes the
+pattern and a value array, ``factorize(pattern, data=values)``: a square
+CSC pattern with each column's rows sorted and distinct (such as a CSC
+``modelir.SparsePattern``) is taken as it is, only the values' type and
+length are checked, and no matrix object is built.  Anything else, dense
+or sparse, gets the input checks ``splu`` does (CSC, float, square,
+duplicates summed) and is converted once, on entry, into that same
+(pattern, values) form: a summed float CSC matrix is its own pattern.
+Every factorization and every residual product then runs on (pattern,
+values), by ``gstrf`` and the sparsetools kernel.  The factor's
+``L``/``U`` come back as raw ``(data, indices, indptr)`` arrays, not as
+matrices, and the pivots are read from U's storage, where each column ends
+at its diagonal entry.
 
 SuperLU factors in panels of adjacent columns, sharing each column's
 symbolic and numeric update with the rest of its panel (Demmel, Eisenstat,
@@ -81,9 +88,10 @@ default (0.192-0.208 s against 0.192 s on the 120-bus case).  The panel
 width changes the order of the LU updates, so the factors differ from the
 default's in their last bits.
 
-A factor borrows K for the residual check of its solves: K must not change
-while the factor is in use.  A caller that overwrites one bound K on every
-assembly discards each factor before it assembles again.
+A factor borrows K's pattern and values for the residual check of its
+solves: neither may change while the factor is in use.  A caller that
+overwrites one value array on every assembly discards each factor before
+it assembles again.
 
 scipy's ``gstrf`` takes no work array: SuperLU allocates its work memory
 with ``malloc`` on every factorization and frees it at the end, and glibc
@@ -148,12 +156,13 @@ class FactorizationError(Exception):
     """Factorization broke down (structurally or numerically singular)."""
 
 
-def csc_matvec(A, x):
-    """A @ x for a float CSC matrix A and a float vector x, by the
-    sparsetools kernel that ``@`` ends in, without scipy's dispatch."""
-    out = np.zeros(A.shape[0])
-    _sparsetools.csc_matvec(A.shape[0], A.shape[1], A.indptr, A.indices,
-                            A.data, x, out)
+def csc_matvec(K, data, x):
+    """K @ x for the values ``data`` on the CSC pattern K and a float
+    vector x, by the sparsetools kernel that ``@`` ends in, without
+    scipy's dispatch."""
+    out = np.zeros(K.shape[0])
+    _sparsetools.csc_matvec(K.shape[0], K.shape[1], K.indptr, K.indices,
+                            data, x, out)
     return out
 
 
@@ -215,42 +224,47 @@ def fill_order(K):
 
 
 class _SparseFactor:
-    def __init__(self, K: sp.csc_matrix, perm):
-        self._K = K
+    def __init__(self, K, data, perm):
+        self._K, self._data = K, data
         self._perm = perm
-        self._lu = _gstrf(K, K.data, "NATURAL")
-        self.fill = self._lu.nnz
-        piv = _u_diagonal(self._lu)
-        if not np.all(np.isfinite(piv)):
+        self._lu = lu = _gstrf(K, data, "NATURAL")
+        self.fill = lu.nnz
+        piv = _u_diagonal(lu)
+        if not np.isfinite(piv).all():
             raise FactorizationError("non-finite pivots")
-        if np.array_equal(self._lu.perm_r, self._lu.perm_c):
-            pos = int(np.sum(piv > 0.0))
-            neg = int(np.sum(piv < 0.0))
+        if (lu.perm_r == lu.perm_c).all():
+            pos = np.count_nonzero(piv > 0.0)
+            neg = np.count_nonzero(piv < 0.0)
             self.inertia = (pos, neg, len(piv) - pos - neg)
         else:
             self.inertia = None
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        if self._perm is not None:
+        perm = self._perm
+        if perm is not None:
             b_stored = np.empty_like(b)
-            b_stored[self._perm] = b
+            b_stored[perm] = b
             b = b_stored
         bound = _SOLVE_RTOL * (1.0 + np.abs(b).max(initial=0.0))
         x = self._lu.solve(b)
         if not self._solves(x, b, bound):
             # one step of iterative refinement, only where it is needed
-            x = x + self._lu.solve(b - csc_matvec(self._K, x))
+            r = csc_matvec(self._K, self._data, x)
+            np.subtract(b, r, out=r)
+            x += self._lu.solve(r)
             if not self._solves(x, b, bound):
                 raise FactorizationError("numerically singular")
-        return x if self._perm is None else x[self._perm]
+        return x if perm is None else x[perm]
 
     def _solves(self, x, b, bound):
         """Whether x is finite and K x - b within ``bound`` in max-norm."""
-        residual = np.abs(csc_matvec(self._K, x) - b).max(initial=0.0)
+        r = csc_matvec(self._K, self._data, x)
+        r -= b
+        residual = np.abs(r, out=r).max(initial=0.0)
         return bool(residual <= bound) and bool(np.isfinite(x).all())
 
 
-def factorize(K, *, perm=None):
+def factorize(K, *, perm=None, data=None):
     """Factor a symmetric indefinite matrix in its stored order, returning
     a factor with ``solve(rhs)``, ``inertia``: (pos, neg, zero), or None
     when pivoting left the diagonal and the inertia is unknown, and
@@ -260,9 +274,18 @@ def factorize(K, *, perm=None):
     stored at (perm[i], perm[j]) of K, typically in the order
     ``fill_order`` returns, and ``solve`` works in the unpermuted order.
 
-    K is dense or sparse; a float CSC K is used as it is, after its
-    duplicate entries are summed in place.  Raises ValueError if K is not
-    square, and FactorizationError on breakdown; the caller is expected to
-    add regularization and retry.
+    With ``data`` given, K is a square CSC pattern, each column's rows
+    sorted and distinct (anything with ``shape``, ``nnz``, ``indptr`` and
+    ``indices``, such as a CSC ``modelir.SparsePattern``), and ``data``
+    its float values; both are used as they are.  Otherwise K is dense or
+    sparse, and a float CSC K is used as it is after its duplicate entries
+    are summed in place.  Raises ValueError if K is not square or data is
+    not one float per entry, and FactorizationError on breakdown; the
+    caller is expected to add regularization and retry.
     """
-    return _SparseFactor(_as_csc(K), perm)
+    if data is None:
+        K = _as_csc(K)
+        data = K.data
+    elif data.dtype != np.float64 or data.shape != (K.nnz,):
+        raise ValueError("data must hold one float per entry of K")
+    return _SparseFactor(K, data, perm)

@@ -25,6 +25,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 INF = math.inf
 
@@ -43,10 +44,12 @@ class SparsePattern:
     ``matrix(vals)`` takes one value per coordinate, in the order the
     coordinates were given, sums repeats onto their slot and wraps the
     result on the fixed ``indptr``/``indices`` without any COO conversion.
-    ``scatter(vals, out)`` writes the same sums into ``out``, the ``data``
-    of a matrix on this pattern, so a caller that binds one matrix per
-    pattern builds none per evaluation.  ``fmt`` is "csr" (row-major) or
-    "csc" (column-major).
+    ``scatter(vals, out)`` writes the same sums into ``out``, an array of
+    ``nnz`` values on this pattern (the ``data`` of such a matrix), and
+    ``matvec``/``rmatvec`` multiply by the matrix such values make, or by
+    its transpose, so a caller that keeps one value array per pattern
+    builds no matrix at all.  ``fmt`` is "csr" (row-major) or "csc"
+    (column-major).
     """
 
     def __init__(self, rows, cols, shape, fmt="csr"):
@@ -88,6 +91,26 @@ class SparsePattern:
 
     def scatter(self, vals, out):
         out[:] = np.bincount(self.slot, weights=vals, minlength=self.nnz)
+        return out
+
+    def matvec(self, data, x):
+        """A @ x for the matrix A with the values ``data`` on this
+        pattern, by the sparsetools kernel scipy's ``@`` ends in, so the
+        product is ``@``'s, bit for bit."""
+        return self._product(self._cls is sp.csr_matrix, data, x,
+                             self.shape)
+
+    def rmatvec(self, data, x):
+        """A^T @ x: the same arrays read in the other storage order, as
+        scipy's ``A.T @ x`` reads them."""
+        return self._product(self._cls is sp.csc_matrix, data, x,
+                             self.shape[::-1])
+
+    def _product(self, by_rows, data, x, shape):
+        out = np.zeros(shape[0])
+        kernel = (_sparsetools.csr_matvec if by_rows
+                  else _sparsetools.csc_matvec)
+        kernel(shape[0], shape[1], self.indptr, self.indices, data, x, out)
         return out
 
     def matrix(self, vals):
@@ -477,13 +500,13 @@ def eval_residuals(m: ModelIR, x) -> np.ndarray:
 def _evaluated(pattern: SparsePattern, vals, out):
     if out is None:
         return pattern.matrix(vals)
-    pattern.scatter(vals, out.data)
-    return out
+    return pattern.scatter(vals, out)
 
 
 def eval_jacobian(m: ModelIR, x, out=None) -> sp.csr_matrix:
     """Sparse Jacobian of the raw row values at x, on ``m.jac_pattern``: a
-    new matrix, or ``out``, a matrix on that pattern, overwritten."""
+    new matrix, or with ``out`` given, its values written into ``out``, an
+    array of ``m.jac_pattern.nnz`` floats, which is returned."""
     x = m._check_x(x)
     vals = np.concatenate([blk.jac_values(x) for _, blk in m._parts])
     return _evaluated(m.jac_pattern, vals, out)
@@ -491,7 +514,8 @@ def eval_jacobian(m: ModelIR, x, out=None) -> sp.csr_matrix:
 
 def eval_lagrangian_hessian(m: ModelIR, x, duals, out=None) -> sp.csr_matrix:
     """Sparse Hessian of objective + duals . g(x), on ``m.hess_pattern``: a
-    new matrix, or ``out``, a matrix on that pattern, overwritten.
+    new matrix, or with ``out`` given, its values written into ``out``, an
+    array of ``m.hess_pattern.nnz`` floats, which is returned.
 
     The objective is linear, so only constraint curvature contributes.
     """

@@ -846,14 +846,14 @@ class TestSignedBounds:
                 masked_max_step(zu, dzu, np.zeros(nz), np.full(nz, INF),
                                 up_f, never),
             )
-            dv, alpha = ipm_mod._dual_step(mu, gap, v, dgap)
+            dv, alpha = ipm_mod._dual_step(mu / gap, v / gap, v, dgap)
             assert np.array_equal(dv, np.concatenate([dzl[lo_f], dzu[up_f]]))
             assert alpha == alpha_ref
 
             sigma = np.zeros(nz)
             sigma[lo_f] += (zl / gap_lo)[lo_f]
             sigma[up_f] += (zu / gap_up)[up_f]
-            assert np.array_equal(ipm_mod._sigma(intake, gap, v), sigma)
+            assert np.array_equal(ipm_mod._sigma(intake, v / gap), sigma)
 
             barrier = float(obj @ z)
             barrier -= mu * float(np.log(gap_lo[lo_f]).sum())
@@ -928,10 +928,16 @@ class ExactFactor:
         return np.linalg.solve(self._K, b)
 
 
+def on_pattern(pattern, values):
+    """The scipy matrix with the values ``values`` on the compressed
+    ``pattern``."""
+    return sp.coo_matrix((values, pattern.coords()), shape=pattern.shape)
+
+
 def solver_points(m, count):
     """``_Solve`` objects of m at its first ``count`` iterates, each after
-    its ``factor`` phase: W and the Jacobian hold the iterate's values,
-    r1 and h its Newton right-hand side."""
+    its ``factor`` phase: the Hessian and Jacobian values hold the
+    iterate's, r1 and h its Newton right-hand side."""
     s = ipm_mod._Solve(m, SolverOptions(tol=1e-8))
     for it in range(count):
         assert s.evaluate() is None
@@ -976,7 +982,7 @@ class TestKktAssembly:
         # K is stored in the pattern's fill order: P ref P^T
         P = np.zeros((n, n))
         P[kkt.perm, np.arange(n)] = 1.0
-        pattern = None
+        previous = None
         for x, y in points:
             W = eval_lagrangian_hessian(m, x, y)
             jac = eval_jacobian(m, x)
@@ -986,18 +992,20 @@ class TestKktAssembly:
             sigma[nx:] += 0.5
             for delta_w in (0.0, 1e-4):
                 for delta_c in (1e-10, 1e-6):
-                    K = kkt.assemble(W, sigma, delta_w, jac, delta_c)
+                    values = kkt.assemble(W.data, sigma, delta_w, jac.data,
+                                          delta_c)
                     ref = P @ condensed_reference(reference_kkt(
                         m, W, sigma + delta_w, jac, delta_c).toarray(),
                         nx, ns) @ P.T
-                    assert K.format == "csc" and K.shape == ref.shape
+                    # one value per entry of the pattern, in the one
+                    # array every assembly overwrites
+                    assert values.shape == (kkt.pattern.csc.nnz,)
+                    assert previous is None or values is previous
+                    previous = values
+                    K = on_pattern(kkt.pattern.csc, values)
+                    assert K.shape == ref.shape
                     scale = abs(ref).max()
                     assert abs(K.toarray() - ref).max() <= 1e-14 * scale
-                    # the pattern is the same for every assembly
-                    if pattern is None:
-                        pattern = (K.indptr.copy(), K.indices.copy())
-                    assert np.array_equal(K.indptr, pattern[0])
-                    assert np.array_equal(K.indices, pattern[1])
 
     @pytest.mark.parametrize("name", KKT_MODELS[:-1])
     def test_condensed_step_solves_the_full_system(self, name):
@@ -1008,19 +1016,24 @@ class TestKktAssembly:
         m = kkt_model(name)
         for s in solver_points(m, 4):
             intake, kkt = s.intake, s.kkt
-            sigma = ipm_mod._sigma(intake, s.point.gap, s.v)
+            sigma = ipm_mod._sigma(intake, s.v / s.point.gap)
             rhs = np.concatenate([s.r1, -s.point.h])
+            W = on_pattern(m.hess_pattern, s.hess)
+            jac = on_pattern(m.jac_pattern, s.jac)
             for delta_w, delta_c in ((0.0, 1e-10), (1e-4, 1e-8)):
-                K = kkt.assemble(s.W, sigma, delta_w, s.jac_model, delta_c)
-                full = reference_kkt(m, s.W, sigma + delta_w, s.jac_model,
+                values = kkt.assemble(s.hess, sigma, delta_w, s.jac, delta_c)
+                full = reference_kkt(m, W, sigma + delta_w, jac,
                                      delta_c).toarray()
                 ref = np.linalg.solve(full, rhs)
-                step = kkt.step(ExactFactor(K, kkt.perm), s.r1, -s.point.h)
+                step = kkt.step(ExactFactor(on_pattern(kkt.pattern.csc,
+                                                       values), kkt.perm),
+                                s.r1, -s.point.h)
                 assert (np.abs(step - ref).max()
                         <= 1e-9 * np.abs(ref).max())
                 # SuperLU's step meets the full system to the accuracy its
                 # residual check asks of the condensed one
-                factor = kkt_mod.factorize(K, perm=kkt.perm)
+                factor = kkt_mod.factorize(kkt.pattern.csc, data=values,
+                                           perm=kkt.perm)
                 step = kkt.step(factor, s.r1, -s.point.h)
                 r_s = s.r1[intake.nx:] / (sigma[intake.nx:] + delta_w)
                 assert np.abs(full @ step - rhs).max() <= (
@@ -1101,6 +1114,30 @@ class TestKktAssembly:
             assert len(log) == max_iter
             counts.append(len(built))
         assert counts[0] == counts[1]
+
+    def test_warm_solve_builds_no_sparse_matrix(self, monkeypatch):
+        # a solve keeps its Jacobian, Hessian and K as value arrays on the
+        # model's patterns: once the structure exists, no scipy matrix is
+        # constructed, transposed or converted
+        m = build_opf(parse_case(case_text("case9_loop")),
+                      PowerFlowKind.AC, CostKind.LAMBDA)
+        assert solve(m)[0].status == SolveStatus.OPTIMAL
+        init = _cs_matrix.__init__
+        built = []
+
+        def counting_init(self, *args, **kwargs):
+            built.append(type(self).__name__)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(_cs_matrix, "__init__", counting_init)
+        for opts in (SolverOptions(), SolverOptions(max_iter=5)):
+            res, _ = solve(m, opts)
+            assert res.status in (SolveStatus.OPTIMAL,
+                                  SolveStatus.ITERATION_LIMIT)
+        assert built == []
+        # the counter sees the matrices callers outside a solve still get
+        eval_jacobian(m, m.initial_point())
+        assert built == ["csr_matrix"]
 
     def test_failed_correction_solve_is_skipped(self, monkeypatch):
         # a second-order-correction solve that fails its residual check
@@ -1229,6 +1266,28 @@ class TestStructure:
         assert len(results) == 4
         for result in results:
             identical_solve(expected, result)
+
+    def test_crossed_row_bounds_end_infeasible_cold_and_warm(self):
+        # no point satisfies a row whose lower bound exceeds its upper one;
+        # the structure records that once, and every solve of the model
+        # stops before its first iteration
+        m = ModelIR("crossed")
+        m.add_variable("x", 0.0, 10.0, 1.0)
+        m.add_variable("y", 0.0, 10.0, 1.0)
+        m.add_block(QuadraticBlock("sum", [1.0], [5.0],
+                                   linear=([0, 0], [0, 1], [1.0, 1.0])))
+        m.add_block(QuadraticBlock("crossed", [3.0], [2.0],
+                                   linear=([0], [0], [1.0])))
+        m.add_objective_term(1, 1.0)
+        m.finalize()
+        cold = solve(m)
+        assert ipm_mod._STRUCTURES[m].crossed
+        assert cold[0].status == SolveStatus.INFEASIBLE
+        assert cold[0].iterations == 0
+        identical_solve(cold, solve(m))
+        other = self.model()
+        solve(other, SolverOptions(max_iter=1))
+        assert not ipm_mod._STRUCTURES[other].crossed
 
     def test_structure_dies_with_its_model(self):
         m = self.model()

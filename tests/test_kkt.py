@@ -146,12 +146,14 @@ def test_large_solve_residual_raises():
 
 def factored_during_solves():
     """(K, perm) of every factorization in the case9_loop lambda solves,
-    copied as factored: a solve overwrites its K on every assembly."""
+    each K a CSC matrix of its own on the pattern and values factored."""
     factored = []
     factorize_in_solve = ipm_mod.factorize
 
     def collecting(K, **kwargs):
-        factored.append((K.copy(), kwargs.get("perm")))
+        factored.append((sp.csc_matrix(
+            (kwargs["data"].copy(), K.indices.copy(), K.indptr.copy()),
+            shape=K.shape), kwargs.get("perm")))
         return factorize_in_solve(K, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -188,17 +190,28 @@ def test_fill_order_matches_splu_on_solve_matrices():
         assert np.array_equal(fill_order(K), splu_mmd(K).perm_c)
 
 
-def test_csc_matvec_matches_matmul():
-    # the kernel `@` ends in, so the products are equal bit for bit
+def test_products_on_value_arrays_match_matmul():
+    # the kernels `@` ends in, so the products are equal bit for bit: the
+    # factor's on (pattern, values), and the model patterns' products by
+    # the Jacobian, its transpose and the Hessian
     rng = np.random.default_rng(3)
-    matrices = [K for K, _ in factored_during_solves()[::5]]
+
+    def vector(n):
+        return rng.normal(size=2 * n)[::2]  # strided, as slices are
+
+    for K, _ in factored_during_solves()[::5]:
+        x = vector(K.shape[1])
+        assert np.array_equal(kkt_mod.csc_matvec(K, K.data, x), K @ x)
     m = build_opf(parse_case(case_text("case9_loop")), PowerFlowKind.AC,
                   CostKind.LAMBDA)
-    jac = ipm_mod.eval_jacobian(m, m.initial_point())
-    matrices.append(jac.T)  # a CSC view of the CSR Jacobian's arrays
-    for A in matrices:
-        x = rng.normal(size=2 * A.shape[1])[::2]  # strided, as slices are
-        assert np.array_equal(kkt_mod.csc_matvec(A, x), A @ x)
+    x0 = m.initial_point()
+    jac = ipm_mod.eval_jacobian(m, x0)
+    hess = ipm_mod.eval_lagrangian_hessian(m, x0, rng.normal(size=m.nrows))
+    for pattern, A in ((m.jac_pattern, jac), (m.hess_pattern, hess)):
+        assert A.nnz > 0
+        x, y = vector(A.shape[1]), vector(A.shape[0])
+        assert np.array_equal(pattern.matvec(A.data, x), A @ x)
+        assert np.array_equal(pattern.rmatvec(A.data, y), A.T @ y)
 
 
 def test_inertia_matches_eigenvalue_signs():
@@ -236,6 +249,23 @@ def test_duplicate_entries_are_summed():
     b = np.array([1.0, -2.0, 0.5])
     assert factor.solve(b) == pytest.approx(
         np.linalg.solve(QUASI_DEFINITE, b), abs=1e-12)
+
+
+def test_pattern_and_values_factor_as_the_matrix():
+    # the solver's form, a CSC pattern and a value array, takes the same
+    # factor path as the matrix they make; values that do not fit the
+    # pattern are rejected before SuperLU reads them
+    K = sp.csc_matrix(np.array(QUASI_DEFINITE))
+    pattern = sp.csc_matrix((np.zeros(K.nnz), K.indices, K.indptr),
+                            shape=K.shape)
+    factor = factorize(pattern, data=K.data.copy())
+    reference = factorize(K)
+    assert factor.inertia == reference.inertia == (2, 1, 0)
+    b = np.array([1.0, -2.0, 0.5])
+    assert np.array_equal(factor.solve(b), reference.solve(b))
+    for data in (K.data[:-1], K.data.astype(np.float32)):
+        with pytest.raises(ValueError, match="one float per entry"):
+            factorize(pattern, data=data)
 
 
 @pytest.mark.parametrize("convert", [
