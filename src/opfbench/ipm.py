@@ -56,6 +56,20 @@ reads the module constants ``_SCALE_BOUND``, ``_BOUND_PUSH``,
 of them reaches only models first solved after it.  A later solve takes
 the same steps as the first, bit for bit.
 
+An LP's derivatives never change, so it evaluates them once per solve,
+as IPOPT does for constant Jacobians and Hessians (Waechter & Biegler
+2006): ``evaluate`` calls ``eval_jacobian`` at the solve's first point
+only, keeps those model-unit values for J^T y and for every audit, the
+one ``finish`` makes included, and scales one copy for K; ``factor``
+calls ``eval_lagrangian_hessian``, whose values are empty, at the first
+iteration only; and after its first assembly ``_Kkt`` rewrites only K's
+diagonal.  Every step stays the one per-iteration evaluation took, bit for
+bit.  Once per solve, not once per model: the values stay with the solve,
+like every other value, and each solve still enters both evaluations, so
+a caller that wraps them, as perfbench's tracer does, sees every solve
+evaluate its model (a solve that ends at its start point never reaches
+the Hessian).
+
 Each point is evaluated once, as IPOPT caches its evaluations per iterate
 (Waechter & Biegler 2006).  ``evaluate_point`` computes the rows, the
 internal residual with its l1 norm and the barrier terms at z: the bound
@@ -510,8 +524,17 @@ class _KktPattern:
     entries, and the dual diagonal carries each eliminated slack.  The
     pattern holds the model Hessian's pattern, both full diagonals and J in
     both off-diagonal blocks, so every assembly is one scatter of values.
-    Stored zeros on the diagonal are harmless: SuperLU skips a zero
-    diagonal pivot as it would a missing one.
+    J never lands on the diagonal, so on an LP, which has no W, each
+    diagonal slot holds exactly one value; ``diag`` lists those slots (None
+    on a model with curvature), and ``_Kkt`` rewrites only them after a
+    solve's first assembly.
+
+    The full diagonal keeps ``fill_order`` from breaking down, but a
+    stored zero on it is no missing pivot to SuperLU: where an updated
+    diagonal pivot is exactly zero, SuperLU pivots off the diagonal, and
+    the factor loses its inertia (``kkt``).  An LP stores exact zeros on
+    the diagonals of its free variables (delta_w = 0), and on the 3000-bus
+    DC-psi cell 57 of 120 factorizations pivoted off the diagonal.
 
     K is stored in the fill-reducing order of this pattern from the start
     (``fill_order``, which the full diagonal keeps from breaking down;
@@ -536,6 +559,8 @@ class _KktPattern:
         self.perm = fill_order(SparsePattern(rows, cols, (n, n), fmt="csc"))
         self.csc = SparsePattern(self.perm[rows], self.perm[cols], (n, n),
                                  fmt="csc")
+        # the diagonal entries come last, one per slot when there is no W
+        self.diag = self.csc.slot[-n:] if m.hess_pattern.nnz == 0 else None
         self.nx, self.m_int = nx, intake.m_int
         self.ineq = intake.ineq
         # the slacks' dual rows, in K's unpermuted order
@@ -547,7 +572,14 @@ class _KktPattern:
 
 class _Kkt:
     """The condensed K of one solve: its values on its model's
-    ``_KktPattern``, one array that every assembly overwrites."""
+    ``_KktPattern``, one array that every assembly overwrites.
+
+    The first assembly scatters every entry.  On an LP the off-diagonal
+    values never change within a solve (J is constant and there is no W),
+    so every later assembly, those of the inertia correction included,
+    rewrites only the diagonal slots (``_KktPattern.diag``); each slot holds
+    one value, so K is the full scatter's, bit for bit.
+    """
 
     def __init__(self, pattern: _KktPattern):
         self.pattern, self.perm = pattern, pattern.perm
@@ -555,12 +587,14 @@ class _Kkt:
         # its factor, raised the peak RSS of three passes over the 120-bus
         # benchmark case (seed 4) from 88.2 to 89.7 MB, median of 6 runs
         self.values = np.empty(pattern.csc.nnz)
+        self.diagonal_only = False
 
     def assemble(self, w, sigma, delta_w, jac, delta_c):
         """K's values on ``pattern.csc`` for the values w and jac of the
         model Hessian and Jacobian on their model patterns, the barrier
         diagonal sigma of every internal variable, slacks included, and the
-        regularizations delta_w and delta_c.
+        regularizations delta_w and delta_c; on an LP, w and jac are read
+        at the solve's first assembly only.
 
         The full system's slack rows are eliminated: with S = sigma_s +
         delta_w, each inequality row's dual diagonal is -(delta_c + 1/S).
@@ -572,6 +606,11 @@ class _Kkt:
         self.slack_diag = sigma[nx:] + delta_w
         diag_c = np.full(p.m_int, -delta_c)
         diag_c[p.ineq] -= 1.0 / self.slack_diag
+        if self.diagonal_only:
+            self.values[p.diag] = np.concatenate([sigma[:nx] + delta_w,
+                                                  diag_c])
+            return self.values
+        self.diagonal_only = p.diag is not None
         jv = np.concatenate([jac[p.jac_rows], p.fix_vals])
         return p.csc.scatter(np.concatenate([
             w, jv, jv, sigma[:nx] + delta_w, diag_c,
@@ -794,10 +833,14 @@ class _Solve:
         self.crossed = structure.crossed
         self.obj_scale, self.obj_lin = structure.obj_scale, structure.obj_lin
         self.kkt = _Kkt(structure.kkt)
-        # the Jacobian's and the Hessian's values on the model's patterns,
-        # one array each per solve, overwritten by every evaluation
+        # the Jacobian's values on the model's pattern in model units, and
+        # with its columns scaled to x' for K, and the Hessian's values
+        # scaled for K: one array each per solve, overwritten by every
+        # evaluation; an LP's are evaluated once per solve (``evaluate``)
+        self.jac_model = np.zeros(m.jac_pattern.nnz)
         self.jac = np.zeros(m.jac_pattern.nnz)
         self.hess = np.zeros(m.hess_pattern.nnz)
+        self.jac_constant = False
         self.y_model = np.zeros(m.nrows)  # see ``_Intake.model_y``
 
         self.mu = _MU_INIT
@@ -869,7 +912,12 @@ class _Solve:
         y, v, point = self.y, self.v, self.point
         x = self.x = intake.model_x(self.z)
         raw, h = point.raw, point.h
-        eval_jacobian(m, x, out=self.jac)
+        if not self.jac_constant:
+            eval_jacobian(m, x, out=self.jac_model)
+            np.multiply(self.jac_model, intake.jac_d, out=self.jac)
+            # an LP's rows are linear: its first Jacobian is every one
+            self.jac_constant = self.is_lp
+        jac = self.jac_model
         self.h_inf = float(np.abs(h).max()) if len(h) else 0.0
 
         # the internal residuals, all independent of mu: the stationarity
@@ -881,7 +929,7 @@ class _Solve:
             float(v.max()) if len(v) else 0.0,
         )
         denom = self.denom_int = 1.0 + dual_int
-        self.jty = intake.jac_t(self.jac, y, self.y_model)
+        self.jty = intake.jac_t(jac, y, self.y_model)
         self.stat_pd = float(np.abs(
             intake.add_bound_terms(self.obj_lin + self.jty, v)
         ).max()) / denom
@@ -897,13 +945,11 @@ class _Solve:
         report = self.report = None
         if max(self.stat_pd, compl) <= _GATE * tol:
             report = self.report = self.audit(
-                x, *intake.map_duals(y, v, self.obj_scale), raw, self.jac)
+                x, *intake.map_duals(y, v, self.obj_scale), raw, jac)
             self.residuals = (report.stationarity, report.complementarity,
                               True)
         else:
             self.residuals = (self.stat_pd, compl, False)
-        # the audit is done: the Jacobian's columns go to x'
-        self.jac *= intake.jac_d
         if (report is not None and report.max_residual <= tol
                 and report.raw_feasibility <= tol):
             return SolveStatus.OPTIMAL
@@ -946,9 +992,12 @@ class _Solve:
         (factor, step, delta_w, corrections), or None once delta_w passes
         its cap."""
         m, intake, kkt, w = self.m, self.intake, self.kkt, self.hess
-        eval_lagrangian_hessian(m, self.x,
-                                intake.model_y(self.y, self.y_model), out=w)
-        w *= intake.hess_d
+        if it == 0 or not self.is_lp:
+            # an LP's Hessian is empty: evaluated at a solve's first
+            # factorization only
+            eval_lagrangian_hessian(
+                m, self.x, intake.model_y(self.y, self.y_model), out=w)
+            w *= intake.hess_d
         self.v_gap = self.v / self.point.gap
         sigma = _sigma(intake, self.v_gap)
         delta_w, delta_c = self.force_reg, _DELTA_C
@@ -1067,8 +1116,10 @@ class _Solve:
         if status is SolveStatus.OPTIMAL:
             report = self.report
         else:
+            if not self.jac_constant:
+                eval_jacobian(m, x, out=self.jac_model)
             report = self.audit(x, y, zl, zu, m.eval_raw_rows(x),
-                                eval_jacobian(m, x, out=self.jac))
+                                self.jac_model)
         return SolveResult(
             status=status,
             objective=m.eval_objective(x),

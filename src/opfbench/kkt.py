@@ -48,11 +48,11 @@ Each solve checks the residual of its unrefined solution against
 ``_SOLVE_RTOL * (1 + |b|_inf)``.  Only a solution that fails the check gets
 one step of iterative refinement and is checked again; a refined solution
 that still fails (or is not finite) means the matrix is numerically
-singular, and the solve raises.  On the benchmark models the unrefined
-solution passes in most solves (seed 1, tol 1e-8: 824 of 976 on the
-bundled grid, 167 of 337 on the 120-bus case, 607 of 676 on the
-infeasible DC cells), and each pass saves a triangular solve and a matrix
-product.
+singular, and the solve raises.  How often the unrefined solution passes
+depends on the model (seed 1, tol 1e-8): in 824 of 976 solves on the
+bundled grid and 607 of 676 on the infeasible DC cells, but in only 167
+of 337, about half, on the 120-bus case, where the other half pays the
+refinement.  Each pass saves a triangular solve and a matrix product.
 
 SuperLU is called through scipy's private ``_superlu.gstrf``, the routine
 ``splu`` ends in, from one place (``_gstrf``) with the options ``splu``

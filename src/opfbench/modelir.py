@@ -155,11 +155,13 @@ class QuadraticBlock:
         ])
 
     def residual(self, x):
-        return np.bincount(self._sum_rows, weights=np.concatenate([
-            self._const,
-            self._lvals * x[self._lcols],
-            self._qvals * x[self._qi] * x[self._qj],
-        ]), minlength=self.nrows)
+        terms = [self._const, self._lvals * x[self._lcols]]
+        if len(self._qvals):
+            # the products come last, so leaving out an empty part leaves
+            # every row's sum, and its order, as it is
+            terms.append(self._qvals * x[self._qi] * x[self._qj])
+        return np.bincount(self._sum_rows, weights=np.concatenate(terms),
+                           minlength=self.nrows)
 
     def jac_structure(self):
         rows = np.concatenate([self._lrows, self._qrows, self._qrows])

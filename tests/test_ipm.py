@@ -1008,6 +1008,31 @@ class TestKktAssembly:
                     assert abs(K.toarray() - ref).max() <= 1e-14 * scale
 
     @pytest.mark.parametrize("name", KKT_MODELS[:-1])
+    def test_lp_assembly_rewrites_the_diagonal_to_the_full_scatter(self,
+                                                                   name):
+        # after a solve's first assembly an LP's K gets only its diagonal
+        # rewritten; each diagonal slot holds one value, so K is the full
+        # scatter's, bit for bit
+        m = kkt_model(name)
+        intake = ipm_mod._Intake(m)
+        pattern = ipm_mod._KktPattern(m, intake)
+        assert (pattern.diag is not None) == (m.hess_pattern.nnz == 0)
+        rng = np.random.default_rng(3)
+        x = m.initial_point()
+        jac = eval_jacobian(m, x, out=np.empty(m.jac_pattern.nnz))
+        w = eval_lagrangian_hessian(m, x, rng.normal(size=m.nrows),
+                                    out=np.empty(m.hess_pattern.nnz))
+        kkt = ipm_mod._Kkt(pattern)
+        for delta_w, delta_c in ((0.0, 1e-10), (1e-4, 1e-8), (0.0, 1e-6)):
+            sigma = rng.uniform(0.0, 2.0, intake.nz)
+            sigma[:intake.nx:3] = 0.0
+            sigma[intake.nx:] += 0.5
+            values = kkt.assemble(w, sigma, delta_w, jac, delta_c)
+            full = ipm_mod._Kkt(pattern).assemble(w, sigma, delta_w, jac,
+                                                  delta_c)
+            assert values.tobytes() == full.tobytes()
+
+    @pytest.mark.parametrize("name", KKT_MODELS[:-1])
     def test_condensed_step_solves_the_full_system(self, name):
         # at iterates of a solve, the step of the condensed K, slacks
         # recovered, is the step of the full system assembled block by
@@ -1205,6 +1230,57 @@ class TestKktAssembly:
         assert calls == {"factorize": 16, "_barrier_value": 32,
                          "eval_jacobian": 17, "eval_lagrangian_hessian": 16,
                          "eval_raw_rows": 16}
+
+    @pytest.mark.parametrize("max_iter", [500, 3])
+    @pytest.mark.parametrize("pf", [PowerFlowKind.DC, PowerFlowKind.AC])
+    def test_every_solve_enters_each_traced_entry_point(self, monkeypatch,
+                                                        pf, max_iter):
+        # perfbench reports a layer's metrics only if a traced solve enters
+        # it, so every solve, cold or warm, must; an LP evaluates its
+        # Jacobian and Hessian once per solve, a model with curvature at
+        # every point (and its Jacobian once more at a returned point that
+        # is not optimal)
+        calls = {}
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args, **kwargs)
+            return counted
+
+        def tracing_factorize(fn):
+            # a factor's solve is reassigned, as the tracer does
+            def traced(*args, **kwargs):
+                factor = fn(*args, **kwargs)
+                factor.solve = counting("backsolve", factor.solve)
+                return factor
+            return counting("factorize", traced)
+
+        for name in ("_barrier_value", "eval_jacobian",
+                     "eval_lagrangian_hessian"):
+            monkeypatch.setattr(ipm_mod, name,
+                                counting(name, getattr(ipm_mod, name)))
+        monkeypatch.setattr(ipm_mod, "factorize",
+                            tracing_factorize(ipm_mod.factorize))
+        monkeypatch.setattr(ModelIR, "eval_raw_rows",
+                            counting("eval_raw_rows", ModelIR.eval_raw_rows))
+        m = build_opf(parse_case(case_text("case9_loop")), pf,
+                      CostKind.LAMBDA)
+        opts = SolverOptions(tol=1e-8, max_iter=max_iter)
+        for _ in ("cold", "warm"):
+            calls.clear()
+            res, log = solve(m, opts)
+            assert res.status == (SolveStatus.OPTIMAL if max_iter == 500
+                                  else SolveStatus.ITERATION_LIMIT)
+            assert set(calls) == {"_barrier_value", "eval_jacobian",
+                                  "eval_lagrangian_hessian", "factorize",
+                                  "backsolve", "eval_raw_rows"}
+            if pf is PowerFlowKind.DC:
+                assert calls["eval_jacobian"] == 1
+                assert calls["eval_lagrangian_hessian"] == 1
+            else:
+                assert calls["eval_jacobian"] == len(log) + 1
+                assert calls["eval_lagrangian_hessian"] == len(log)
 
 
 def identical_solve(a, b):
