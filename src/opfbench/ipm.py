@@ -43,18 +43,20 @@ and the Jacobian, the Hessian and K as plain value arrays on the
 structure's fixed patterns (``modelir.SparsePattern``).  No solve builds,
 transposes or converts a scipy matrix: J^T y, the curvature's W dx and
 the factor's residual run the sparsetools kernels on (pattern, values),
-and K is factored as (pattern, values) (``kkt.factorize``), bit for bit
-what the matrices gave.  ``ipm`` keeps each structure in a
-``weakref.WeakKeyDictionary`` keyed by its model, so it lives exactly as
-long as the model; it holds no reference to the model, which would keep
-its own key alive.  Its arrays are read-only, as are the model arrays it
-is derived from (``ModelIR.finalize``), so a structure cannot go stale and
-no solve can write into what another reads; solves of one model from two
-threads at once share it.  It depends on no ``SolverOptions`` value, and
-reads the module constants ``_SCALE_BOUND``, ``_BOUND_PUSH``,
-``_OBJ_GRAD_TARGET`` and ``_MU_INIT`` when it is built, so a change to one
-of them reaches only models first solved after it.  A later solve takes
-the same steps as the first, bit for bit.
+bit for bit what the matrices gave, and K is factored as (pattern,
+values), the one form ``kkt.factorize`` takes.  K is stored in its fill
+order, and its factor solves in that order; ``_Kkt.step`` alone
+translates the right-hand side into it and the step out of it.  ``ipm``
+keeps each structure in a ``weakref.WeakKeyDictionary`` keyed by its
+model, so it lives exactly as long as the model; it holds no reference to
+the model, which would keep its own key alive.  Its arrays are read-only,
+as are the model arrays it is derived from (``ModelIR.finalize``), so a
+structure cannot go stale and no solve can write into what another reads;
+solves of one model from two threads at once share it.  It depends on no
+``SolverOptions`` value, and reads the module constants ``_SCALE_BOUND``,
+``_BOUND_PUSH``, ``_OBJ_GRAD_TARGET`` and ``_MU_INIT`` when it is built, so
+a change to one of them reaches only models first solved after it.  A
+later solve takes the same steps as the first, bit for bit.
 
 An LP's derivatives never change, so it evaluates them once per solve,
 as IPOPT does for constant Jacobians and Hessians (Waechter & Biegler
@@ -529,18 +531,20 @@ class _KktPattern:
     on a model with curvature), and ``_Kkt`` rewrites only them after a
     solve's first assembly.
 
+    K is stored in the fill-reducing order of this pattern from the start
+    (``fill_order``; ``perm`` maps each row and column to its stored
+    position), so every assembly comes out pre-permuted and is factored in
+    SuperLU's natural order, and no solve orders it again.  A factor solves
+    in that stored order, and ``_Kkt.step`` translates through the stored
+    positions of the model variables (``x_pos``), of the internal rows
+    (``row_pos``) and of the slacks' rows (``slack_pos``).
+
     The full diagonal keeps ``fill_order`` from breaking down, but a
     stored zero on it is no missing pivot to SuperLU: where an updated
     diagonal pivot is exactly zero, SuperLU pivots off the diagonal, and
     the factor loses its inertia (``kkt``).  An LP stores exact zeros on
     the diagonals of its free variables (delta_w = 0), and on the 3000-bus
     DC-psi cell 57 of 120 factorizations pivoted off the diagonal.
-
-    K is stored in the fill-reducing order of this pattern from the start
-    (``fill_order``, which the full diagonal keeps from breaking down;
-    ``perm`` maps each row and column to its stored position), so every
-    assembly comes out pre-permuted and is factored in SuperLU's natural
-    order, and no solve orders it again.
     """
 
     def __init__(self, m: ModelIR, intake: _Intake):
@@ -563,8 +567,8 @@ class _KktPattern:
         self.diag = self.csc.slot[-n:] if m.hess_pattern.nnz == 0 else None
         self.nx, self.m_int = nx, intake.m_int
         self.ineq = intake.ineq
-        # the slacks' dual rows, in K's unpermuted order
-        self.slack_rows = nx + intake.ineq
+        self.x_pos, self.row_pos = self.perm[:nx], self.perm[nx:]
+        self.slack_pos = self.row_pos[intake.ineq]
         self.jac_rows = intake.jac_rows
         self.fix_vals = np.ones(n_fix)
         _read_only(self)
@@ -582,7 +586,7 @@ class _Kkt:
     """
 
     def __init__(self, pattern: _KktPattern):
-        self.pattern, self.perm = pattern, pattern.perm
+        self.pattern = pattern
         # one array per solve: a new one per assembly, each kept alive by
         # its factor, raised the peak RSS of three passes over the 120-bus
         # benchmark case (seed 4) from 88.2 to 89.7 MB, median of 6 runs
@@ -620,19 +624,21 @@ class _Kkt:
         """The full system's step (dz, dy) for the right-hand side (r1, r2),
         from the factor of the last assembled K: each slack's row r1_s
         moves to its dual row as r1_s / S, and the slack step is recovered
-        as ds = (r1_s + dy_s) / S."""
-        nx, s_diag = self.pattern.nx, self.slack_diag
-        rows_s = self.pattern.slack_rows
-        b = np.concatenate([r1[:nx], r2])
-        b[rows_s] += r1[nx:] / s_diag
+        as ds = (r1_s + dy_s) / S.  The right-hand side is written, and the
+        solution read, in K's stored order."""
+        p, s_diag = self.pattern, self.slack_diag
+        nx, nz = p.nx, len(r1)
+        b = np.empty(nx + len(r2))
+        b[p.x_pos] = r1[:nx]
+        b[p.row_pos] = r2
+        b[p.slack_pos] += r1[nx:] / s_diag
         sol = factor.solve(b)
-        nz = len(r1)
         out = np.empty(nz + len(r2))
-        out[:nx] = sol[:nx]
-        ds = sol[rows_s]
+        out[:nx] = sol[p.x_pos]
+        ds = sol[p.slack_pos]
         ds += r1[nx:]
         np.divide(ds, s_diag, out=out[nx:nz])
-        out[nz:] = sol[nx:]
+        out[nz:] = sol[p.row_pos]
         return out
 
 
@@ -1009,7 +1015,7 @@ class _Solve:
         while True:
             K = kkt.assemble(w, sigma, delta_w, self.jac, delta_c)
             try:
-                factor = factorize(kkt.pattern.csc, data=K, perm=kkt.perm)
+                factor = factorize(kkt.pattern.csc, data=K)
                 inertia = factor.inertia
                 # each condensed slack takes one positive pivot with it
                 if inertia is None or inertia == (intake.nx, intake.m_int, 0):

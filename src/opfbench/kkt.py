@@ -23,10 +23,11 @@ caller that factors one pattern many times orders it once, when the
 pattern is fixed: ``fill_order(K)`` runs SuperLU's minimum-degree ordering
 on identity values stored on K's pattern, a matrix that factors without
 breaking down whenever the pattern holds its full diagonal.  The caller
-stores K in that order and passes it as ``perm=``; every factorization
-takes K in its stored order (SuperLU's natural order), and ``solve`` takes
-and returns vectors in the original order.  A symmetric permutation
-leaves the inertia unchanged.
+stores K in that order from the start: every factorization takes K in its
+stored order (SuperLU's natural order), and ``solve`` takes and returns
+vectors in that order too, so translating to and from any other order is
+the caller's (``ipm._Kkt.step``).  A symmetric permutation leaves the
+inertia unchanged.
 
 Of the orders at hand, ``MMD_AT_PLUS_A`` fills least.  Each was computed
 once per model from its first K, as ``fill_order`` does, and every K the
@@ -57,19 +58,16 @@ refinement.  Each pass saves a triangular solve and a matrix product.
 SuperLU is called through scipy's private ``_superlu.gstrf``, the routine
 ``splu`` ends in, from one place (``_gstrf``) with the options ``splu``
 would pass apart from the panel width below.  ``factorize`` takes K in one
-of two forms.  A caller that factors one pattern many times passes the
-pattern and a value array, ``factorize(pattern, data=values)``: a square
-CSC pattern with each column's rows sorted and distinct (such as a CSC
-``modelir.SparsePattern``) is taken as it is, only the values' type and
-length are checked, and no matrix object is built.  Anything else, dense
-or sparse, gets the input checks ``splu`` does (CSC, float, square,
-duplicates summed) and is converted once, on entry, into that same
-(pattern, values) form: a summed float CSC matrix is its own pattern.
-Every factorization and every residual product then runs on (pattern,
-values), by ``gstrf`` and the sparsetools kernel.  The factor's
-``L``/``U`` come back as raw ``(data, indices, indptr)`` arrays, not as
-matrices, and the pivots are read from U's storage, where each column ends
-at its diagonal entry.
+form, ``factorize(pattern, data=values)``: a square CSC
+``modelir.SparsePattern``, each column's rows sorted and distinct, and its
+float values.  Only the pattern's shape and the values' type and length are
+checked, and no matrix object is built.  Every factorization and every
+residual product runs on (pattern, values), by ``gstrf`` and by
+``SparsePattern.matvec``, the sparsetools kernel scipy's ``@`` ends in, so
+the residual is the matrix product's, bit for bit.  The factor's ``L``/``U``
+come back as raw ``(data, indices, indptr)`` arrays, not as matrices, and
+the pivots are read from U's storage, where each column ends at its
+diagonal entry.
 
 SuperLU factors in panels of adjacent columns, sharing each column's
 symbolic and numeric update with the rest of its panel (Demmel, Eisenstat,
@@ -116,8 +114,6 @@ from __future__ import annotations
 import ctypes
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse import _sparsetools
 from scipy.sparse.linalg._dsolve import _superlu
 
 # Pivots are classified by sign; only exact zeros count as zero, since the
@@ -156,30 +152,9 @@ class FactorizationError(Exception):
     """Factorization broke down (structurally or numerically singular)."""
 
 
-def csc_matvec(K, data, x):
-    """K @ x for the values ``data`` on the CSC pattern K and a float
-    vector x, by the sparsetools kernel that ``@`` ends in, without
-    scipy's dispatch."""
-    out = np.zeros(K.shape[0])
-    _sparsetools.csc_matvec(K.shape[0], K.shape[1], K.indptr, K.indices,
-                            data, x, out)
-    return out
-
-
 def _raw_csc(arrays, shape):
     """gstrf's builder for L and U: the raw CSC arrays, no matrix."""
     return arrays
-
-
-def _as_csc(K):
-    """K as a square float CSC matrix with its duplicates summed, in place
-    when K already is one."""
-    if not (sp.issparse(K) and K.format == "csc" and K.dtype == np.float64):
-        K = sp.csc_matrix(K, dtype=float)
-    if K.shape[0] != K.shape[1]:
-        raise ValueError("can only factor square matrices")
-    K.sum_duplicates()
-    return K
 
 
 def _gstrf(K, data, col_perm):
@@ -209,10 +184,8 @@ def fill_order(K):
     """SuperLU's minimum-degree order of K's sparsity pattern (the
     ``MMD_AT_PLUS_A`` order ``splu`` computes), whatever K's values.
 
-    K is a square CSC pattern: anything with ``shape``, ``nnz``,
-    ``indptr`` and ``indices``, each column's rows distinct, such as a CSC
-    matrix with its duplicates summed or a CSC ``modelir.SparsePattern``,
-    which spares building a matrix only to order it.  Factoring K with
+    K is a square CSC ``modelir.SparsePattern``, each column's rows
+    distinct, so no matrix is built only to order it.  Factoring K with
     entry (i, j) stored at (perm[i], perm[j]) in its natural order fills L
     and U as factoring K in this order does.  Raises FactorizationError
     when the pattern misses a diagonal entry.
@@ -224,9 +197,8 @@ def fill_order(K):
 
 
 class _SparseFactor:
-    def __init__(self, K, data, perm):
+    def __init__(self, K, data):
         self._K, self._data = K, data
-        self._perm = perm
         self._lu = lu = _gstrf(K, data, "NATURAL")
         self.fill = lu.nnz
         piv = _u_diagonal(lu)
@@ -240,52 +212,40 @@ class _SparseFactor:
             self.inertia = None
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        perm = self._perm
-        if perm is not None:
-            b_stored = np.empty_like(b)
-            b_stored[perm] = b
-            b = b_stored
         bound = _SOLVE_RTOL * (1.0 + np.abs(b).max(initial=0.0))
         x = self._lu.solve(b)
         if not self._solves(x, b, bound):
             # one step of iterative refinement, only where it is needed
-            r = csc_matvec(self._K, self._data, x)
+            r = self._K.matvec(self._data, x)
             np.subtract(b, r, out=r)
             x += self._lu.solve(r)
             if not self._solves(x, b, bound):
                 raise FactorizationError("numerically singular")
-        return x if perm is None else x[perm]
+        return x
 
     def _solves(self, x, b, bound):
         """Whether x is finite and K x - b within ``bound`` in max-norm."""
-        r = csc_matvec(self._K, self._data, x)
+        r = self._K.matvec(self._data, x)
         r -= b
         residual = np.abs(r, out=r).max(initial=0.0)
         return bool(residual <= bound) and bool(np.isfinite(x).all())
 
 
-def factorize(K, *, perm=None, data=None):
-    """Factor a symmetric indefinite matrix in its stored order, returning
-    a factor with ``solve(rhs)``, ``inertia``: (pos, neg, zero), or None
-    when pivoting left the diagonal and the inertia is unknown, and
-    ``fill``, the number of entries in L and U.
+def factorize(K, *, data):
+    """Factor the symmetric indefinite matrix with the float values
+    ``data`` on the square CSC ``modelir.SparsePattern`` K, in K's stored
+    order, returning a factor with ``solve(rhs)``, which takes and returns
+    vectors in that order, ``inertia``: (pos, neg, zero), or None when
+    pivoting left the diagonal and the inertia is unknown, and ``fill``,
+    the number of entries in L and U.
 
-    With ``perm`` given, entry (i, j) of the matrix being factored is
-    stored at (perm[i], perm[j]) of K, typically in the order
-    ``fill_order`` returns, and ``solve`` works in the unpermuted order.
-
-    With ``data`` given, K is a square CSC pattern, each column's rows
-    sorted and distinct (anything with ``shape``, ``nnz``, ``indptr`` and
-    ``indices``, such as a CSC ``modelir.SparsePattern``), and ``data``
-    its float values; both are used as they are.  Otherwise K is dense or
-    sparse, and a float CSC K is used as it is after its duplicate entries
-    are summed in place.  Raises ValueError if K is not square or data is
-    not one float per entry, and FactorizationError on breakdown; the
-    caller is expected to add regularization and retry.
+    K's columns hold their rows sorted and distinct, and K and data are
+    used as they are.  Raises ValueError if K is not square or data is not
+    one float per entry, and FactorizationError on breakdown; the caller
+    is expected to add regularization and retry.
     """
-    if data is None:
-        K = _as_csc(K)
-        data = K.data
-    elif data.dtype != np.float64 or data.shape != (K.nnz,):
+    if K.shape[0] != K.shape[1]:
+        raise ValueError("can only factor square matrices")
+    if data.dtype != np.float64 or data.shape != (K.nnz,):
         raise ValueError("data must hold one float per entry of K")
-    return _SparseFactor(K, data, perm)
+    return _SparseFactor(K, data)

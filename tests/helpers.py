@@ -6,8 +6,29 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+import scipy.sparse as sp
 
-from opfbench.modelir import ModelIR, eval_jacobian, eval_residuals
+from opfbench.modelir import (
+    ModelIR,
+    SparsePattern,
+    eval_jacobian,
+    eval_residuals,
+)
+
+
+def pattern_and_values(K):
+    """A dense or scipy matrix K in the one form ``kkt.factorize`` takes:
+    the CSC ``SparsePattern`` of K's stored entries (a dense K's nonzeros)
+    and their float values scattered onto it, repeated entries summed."""
+    K = sp.coo_matrix(K, dtype=float)
+    pattern = SparsePattern(K.row, K.col, K.shape, fmt="csc")
+    return pattern, pattern.scatter(K.data, np.empty(pattern.nnz))
+
+
+def on_pattern(pattern, values):
+    """The scipy CSC matrix with the values ``values`` on the compressed
+    ``pattern``, for comparisons with scipy's own routines."""
+    return sp.csc_matrix((values, pattern.coords()), shape=pattern.shape)
 
 
 def random_convex_curve(rng, n_points=None, p_lo=-2.0, p_span=4.0):

@@ -27,7 +27,7 @@ from opfbench.modelir import (
 )
 from opfbench.netdata import ComplexPU, parse_case
 
-from helpers import enumerate_lp_vertices
+from helpers import enumerate_lp_vertices, on_pattern
 
 
 def lp_min_x_geq_1():
@@ -917,21 +917,16 @@ def inertia_of(K):
 
 
 class ExactFactor:
-    """A dense exact solve of K stored as P K P^T, in K's own order: the
-    factor a condensation test compares with, free of the rounding that
-    SuperLU's unrefined solves keep within their residual check."""
+    """A dense exact solve of the values on a CSC pattern, in its stored
+    order, as a factor solves: the factor a condensation test compares
+    with, free of the rounding that SuperLU's unrefined solves keep within
+    their residual check."""
 
-    def __init__(self, K, perm):
-        self._K = K.toarray()[np.ix_(perm, perm)]
+    def __init__(self, pattern, values):
+        self._K = on_pattern(pattern, values).toarray()
 
     def solve(self, b):
         return np.linalg.solve(self._K, b)
-
-
-def on_pattern(pattern, values):
-    """The scipy matrix with the values ``values`` on the compressed
-    ``pattern``."""
-    return sp.coo_matrix((values, pattern.coords()), shape=pattern.shape)
 
 
 def solver_points(m, count):
@@ -981,7 +976,7 @@ class TestKktAssembly:
         n = nx + intake.m_int
         # K is stored in the pattern's fill order: P ref P^T
         P = np.zeros((n, n))
-        P[kkt.perm, np.arange(n)] = 1.0
+        P[kkt.pattern.perm, np.arange(n)] = 1.0
         previous = None
         for x, y in points:
             W = eval_lagrangian_hessian(m, x, y)
@@ -1050,15 +1045,13 @@ class TestKktAssembly:
                 full = reference_kkt(m, W, sigma + delta_w, jac,
                                      delta_c).toarray()
                 ref = np.linalg.solve(full, rhs)
-                step = kkt.step(ExactFactor(on_pattern(kkt.pattern.csc,
-                                                       values), kkt.perm),
+                step = kkt.step(ExactFactor(kkt.pattern.csc, values),
                                 s.r1, -s.point.h)
                 assert (np.abs(step - ref).max()
                         <= 1e-9 * np.abs(ref).max())
                 # SuperLU's step meets the full system to the accuracy its
                 # residual check asks of the condensed one
-                factor = kkt_mod.factorize(kkt.pattern.csc, data=values,
-                                           perm=kkt.perm)
+                factor = kkt_mod.factorize(kkt.pattern.csc, data=values)
                 step = kkt.step(factor, s.r1, -s.point.h)
                 r_s = s.r1[intake.nx:] / (sigma[intake.nx:] + delta_w)
                 assert np.abs(full @ step - rhs).max() <= (
@@ -1069,6 +1062,28 @@ class TestKktAssembly:
                     full, intake.nx, intake.ns)) == (pos - intake.ns, neg)
                 if factor.inertia is not None:
                     assert factor.inertia == (pos - intake.ns, neg, 0)
+
+    @pytest.mark.parametrize("name", KKT_MODELS)
+    def test_step_matches_the_two_translation_step(self, name):
+        # step writes b in K's stored order and reads the solution from it;
+        # the same step with b built in K's original order, scattered to
+        # the stored order and the solution gathered back, is equal byte
+        # for byte, since a permutation moves floats without changing them
+        m = kkt_model(name)
+        for s in solver_points(m, 3):
+            kkt, p = s.kkt, s.kkt.pattern
+            nx, s_diag = p.nx, kkt.slack_diag
+            r1, r2 = s.r1, -s.point.h
+            factor = ipm_mod.factorize(p.csc, data=kkt.values)
+            rows_s = nx + p.ineq
+            b = np.concatenate([r1[:nx], r2])
+            b[rows_s] += r1[nx:] / s_diag
+            b_stored = np.empty_like(b)
+            b_stored[p.perm] = b
+            sol = factor.solve(b_stored)[p.perm]
+            ds = (sol[rows_s] + r1[nx:]) / s_diag
+            ref = np.concatenate([sol[:nx], ds, sol[nx:]])
+            assert kkt.step(factor, r1, r2).tobytes() == ref.tobytes()
 
     def test_solve_builds_no_sparse_matrices_per_iteration(self,
                                                            monkeypatch):
@@ -1240,7 +1255,7 @@ class TestKktAssembly:
         # Jacobian and Hessian once per solve, a model with curvature at
         # every point (and its Jacobian once more at a returned point that
         # is not optimal)
-        calls = {}
+        calls, signatures = {}, []
 
         def counting(name, fn):
             def counted(*args, **kwargs):
@@ -1251,6 +1266,7 @@ class TestKktAssembly:
         def tracing_factorize(fn):
             # a factor's solve is reassigned, as the tracer does
             def traced(*args, **kwargs):
+                signatures.append((len(args), tuple(kwargs)))
                 factor = fn(*args, **kwargs)
                 factor.solve = counting("backsolve", factor.solve)
                 return factor
@@ -1269,7 +1285,11 @@ class TestKktAssembly:
         opts = SolverOptions(tol=1e-8, max_iter=max_iter)
         for _ in ("cold", "warm"):
             calls.clear()
+            signatures.clear()
             res, log = solve(m, opts)
+            # the tracer reads a factorization's arguments: one positional,
+            # the pattern, and the values as the keyword data
+            assert set(signatures) == {(1, ("data",))}
             assert res.status == (SolveStatus.OPTIMAL if max_iter == 500
                                   else SolveStatus.ITERATION_LIMIT)
             assert set(calls) == {"_barrier_value", "eval_jacobian",

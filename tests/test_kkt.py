@@ -11,6 +11,8 @@ from opfbench.kkt import FactorizationError, factorize, fill_order
 from opfbench.modelir import SolveStatus
 from opfbench.netdata import parse_case
 
+from helpers import on_pattern, pattern_and_values
+
 DEFINITE = [[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]]
 # the KKT shape [[H, J^T], [J, -dc]]: n positive, m negative pivots
 QUASI_DEFINITE = [[2.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, -1e-10]]
@@ -18,11 +20,18 @@ QUASI_DEFINITE = [[2.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, -1e-10]]
 SWAP = [[0.0, 1.0], [1.0, 0.0]]
 
 
+def factor_of(K):
+    """The factor of a dense or scipy matrix K, passed in the one form
+    ``factorize`` takes."""
+    pattern, values = pattern_and_values(K)
+    return factorize(pattern, data=values)
+
+
 def permuted(K, perm):
     """P K P^T: entry (i, j) of K stored at (perm[i], perm[j])."""
     n = len(perm)
     P = sp.csc_matrix((np.ones(n), (perm, np.arange(n))), shape=(n, n))
-    return (P @ sp.csc_matrix(np.array(K)) @ P.T).tocsc()
+    return (P @ sp.csc_matrix(K) @ P.T).tocsc()
 
 
 @pytest.mark.parametrize("K, inertia", [
@@ -30,42 +39,16 @@ def permuted(K, perm):
     (QUASI_DEFINITE, (2, 1, 0)),
 ], ids=["definite", "quasi-definite"])
 def test_diagonal_pivots_report_exact_inertia(K, inertia):
-    factor = factorize(sp.csc_matrix(np.array(K)))
+    factor = factor_of(np.array(K))
     assert factor.inertia == inertia
     b = np.array([1.0, -2.0, 0.5])
     assert factor.solve(b) == pytest.approx(np.linalg.solve(K, b), abs=1e-12)
 
 
 def test_off_diagonal_pivoting_leaves_inertia_unknown():
-    factor = factorize(sp.csc_matrix(np.array(SWAP)))
+    factor = factor_of(np.array(SWAP))
     assert factor.inertia is None
     assert factor.solve(np.array([3.0, -7.0])) == pytest.approx([-7.0, 3.0])
-
-
-@pytest.mark.parametrize("K, perm", [
-    (DEFINITE, [2, 0, 1]),
-    (QUASI_DEFINITE, [1, 2, 0]),
-    (SWAP, [1, 0]),
-], ids=["definite", "quasi-definite", "swap"])
-def test_given_order_matches_stored_order(K, perm):
-    # K stored as P K P^T with perm= given solves in K's own order: it
-    # returns exactly what the same stored matrix factored without perm=
-    # returns for b scattered to the stored order, gathered back
-    perm = np.array(perm)
-    reference = factorize(sp.csc_matrix(np.array(K)))
-    stored = factorize(permuted(K, perm))
-    factor = factorize(permuted(K, perm), perm=perm)
-    assert factor.inertia == reference.inertia == stored.inertia
-    b = np.array([1.0, -2.0, 0.5][:len(perm)])
-    b_stored = np.empty_like(b)
-    b_stored[perm] = b
-    x = factor.solve(b)
-    assert np.array_equal(x, stored.solve(b_stored)[perm])
-    # and x solves K itself to the residual check's accuracy (the
-    # quasi-definite K in this order takes its -1e-10 pivot early, so its
-    # solution may differ from the unpermuted factor's in the 7th digit)
-    assert np.abs(np.array(K) @ x - b).max() <= (
-        kkt_mod._SOLVE_RTOL * (1.0 + np.abs(b).max()))
 
 
 class CountingLU:
@@ -90,7 +73,7 @@ TINY_PIVOT = [[1e-12, 1.0, 0.3], [1.0, 1.0, 0.7], [0.3, 0.7, -2.0]]
     (TINY_PIVOT, 2),
 ], ids=["definite", "quasi-definite", "tiny-pivot"])
 def test_refinement_runs_only_on_a_failed_check(K, solves):
-    factor = factorize(sp.csc_matrix(np.array(K)))
+    factor = factor_of(np.array(K))
     factor._lu = CountingLU(factor._lu)
     b = np.array([1.0, -2.0, 0.5])
     x = factor.solve(b)
@@ -99,10 +82,12 @@ def test_refinement_runs_only_on_a_failed_check(K, solves):
         kkt_mod._SOLVE_RTOL * (1.0 + np.abs(b).max()))
 
 
-def splu_mmd(K):
-    """splu with the solver's options and SuperLU's minimum-degree order."""
+def solver_splu(K, order):
+    """splu of the CSC matrix K with the solver's options, in the column
+    order ``order``: "NATURAL" or SuperLU's minimum-degree
+    "MMD_AT_PLUS_A"."""
     return spla.splu(
-        K, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+        K, permc_spec=order, diag_pivot_thresh=0.0,
         panel_size=kkt_mod._PANEL_SIZE,
         options=dict(SymmetricMode=True, Equil=False),
     )
@@ -114,46 +99,48 @@ def test_fill_order_is_the_splu_order_of_the_pattern():
     rng = np.random.default_rng(3)
     A = sp.random(40, 40, density=0.08, random_state=5)
     K = (A + A.T + sp.diags(rng.uniform(1.0, 2.0, 40) * 5.0)).tocsc()
-    order = fill_order(K)
-    reference = splu_mmd(K)
+    order = fill_order(pattern_and_values(K)[0])
+    reference = solver_splu(K, "MMD_AT_PLUS_A")
     assert np.array_equal(order, reference.perm_c)
     assert sorted(order) == list(range(40))
     assert not np.array_equal(order, np.arange(40))
     # the order outlives its factorization: it must not hold the LU's memory
     assert order.flags.owndata
-    factor = factorize(permuted(K.toarray(), order), perm=order)
-    assert factor.inertia == factorize(K).inertia == (40, 0, 0)
+    factor = factor_of(permuted(K, order))
+    assert factor.inertia == factor_of(K).inertia == (40, 0, 0)
     assert factor.fill == reference.nnz
+    # the factor solves in the stored order
     b = rng.normal(size=40)
-    assert factor.solve(b) == pytest.approx(reference.solve(b), abs=1e-12)
+    b_stored = np.empty_like(b)
+    b_stored[order] = b
+    assert factor.solve(b_stored)[order] == pytest.approx(reference.solve(b),
+                                                          abs=1e-12)
 
 
 def test_fill_order_needs_the_full_diagonal():
     # identity values on a pattern without its diagonal are singular
     with pytest.raises(FactorizationError):
-        fill_order(sp.csc_matrix(np.array(SWAP)))
+        fill_order(pattern_and_values(np.array(SWAP))[0])
 
 
 def test_large_solve_residual_raises():
     # a rank-one matrix whose rounded pivots miss zero: it factors, since
     # only exact zero pivots fail, but b is outside its range
     v = np.array([0.7, 0.1, 1.0])
-    factor = factorize(sp.csc_matrix(np.outer(v, v)))
+    factor = factor_of(np.outer(v, v))
     assert factor.inertia is not None and factor.inertia[2] == 0
     with pytest.raises(FactorizationError, match="numerically singular"):
         factor.solve(np.array([0.0, 1.0, 0.0]))
 
 
 def factored_during_solves():
-    """(K, perm) of every factorization in the case9_loop lambda solves,
-    each K a CSC matrix of its own on the pattern and values factored."""
+    """(pattern, values) of every factorization in the case9_loop lambda
+    solves, each with a copy of the values factored."""
     factored = []
     factorize_in_solve = ipm_mod.factorize
 
     def collecting(K, **kwargs):
-        factored.append((sp.csc_matrix(
-            (kwargs["data"].copy(), K.indices.copy(), K.indptr.copy()),
-            shape=K.shape), kwargs.get("perm")))
+        factored.append((K, kwargs["data"].copy()))
         return factorize_in_solve(K, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -168,13 +155,9 @@ def factored_during_solves():
 def test_raw_u_pivots_match_splu():
     factored = factored_during_solves()
     off_diagonal = 0
-    for K, perm in factored:
-        factor = factorize(K, perm=perm)
-        reference = spla.splu(
-            K, permc_spec="NATURAL", diag_pivot_thresh=0.0,
-            panel_size=kkt_mod._PANEL_SIZE,
-            options=dict(SymmetricMode=True, Equil=False),
-        )
+    for pattern, values in factored:
+        factor = factorize(pattern, data=values)
+        reference = solver_splu(on_pattern(pattern, values), "NATURAL")
         assert np.array_equal(kkt_mod._u_diagonal(factor._lu),
                               reference.U.diagonal())
         assert np.array_equal(factor._lu.perm_r, reference.perm_r)
@@ -186,22 +169,25 @@ def test_raw_u_pivots_match_splu():
 
 def test_fill_order_matches_splu_on_solve_matrices():
     factored = factored_during_solves()
-    for K, _ in factored:
-        assert np.array_equal(fill_order(K), splu_mmd(K).perm_c)
+    for pattern, values in factored:
+        assert np.array_equal(fill_order(pattern),
+                              solver_splu(on_pattern(pattern, values),
+                                          "MMD_AT_PLUS_A").perm_c)
 
 
 def test_products_on_value_arrays_match_matmul():
     # the kernels `@` ends in, so the products are equal bit for bit: the
-    # factor's on (pattern, values), and the model patterns' products by
-    # the Jacobian, its transpose and the Hessian
+    # factor's residual on K's (pattern, values), and the model patterns'
+    # products by the Jacobian, its transpose and the Hessian
     rng = np.random.default_rng(3)
 
     def vector(n):
         return rng.normal(size=2 * n)[::2]  # strided, as slices are
 
-    for K, _ in factored_during_solves()[::5]:
-        x = vector(K.shape[1])
-        assert np.array_equal(kkt_mod.csc_matvec(K, K.data, x), K @ x)
+    for pattern, values in factored_during_solves()[::5]:
+        x = vector(pattern.shape[1])
+        assert np.array_equal(pattern.matvec(values, x),
+                              on_pattern(pattern, values) @ x)
     m = build_opf(parse_case(case_text("case9_loop")), PowerFlowKind.AC,
                   CostKind.LAMBDA)
     x0 = m.initial_point()
@@ -224,7 +210,7 @@ def test_inertia_matches_eigenvalue_signs():
         eig = np.linalg.eigvalsh(K.toarray())
         if np.abs(eig).min() < 1e-6:
             continue
-        factor = factorize(K)
+        factor = factor_of(K)
         if factor.inertia is None:
             continue
         assert factor.inertia == (int(np.sum(eig > 0)),
@@ -234,48 +220,21 @@ def test_inertia_matches_eigenvalue_signs():
 
 
 def test_non_square_matrix_is_rejected():
+    pattern, values = pattern_and_values(np.ones((2, 3)))
     with pytest.raises(ValueError, match="square"):
-        factorize(sp.csc_matrix(np.ones((2, 3))))
-
-
-def test_duplicate_entries_are_summed():
-    # QUASI_DEFINITE with its (0, 0) entry stored as 1.5 + 0.5
-    data = np.array([1.5, 1.0, 0.5, 1.0, 1.0, 1.0, 1.0, -1e-10])
-    indices = np.array([0, 2, 0, 1, 2, 0, 1, 2], dtype=np.int32)
-    indptr = np.array([0, 3, 5, 8], dtype=np.int32)
-    K = sp.csc_matrix((data, indices, indptr), shape=(3, 3))
-    factor = factorize(K)
-    assert factor.inertia == (2, 1, 0)
-    b = np.array([1.0, -2.0, 0.5])
-    assert factor.solve(b) == pytest.approx(
-        np.linalg.solve(QUASI_DEFINITE, b), abs=1e-12)
+        factorize(pattern, data=values)
 
 
 def test_pattern_and_values_factor_as_the_matrix():
-    # the solver's form, a CSC pattern and a value array, takes the same
-    # factor path as the matrix they make; values that do not fit the
-    # pattern are rejected before SuperLU reads them
-    K = sp.csc_matrix(np.array(QUASI_DEFINITE))
-    pattern = sp.csc_matrix((np.zeros(K.nnz), K.indices, K.indptr),
-                            shape=K.shape)
-    factor = factorize(pattern, data=K.data.copy())
-    reference = factorize(K)
-    assert factor.inertia == reference.inertia == (2, 1, 0)
+    # the solver's form, a CSC pattern and a value array, factors as splu
+    # factors the matrix they make; values that do not fit the pattern are
+    # rejected before SuperLU reads them
+    pattern, values = pattern_and_values(np.array(QUASI_DEFINITE))
+    factor = factorize(pattern, data=values)
+    reference = solver_splu(on_pattern(pattern, values), "NATURAL")
+    assert factor.inertia == (2, 1, 0)
     b = np.array([1.0, -2.0, 0.5])
     assert np.array_equal(factor.solve(b), reference.solve(b))
-    for data in (K.data[:-1], K.data.astype(np.float32)):
+    for data in (values[:-1], values.astype(np.float32)):
         with pytest.raises(ValueError, match="one float per entry"):
             factorize(pattern, data=data)
-
-
-@pytest.mark.parametrize("convert", [
-    np.array,
-    sp.csr_matrix,
-    lambda K: sp.csc_matrix(np.array(K, dtype=int)),
-], ids=["dense", "csr", "integer-csc"])
-def test_other_inputs_are_converted(convert):
-    K = [[4, 1, 0], [1, 3, 1], [0, 1, 2]]
-    factor = factorize(convert(K))
-    assert factor.inertia == (3, 0, 0)
-    b = np.array([1.0, -2.0, 0.5])
-    assert factor.solve(b) == pytest.approx(np.linalg.solve(K, b), abs=1e-12)
