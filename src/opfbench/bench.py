@@ -20,7 +20,7 @@ from .errors import OpfBenchError
 from .formulations import CostKind, PowerFlowKind, build_opf
 from .ipm import SolverOptions, solve
 from .modelir import SolveStatus
-from .netdata import read_case, validate_network
+from .netdata import read_case, require_valid
 
 # Reporting order of the cost encodings; also breaks runtime ties when
 # designating the fastest encoding of a cell.
@@ -111,12 +111,7 @@ def run_suite(config: BenchConfig) -> BenchReport:
         case_name = path.stem
         try:
             network = read_case(path)
-            errors = [f for f in validate_network(network)
-                      if f.severity == "error"]
-            if errors:
-                raise OpfBenchError(
-                    "; ".join(f.message for f in errors)
-                )
+            require_valid(network)
         except (OSError, OpfBenchError) as exc:
             for pf in config.pf_kinds:
                 rows.append(BenchRow(
@@ -131,39 +126,28 @@ def run_suite(config: BenchConfig) -> BenchReport:
             cells = {}
             for ck in config.cost_kinds:
                 try:
-                    # validated above, once per case
-                    model = build_opf(network, pf, ck, validate=False)
+                    model = build_opf(network, pf, ck)
                 except OpfBenchError as exc:
                     cells[ck] = CellResult(ck, f"build-error: {exc}", None,
                                            None, None)
                     continue
                 samples = []
-                result = None
                 for _ in range(config.trials):
                     t0 = time.perf_counter()
                     result, _log = solve(model, config.solver_options)
                     samples.append(time.perf_counter() - t0)
-                runtime = float(statistics.median(samples))
-                if result.status == SolveStatus.OPTIMAL:
-                    cells[ck] = CellResult(
-                        ck, "optimal", result.objective, runtime,
-                        result.iterations,
-                    )
-                else:
-                    cells[ck] = CellResult(
-                        ck, result.status.value, None, runtime,
-                        result.iterations,
-                    )
+                optimal = result.status == SolveStatus.OPTIMAL
+                cells[ck] = CellResult(
+                    ck, result.status.value,
+                    result.objective if optimal else None,
+                    float(statistics.median(samples)), result.iterations,
+                )
             times = {ck: c.runtime for ck, c in cells.items()
-                     if c.status == "optimal" and c.runtime is not None}
-            ratios = None
-            fastest = None
+                     if c.status == "optimal"}
+            ratios = fastest = None
             if all(ck in times for ck in ENCODING_ORDER):
                 ratios = runtime_ratio(times)
-                best = min(times[k] for k in ENCODING_ORDER)
-                fastest = next(
-                    k for k in ENCODING_ORDER if times[k] == best
-                )
+                fastest = min(ENCODING_ORDER, key=times.__getitem__)
             rows.append(BenchRow(
                 case=case_name, n_bus=len(network.buses),
                 n_branch=len(network.branches), pf_kind=pf,

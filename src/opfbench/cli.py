@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from .bench import BenchConfig, render_report, run_suite
-from .errors import OpfBenchError
+from .errors import InvalidNetworkError, OpfBenchError
 from .formulations import (
     PWL_COST_KINDS,
     CostKind,
@@ -48,11 +48,18 @@ def _write_text(path, text) -> bool:
     return True
 
 
-def _cmd_validate(args) -> int:
+def _load_case(path):
+    """The network in the case file at path, or None after printing why
+    the file could not be read."""
     try:
-        network = read_case(args.case)
+        return read_case(path)
     except (OSError, OpfBenchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+
+
+def _cmd_validate(args) -> int:
+    network = _load_case(args.case)
+    if network is None:
         return EXIT_INPUT_ERROR
     findings = validate_network(network)
     for f in findings:
@@ -70,10 +77,8 @@ def _cmd_preprocess(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    try:
-        network = read_case(args.case)
-    except (OSError, OpfBenchError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    network = _load_case(args.case)
+    if network is None:
         return EXIT_INPUT_ERROR
     for k, gen in enumerate(network.generators):
         cost = gen.cost
@@ -99,18 +104,17 @@ def _cmd_solve(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    network = _load_case(args.case)
+    if network is None:
+        return EXIT_INPUT_ERROR
+    pf, cost = _PF[args.pf], _COST[args.cost]
     try:
-        network = read_case(args.case)
-        errors = [f for f in validate_network(network)
-                  if f.severity == "error"]
-        if errors:
-            for f in errors:
-                print(f"error: [{f.code}] {f.message}", file=sys.stderr)
-            return EXIT_INPUT_ERROR
-        pf = _PF[args.pf]
-        cost = _COST[args.cost]
-        model = build_opf(network, pf, cost, validate=False)
-    except (OSError, OpfBenchError) as exc:
+        model = build_opf(network, pf, cost)
+    except InvalidNetworkError as exc:
+        for f in exc.errors:
+            print(f"error: [{f.code}] {f.message}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    except OpfBenchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     result, log = solve(model, opts)

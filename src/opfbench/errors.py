@@ -43,5 +43,14 @@ class ModelBuildError(OpfBenchError):
     """Formulation builder received inconsistent or unvalidated inputs."""
 
 
+class InvalidNetworkError(ModelBuildError):
+    """Network with error findings, kept in ``errors``."""
+
+    def __init__(self, errors):
+        super().__init__("network rejected: "
+                         + "; ".join(f.message for f in errors))
+        self.errors = errors
+
+
 class RecoveryMismatchError(OpfBenchError):
     """Recomputed cost of a recovered solution disagrees with the solver objective."""

@@ -28,7 +28,7 @@ from .modelir import (
     SolveResult,
     SolveStatus,
 )
-from .netdata import ComplexPU, Network, branch_admittance, validate_network
+from .netdata import ComplexPU, Network, branch_admittance, require_valid
 from .pwlcost import (
     PiecewiseCost,
     PolynomialCost,
@@ -108,24 +108,15 @@ def _admittance_coefficients(network: Network, e: int, forward: bool):
     return gff, bff, gft, bft
 
 
-def _require_clean(network: Network):
-    errors = [f for f in validate_network(network) if f.severity == "error"]
-    if errors:
-        raise ModelBuildError(
-            "network rejected: " + "; ".join(f.message for f in errors)
-        )
-
-
-def build_power_flow(network: Network, kind: PowerFlowKind,
-                     validate: bool = True) -> ModelIR:
+def build_power_flow(network: Network, kind: PowerFlowKind) -> ModelIR:
     """Power-flow structure of the chosen kind as a cost-less ModelIR.
 
     The returned model carries variable index maps in ``meta`` so the
     attach_cost_* functions and :func:`recover_solution` can address
-    generators, voltages and flows.  No objective is set.
+    generators, voltages and flows.  No objective is set.  A network with
+    error findings raises InvalidNetworkError, a ModelBuildError.
     """
-    if validate:
-        _require_clean(network)
+    require_valid(network)
     if kind == PowerFlowKind.AC:
         return _build_ac(network)
     if kind == PowerFlowKind.SOC:
@@ -561,10 +552,11 @@ def attach_cost_polynomial(m: ModelIR, gens) -> ModelIR:
     return m
 
 
-def build_opf(network: Network, pf_kind: PowerFlowKind, cost_kind: CostKind,
-              validate: bool = True) -> ModelIR:
-    """Complete formulation: power-flow structure plus cost encoding."""
-    m = build_power_flow(network, pf_kind, validate=validate)
+def build_opf(network: Network, pf_kind: PowerFlowKind,
+              cost_kind: CostKind) -> ModelIR:
+    """Complete formulation: power-flow structure plus cost encoding,
+    rejecting an invalid network as :func:`build_power_flow` does."""
+    m = build_power_flow(network, pf_kind)
     gens = network.generators
     if cost_kind == CostKind.PSI:
         attach_cost_psi(m, gens)

@@ -5,7 +5,7 @@ Supports the Matpower case subset needed by the optimization builders:
 physical quantities are converted to per-unit on the system MVA base at
 parse time; angle limits are converted from degrees to radians.  Parsed
 networks keep their raw table rows so that serialization round-trips
-exactly.
+exactly, for as long as the network still holds what was parsed.
 """
 
 from __future__ import annotations
@@ -13,11 +13,13 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 from .errors import (
     CaseParseError,
     CaseStructureError,
+    InvalidNetworkError,
     SingularBranchError,
     UnsupportedFeatureError,
 )
@@ -85,18 +87,25 @@ class Generator:
 
 @dataclass(frozen=True)
 class Network:
+    """A per-unit power network, holding only its data: ``gens_at_bus``
+    and the findings of :func:`validate_network` are derived on first use
+    and kept on the instance, so ``dataclasses.replace`` derives anew."""
+
     base_mva: float
     buses: tuple[Bus, ...]
     branches: tuple[Branch, ...]
     generators: tuple[Generator, ...]
-    gens_at_bus: dict[int, tuple[int, ...]] = field(compare=False)
     raw_tables: dict | None = field(default=None, compare=False, repr=False)
 
-    def bus_by_id(self, bus_id: int) -> Bus | None:
-        for b in self.buses:
-            if b.id == bus_id:
-                return b
-        return None
+    @cached_property
+    def gens_at_bus(self) -> dict[int, tuple[int, ...]]:
+        """Bus id -> indices of the generators at that bus, in order."""
+        idx: dict[int, list[int]] = {}
+        for k, g in enumerate(self.generators):
+            idx.setdefault(g.bus, []).append(k)
+        return {bus: tuple(ks) for bus, ks in idx.items()}
+
+    _findings = cached_property(lambda self: tuple(_find_problems(self)))
 
     @property
     def reference_bus(self) -> int:
@@ -114,13 +123,6 @@ class Finding:
     severity: str  # "error" or "warning"
     code: str
     message: str
-
-
-def _index_gens(generators):
-    idx: dict[int, list[int]] = {}
-    for k, g in enumerate(generators):
-        idx.setdefault(g.bus, []).append(k)
-    return {bus: tuple(ks) for bus, ks in idx.items()}
 
 
 def _integer(value, what, line=None) -> int:
@@ -374,21 +376,15 @@ def parse_case(text: str) -> Network:
             cost=cost,
         ))
 
+    data = (base, tuple(buses), tuple(branches), tuple(generators))
     raw = {
-        "baseMVA": base,
+        "data": data,
         "bus": [row for row, _ in tables["bus"]],
         "gen": [row for row, _ in gen_rows],
         "branch": [row for row, _ in tables["branch"]],
         "gencost": [row for row, _ in cost_rows],
     }
-    return Network(
-        base_mva=base,
-        buses=tuple(buses),
-        branches=tuple(branches),
-        generators=tuple(generators),
-        gens_at_bus=_index_gens(generators),
-        raw_tables=raw,
-    )
+    return Network(*data, raw_tables=raw)
 
 
 def read_case(path) -> Network:
@@ -424,13 +420,15 @@ def serialize_case(network: Network, name: str = "case") -> str:
     """Render a network back to Matpower case text.
 
     Parsed networks are rendered from their original table rows, so
-    parse(serialize(parse(text))) reproduces the network exactly.
+    parse(serialize(parse(text))) reproduces the network exactly, while
+    the network's data equals what was parsed.
     """
     raw = network.raw_tables
-    if raw is None:
+    if raw is None or raw["data"] != (network.base_mva, network.buses,
+                                      network.branches, network.generators):
         raw = _synthesize_raw(network)
     lines = [f"function mpc = {name}", "mpc.version = '2';",
-             f"mpc.baseMVA = {_fmt(raw['baseMVA'])};", ""]
+             f"mpc.baseMVA = {_fmt(network.base_mva)};", ""]
     for table in ("bus", "gen", "branch", "gencost"):
         lines.append(f"mpc.{table} = [")
         for row in raw[table]:
@@ -477,8 +475,8 @@ def _synthesize_raw(network: Network) -> dict:
             br.series_impedance.im, br.charging, br.rate * base, 0.0, 0.0,
             br.tap_ratio, 0.0, 1.0, angmin, angmax,
         ])
-    return {"baseMVA": base, "bus": bus_rows, "gen": gen_rows,
-            "branch": branch_rows, "gencost": cost_rows}
+    return {"bus": bus_rows, "gen": gen_rows, "branch": branch_rows,
+            "gencost": cost_rows}
 
 
 def validate_network(network: Network) -> list[Finding]:
@@ -490,8 +488,20 @@ def validate_network(network: Network) -> list[Finding]:
     defaulted angle bounds, reference-bus fallback) and flag a network no
     dispatch can serve: total generator pmax below total active demand.
     That one is a warning, so the infeasible network still builds and its
-    solves are labelled infeasible.
+    solves are labelled infeasible.  Computed once per network object;
+    each call returns a new list.
     """
+    return list(network._findings)
+
+
+def require_valid(network: Network) -> None:
+    """Raise InvalidNetworkError if the network has error findings."""
+    errors = [f for f in validate_network(network) if f.severity == "error"]
+    if errors:
+        raise InvalidNetworkError(errors)
+
+
+def _find_problems(network: Network) -> list[Finding]:
     findings = []
     bus_ids = {b.id for b in network.buses}
     if not network.buses:

@@ -8,6 +8,7 @@ import itertools
 import numpy as np
 import scipy.sparse as sp
 
+from opfbench import netdata
 from opfbench.modelir import (
     ModelIR,
     SparsePattern,
@@ -161,15 +162,14 @@ def enumerate_lp_vertices(m: ModelIR):
     return best
 
 
-def counting_validations(monkeypatch, *modules):
-    """Count validate_network calls through each module's reference."""
+def counting_validations(monkeypatch):
+    """Record each network whose findings are computed, not looked up."""
     calls = []
-    for module in modules:
-        validate = module.validate_network
+    compute = netdata._find_problems
 
-        def counted(network, _validate=validate):
-            calls.append(network)
-            return _validate(network)
+    def counted(network):
+        calls.append(network)
+        return compute(network)
 
-        monkeypatch.setattr(module, "validate_network", counted)
+    monkeypatch.setattr(netdata, "_find_problems", counted)
     return calls

@@ -1,7 +1,5 @@
 import pytest
 
-import opfbench.bench as bench_mod
-from opfbench import formulations
 from opfbench.bench import (
     BenchConfig,
     BenchReport,
@@ -14,6 +12,7 @@ from opfbench.formulations import CostKind, PowerFlowKind
 from opfbench.ipm import SolverOptions
 
 from helpers import counting_validations
+from test_netdata import CASE2
 
 PSI, LAM = CostKind.PSI, CostKind.LAMBDA
 DEL, PHI = CostKind.DELTA, CostKind.PHI
@@ -54,13 +53,13 @@ class TestConfig:
 
 
 def test_run_suite_validates_each_network_once(case_paths, monkeypatch):
-    calls = counting_validations(monkeypatch, bench_mod, formulations)
+    calls = counting_validations(monkeypatch)
     report = run_suite(BenchConfig(case_paths=[case_paths["case1_micro"]],
                                    trials=1))
     assert len(report.rows) == 3
     assert all(c.status == "optimal" for row in report.rows
                for c in row.cells.values())
-    # one case, 3 models x 4 encodings built from it
+    # one case read and checked, 3 models x 4 encodings built from it
     assert len(calls) == 1
 
 
@@ -132,6 +131,20 @@ class TestRunSuite:
                 assert a.cells[ck].objective == b.cells[ck].objective
                 assert a.cells[ck].status == b.cells[ck].status
                 assert a.cells[ck].iterations == b.cells[ck].iterations
+
+    def test_invalid_network_recorded_as_input_error(self, tmp_path):
+        bad = tmp_path / "dangling.m"
+        bad.write_text(CASE2.replace(
+            "1	0	0	80	-40	1	100	1	200	20;",
+            "99	0	0	80	-40	1	100	1	200	20;",
+        ))
+        config = BenchConfig(case_paths=[bad], pf_kinds=(PowerFlowKind.DC,),
+                             trials=1)
+        report = run_suite(config)
+        assert len(report.rows) == 1
+        for cell in report.rows[0].cells.values():
+            assert cell.status.startswith("input-error")
+            assert "references missing bus 99" in cell.status
 
     def test_failed_case_recorded_not_raised(self, tmp_path):
         bad = tmp_path / "broken.m"

@@ -2,8 +2,6 @@ from pathlib import Path
 
 import pytest
 
-import opfbench.cli as cli_mod
-from opfbench import formulations
 from opfbench.cli import main
 
 from helpers import counting_validations
@@ -89,11 +87,26 @@ def test_solve_iteration_limited_exit_code(case_paths, capsys):
 
 
 def test_solve_validates_the_network_once(case_paths, capsys, monkeypatch):
-    calls = counting_validations(monkeypatch, cli_mod, formulations)
+    calls = counting_validations(monkeypatch)
     code = main(["solve", case_paths["case3_cycle"], "--pf", "dc",
                  "--cost", "lambda"])
     assert code == 0
     assert len(calls) == 1
+
+
+def test_solve_reports_each_network_error(tmp_path, capsys):
+    text = CASE2.replace(
+        "1	0	0	80	-40	1	100	1	200	20;",
+        "99	0	0	80	-40	1	100	1	200	20;",
+    )
+    path = tmp_path / "dangling.m"
+    path.write_text(text)
+    code = main(["solve", str(path), "--pf", "dc", "--cost", "lambda"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == ("error: [dangling-generator-bus] generator 0 "
+                            "references missing bus 99\n")
 
 
 def test_solve_rejects_unknown_pf(case_paths):

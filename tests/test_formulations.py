@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -39,7 +40,6 @@ def single_bus_network(load_re, load_im, pmin, pmax, cost,
         buses=(Bus(1, 3, 0.9, 1.1, ComplexPU(load_re, load_im)),),
         branches=(),
         generators=(gen,),
-        gens_at_bus={1: (0,)},
     )
 
 
@@ -99,8 +99,7 @@ class TestPowerFlowStructure:
                    br.tap_ratio, 0.0, br.angmin, br.angmax)
             for br in net.branches
         )
-        unlimited = Network(net.base_mva, net.buses, branches,
-                            net.generators, net.gens_at_bus)
+        unlimited = replace(net, branches=branches)
         m_ac = build_power_flow(unlimited, PowerFlowKind.AC)
         assert all(b.label != "thermal" for b in m_ac.blocks)
         m_dc = build_power_flow(unlimited, PowerFlowKind.DC).finalize()
@@ -194,7 +193,6 @@ class TestCostAttachmentCounts:
             buses=(Bus(1, 3, 0.9, 1.1, ComplexPU(0.5, 0.0)),),
             branches=(),
             generators=tuple(gens),
-            gens_at_bus={1: tuple(range(len(gens)))},
         )
         return build_power_flow(net, PowerFlowKind.DC), net
 
@@ -335,9 +333,15 @@ class TestPolynomialCosts:
     def test_negative_curvature_rejected(self):
         net = single_bus_network(0.5, 0.0, 0.0, 2.0,
                                  PolynomialCost(0.0, 1.0, -1.0))
+        # validation rejects the network before any model is built
+        with pytest.raises(ModelBuildError, match="negative quadratic"):
+            build_opf(net, PowerFlowKind.DC, CostKind.POLYNOMIAL)
+        # the attachment checks convexity itself, on a valid network's model
+        valid = replace(net, generators=(replace(
+            net.generators[0], cost=PolynomialCost(0.0, 1.0, 0.0)),))
+        m = build_power_flow(valid, PowerFlowKind.DC)
         with pytest.raises(ConvexityError):
-            build_opf(net, PowerFlowKind.DC, CostKind.POLYNOMIAL,
-                      validate=False)
+            attach_cost_polynomial(m, net.generators)
 
     def test_unit_quadratic_single_bus_ac(self):
         net = single_bus_network(1.0, 0.0, 0.0, 3.0,
@@ -358,7 +362,6 @@ class TestPolynomialCosts:
             branches=(Branch(1, 2, ComplexPU(0.0, 0.1), 0.0, 0.0, 0.0,
                              -0.5236, 0.5236),),
             generators=(g1, g2),
-            gens_at_bus={1: (0,), 2: (1,)},
         )
         m = build_opf(net, PowerFlowKind.DC, CostKind.POLYNOMIAL)
         res, _ = solve(m, TIGHT)
@@ -493,6 +496,26 @@ class TestCrossEncodingEquivalence:
         ref = objs[1]
         for o in objs:
             assert abs(o - ref) <= 1e-5 * max(1.0, abs(ref))
+
+
+def multi_bus_generation_cases():
+    """Bundled cases with generators at two or more buses."""
+    return [name for name in case_names()
+            if len({g.bus for g in parse_case(case_text(name)).generators})
+            >= 2]
+
+
+@pytest.mark.parametrize("name", multi_bus_generation_cases())
+def test_generator_order_does_not_move_the_optimum(name):
+    # the balance rows follow the generator index of the network they are
+    # built from, also after dataclasses.replace reorders its generators
+    net = parse_case(case_text(name))
+    objs = []
+    for n in (net, replace(net, generators=net.generators[::-1])):
+        res, _ = solve(build_opf(n, PowerFlowKind.DC, CostKind.LAMBDA), TIGHT)
+        assert res.status == SolveStatus.OPTIMAL
+        objs.append(res.objective)
+    assert objs[1] == pytest.approx(objs[0], rel=1e-6)
 
 
 class TestModelLayout:

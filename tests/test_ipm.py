@@ -420,7 +420,7 @@ def overloaded_network(name, margin):
         replace(b, demand=ComplexPU(factor * b.demand.re, factor * b.demand.im))
         for b in net.buses
     )
-    return replace(net, buses=buses, raw_tables=None)
+    return replace(net, buses=buses)
 
 
 def scaled_fixed_model():

@@ -7,19 +7,25 @@ from opfbench.cases import case_names, case_text
 from opfbench.errors import (
     CaseParseError,
     CaseStructureError,
+    InvalidNetworkError,
+    ModelBuildError,
     SingularBranchError,
     UnsupportedFeatureError,
 )
 from opfbench.netdata import (
     Branch,
     ComplexPU,
+    Finding,
     branch_admittance,
     parse_case,
     parse_gencost_row,
+    require_valid,
     serialize_case,
     validate_network,
 )
 from opfbench.pwlcost import PiecewiseCost, PolynomialCost
+
+from helpers import counting_validations
 
 CASE2 = """\
 function mpc = case2
@@ -57,7 +63,8 @@ def test_parse_basic_quantities():
     assert gen.pmin == 0.2
     assert gen.qmax == 0.8
     assert gen.qmin == -0.4
-    bus2 = net.bus_by_id(2)
+    bus2 = net.buses[1]
+    assert bus2.id == 2
     assert bus2.demand.re == 1.0  # 100 MW load
     assert bus2.demand.im == 0.2
     assert bus2.vmin == 0.9 and bus2.vmax == 1.1
@@ -275,6 +282,35 @@ class TestValidate:
         codes = [f.code for f in validate_network(parse_case(case_text(name)))]
         assert "insufficient-capacity" not in codes
 
+    def test_findings_computed_once_per_network(self, monkeypatch):
+        calls = counting_validations(monkeypatch)
+        net = parse_case(CASE2)
+        # a network made with replace validates its own data
+        dangling = replace(net, generators=(
+            replace(net.generators[0], bus=99),))
+        first = validate_network(dangling)
+        assert [f.code for f in first] == ["dangling-generator-bus"]
+        first.clear()  # each call returns a list of its own
+        assert validate_network(dangling) == [Finding(
+            "error", "dangling-generator-bus",
+            "generator 0 references missing bus 99")]
+        assert validate_network(net) == []
+        assert validate_network(net) == []
+        assert calls == [dangling, net]
+
+    def test_require_valid_names_every_error(self):
+        net = parse_case(CASE2)
+        require_valid(net)
+        broken = replace(net, generators=(replace(
+            net.generators[0], bus=99,
+            cost=PolynomialCost(0.0, 1.0, -1.0)),))
+        with pytest.raises(InvalidNetworkError) as info:
+            require_valid(broken)
+        assert [f.code for f in info.value.errors] == [
+            "dangling-generator-bus", "non-convex-polynomial-cost"]
+        assert isinstance(info.value, ModelBuildError)
+        assert "missing bus 99" in str(info.value)
+
 
 class TestRoundTrip:
     def test_serialize_parse_identity(self):
@@ -305,7 +341,6 @@ class TestRoundTrip:
             generators=(Generator(1, 0.25, 2.0, -0.5, 0.5, PiecewiseCost(
                 PwlCurve.from_points([(0.25, 100.0), (2.0, 2000.0)])
             )),),
-            gens_at_bus={1: (0,)},
         )
         again = parse_case(serialize_case(net))
         assert again.generators[0].pmax == pytest.approx(2.0)
@@ -326,10 +361,29 @@ class TestRoundTrip:
             "\t1	0	0	2	0	0	100	1200;",
         )
         net = parse_case(text)
-        seen = sorted(
-            k for ks in net.gens_at_bus.values() for k in ks
-        )
-        assert seen == list(range(len(net.generators)))
-        for bus_id, ks in net.gens_at_bus.items():
-            for k in ks:
-                assert net.generators[k].bus == bus_id
+        # derived from the generators, also after replace reorders them
+        for n in (net, replace(net, generators=net.generators[::-1])):
+            seen = sorted(
+                k for ks in n.gens_at_bus.values() for k in ks
+            )
+            assert seen == list(range(len(n.generators)))
+            for bus_id, ks in n.gens_at_bus.items():
+                assert list(ks) == sorted(ks)
+                for k in ks:
+                    assert n.generators[k].bus == bus_id
+
+    def test_replaced_network_serializes_its_own_data(self):
+        net = parse_case(case_text("case3_cycle"))
+        doubled = replace(net, buses=tuple(
+            replace(b, demand=ComplexPU(2.0 * b.demand.re,
+                                        2.0 * b.demand.im))
+            for b in net.buses))
+        again = parse_case(serialize_case(doubled))
+        for b, a in zip(doubled.buses, again.buses):
+            assert a.demand.re == pytest.approx(b.demand.re, rel=1e-12)
+            assert a.demand.im == pytest.approx(b.demand.im, rel=1e-12)
+        assert sum(b.demand.re for b in again.buses) > sum(
+            b.demand.re for b in net.buses)
+        # data equal to what was parsed is still written from the source rows
+        same = replace(net, buses=tuple(replace(b) for b in net.buses))
+        assert serialize_case(same) == serialize_case(net)
