@@ -17,14 +17,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import OpfBenchError
-from .formulations import CostKind, PowerFlowKind, build_opf
+from .formulations import PWL_COST_KINDS, CostKind, PowerFlowKind, build_opf
 from .ipm import SolverOptions, solve
 from .modelir import SolveStatus
 from .netdata import read_case, require_valid
 
-# Reporting order of the cost encodings; also breaks runtime ties when
-# designating the fastest encoding of a cell.
-ENCODING_ORDER = (CostKind.PSI, CostKind.LAMBDA, CostKind.DELTA, CostKind.PHI)
 REFERENCE_ENCODING = CostKind.LAMBDA
 
 
@@ -36,7 +33,7 @@ class IncompleteCellError(OpfBenchError):
 class BenchConfig:
     case_paths: list
     pf_kinds: tuple = (PowerFlowKind.AC, PowerFlowKind.SOC, PowerFlowKind.DC)
-    cost_kinds: tuple = ENCODING_ORDER
+    cost_kinds: tuple = PWL_COST_KINDS
     trials: int = 5
     solver_options: SolverOptions = field(default_factory=SolverOptions)
 
@@ -91,7 +88,7 @@ def runtime_ratio(times: dict) -> dict:
     ``times`` maps each of the four encodings to a positive solve time;
     a missing encoding raises IncompleteCellError.
     """
-    missing = [k for k in ENCODING_ORDER if k not in times]
+    missing = [k for k in PWL_COST_KINDS if k not in times]
     if missing:
         raise IncompleteCellError(
             "missing encoding times: " + ", ".join(k.value for k in missing)
@@ -99,8 +96,8 @@ def runtime_ratio(times: dict) -> dict:
     for k, t in times.items():
         if not t > 0:
             raise ValueError(f"time for {k.value} must be positive, got {t}")
-    best = min(times[k] for k in ENCODING_ORDER)
-    return {k: times[k] / best for k in ENCODING_ORDER}
+    best = min(times[k] for k in PWL_COST_KINDS)
+    return {k: times[k] / best for k in PWL_COST_KINDS}
 
 
 def run_suite(config: BenchConfig) -> BenchReport:
@@ -145,9 +142,10 @@ def run_suite(config: BenchConfig) -> BenchReport:
             times = {ck: c.runtime for ck, c in cells.items()
                      if c.status == "optimal"}
             ratios = fastest = None
-            if all(ck in times for ck in ENCODING_ORDER):
+            if all(ck in times for ck in PWL_COST_KINDS):
                 ratios = runtime_ratio(times)
-                fastest = min(ENCODING_ORDER, key=times.__getitem__)
+                # the first of equal times, in PWL_COST_KINDS order, wins
+                fastest = min(PWL_COST_KINDS, key=times.__getitem__)
             rows.append(BenchRow(
                 case=case_name, n_bus=len(network.buses),
                 n_branch=len(network.branches), pf_kind=pf,

@@ -26,7 +26,7 @@ from .formulations import (
 from .ipm import SolverOptions, kkt_check, solve
 from .modelir import SolveStatus
 from .netdata import read_case, validate_network
-from .pwlcost import DEFAULT_SLOPE_TOL, check_slope_tol, preprocess
+from .pwlcost import preprocess
 
 EXIT_OK = 0
 EXIT_NOT_OPTIMAL = 1
@@ -72,11 +72,6 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_preprocess(args) -> int:
-    try:
-        check_slope_tol(args.slope_tol)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
     network = _load_case(args.case)
     if network is None:
         return EXIT_INPUT_ERROR
@@ -86,8 +81,7 @@ def _cmd_preprocess(args) -> int:
             print(f"generator {k}: polynomial cost, nothing to preprocess")
             continue
         try:
-            cleaned = preprocess(cost.curve, gen.pmin, gen.pmax,
-                                 slope_tol=args.slope_tol)
+            cleaned = preprocess(cost.curve, gen.pmin, gen.pmax)
         except OpfBenchError as exc:
             print(f"generator {k}: error: {exc}", file=sys.stderr)
             return EXIT_INPUT_ERROR
@@ -129,7 +123,7 @@ def _cmd_solve(args) -> int:
     report = kkt_check(model, result)
     print(f"kkt audit:  {report.max_residual:.3e}")
     try:
-        sol = recover_solution(model, pf, cost, result)
+        sol = recover_solution(model, result)
     except OpfBenchError as exc:
         print(f"recovery failed: {exc}", file=sys.stderr)
         return EXIT_NOT_OPTIMAL
@@ -206,9 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="clean piecewise cost curves against the "
                             "generator bounds")
     p.add_argument("case")
-    p.add_argument("--slope-tol", type=float, default=DEFAULT_SLOPE_TOL,
-                   help="slope difference below which adjacent segments "
-                        "merge (default %(default)g)")
     p.set_defaults(func=_cmd_preprocess)
 
     p = sub.add_parser("solve", help="solve one formulation of a case")

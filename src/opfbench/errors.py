@@ -5,8 +5,9 @@ class OpfBenchError(Exception):
     """Base class for all workbench errors."""
 
 
-class CaseParseError(OpfBenchError):
-    """Malformed case text. Carries the 1-based line number when known."""
+class CaseError(OpfBenchError):
+    """Case input the parser rejects. Carries the 1-based line number when
+    known."""
 
     def __init__(self, message, line=None):
         if line is not None:
@@ -15,15 +16,19 @@ class CaseParseError(OpfBenchError):
         self.line = line
 
 
-class CaseStructureError(OpfBenchError):
+class CaseParseError(CaseError):
+    """Malformed case text."""
+
+
+class CaseStructureError(CaseError):
     """Tables parsed but are mutually inconsistent (e.g. gencost row count)."""
 
 
-class UnsupportedFeatureError(OpfBenchError):
+class UnsupportedFeatureError(CaseError):
     """Input uses a feature outside the supported Matpower subset."""
 
 
-class SingularBranchError(OpfBenchError):
+class SingularBranchError(CaseError):
     """Branch with zero series impedance cannot be converted to admittance."""
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvexityError, ModelBuildError, RecoveryMismatchError
+from .errors import ModelBuildError, RecoveryMismatchError
 from .modelir import (
     INF,
     AcFlowPolarBlock,
@@ -32,7 +32,6 @@ from .netdata import ComplexPU, Network, branch_admittance, require_valid
 from .pwlcost import (
     PiecewiseCost,
     PolynomialCost,
-    PwlCurve,
     evaluate,
     evaluate_polynomial,
     preprocess,
@@ -364,10 +363,10 @@ def _build_dc(network: Network) -> ModelIR:
 # -- cost attachments ----------------------------------------------------
 
 
-def _ready_curves(m: ModelIR, gens):
+def _ready_curves(m: ModelIR):
     """Every generator's curve, preprocessed against its bounds."""
     curves = []
-    for k, g in enumerate(gens):
+    for k, g in enumerate(m.meta["network"].generators):
         if not isinstance(g.cost, PiecewiseCost):
             raise ModelBuildError(
                 f"generator {k} has no piecewise cost curve; "
@@ -378,10 +377,10 @@ def _ready_curves(m: ModelIR, gens):
     return curves
 
 
-def attach_cost_psi(m: ModelIR, gens) -> ModelIR:
+def attach_cost_psi(m: ModelIR) -> ModelIR:
     """Epigraph encoding: one cost variable per generator bounded by its
     curve's cost range, one inequality row per segment."""
-    curves = _ready_curves(m, gens)
+    curves = _ready_curves(m)
     pg_idx = m.meta["pg_idx"]
     cg_cols, pg_cols, slopes, lo = [], [], [], []
     for k, curve in enumerate(curves):
@@ -405,10 +404,10 @@ def attach_cost_psi(m: ModelIR, gens) -> ModelIR:
     return m
 
 
-def attach_cost_lambda(m: ModelIR, gens) -> ModelIR:
+def attach_cost_lambda(m: ModelIR) -> ModelIR:
     """Convex-combination encoding: interpolation weights over breakpoints
     tied to dispatch and summing to one."""
-    curves = _ready_curves(m, gens)
+    curves = _ready_curves(m)
     pg_idx = m.meta["pg_idx"]
     rows, cols, vals, rhs = [], [], [], []
     for k, curve in enumerate(curves):
@@ -435,10 +434,10 @@ def attach_cost_lambda(m: ModelIR, gens) -> ModelIR:
     return m
 
 
-def attach_cost_delta(m: ModelIR, gens) -> ModelIR:
+def attach_cost_delta(m: ModelIR) -> ModelIR:
     """Generation-bin encoding: one bounded bin per segment, dispatch equal
     to the first breakpoint plus the filled bins."""
-    curves = _ready_curves(m, gens)
+    curves = _ready_curves(m)
     pg_idx = m.meta["pg_idx"]
     rows, cols, vals, rhs = [], [], [], []
     for k, curve in enumerate(curves):
@@ -462,18 +461,19 @@ def attach_cost_delta(m: ModelIR, gens) -> ModelIR:
     return m
 
 
-def attach_cost_phi(m: ModelIR, gens) -> ModelIR:
+def attach_cost_phi(m: ModelIR) -> ModelIR:
     """Marginal-excess encoding: first-segment line plus slope-difference
     terms over the excess above each interior breakpoint.
 
     Two-point curves contribute only their linear term; this is noted in
     the model's build log.
     """
-    curves = _ready_curves(m, gens)
+    curves = _ready_curves(m)
     pg_idx = m.meta["pg_idx"]
     notes = m.meta.setdefault("build_notes", [])
     rows, cols, lo = [], [], []
-    for k, (g, curve) in enumerate(zip(gens, curves)):
+    for k, (g, curve) in enumerate(zip(m.meta["network"].generators,
+                                       curves)):
         x0 = m.var_start[pg_idx[k]]
         powers = curve.powers
         m.add_objective_term(pg_idx[k], curve.slopes[0])
@@ -503,23 +503,19 @@ def attach_cost_phi(m: ModelIR, gens) -> ModelIR:
     return m
 
 
-def attach_cost_polynomial(m: ModelIR, gens) -> ModelIR:
+def attach_cost_polynomial(m: ModelIR) -> ModelIR:
     """Quadratic baseline lowered to a linear objective plus one epigraph
     row per generator with curvature; pure linear costs stay in the
-    objective."""
+    objective.  Convexity holds: the model's network was validated."""
     pg_idx = m.meta["pg_idx"]
     pg_cols, cg_cols, b_coefs, c_coefs, const = [], [], [], [], []
-    for k, g in enumerate(gens):
+    for k, g in enumerate(m.meta["network"].generators):
         if not isinstance(g.cost, PolynomialCost):
             raise ModelBuildError(
                 f"generator {k} has no polynomial cost; "
                 f"use a piecewise attachment"
             )
         a, b, c = g.cost.a, g.cost.b, g.cost.c
-        if c < 0:
-            raise ConvexityError(
-                f"generator {k} has negative quadratic coefficient {c}"
-            )
         if c == 0.0:
             m.add_objective_term(pg_idx[k], b)
             m.add_objective_offset(a)
@@ -557,31 +553,35 @@ def build_opf(network: Network, pf_kind: PowerFlowKind,
     """Complete formulation: power-flow structure plus cost encoding,
     rejecting an invalid network as :func:`build_power_flow` does."""
     m = build_power_flow(network, pf_kind)
-    gens = network.generators
     if cost_kind == CostKind.PSI:
-        attach_cost_psi(m, gens)
+        attach_cost_psi(m)
     elif cost_kind == CostKind.LAMBDA:
-        attach_cost_lambda(m, gens)
+        attach_cost_lambda(m)
     elif cost_kind == CostKind.DELTA:
-        attach_cost_delta(m, gens)
+        attach_cost_delta(m)
     elif cost_kind == CostKind.PHI:
-        attach_cost_phi(m, gens)
+        attach_cost_phi(m)
     elif cost_kind == CostKind.POLYNOMIAL:
-        attach_cost_polynomial(m, gens)
+        attach_cost_polynomial(m)
     else:
         raise ValueError(f"unknown cost kind {cost_kind}")
     m.name = f"{pf_kind.value}-opf-{cost_kind.value}"
     return m.finalize()
 
 
-def recover_solution(m: ModelIR, pf_kind: PowerFlowKind, cost_kind: CostKind,
-                     result: SolveResult) -> OpfSolution:
+def recover_solution(m: ModelIR, result: SolveResult) -> OpfSolution:
     """Extract dispatch, voltages and flows, recomputing costs from dispatch.
 
-    The recomputed total cost must match the solver objective to within
-    1e-6 relative; a mismatch signals a modeling bug and raises
+    The power-flow and cost kinds are the model's own; a model without a
+    cost attachment, or a non-optimal result, raises ModelBuildError.  The
+    recomputed total cost must match the solver objective to within 1e-6
+    relative; a mismatch signals a modeling bug and raises
     RecoveryMismatchError.
     """
+    cost_kind = m.meta.get("cost_kind")
+    if cost_kind is None:
+        raise ModelBuildError("model has no cost attachment to recover")
+    pf_kind = m.meta["pf_kind"]
     if result.status != SolveStatus.OPTIMAL:
         raise ModelBuildError(
             f"cannot recover from a {result.status.value} result"
@@ -600,12 +600,11 @@ def recover_solution(m: ModelIR, pf_kind: PowerFlowKind, cost_kind: CostKind,
     for k, g in enumerate(network.generators):
         p = dispatch[k].re
         if cost_kind == CostKind.POLYNOMIAL:
-            assert isinstance(g.cost, PolynomialCost)
             gen_costs.append(evaluate_polynomial(
                 g.cost.a, g.cost.b, g.cost.c, p
             ))
         else:
-            curve: PwlCurve = m.meta["cost_curves"][k]
+            curve = m.meta["cost_curves"][k]
             domain_lo, domain_hi = curve.powers[0], curve.powers[-1]
             gen_costs.append(evaluate(
                 curve, min(max(p, domain_lo), domain_hi)

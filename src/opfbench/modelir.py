@@ -131,7 +131,9 @@ class QuadraticBlock:
     (rows, i, j, coefs), one product term per unordered index pair; a
     diagonal term (r, i, i, q) contributes q * x_i^2.  ``const`` defaults
     to zero.  Each row sums its constant, then its linear, then its product
-    terms, in the order given.
+    terms, in the order given.  A term outside the block's rows raises
+    ValueError naming the block: stacked with other blocks, it would land
+    in a neighbour's row.
     """
 
     def __init__(self, label, lower, upper, linear=((), (), ()),
@@ -147,6 +149,10 @@ class QuadraticBlock:
         self._qrows, self._qi, self._qj = _iarray(rows), _iarray(i), _iarray(j)
         self._qvals = _farray(vals)
         self._const = np.zeros(self.nrows) if const is None else _farray(const)
+        for r in (self._lrows, self._qrows):
+            # a negative row reads as a huge unsigned one
+            if len(r) and r.view(np.uint64).max() >= self.nrows:
+                raise ValueError(f"block {label} references row out of range")
 
     @cached_property
     def _sum_rows(self):
@@ -458,8 +464,7 @@ _NO_ROWS = QuadraticBlock("no rows", (), ())
 def _stacked(parts, lower, upper) -> QuadraticBlock:
     """One QuadraticBlock over all model rows with the terms of every
     (row offset, QuadraticBlock) part, in part order; rows of no part have
-    no terms.  A term outside the rows of its own block raises ValueError
-    naming the block: stacked, it would land in a neighbour's row."""
+    no terms."""
     blocks = [_NO_ROWS] + [blk for _, blk in parts]
     const = np.zeros(len(lower))
     for off, blk in parts:
@@ -468,19 +473,12 @@ def _stacked(parts, lower, upper) -> QuadraticBlock:
         (blk._lcols, blk._lvals, blk._qi, blk._qj, blk._qvals)
         for blk in blocks
     ]))
-    # the rows of all linear terms, then of all products, local to their
-    # block until checked and then shifted to the model's rows
+    # the rows of all linear terms, then of all products, shifted from
+    # their block's rows to the model's
     counts = ([len(blk._lrows) for blk in blocks]
               + [len(blk._qrows) for blk in blocks])
     rows = np.concatenate([blk._lrows for blk in blocks]
                           + [blk._qrows for blk in blocks])
-    # a negative row reads as a huge unsigned one
-    stray = rows.view(np.uint64) >= np.array(
-        [blk.nrows for blk in blocks] * 2, dtype=np.uint64).repeat(counts)
-    if stray.any():
-        owner = np.searchsorted(np.cumsum(counts), stray.argmax(), "right")
-        raise ValueError(f"block {blocks[owner % len(blocks)].label} "
-                         f"references row out of range")
     rows += np.array(([0] + [off for off, _ in parts]) * 2).repeat(counts)
     nlin = sum(counts[:len(blocks)])
     return QuadraticBlock("polynomial rows", lower, upper,

@@ -20,10 +20,17 @@ from .errors import (
     CaseParseError,
     CaseStructureError,
     InvalidNetworkError,
+    OpfBenchError,
     SingularBranchError,
     UnsupportedFeatureError,
 )
-from .pwlcost import CostSpec, PiecewiseCost, PolynomialCost, PwlCurve
+from .pwlcost import (
+    CostSpec,
+    PiecewiseCost,
+    PolynomialCost,
+    PwlCurve,
+    preprocess,
+)
 
 # Angle-difference envelope applied when a branch carries no limits
 # (Matpower convention angmin = angmax = 0).
@@ -152,22 +159,22 @@ def parse_gencost_row(values, line=None):
     Returns ("poly", (a, b, c)) for model 2 rows (coefficients given high to
     low degree) or ("pwl", [(p, c), ...]) for model 1 rows.  No unit
     conversion happens here; power stays in MW.  ``line`` is the row's line
-    number, reported when its model code or count is not an integer.
+    number, reported in every error the row raises.
     """
     if len(values) < 4:
-        raise CaseStructureError(f"gencost row too short: {values}")
+        raise CaseStructureError(f"gencost row too short: {values}", line)
     model = _integer(values[0], "gencost MODEL", line)
     n = _integer(values[3], "gencost NCOST", line)
     tail = values[4:]
     if model == 2:
         if n < 1 or n > 3:
             raise UnsupportedFeatureError(
-                f"polynomial cost of degree {n - 1} not supported (max quadratic)"
-            )
+                f"polynomial cost of degree {n - 1} not supported "
+                f"(max quadratic)", line)
         if len(tail) < n:
             raise CaseStructureError(
-                f"gencost row declares {n} coefficients but has {len(tail)}"
-            )
+                f"gencost row declares {n} coefficients but has "
+                f"{len(tail)}", line)
         _check_numbers(values, range(4, 4 + n), "gencost", line)
         coeffs = [0.0] * (3 - n) + [float(v) for v in tail[:n]]
         c, b, a = coeffs
@@ -175,12 +182,13 @@ def parse_gencost_row(values, line=None):
     if model == 1:
         if len(tail) < 2 * n:
             raise CaseStructureError(
-                f"gencost row declares {n} points but has {len(tail)} values"
-            )
+                f"gencost row declares {n} points but has {len(tail)} "
+                f"values", line)
         _check_numbers(values, range(4, 4 + 2 * n), "gencost", line)
         pts = [(float(tail[2 * i]), float(tail[2 * i + 1])) for i in range(n)]
         return "pwl", pts
-    raise UnsupportedFeatureError(f"unknown gencost model code {model}")
+    raise UnsupportedFeatureError(f"unknown gencost model code {model}",
+                                  line)
 
 
 def _scan_tables(text: str):
@@ -197,7 +205,7 @@ def _scan_tables(text: str):
             if m:
                 name, rest = m.group(1), m.group(2)
                 tables[name] = []
-                current = name
+                current, opened = name, lineno
                 line = rest.strip()
                 if not line:
                     continue
@@ -234,7 +242,8 @@ def _scan_tables(text: str):
         if closing:
             current = None
     if current is not None:
-        raise CaseParseError(f"table mpc.{current} is never closed with ']'")
+        raise CaseParseError(f"table mpc.{current} is never closed with ']'",
+                             line=opened)
     return scalars, tables
 
 
@@ -253,8 +262,10 @@ def parse_case(text: str) -> Network:
     """Parse Matpower case text into a per-unit :class:`Network`.
 
     Raises CaseParseError for malformed text, CaseStructureError for
-    inconsistent tables and UnsupportedFeatureError for bus shunts, branch
-    phase shifts or unknown cost models.
+    inconsistent tables and UnsupportedFeatureError for bus shunts,
+    isolated (type 4) buses, out-of-service (status 0) generators and
+    branches, branch phase shifts or unknown cost models.  Each names the
+    line of the offending row when there is one.
     """
     scalars, tables = _scan_tables(text)
     if "baseMVA" not in scalars:
@@ -266,7 +277,8 @@ def parse_case(text: str) -> Network:
     if math.isnan(base):
         raise CaseParseError("mpc.baseMVA is NaN", line=base_line)
     if base <= 0:
-        raise CaseStructureError(f"baseMVA must be positive, got {base}")
+        raise CaseStructureError(f"baseMVA must be positive, got {base}",
+                                 base_line)
 
     buses = []
     seen_ids = set()
@@ -278,23 +290,27 @@ def parse_case(text: str) -> Network:
         _check_numbers(row, (2, 3, 4, 5, 11, 12), "bus", lineno)
         bus_id = _integer(row[0], "bus id", lineno)
         if bus_id <= 0:
-            raise CaseStructureError(f"bus id must be positive, got {bus_id}")
+            raise CaseStructureError(f"bus id must be positive, got {bus_id}",
+                                     lineno)
         if bus_id in seen_ids:
-            raise CaseStructureError(f"duplicate bus id {bus_id}")
+            raise CaseStructureError(f"duplicate bus id {bus_id}", lineno)
         seen_ids.add(bus_id)
         if row[4] != 0.0 or row[5] != 0.0:
             raise UnsupportedFeatureError(
-                f"bus {bus_id} has a shunt (Gs/Bs nonzero), not supported"
-            )
+                f"bus {bus_id} has a shunt (Gs/Bs nonzero), not supported",
+                lineno)
+        bus_type = _integer(row[1], "bus type", lineno)
+        if bus_type == 4:
+            raise UnsupportedFeatureError(
+                f"bus {bus_id} is isolated (type 4), not supported", lineno)
         vmax, vmin = row[11], row[12]
         if not (0.0 < vmin <= vmax):
             raise CaseStructureError(
                 f"bus {bus_id} voltage bounds must satisfy 0 < vmin <= vmax, "
-                f"got [{vmin}, {vmax}]"
-            )
+                f"got [{vmin}, {vmax}]", lineno)
         buses.append(Bus(
             id=bus_id,
-            bus_type=_integer(row[1], "bus type", lineno),
+            bus_type=bus_type,
             vmin=vmin,
             vmax=vmax,
             demand=ComplexPU(row[2] / base, row[3] / base),
@@ -306,25 +322,28 @@ def parse_case(text: str) -> Network:
             raise CaseParseError(
                 f"branch row needs 13 columns, got {len(row)}", line=lineno
             )
-        _check_numbers(row, (2, 3, 4, 5, 8, 9, 11, 12), "branch", lineno)
+        _check_numbers(row, (2, 3, 4, 5, 8, 9, 10, 11, 12), "branch", lineno)
         f_bus = _integer(row[0], "branch from-bus", lineno)
         t_bus = _integer(row[1], "branch to-bus", lineno)
         if f_bus == t_bus:
-            raise CaseStructureError(f"branch connects bus {f_bus} to itself")
+            raise CaseStructureError(f"branch connects bus {f_bus} to itself",
+                                     lineno)
+        if row[10] <= 0.0:
+            raise UnsupportedFeatureError(
+                f"branch {f_bus}-{t_bus} is out of service (status "
+                f"{_fmt(row[10])}), not supported", lineno)
         r, x = row[2], row[3]
         if r == 0.0 and x == 0.0:
             raise SingularBranchError(
-                f"branch {f_bus}-{t_bus} has zero series impedance"
-            )
+                f"branch {f_bus}-{t_bus} has zero series impedance", lineno)
         if row[9] != 0.0:
             raise UnsupportedFeatureError(
-                f"branch {f_bus}-{t_bus} has a phase-shift angle, not supported"
-            )
+                f"branch {f_bus}-{t_bus} has a phase-shift angle, not "
+                f"supported", lineno)
         tap = row[8]
         if tap < 0.0:
             raise CaseStructureError(
-                f"branch {f_bus}-{t_bus} has negative tap ratio {tap}"
-            )
+                f"branch {f_bus}-{t_bus} has negative tap ratio {tap}", lineno)
         angmin, angmax, defaulted = _normalize_angle_bounds(row[11], row[12])
         branches.append(Branch(
             from_bus=f_bus,
@@ -350,8 +369,12 @@ def parse_case(text: str) -> Network:
             raise CaseParseError(
                 f"gen row needs 10 columns, got {len(row)}", line=lineno
             )
-        _check_numbers(row, (3, 4, 8, 9), "gen", lineno)
+        _check_numbers(row, (3, 4, 7, 8, 9), "gen", lineno)
         gen_bus = _integer(row[0], "generator bus", lineno)
+        if row[7] <= 0.0:
+            raise UnsupportedFeatureError(
+                f"generator at bus {gen_bus} is out of service (status "
+                f"{_fmt(row[7])}), not supported", lineno)
         kind, payload = parse_gencost_row(crow, clineno)
         if kind == "poly":
             a, b, c = payload
@@ -364,12 +387,10 @@ def parse_case(text: str) -> Network:
         qmin, qmax = row[4] / base, row[3] / base
         if pmin > pmax:
             raise CaseStructureError(
-                f"generator at bus {gen_bus} has pmin > pmax"
-            )
+                f"generator at bus {gen_bus} has pmin > pmax", lineno)
         if qmin > qmax:
             raise CaseStructureError(
-                f"generator at bus {gen_bus} has qmin > qmax"
-            )
+                f"generator at bus {gen_bus} has qmin > qmax", lineno)
         generators.append(Generator(
             bus=gen_bus,
             pmin=pmin, pmax=pmax, qmin=qmin, qmax=qmax,
@@ -483,7 +504,9 @@ def validate_network(network: Network) -> list[Finding]:
     """Semantic findings for a parsed network.
 
     Errors (dangling references, empty component sets, non-convex polynomial
-    costs) make the network unacceptable to the formulation builders;
+    costs, piecewise curves that :func:`~opfbench.pwlcost.preprocess`
+    rejects against their generator's bounds) make the network
+    unacceptable to the formulation builders;
     warnings document conventions applied (unlimited thermal ratings,
     defaulted angle bounds, reference-bus fallback) and flag a network no
     dispatch can serve: total generator pmax below total active demand.
@@ -522,6 +545,14 @@ def _find_problems(network: Network) -> list[Finding]:
                 f"generator {k} has negative quadratic coefficient "
                 f"{g.cost.c}",
             ))
+        if isinstance(g.cost, PiecewiseCost):
+            try:
+                preprocess(g.cost.curve, g.pmin, g.pmax)
+            except (OpfBenchError, ValueError) as exc:
+                findings.append(Finding(
+                    "error", "unusable-cost-curve",
+                    f"generator {k} cost curve: {exc}",
+                ))
     touched = set()
     for i, br in enumerate(network.branches):
         for end in (br.from_bus, br.to_bus):

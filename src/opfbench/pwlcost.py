@@ -11,7 +11,6 @@ curve through four mathematically equivalent routes.
 from __future__ import annotations
 
 import bisect
-import math
 from dataclasses import dataclass
 
 from .errors import (
@@ -23,7 +22,7 @@ from .errors import (
 # Slope-difference threshold for merging adjacent segments during cleaning.
 # Tight enough to preserve values at report precision, loose enough to
 # collapse floating-point duplicate slopes.
-DEFAULT_SLOPE_TOL = 1e-7
+SLOPE_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -110,17 +109,20 @@ def check_assumptions(curve: PwlCurve, pmin: float, pmax: float):
     """Report which encoding prerequisites the curve violates.
 
     Checks that pmin lies in the first segment, pmax in the last, and that
-    segment slopes strictly increase.  An empty list means the curve is ready
-    for model building.
+    segment slopes strictly increase.  A fixed generator (pmin == pmax)
+    needs one segment that holds its output, at an end or inside.  An empty
+    list means the curve is ready for model building.
     """
     violations = []
     powers = curve.powers
-    if not (powers[0] <= pmin < powers[1]):
+    fixed = pmin == pmax and len(powers) == 2 and (
+        powers[0] <= pmin <= powers[1])
+    if not (powers[0] <= pmin < powers[1] or fixed):
         violations.append(AssumptionViolation(
             "pmin-outside-first-segment",
             f"pmin={pmin} not in first segment [{powers[0]}, {powers[1]})",
         ))
-    if not (powers[-2] < pmax <= powers[-1]):
+    if not (powers[-2] < pmax <= powers[-1] or fixed):
         violations.append(AssumptionViolation(
             "pmax-outside-last-segment",
             f"pmax={pmax} not in last segment ({powers[-2]}, {powers[-1]}]",
@@ -136,29 +138,21 @@ def check_assumptions(curve: PwlCurve, pmin: float, pmax: float):
     return violations
 
 
-def check_slope_tol(slope_tol: float) -> None:
-    """Raise ValueError unless slope_tol is finite and nonnegative."""
-    if not 0.0 <= slope_tol < math.inf:
-        raise ValueError(
-            f"slope_tol must be finite and nonnegative, got {slope_tol}"
-        )
-
-
-def preprocess(curve, pmin: float, pmax: float,
-               slope_tol: float = DEFAULT_SLOPE_TOL) -> PwlCurve:
+def preprocess(curve, pmin: float, pmax: float) -> PwlCurve:
     """Clean a raw convex curve so it satisfies :func:`check_assumptions`.
 
     Applies three rules in order: (1) extend the outer segments along their
     own slope when a generator bound lies outside the breakpoint range;
     (2) drop breakpoints whose segments lie entirely outside [pmin, pmax],
     keeping one breakpoint on the far side of each bound; (3) delete interior
-    breakpoints whose adjacent segments differ in slope by at most slope_tol.
+    breakpoints whose adjacent segments differ in slope by at most
+    SLOPE_TOL.  A fixed generator keeps the one segment that holds its
+    output.
 
-    Idempotent, and value-preserving on [pmin, pmax] up to slope_tol effects.
-    Raises ConvexityError if slopes decrease by more than slope_tol, and
-    ValueError if slope_tol is negative or not finite.
+    Idempotent, and value-preserving on [pmin, pmax] up to SLOPE_TOL
+    effects.  Raises ConvexityError if slopes decrease by more than
+    SLOPE_TOL, and ValueError if pmin exceeds pmax.
     """
-    check_slope_tol(slope_tol)
     if isinstance(curve, PwlCurve):
         pts = list(curve.points)
     else:
@@ -167,7 +161,7 @@ def preprocess(curve, pmin: float, pmax: float,
         raise ValueError(f"pmin={pmin} exceeds pmax={pmax}")
     slopes, _ = derive_slopes_intercepts(pts)
     for l in range(1, len(slopes)):
-        if slopes[l] < slopes[l - 1] - slope_tol:
+        if slopes[l] < slopes[l - 1] - SLOPE_TOL:
             raise ConvexityError(
                 f"slope decreases from {slopes[l - 1]} to {slopes[l]} at "
                 f"breakpoint {l + 1}: curve is not convex"
@@ -195,7 +189,7 @@ def preprocess(curve, pmin: float, pmax: float,
         merged = False
         slopes, _ = derive_slopes_intercepts(pts)
         for l in range(1, len(slopes)):
-            if abs(slopes[l] - slopes[l - 1]) <= slope_tol:
+            if abs(slopes[l] - slopes[l - 1]) <= SLOPE_TOL:
                 pts.pop(l)
                 merged = True
                 break

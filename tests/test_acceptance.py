@@ -201,7 +201,7 @@ def test_criterion_6_kkt_audit(grid):
         if report.max_residual > 1e-6:
             ok = False
         # recovery consistency comes along for free on audited results
-        recover_solution(model, pf, ck, result)
+        recover_solution(model, result)
     _report(6, f"kkt_check passes at 1e-6 on all {audited} optimal "
                f"results", ok)
 

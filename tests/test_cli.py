@@ -41,16 +41,6 @@ def test_preprocess_reports_points(case_paths, capsys):
     assert "generator 2: 4 -> 3 points" in out
 
 
-@pytest.mark.parametrize("slope_tol", ["-1000", "inf", "nan"])
-def test_preprocess_rejects_bad_slope_tol(case_paths, capsys, slope_tol):
-    code = main(["preprocess", case_paths["case9_loop"],
-                 "--slope-tol", slope_tol])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.err.startswith("error: ")
-    assert captured.out == ""
-
-
 def test_solve_dc_lambda(case_paths, capsys, tmp_path):
     log_path = tmp_path / "iters.csv"
     code = main([
@@ -300,3 +290,77 @@ def test_nan_in_a_numeric_column_is_input_error(case_paths, tmp_path, capsys,
     assert captured.err.startswith("error: ")
     assert f"line {line}: " in captured.out + captured.err
     assert "NaN" in captured.out + captured.err
+
+
+def case9_with(case_paths, line, old, new, tmp_path):
+    """case9_loop with ``old`` replaced by ``new`` on one line, saved."""
+    lines = Path(case_paths["case9_loop"]).read_text().splitlines()
+    assert lines[line - 1].count(old) == 1
+    lines[line - 1] = lines[line - 1].replace(old, new)
+    out = tmp_path / "edited.m"
+    out.write_text("\n".join(lines) + "\n")
+    return str(out)
+
+
+@pytest.mark.parametrize("command", [
+    ["validate"], ["solve", "--pf", "dc", "--cost", "lambda"],
+], ids=["validate", "solve"])
+@pytest.mark.parametrize("line, old, new, error", [
+    (3, "100", "0", "line 3: baseMVA must be positive"),
+    (10, "\t1.1\t0.9;", "\t1.1;", "line 10: bus row needs 13 columns"),
+    (27, "\t-30\t30;", "\t-30;", "line 27: branch row needs 13 columns"),
+    (20, "\t260\t30;", "\t260;", "line 20: gen row needs 10 columns"),
+    (40, "\t0\t5\t30\t240", ";%", "line 40: gencost row too short"),
+    (10, "\t4\t1\t90", "\t0\t1\t90", "line 10: bus id must be positive"),
+    (11, "\t5\t1\t125", "\t4\t1\t125", "line 11: duplicate bus id 4"),
+    (10, "\t1.1\t0.9;", "\t0.9\t1.1;",
+     "line 10: bus 4 voltage bounds must satisfy 0 < vmin <= vmax"),
+    (27, "\t1\t4\t0\t", "\t1\t1\t0\t",
+     "line 27: branch connects bus 1 to itself"),
+    (28, "\t0\t0\t0\t0\t1", "\t0\t0\t-1\t0\t1",
+     "line 28: branch 4-5 has negative tap ratio"),
+    (21, "\t200\t20;", "\t200\t220;",
+     "line 21: generator at bus 2 has pmin > pmax"),
+    (21, "\t90\t-60\t", "\t90\t95\t",
+     "line 21: generator at bus 2 has qmin > qmax"),
+    (40, "\t1\t0\t0\t5\t30\t240", "\t2\t0\t0\t4\t1\t1",
+     "line 40: polynomial cost of degree 3 not supported"),
+    (40, "\t1\t0\t0\t5\t30\t240\t87.5\t1160\t145\t2310\t202.5"
+         "\t3690\t260\t5300", "\t2\t0\t0\t3\t1\t1",
+     "line 40: gencost row declares 3 coefficients but has 2"),
+    (40, "\t260\t5300;", ";",
+     "line 40: gencost row declares 5 points but has 8 values"),
+    # the table is named where it opens
+    (43, "];", "", "line 39: table mpc.gencost is never closed"),
+    # out-of-service elements and isolated buses are outside the subset
+    (22, "\t100\t1\t160", "\t100\t0\t160",
+     "line 22: generator at bus 3 is out of service (status 0)"),
+    (27, "\t0\t1\t-30", "\t0\t0\t-30",
+     "line 27: branch 1-4 is out of service (status 0)"),
+    (10, "\t4\t1\t90", "\t4\t4\t90", "line 10: bus 4 is isolated (type 4)"),
+], ids=["base-mva", "short-bus", "short-branch", "short-gen",
+        "short-gencost", "bus-id", "duplicate-bus", "vmin-vmax",
+        "self-loop", "negative-tap", "pmin-pmax", "qmin-qmax",
+        "poly-degree", "poly-coefficients", "pwl-points", "unclosed-table",
+        "gen-status", "branch-status", "bus-type-4"])
+def test_parse_rejection_is_input_error_naming_the_line(
+        case_paths, tmp_path, capsys, command, line, old, new, error):
+    path = case9_with(case_paths, line, old, new, tmp_path)
+    code = main([command[0], path, *command[1:]])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"error: {error}")
+    assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize("command", [
+    ["validate"], ["solve", "--pf", "dc", "--cost", "lambda"],
+], ids=["validate", "solve"])
+def test_curve_that_preprocess_rejects_is_a_validation_error(
+        case_paths, tmp_path, capsys, command):
+    path = case9_with(case_paths, 40, "\t1160\t", "\t2000\t", tmp_path)
+    code = main([command[0], path, *command[1:]])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert ("[unusable-cost-curve] generator 0 cost curve: slope decreases"
+            in captured.out + captured.err)

@@ -5,11 +5,7 @@ import numpy as np
 import pytest
 
 from opfbench.cases import case_names, case_text
-from opfbench.errors import (
-    ConvexityError,
-    ModelBuildError,
-    RecoveryMismatchError,
-)
+from opfbench.errors import ModelBuildError, RecoveryMismatchError
 from opfbench.formulations import (
     PWL_COST_KINDS,
     CostKind,
@@ -17,7 +13,6 @@ from opfbench.formulations import (
     attach_cost_delta,
     attach_cost_lambda,
     attach_cost_phi,
-    attach_cost_polynomial,
     attach_cost_psi,
     build_opf,
     build_power_flow,
@@ -80,7 +75,7 @@ class TestPowerFlowStructure:
         m = build_opf(net, PowerFlowKind.AC, CostKind.LAMBDA)
         res, _ = solve(m, TIGHT)
         assert res.status == SolveStatus.OPTIMAL
-        sol = recover_solution(m, PowerFlowKind.AC, CostKind.LAMBDA, res)
+        sol = recover_solution(m, res)
         assert sol.dispatch[0].re == pytest.approx(1.0, abs=1e-7)
         assert sol.dispatch[0].im == pytest.approx(0.2, abs=1e-7)
 
@@ -154,7 +149,7 @@ class TestFlowPhysics:
         net = parse_case(case_text("case5_ring"))
         m_ac = build_opf(net, PowerFlowKind.AC, CostKind.LAMBDA)
         res, _ = solve(m_ac, TIGHT)
-        sol = recover_solution(m_ac, PowerFlowKind.AC, CostKind.LAMBDA, res)
+        sol = recover_solution(m_ac, res)
         vm = dict(zip(sol.bus_ids, (v for v, _ in sol.voltage)))
         va = dict(zip(sol.bus_ids, (a for _, a in sol.voltage)))
 
@@ -203,25 +198,25 @@ class TestCostAttachmentCounts:
 
         m, _ = self.base_model(gens)
         v0, r0 = len(m.var_names), sum(b.nrows for b in m.blocks)
-        attach_cost_psi(m, gens)
+        attach_cost_psi(m)
         assert len(m.var_names) - v0 == len(p)
         assert sum(b.nrows for b in m.blocks) - r0 == sum(n - 1 for n in p)
 
         m, _ = self.base_model(gens)
         v0, r0 = len(m.var_names), sum(b.nrows for b in m.blocks)
-        attach_cost_lambda(m, gens)
+        attach_cost_lambda(m)
         assert len(m.var_names) - v0 == sum(p)
         assert sum(b.nrows for b in m.blocks) - r0 == 2 * len(p)
 
         m, _ = self.base_model(gens)
         v0, r0 = len(m.var_names), sum(b.nrows for b in m.blocks)
-        attach_cost_delta(m, gens)
+        attach_cost_delta(m)
         assert len(m.var_names) - v0 == sum(n - 1 for n in p)
         assert sum(b.nrows for b in m.blocks) - r0 == len(p)
 
         m, _ = self.base_model(gens)
         v0, r0 = len(m.var_names), sum(b.nrows for b in m.blocks)
-        attach_cost_phi(m, gens)
+        attach_cost_phi(m)
         assert len(m.var_names) - v0 == sum(n - 2 for n in p)
         assert sum(b.nrows for b in m.blocks) - r0 == sum(n - 2 for n in p)
 
@@ -229,7 +224,7 @@ class TestCostAttachmentCounts:
         gen = Generator(1, 0.0, 1.0, -1.0, 1.0, PolynomialCost(0.0, 1.0, 0.0))
         m, _ = self.base_model([gen])
         with pytest.raises(ModelBuildError):
-            attach_cost_lambda(m, [gen])
+            attach_cost_lambda(m)
 
 
 def solve_single_bus(load, cost_kind, points, pmin=None, pmax=None):
@@ -327,7 +322,7 @@ class TestPolynomialCosts:
         m = build_opf(net, PowerFlowKind.DC, CostKind.POLYNOMIAL)
         res, _ = solve(m, TIGHT)
         assert res.objective == pytest.approx(11.0, abs=1e-5)
-        sol = recover_solution(m, PowerFlowKind.DC, CostKind.POLYNOMIAL, res)
+        sol = recover_solution(m, res)
         assert sol.gen_costs[0] == pytest.approx(11.0, abs=1e-5)
 
     def test_negative_curvature_rejected(self):
@@ -336,12 +331,6 @@ class TestPolynomialCosts:
         # validation rejects the network before any model is built
         with pytest.raises(ModelBuildError, match="negative quadratic"):
             build_opf(net, PowerFlowKind.DC, CostKind.POLYNOMIAL)
-        # the attachment checks convexity itself, on a valid network's model
-        valid = replace(net, generators=(replace(
-            net.generators[0], cost=PolynomialCost(0.0, 1.0, 0.0)),))
-        m = build_power_flow(valid, PowerFlowKind.DC)
-        with pytest.raises(ConvexityError):
-            attach_cost_polynomial(m, net.generators)
 
     def test_unit_quadratic_single_bus_ac(self):
         net = single_bus_network(1.0, 0.0, 0.0, 3.0,
@@ -381,7 +370,7 @@ class TestRecovery:
         net = three_bus_network()
         m = build_opf(net, PowerFlowKind.DC, CostKind.LAMBDA)
         res, _ = solve(m, TIGHT)
-        sol = recover_solution(m, PowerFlowKind.DC, CostKind.LAMBDA, res)
+        sol = recover_solution(m, res)
         for k, curve in enumerate(m.meta["cost_curves"]):
             lam_sum = 0.0
             recon = 0.0
@@ -420,7 +409,7 @@ class TestRecovery:
         net = parse_case(case_text("case5_ring"))
         m = build_opf(net, PowerFlowKind.AC, CostKind.DELTA)
         res, _ = solve(m, TIGHT)
-        sol = recover_solution(m, PowerFlowKind.AC, CostKind.DELTA, res)
+        sol = recover_solution(m, res)
         # per-bus balance from recovered quantities alone
         for b, bus in enumerate(net.buses):
             inj_p = sum(
@@ -453,14 +442,55 @@ class TestRecovery:
         m = build_opf(net, PowerFlowKind.DC, CostKind.PSI)
         res, _ = solve(m, TIGHT)
         assert res.status == SolveStatus.OPTIMAL
-        recover_solution(m, PowerFlowKind.DC, CostKind.PSI, res)
+        recover_solution(m, res)
+
+    @pytest.mark.parametrize("pf", list(PowerFlowKind))
+    def test_recovery_reads_the_models_kinds(self, pf):
+        m = build_opf(three_bus_network(), pf, CostKind.DELTA)
+        res, _ = solve(m, TIGHT)
+        sol = recover_solution(m, res)
+        assert (sol.pf_kind, sol.cost_kind) == (pf, CostKind.DELTA)
+        # (magnitude, angle) pairs for AC, one number a bus otherwise
+        assert all(isinstance(v, tuple) == (pf == PowerFlowKind.AC)
+                   for v in sol.voltage)
+
+    def test_recovery_requires_a_cost_attachment(self):
+        net = three_bus_network()
+        res, _ = solve(build_opf(net, PowerFlowKind.DC, CostKind.LAMBDA),
+                       TIGHT)
+        m = build_power_flow(net, PowerFlowKind.DC).finalize()
+        with pytest.raises(ModelBuildError, match="no cost attachment"):
+            recover_solution(m, res)
 
     def test_recovery_requires_optimal(self):
         net = three_bus_network()
         m = build_opf(net, PowerFlowKind.DC, CostKind.LAMBDA)
         res, _ = solve(m, SolverOptions(max_iter=1))
         with pytest.raises(ModelBuildError):
-            recover_solution(m, PowerFlowKind.DC, CostKind.LAMBDA, res)
+            recover_solution(m, res)
+
+
+@pytest.mark.parametrize("p", [0.0, 1.0, 2.0])
+@pytest.mark.parametrize("pf", [PowerFlowKind.DC, PowerFlowKind.AC])
+def test_fixed_generator_on_a_breakpoint(pf, p):
+    # pmin == pmax on a breakpoint of the curve: every encoding charges the
+    # curve's cost at p, and a second generator serves the rest of the load
+    points = [(0.0, 0.0), (1.0, 10.0), (2.0, 30.0)]
+    fixed = Generator(1, p, p, -5.0, 5.0, curve_cost(points))
+    flexible = Generator(1, 0.0, 3.0, -5.0, 5.0,
+                         curve_cost([(0.0, 0.0), (3.0, 60.0)]))
+    net = Network(100.0, (Bus(1, 3, 0.9, 1.1, ComplexPU(2.5, 0.0)),), (),
+                  (fixed, flexible))
+    cost_at_p = dict(points)[p]
+    for ck in PWL_COST_KINDS:
+        m = build_opf(net, pf, ck)
+        res, _ = solve(m, TIGHT)
+        assert res.status == SolveStatus.OPTIMAL
+        sol = recover_solution(m, res)
+        assert sol.dispatch[0].re == p
+        assert sol.gen_costs[0] == pytest.approx(cost_at_p, abs=1e-9)
+        assert res.objective == pytest.approx(cost_at_p + 20.0 * (2.5 - p),
+                                              abs=1e-5)
 
 
 def non_rising_curves_network():

@@ -353,17 +353,10 @@ class TestFinalize:
     def test_block_row_out_of_range_names_the_block(self, row, term):
         # stacked with its neighbours, a stray row would land silently in
         # the next block's row, or in the previous one's
-        m = ModelIR("bad")
-        m.add_variable("x", 0.0, 1.0, 0.5)
         terms = {"linear": ([row], [0], [1.0]),
                  "quadratic": ([row], [0], [0], [1.0])}
-        ok = {"linear": ([0], [0], [1.0])}
-        m.add_block(QuadraticBlock("zeroth", [0.0], [1.0], **ok))
-        m.add_block(QuadraticBlock("first", [0.0], [1.0],
-                                   **{term: terms[term]}))
-        m.add_block(QuadraticBlock("second", [0.0], [1.0], **ok))
         with pytest.raises(ValueError, match="block first references row"):
-            m.finalize()
+            QuadraticBlock("first", [0.0], [1.0], **{term: terms[term]})
 
     def test_bounds_and_start_point_are_copies(self):
         m = linear_ineq_model()

@@ -387,3 +387,16 @@ class TestRoundTrip:
         # data equal to what was parsed is still written from the source rows
         same = replace(net, buses=tuple(replace(b) for b in net.buses))
         assert serialize_case(same) == serialize_case(net)
+
+
+def test_curve_preprocess_rejects_is_an_error_finding():
+    # pmin above pmax leaves no curve to clean; parse_case rejects such a
+    # row, a replaced network reaches validation with it
+    net = parse_case(CASE2)
+    gen = net.generators[0]
+    bad = replace(net, generators=(replace(gen, pmin=gen.pmax + 0.1),))
+    errors = [f for f in validate_network(bad) if f.severity == "error"]
+    assert [f.code for f in errors] == ["unusable-cost-curve"]
+    assert "exceeds pmax" in errors[0].message
+    with pytest.raises(InvalidNetworkError):
+        require_valid(bad)

@@ -110,13 +110,21 @@ class TestPreprocess:
         with pytest.raises(ConvexityError):
             preprocess([(0, 0), (10, 20), (20, 25)], pmin=2, pmax=18)
 
-    @pytest.mark.parametrize("slope_tol", [-1000.0, np.inf, np.nan])
-    def test_bad_slope_tol_rejected(self, slope_tol):
-        # -1000 would call a rising slope "decreasing"; inf would merge the
-        # two segments of this convex curve into one
-        with pytest.raises(ValueError, match="slope_tol"):
-            preprocess([(0, 0), (1, 1), (2, 2.5)], pmin=0, pmax=2,
-                       slope_tol=slope_tol)
+    @pytest.mark.parametrize("p", [0.0, 1.0, 2.0])
+    def test_fixed_generator_on_a_breakpoint(self, p):
+        # pmin == pmax: the one segment kept may end at p
+        raw = curve([(0, 0), (1, 10), (2, 30)])
+        out = preprocess(raw, p, p)
+        assert len(out.points) == 2 and p in out.powers
+        assert check_assumptions(out, p, p) == []
+        assert evaluate(out, p) == evaluate(raw, p)
+        assert preprocess(out, p, p) == out
+
+    def test_fixed_generator_needs_a_single_segment(self):
+        raw = curve([(0, 0), (1, 10), (2, 30)])
+        codes = [v.code for v in check_assumptions(raw, 1.0, 1.0)]
+        assert codes == ["pmin-outside-first-segment",
+                         "pmax-outside-last-segment"]
 
     def test_extension_covers_bounds(self):
         out = preprocess([(5, 10), (10, 20)], pmin=0, pmax=20)
