@@ -26,7 +26,7 @@ from .formulations import (
 from .ipm import SolverOptions, kkt_check, solve
 from .modelir import SolveStatus
 from .netdata import read_case, validate_network
-from .pwlcost import preprocess
+from .pwlcost import PwlCurve, preprocess
 
 EXIT_OK = 0
 EXIT_NOT_OPTIMAL = 1
@@ -76,18 +76,18 @@ def _cmd_preprocess(args) -> int:
     if network is None:
         return EXIT_INPUT_ERROR
     for k, gen in enumerate(network.generators):
-        cost = gen.cost
-        if not hasattr(cost, "curve"):
+        curve = gen.cost
+        if not isinstance(curve, PwlCurve):
             print(f"generator {k}: polynomial cost, nothing to preprocess")
             continue
         try:
-            cleaned = preprocess(cost.curve, gen.pmin, gen.pmax)
+            cleaned = preprocess(curve, gen.pmin, gen.pmax)
         except OpfBenchError as exc:
             print(f"generator {k}: error: {exc}", file=sys.stderr)
             return EXIT_INPUT_ERROR
-        print(f"generator {k}: {len(cost.curve.points)} -> "
+        print(f"generator {k}: {len(curve.points)} -> "
               f"{len(cleaned.points)} points")
-        print(f"  before: {list(cost.curve.points)}")
+        print(f"  before: {list(curve.points)}")
         print(f"  after:  {list(cleaned.points)}")
     return EXIT_OK
 

@@ -30,8 +30,8 @@ from .modelir import (
 )
 from .netdata import ComplexPU, Network, branch_admittance, require_valid
 from .pwlcost import (
-    PiecewiseCost,
     PolynomialCost,
+    PwlCurve,
     evaluate,
     evaluate_polynomial,
     preprocess,
@@ -367,12 +367,12 @@ def _ready_curves(m: ModelIR):
     """Every generator's curve, preprocessed against its bounds."""
     curves = []
     for k, g in enumerate(m.meta["network"].generators):
-        if not isinstance(g.cost, PiecewiseCost):
+        if not isinstance(g.cost, PwlCurve):
             raise ModelBuildError(
                 f"generator {k} has no piecewise cost curve; "
                 f"use the polynomial attachment"
             )
-        curves.append(preprocess(g.cost.curve, g.pmin, g.pmax))
+        curves.append(preprocess(g.cost, g.pmin, g.pmax))
     m.meta["cost_curves"] = curves
     return curves
 
@@ -465,12 +465,10 @@ def attach_cost_phi(m: ModelIR) -> ModelIR:
     """Marginal-excess encoding: first-segment line plus slope-difference
     terms over the excess above each interior breakpoint.
 
-    Two-point curves contribute only their linear term; this is noted in
-    the model's build log.
+    Two-point curves contribute only their linear term.
     """
     curves = _ready_curves(m)
     pg_idx = m.meta["pg_idx"]
-    notes = m.meta.setdefault("build_notes", [])
     rows, cols, lo = [], [], []
     for k, (g, curve) in enumerate(zip(m.meta["network"].generators,
                                        curves)):
@@ -478,12 +476,6 @@ def attach_cost_phi(m: ModelIR) -> ModelIR:
         powers = curve.powers
         m.add_objective_term(pg_idx[k], curve.slopes[0])
         m.add_objective_offset(curve.intercepts[0])
-        if len(powers) == 2:
-            notes.append(
-                f"generator {k}: 2-point curve, excess encoding reduces "
-                f"to a pure linear cost"
-            )
-            continue
         for l in range(1, len(curve.slopes)):
             pb = powers[l]
             ph = m.add_variable(

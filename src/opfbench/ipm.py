@@ -39,12 +39,13 @@ its fill order (one ordering factorization), the objective scaling,
 whether the model is an LP or has a row with crossed bounds, and the
 start point (z0, v0) with its evaluation (two row evaluations).  Every
 value stays with the solve: the iterates, the model-row duals, the log,
-and the Jacobian, the Hessian and K as plain value arrays on the
-structure's fixed patterns (``modelir.SparsePattern``).  No solve builds,
-transposes or converts a scipy matrix: J^T y, the curvature's W dx and
-the factor's residual run the sparsetools kernels on (pattern, values),
-bit for bit what the matrices gave, and K is factored as (pattern,
-values), the one form ``kkt.factorize`` takes.  K is stored in its fill
+and the Jacobian, the Hessian and K as float arrays of their values on
+fixed CSC patterns (``modelir.SparsePattern``), the program's one sparse
+form: each model evaluation returns a new such array, and K is one array
+per solve that every assembly overwrites.  No solve builds a scipy
+matrix: J^T y, the curvature's W dx and the factor's residual run the
+sparsetools kernels on (pattern, values), and K is factored as (pattern,
+values), the form ``kkt.factorize`` takes.  K is stored in its fill
 order, and its factor solves in that order; ``_Kkt.step`` alone
 translates the right-hand side into it and the step out of it.  ``ipm``
 keeps each structure in a ``weakref.WeakKeyDictionary`` keyed by its
@@ -377,7 +378,7 @@ def kkt_check(m: ModelIR, result: SolveResult) -> KktReport:
         np.asarray(result.zl, dtype=float),
         np.asarray(result.zu, dtype=float),
         m.eval_raw_rows(x),
-        eval_jacobian(m, x, out=np.empty(m.jac_pattern.nnz)),
+        eval_jacobian(m, x),
     )
 
 
@@ -560,9 +561,8 @@ class _KktPattern:
         d = np.arange(n)
         rows = np.concatenate([wr, jr, jc, d])
         cols = np.concatenate([wc, jc, jr, d])
-        self.perm = fill_order(SparsePattern(rows, cols, (n, n), fmt="csc"))
-        self.csc = SparsePattern(self.perm[rows], self.perm[cols], (n, n),
-                                 fmt="csc")
+        self.perm = fill_order(SparsePattern(rows, cols, (n, n)))
+        self.csc = SparsePattern(self.perm[rows], self.perm[cols], (n, n))
         # the diagonal entries come last, one per slot when there is no W
         self.diag = self.csc.slot[-n:] if m.hess_pattern.nnz == 0 else None
         self.nx, self.m_int = nx, intake.m_int
@@ -616,9 +616,10 @@ class _Kkt:
             return self.values
         self.diagonal_only = p.diag is not None
         jv = np.concatenate([jac[p.jac_rows], p.fix_vals])
-        return p.csc.scatter(np.concatenate([
+        self.values[:] = p.csc.scatter(np.concatenate([
             w, jv, jv, sigma[:nx] + delta_w, diag_c,
-        ]), self.values)
+        ]))
+        return self.values
 
     def step(self, factor, r1, r2):
         """The full system's step (dz, dy) for the right-hand side (r1, r2),
@@ -839,13 +840,7 @@ class _Solve:
         self.crossed = structure.crossed
         self.obj_scale, self.obj_lin = structure.obj_scale, structure.obj_lin
         self.kkt = _Kkt(structure.kkt)
-        # the Jacobian's values on the model's pattern in model units, and
-        # with its columns scaled to x' for K, and the Hessian's values
-        # scaled for K: one array each per solve, overwritten by every
-        # evaluation; an LP's are evaluated once per solve (``evaluate``)
-        self.jac_model = np.zeros(m.jac_pattern.nnz)
-        self.jac = np.zeros(m.jac_pattern.nnz)
-        self.hess = np.zeros(m.hess_pattern.nnz)
+        # an LP's Jacobian is evaluated once per solve (``evaluate``)
         self.jac_constant = False
         self.y_model = np.zeros(m.nrows)  # see ``_Intake.model_y``
 
@@ -919,8 +914,10 @@ class _Solve:
         x = self.x = intake.model_x(self.z)
         raw, h = point.raw, point.h
         if not self.jac_constant:
-            eval_jacobian(m, x, out=self.jac_model)
-            np.multiply(self.jac_model, intake.jac_d, out=self.jac)
+            # the Jacobian's values on the model's pattern in model units,
+            # and with its columns scaled to x' for K
+            self.jac_model = eval_jacobian(m, x)
+            self.jac = self.jac_model * intake.jac_d
             # an LP's rows are linear: its first Jacobian is every one
             self.jac_constant = self.is_lp
         jac = self.jac_model
@@ -997,13 +994,14 @@ class _Solve:
         """Factor the Newton system, correcting the inertia: returns
         (factor, step, delta_w, corrections), or None once delta_w passes
         its cap."""
-        m, intake, kkt, w = self.m, self.intake, self.kkt, self.hess
+        m, intake, kkt = self.m, self.intake, self.kkt
         if it == 0 or not self.is_lp:
-            # an LP's Hessian is empty: evaluated at a solve's first
-            # factorization only
-            eval_lagrangian_hessian(
-                m, self.x, intake.model_y(self.y, self.y_model), out=w)
-            w *= intake.hess_d
+            # the Hessian's values scaled for K; an LP's are empty:
+            # evaluated at a solve's first factorization only
+            self.hess = eval_lagrangian_hessian(
+                m, self.x, intake.model_y(self.y, self.y_model))
+            self.hess *= intake.hess_d
+        w = self.hess
         self.v_gap = self.v / self.point.gap
         sigma = _sigma(intake, self.v_gap)
         delta_w, delta_c = self.force_reg, _DELTA_C
@@ -1122,10 +1120,8 @@ class _Solve:
         if status is SolveStatus.OPTIMAL:
             report = self.report
         else:
-            if not self.jac_constant:
-                eval_jacobian(m, x, out=self.jac_model)
-            report = self.audit(x, y, zl, zu, m.eval_raw_rows(x),
-                                self.jac_model)
+            jac = self.jac_model if self.jac_constant else eval_jacobian(m, x)
+            report = self.audit(x, y, zl, zu, m.eval_raw_rows(x), jac)
         return SolveResult(
             status=status,
             objective=m.eval_objective(x),

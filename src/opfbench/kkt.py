@@ -57,10 +57,10 @@ refinement.  Each pass saves a triangular solve and a matrix product.
 
 SuperLU is called through scipy's private ``_superlu.gstrf``, the routine
 ``splu`` ends in, from one place (``_gstrf``) with the options ``splu``
-would pass apart from the panel width below.  ``factorize`` takes K in one
-form, ``factorize(pattern, data=values)``: a square CSC
-``modelir.SparsePattern``, each column's rows sorted and distinct, and its
-float values.  Only the pattern's shape and the values' type and length are
+would pass apart from the panel width below.  ``factorize`` takes K in
+the program's one sparse form, ``factorize(pattern, data=values)``: a
+square ``modelir.SparsePattern``, CSC like every pattern, each column's
+rows sorted and distinct, and its float values.  Only the pattern's shape and the values' type and length are
 checked, and no matrix object is built.  Every factorization and every
 residual product runs on (pattern, values), by ``gstrf`` and by
 ``SparsePattern.matvec``, the sparsetools kernel scipy's ``@`` ends in, so

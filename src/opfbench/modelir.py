@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.sparse import _sparsetools
 
 INF = math.inf
@@ -39,30 +38,24 @@ def _iarray(values):
 
 
 class SparsePattern:
-    """Compressed sparsity fixed once from COO coordinates with repeats.
+    """Compressed sparse column (CSC) pattern fixed once from COO
+    coordinates with repeats: the one sparse form of the program.
 
-    ``matrix(vals)`` takes one value per coordinate, in the order the
-    coordinates were given, sums repeats onto their slot and wraps the
-    result on the fixed ``indptr``/``indices`` without any COO conversion.
-    ``scatter(vals, out)`` writes the same sums into ``out``, an array of
-    ``nnz`` values on this pattern (the ``data`` of such a matrix), and
-    ``matvec``/``rmatvec`` multiply by the matrix such values make, or by
-    its transpose, so a caller that keeps one value array per pattern
-    builds no matrix at all.  ``fmt`` is "csr" (row-major) or "csc"
-    (column-major).
+    Values live in plain float arrays of ``nnz`` entries, one per stored
+    slot, in storage order: column by column, each column's rows sorted
+    and distinct.  ``scatter(vals)`` takes one value per coordinate, in
+    the order the coordinates were given, and returns the new array of
+    their sums per slot, repeats summed in that order.  ``matvec`` and
+    ``rmatvec`` multiply by the matrix such values make, or by its
+    transpose, with the sparsetools kernels scipy's ``@`` ends in, so no
+    caller builds a matrix.
     """
 
-    def __init__(self, rows, cols, shape, fmt="csr"):
+    def __init__(self, rows, cols, shape):
         nrows, ncols = shape
-        if fmt == "csr":
-            major, minor, nmajor, nminor = rows, cols, nrows, ncols
-            self._cls = sp.csr_matrix
-        else:
-            major, minor, nmajor, nminor = cols, rows, ncols, nrows
-            self._cls = sp.csc_matrix
         # np.unique(keys, return_inverse=True), without its overhead on
         # the many small patterns a grid of models builds
-        keys = _iarray(major) * nminor + _iarray(minor)
+        keys = _iarray(cols) * nrows + _iarray(rows)
         order = np.argsort(keys, kind="stable")
         keys = keys[order]
         first = np.empty(len(keys), dtype=bool)
@@ -74,51 +67,40 @@ class SparsePattern:
         self.shape = (nrows, ncols)
         self.nnz = len(keys)
         idx = np.int32 if max(nrows, ncols, self.nnz) < 2**31 else np.int64
-        self.indices = (keys % nminor).astype(idx)
+        self.indices = (keys % nrows).astype(idx)
         self.indptr = np.searchsorted(
-            keys, np.arange(nmajor + 1) * nminor).astype(idx)
-        # every matrix and evaluation shares these arrays: an in-place
-        # change must fail
+            keys, np.arange(ncols + 1) * nrows).astype(idx)
+        # every evaluation shares these arrays: an in-place change must
+        # fail
         for a in (self.slot, self.indices, self.indptr):
             a.flags.writeable = False
 
     def coords(self):
         """(rows, cols) of the stored entries, in storage order."""
-        major = np.repeat(np.arange(len(self.indptr) - 1),
-                          np.diff(self.indptr))
-        minor = self.indices.astype(np.int64)
-        return (major, minor) if self._cls is sp.csr_matrix else (minor, major)
+        cols = np.repeat(np.arange(self.shape[1]), np.diff(self.indptr))
+        return self.indices.astype(np.int64), cols
 
-    def scatter(self, vals, out):
-        out[:] = np.bincount(self.slot, weights=vals, minlength=self.nnz)
-        return out
+    def scatter(self, vals):
+        # float even when empty: bincount of no slots counts in int64
+        return np.bincount(self.slot, weights=vals,
+                           minlength=self.nnz).astype(float, copy=False)
 
     def matvec(self, data, x):
         """A @ x for the matrix A with the values ``data`` on this
         pattern, by the sparsetools kernel scipy's ``@`` ends in, so the
         product is ``@``'s, bit for bit."""
-        return self._product(self._cls is sp.csr_matrix, data, x,
-                             self.shape)
-
-    def rmatvec(self, data, x):
-        """A^T @ x: the same arrays read in the other storage order, as
-        scipy's ``A.T @ x`` reads them."""
-        return self._product(self._cls is sp.csc_matrix, data, x,
-                             self.shape[::-1])
-
-    def _product(self, by_rows, data, x, shape):
-        out = np.zeros(shape[0])
-        kernel = (_sparsetools.csr_matvec if by_rows
-                  else _sparsetools.csc_matvec)
-        kernel(shape[0], shape[1], self.indptr, self.indices, data, x, out)
+        out = np.zeros(self.shape[0])
+        _sparsetools.csc_matvec(*self.shape, self.indptr, self.indices,
+                                data, x, out)
         return out
 
-    def matrix(self, vals):
-        return self._cls(
-            (self.scatter(vals, np.empty(self.nnz)), self.indices,
-             self.indptr),
-            shape=self.shape,
-        )
+    def rmatvec(self, data, x):
+        """A^T @ x: the same arrays read as the rows of A^T, as scipy's
+        ``A.T @ x`` reads them."""
+        out = np.zeros(self.shape[1])
+        _sparsetools.csr_matvec(*self.shape[::-1], self.indptr,
+                                self.indices, data, x, out)
+        return out
 
 
 class QuadraticBlock:
@@ -315,7 +297,7 @@ class ModelIR:
     columns into float arrays and precomputes what every evaluation reuses:
     the row ranges, the objective vector, one QuadraticBlock holding the
     terms of every polynomial row at its model row, the row offset of
-    each polar block, and the fixed CSR patterns of the Jacobian and of
+    each polar block, and the fixed CSC patterns of the Jacobian and of
     the Hessian of the Lagrangian (``jac_pattern``, ``hess_pattern``),
     with the slot each entry sums into.  Entries come in one order for
     patterns and values alike: the stacked linear terms, the products'
@@ -497,25 +479,17 @@ def eval_residuals(m: ModelIR, x) -> np.ndarray:
     return res
 
 
-def _evaluated(pattern: SparsePattern, vals, out):
-    if out is None:
-        return pattern.matrix(vals)
-    return pattern.scatter(vals, out)
-
-
-def eval_jacobian(m: ModelIR, x, out=None) -> sp.csr_matrix:
-    """Sparse Jacobian of the raw row values at x, on ``m.jac_pattern``: a
-    new matrix, or with ``out`` given, its values written into ``out``, an
-    array of ``m.jac_pattern.nnz`` floats, which is returned."""
+def eval_jacobian(m: ModelIR, x) -> np.ndarray:
+    """Jacobian of the raw row values at x: a new array of its values on
+    ``m.jac_pattern``."""
     x = m._check_x(x)
-    vals = np.concatenate([blk.jac_values(x) for _, blk in m._parts])
-    return _evaluated(m.jac_pattern, vals, out)
+    return m.jac_pattern.scatter(
+        np.concatenate([blk.jac_values(x) for _, blk in m._parts]))
 
 
-def eval_lagrangian_hessian(m: ModelIR, x, duals, out=None) -> sp.csr_matrix:
-    """Sparse Hessian of objective + duals . g(x), on ``m.hess_pattern``: a
-    new matrix, or with ``out`` given, its values written into ``out``, an
-    array of ``m.hess_pattern.nnz`` floats, which is returned.
+def eval_lagrangian_hessian(m: ModelIR, x, duals) -> np.ndarray:
+    """Hessian of objective + duals . g(x): a new array of its values on
+    ``m.hess_pattern``, which is symmetric, as the values are.
 
     The objective is linear, so only constraint curvature contributes.
     """
@@ -525,12 +499,9 @@ def eval_lagrangian_hessian(m: ModelIR, x, duals, out=None) -> sp.csr_matrix:
         raise ValueError(
             f"duals have shape {duals.shape}, model has {m.nrows} rows"
         )
-    if not m.hess_pattern.nnz:
-        # an LP: no block has curvature, and there is nothing to scatter
-        return out if out is not None else m.hess_pattern.matrix(np.empty(0))
-    vals = np.concatenate([blk.hess_values(x, duals[off:off + blk.nrows])
-                           for off, blk in m._parts])
-    return _evaluated(m.hess_pattern, vals, out)
+    return m.hess_pattern.scatter(
+        np.concatenate([blk.hess_values(x, duals[off:off + blk.nrows])
+                        for off, blk in m._parts]))
 
 
 def dump_model(m: ModelIR) -> str:

@@ -19,6 +19,7 @@ from pathlib import Path
 from .errors import (
     CaseParseError,
     CaseStructureError,
+    DegenerateSegmentError,
     InvalidNetworkError,
     OpfBenchError,
     SingularBranchError,
@@ -26,9 +27,9 @@ from .errors import (
 )
 from .pwlcost import (
     CostSpec,
-    PiecewiseCost,
     PolynomialCost,
     PwlCurve,
+    derive_slopes_intercepts,
     preprocess,
 )
 
@@ -143,13 +144,16 @@ def _integer(value, what, line=None) -> int:
 
 def _check_numbers(row, cols, table, line):
     """Raise CaseParseError when a column of ``row`` the parser reads as a
-    number holds NaN: a NaN compares false with every bound, so no later
-    check would reject it.  ``cols`` are 0-based."""
-    if not math.isnan(sum(row)):  # the common case: a NaN makes the sum NaN
+    number is not finite: a NaN compares false with every bound and an
+    infinity passes one side of every range, so no later check would
+    reject either.  ``cols`` are 0-based; a scalar is a row of one."""
+    if math.isfinite(sum(row)):  # the common case: every column finite
         return
     for c in cols:
-        if row[c] != row[c]:  # NaN, the one float unequal to itself
-            raise CaseParseError(f"mpc.{table} column {c + 1} is NaN",
+        if not math.isfinite(row[c]):
+            where = f"mpc.{table}" + (f" column {c + 1}" if len(row) > 1
+                                      else "")
+            raise CaseParseError(f"{where} is not finite: {row[c]}",
                                  line=line)
 
 
@@ -157,7 +161,8 @@ def parse_gencost_row(values, line=None):
     """Map one gencost table row onto its raw cost description.
 
     Returns ("poly", (a, b, c)) for model 2 rows (coefficients given high to
-    low degree) or ("pwl", [(p, c), ...]) for model 1 rows.  No unit
+    low degree) or ("pwl", [(p, c), ...]) for model 1 rows, which need two
+    or more points of strictly increasing power.  No unit
     conversion happens here; power stays in MW.  ``line`` is the row's line
     number, reported in every error the row raises.
     """
@@ -186,6 +191,10 @@ def parse_gencost_row(values, line=None):
                 f"values", line)
         _check_numbers(values, range(4, 4 + 2 * n), "gencost", line)
         pts = [(float(tail[2 * i]), float(tail[2 * i + 1])) for i in range(n)]
+        try:
+            derive_slopes_intercepts(pts)
+        except DegenerateSegmentError as exc:
+            raise CaseStructureError(f"gencost {exc}", line) from None
         return "pwl", pts
     raise UnsupportedFeatureError(f"unknown gencost model code {model}",
                                   line)
@@ -274,8 +283,7 @@ def parse_case(text: str) -> Network:
         if name not in tables:
             raise CaseParseError(f"case text has no mpc.{name} table")
     base, base_line = scalars["baseMVA"]
-    if math.isnan(base):
-        raise CaseParseError("mpc.baseMVA is NaN", line=base_line)
+    _check_numbers([base], [0], "baseMVA", base_line)
     if base <= 0:
         raise CaseStructureError(f"baseMVA must be positive, got {base}",
                                  base_line)
@@ -380,9 +388,7 @@ def parse_case(text: str) -> Network:
             a, b, c = payload
             cost: CostSpec = PolynomialCost(a=a, b=b * base, c=c * base * base)
         else:
-            cost = PiecewiseCost(PwlCurve.from_points(
-                [(p / base, q) for p, q in payload]
-            ))
+            cost = PwlCurve.from_points([(p / base, q) for p, q in payload])
         pmin, pmax = row[9] / base, row[8] / base
         qmin, qmax = row[4] / base, row[3] / base
         if pmin > pmax:
@@ -482,7 +488,7 @@ def _synthesize_raw(network: Network) -> dict:
                 g.cost.c / (base * base), g.cost.b / base, g.cost.a,
             ])
         else:
-            pts = g.cost.curve.points
+            pts = g.cost.points
             row = [1.0, 0.0, 0.0, float(len(pts))]
             for p, c in pts:
                 row.extend([p * base, c])
@@ -545,9 +551,9 @@ def _find_problems(network: Network) -> list[Finding]:
                 f"generator {k} has negative quadratic coefficient "
                 f"{g.cost.c}",
             ))
-        if isinstance(g.cost, PiecewiseCost):
+        if isinstance(g.cost, PwlCurve):
             try:
-                preprocess(g.cost.curve, g.pmin, g.pmax)
+                preprocess(g.cost, g.pmin, g.pmax)
             except (OpfBenchError, ValueError) as exc:
                 findings.append(Finding(
                     "error", "unusable-cost-curve",

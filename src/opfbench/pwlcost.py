@@ -62,14 +62,7 @@ class PolynomialCost:
     c: float
 
 
-@dataclass(frozen=True)
-class PiecewiseCost:
-    """Piecewise linear cost wrapping a :class:`PwlCurve`."""
-
-    curve: PwlCurve
-
-
-CostSpec = PolynomialCost | PiecewiseCost
+CostSpec = PolynomialCost | PwlCurve
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ from opfbench.modelir import (
     ModelIR,
     SparsePattern,
     eval_jacobian,
+    eval_lagrangian_hessian,
     eval_residuals,
 )
 
@@ -22,14 +23,25 @@ def pattern_and_values(K):
     the CSC ``SparsePattern`` of K's stored entries (a dense K's nonzeros)
     and their float values scattered onto it, repeated entries summed."""
     K = sp.coo_matrix(K, dtype=float)
-    pattern = SparsePattern(K.row, K.col, K.shape, fmt="csc")
-    return pattern, pattern.scatter(K.data, np.empty(pattern.nnz))
+    pattern = SparsePattern(K.row, K.col, K.shape)
+    return pattern, pattern.scatter(K.data)
 
 
 def on_pattern(pattern, values):
     """The scipy CSC matrix with the values ``values`` on the compressed
     ``pattern``, for comparisons with scipy's own routines."""
     return sp.csc_matrix((values, pattern.coords()), shape=pattern.shape)
+
+
+def dense_jacobian(m: ModelIR, x):
+    """``eval_jacobian`` at x as a dense array."""
+    return on_pattern(m.jac_pattern, eval_jacobian(m, x)).toarray()
+
+
+def dense_hessian(m: ModelIR, x, duals):
+    """``eval_lagrangian_hessian`` at (x, duals) as a dense array."""
+    return on_pattern(m.hess_pattern,
+                      eval_lagrangian_hessian(m, x, duals)).toarray()
 
 
 def random_convex_curve(rng, n_points=None, p_lo=-2.0, p_span=4.0):
@@ -68,7 +80,7 @@ def finite_difference_hessian(m: ModelIR, x, duals, step=1e-6):
     duals = np.asarray(duals, dtype=float)
 
     def weighted_grad(pt):
-        return duals @ eval_jacobian(m, pt).toarray()
+        return duals @ dense_jacobian(m, pt)
 
     cols = []
     for j in range(m.nvars):
@@ -90,7 +102,7 @@ def enumerate_lp_vertices(m: ModelIR):
     """
     n = m.nvars
     x_any = np.zeros(n)
-    jac = eval_jacobian(m, x_any).toarray()
+    jac = dense_jacobian(m, x_any)
     raw0 = m.eval_raw_rows(np.zeros(n))
     if len(raw0) and np.abs(raw0).max() > 1e-12:
         raise ValueError("model rows are not homogeneous linear")

@@ -20,11 +20,6 @@ from opfbench.formulations import (
     recover_solution,
 )
 from opfbench.ipm import SolverOptions, kkt_check, solve
-from opfbench.modelir import (
-    eval_jacobian,
-    eval_lagrangian_hessian,
-    eval_residuals,
-)
 from opfbench.netdata import parse_case
 from opfbench.pwlcost import (
     PwlCurve,
@@ -173,13 +168,13 @@ def test_criterion_5_derivative_audit():
         up = np.where(np.isfinite(up), up, 1.5)
         for _ in range(100):
             x = rng.uniform(lo + 0.05, up - 0.05)
-            J = eval_jacobian(model, x).toarray()
+            J = helpers.dense_jacobian(model, x)
             J_fd = helpers.finite_difference_jacobian(model, x)
             dJ = np.abs(J - J_fd)
             if not np.all((dJ <= 1e-7) | (dJ <= 1e-5 * np.abs(J))):
                 ok = False
             duals = rng.uniform(-2.0, 2.0, size=model.nrows)
-            H = eval_lagrangian_hessian(model, x, duals).toarray()
+            H = helpers.dense_hessian(model, x, duals)
             H_fd = helpers.finite_difference_hessian(model, x, duals)
             dH = np.abs(H - H_fd)
             if not np.all((dH <= 1e-6) | (dH <= 1e-5 * np.abs(H))):
@@ -249,8 +244,7 @@ def test_criterion_8_psi_stress_signal(grid):
         network = parse_case(case_text(name))
         point_counts = []
         for g in network.generators:
-            curve = g.cost.curve
-            cleaned = preprocess(curve, g.pmin, g.pmax)
+            cleaned = preprocess(g.cost, g.pmin, g.pmax)
             point_counts.append(len(cleaned.points))
         if min(point_counts) < 4:
             continue

@@ -272,10 +272,18 @@ def test_non_integer_index_or_count_is_input_error(case_paths, tmp_path,
     ("\t5\t6\t0.039\t0.17\t", "\t5\t6\t0.039\tnan\t", 29),
     ("\t4\t20\t220\t66.7\t", "\t4\t20\tnan\t66.7\t", 42),
     ("mpc.baseMVA = 100;", "mpc.baseMVA = nan;", 3),
-], ids=["pmax", "demand", "reactance", "cost-point", "base-mva"])
+    # the same columns, infinite: bus demand, branch reactance, baseMVA,
+    # and generator Qmax
+    ("\t4\t1\t90\t30\t", "\t4\t1\tInf\t30\t", 10),
+    ("\t5\t6\t0.039\t0.17\t", "\t5\t6\t0.039\tInf\t", 29),
+    ("mpc.baseMVA = 100;", "mpc.baseMVA = Inf;", 3),
+    ("\t1\t0\t0\t120\t-80\t", "\t1\t0\t0\tInf\t-80\t", 20),
+], ids=["pmax", "demand", "reactance", "cost-point", "base-mva",
+        "demand-inf", "reactance-inf", "base-mva-inf", "qmax-inf"])
 def test_nan_in_a_numeric_column_is_input_error(case_paths, tmp_path, capsys,
                                                 command, row, bad_row, line):
-    # NaN compares false with every bound, so only the parser can reject it
+    # NaN compares false with every bound and an infinity passes one side
+    # of every range, so only the parser can reject either
     text = Path(case_paths["case9_loop"]).read_text()
     assert text.count(row) == 1
     path = tmp_path / "nan.m"
@@ -289,7 +297,8 @@ def test_nan_in_a_numeric_column_is_input_error(case_paths, tmp_path, capsys,
     assert code == 2
     assert captured.err.startswith("error: ")
     assert f"line {line}: " in captured.out + captured.err
-    assert "NaN" in captured.out + captured.err
+    assert "is not finite" in captured.out + captured.err
+    assert "Traceback" not in captured.out + captured.err
 
 
 def case9_with(case_paths, line, old, new, tmp_path):
@@ -338,11 +347,17 @@ def case9_with(case_paths, line, old, new, tmp_path):
     (27, "\t0\t1\t-30", "\t0\t0\t-30",
      "line 27: branch 1-4 is out of service (status 0)"),
     (10, "\t4\t1\t90", "\t4\t4\t90", "line 10: bus 4 is isolated (type 4)"),
+    # a piecewise curve needs two points of strictly increasing power
+    (42, "\t4\t20\t220\t66.7\t1246.7\t113.3\t2553.3\t160\t4140;",
+     "\t1\t20\t220;", "line 42: gencost curve needs at least 2 points"),
+    (42, "\t220\t66.7\t", "\t220\t20\t",
+     "line 42: gencost power coordinates must strictly increase"),
 ], ids=["base-mva", "short-bus", "short-branch", "short-gen",
         "short-gencost", "bus-id", "duplicate-bus", "vmin-vmax",
         "self-loop", "negative-tap", "pmin-pmax", "qmin-qmax",
         "poly-degree", "poly-coefficients", "pwl-points", "unclosed-table",
-        "gen-status", "branch-status", "bus-type-4"])
+        "gen-status", "branch-status", "bus-type-4", "pwl-one-point",
+        "pwl-repeated-power"])
 def test_parse_rejection_is_input_error_naming_the_line(
         case_paths, tmp_path, capsys, command, line, old, new, error):
     path = case9_with(case_paths, line, old, new, tmp_path)

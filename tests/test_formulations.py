@@ -21,7 +21,7 @@ from opfbench.formulations import (
 from opfbench.ipm import SolverOptions, solve
 from opfbench.modelir import SolveStatus, dump_model
 from opfbench.netdata import Bus, Branch, ComplexPU, Generator, Network, parse_case
-from opfbench.pwlcost import PiecewiseCost, PolynomialCost, PwlCurve
+from opfbench.pwlcost import PolynomialCost, PwlCurve
 
 TIGHT = SolverOptions(tol=1e-8)
 
@@ -39,7 +39,7 @@ def single_bus_network(load_re, load_im, pmin, pmax, cost,
 
 
 def curve_cost(points):
-    return PiecewiseCost(PwlCurve.from_points(points))
+    return PwlCurve.from_points(points)
 
 
 def three_bus_network():

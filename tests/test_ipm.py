@@ -979,18 +979,19 @@ class TestKktAssembly:
         P[kkt.pattern.perm, np.arange(n)] = 1.0
         previous = None
         for x, y in points:
-            W = eval_lagrangian_hessian(m, x, y)
+            w = eval_lagrangian_hessian(m, x, y)
             jac = eval_jacobian(m, x)
+            W = on_pattern(m.hess_pattern, w)
+            J = on_pattern(m.jac_pattern, jac)
             # bounded slacks always carry a positive barrier term
             sigma = rng.uniform(0.0, 2.0, intake.nz)
             sigma[:nx:3] = 0.0
             sigma[nx:] += 0.5
             for delta_w in (0.0, 1e-4):
                 for delta_c in (1e-10, 1e-6):
-                    values = kkt.assemble(W.data, sigma, delta_w, jac.data,
-                                          delta_c)
+                    values = kkt.assemble(w, sigma, delta_w, jac, delta_c)
                     ref = P @ condensed_reference(reference_kkt(
-                        m, W, sigma + delta_w, jac, delta_c).toarray(),
+                        m, W, sigma + delta_w, J, delta_c).toarray(),
                         nx, ns) @ P.T
                     # one value per entry of the pattern, in the one
                     # array every assembly overwrites
@@ -1014,9 +1015,8 @@ class TestKktAssembly:
         assert (pattern.diag is not None) == (m.hess_pattern.nnz == 0)
         rng = np.random.default_rng(3)
         x = m.initial_point()
-        jac = eval_jacobian(m, x, out=np.empty(m.jac_pattern.nnz))
-        w = eval_lagrangian_hessian(m, x, rng.normal(size=m.nrows),
-                                    out=np.empty(m.hess_pattern.nnz))
+        jac = eval_jacobian(m, x)
+        w = eval_lagrangian_hessian(m, x, rng.normal(size=m.nrows))
         kkt = ipm_mod._Kkt(pattern)
         for delta_w, delta_c in ((0.0, 1e-10), (1e-4, 1e-8), (0.0, 1e-6)):
             sigma = rng.uniform(0.0, 2.0, intake.nz)
@@ -1134,8 +1134,12 @@ class TestKktAssembly:
         assert orderings and set(orderings) == {"NATURAL"}
         assert len(intakes) == 1
 
-    def test_sparse_matrices_built_per_solve_not_per_iteration(
-            self, monkeypatch):
+    @pytest.mark.parametrize("pf", list(PowerFlowKind))
+    def test_solves_and_audits_build_no_sparse_matrix(self, pf,
+                                                      monkeypatch):
+        # the Jacobian, the Hessian and K are value arrays on CSC patterns:
+        # neither a model's first solve, which builds its structure, nor a
+        # later one, nor an audit constructs a scipy matrix
         init = _cs_matrix.__init__
         built = []
 
@@ -1144,40 +1148,17 @@ class TestKktAssembly:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(_cs_matrix, "__init__", counting_init)
-        counts = []
-        for max_iter in (5, 10):
-            m = build_opf(parse_case(case_text("case9_loop")),
-                          PowerFlowKind.AC, CostKind.LAMBDA)
-            built.clear()
-            res, log = solve(m, SolverOptions(max_iter=max_iter))
-            assert res.status == SolveStatus.ITERATION_LIMIT
-            assert len(log) == max_iter
-            counts.append(len(built))
-        assert counts[0] == counts[1]
-
-    def test_warm_solve_builds_no_sparse_matrix(self, monkeypatch):
-        # a solve keeps its Jacobian, Hessian and K as value arrays on the
-        # model's patterns: once the structure exists, no scipy matrix is
-        # constructed, transposed or converted
-        m = build_opf(parse_case(case_text("case9_loop")),
-                      PowerFlowKind.AC, CostKind.LAMBDA)
-        assert solve(m)[0].status == SolveStatus.OPTIMAL
-        init = _cs_matrix.__init__
-        built = []
-
-        def counting_init(self, *args, **kwargs):
-            built.append(type(self).__name__)
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(_cs_matrix, "__init__", counting_init)
+        m = build_opf(parse_case(case_text("case9_loop")), pf,
+                      CostKind.LAMBDA)
         for opts in (SolverOptions(), SolverOptions(max_iter=5)):
             res, _ = solve(m, opts)
             assert res.status in (SolveStatus.OPTIMAL,
                                   SolveStatus.ITERATION_LIMIT)
+            kkt_check(m, res)
         assert built == []
-        # the counter sees the matrices callers outside a solve still get
-        eval_jacobian(m, m.initial_point())
-        assert built == ["csr_matrix"]
+        # the counter sees a matrix when one is built
+        on_pattern(m.jac_pattern, eval_jacobian(m, m.initial_point()))
+        assert built == ["csc_matrix"]
 
     def test_failed_correction_solve_is_skipped(self, monkeypatch):
         # a second-order-correction solve that fails its residual check

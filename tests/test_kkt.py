@@ -193,11 +193,12 @@ def test_products_on_value_arrays_match_matmul():
     x0 = m.initial_point()
     jac = ipm_mod.eval_jacobian(m, x0)
     hess = ipm_mod.eval_lagrangian_hessian(m, x0, rng.normal(size=m.nrows))
-    for pattern, A in ((m.jac_pattern, jac), (m.hess_pattern, hess)):
-        assert A.nnz > 0
+    for pattern, values in ((m.jac_pattern, jac), (m.hess_pattern, hess)):
+        assert pattern.nnz > 0
+        A = on_pattern(pattern, values)
         x, y = vector(A.shape[1]), vector(A.shape[0])
-        assert np.array_equal(pattern.matvec(A.data, x), A @ x)
-        assert np.array_equal(pattern.rmatvec(A.data, y), A.T @ y)
+        assert np.array_equal(pattern.matvec(values, x), A @ x)
+        assert np.array_equal(pattern.rmatvec(values, y), A.T @ y)
 
 
 def test_inertia_matches_eigenvalue_signs():

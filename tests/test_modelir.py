@@ -17,7 +17,13 @@ from opfbench.modelir import (
     eval_residuals,
 )
 
-from helpers import finite_difference_hessian, finite_difference_jacobian
+from helpers import (
+    dense_hessian,
+    dense_jacobian,
+    finite_difference_hessian,
+    finite_difference_jacobian,
+    on_pattern,
+)
 
 
 def _matches(analytic, approx, rtol=1e-5, atol=1e-7):
@@ -163,7 +169,7 @@ class TestDerivatives:
         up = np.where(np.isfinite(up), up, 1.5)
         for _ in range(25):
             x = rng.uniform(lo + 0.05, up - 0.05)
-            J = eval_jacobian(m, x).toarray()
+            J = dense_jacobian(m, x)
             J_fd = finite_difference_jacobian(m, x)
             assert _matches(J, J_fd)
 
@@ -180,20 +186,19 @@ class TestDerivatives:
         for _ in range(25):
             x = rng.uniform(lo + 0.05, up - 0.05)
             duals = rng.uniform(-2.0, 2.0, size=m.nrows)
-            H = eval_lagrangian_hessian(m, x, duals).toarray()
+            H = dense_hessian(m, x, duals)
             assert np.allclose(H, H.T)
             H_fd = finite_difference_hessian(m, x, duals)
             assert _matches(H, H_fd, rtol=1e-5, atol=1e-6)
 
     def test_all_linear_model_hessian_is_zero(self):
-        # an LP's Hessian is the empty matrix, returned without evaluating
-        # a block; the point and the duals are still checked
+        # an LP's Hessian pattern stores nothing, and its values are an
+        # empty float array; the point and the duals are still checked
         m = linear_eq_model()
         x, duals = np.array([0.3, 0.7]), np.array([2.0])
+        assert m.hess_pattern.shape == (2, 2) and m.hess_pattern.nnz == 0
         H = eval_lagrangian_hessian(m, x, duals)
-        assert H.format == "csr" and H.shape == (2, 2) and H.nnz == 0
-        out = np.empty(0)
-        assert eval_lagrangian_hessian(m, x, duals, out=out) is out
+        assert H.dtype == np.float64 and H.shape == (0,)
         with pytest.raises(ValueError, match="point has shape"):
             eval_lagrangian_hessian(m, np.zeros(3), duals)
         with pytest.raises(ValueError, match="duals have shape"):
@@ -201,9 +206,7 @@ class TestDerivatives:
 
     def test_cone_hessian_structure(self):
         m = soc_model()
-        H = eval_lagrangian_hessian(
-            m, np.array([1.0, 0.5, 2.0, 3.0]), np.array([1.0])
-        ).toarray()
+        H = dense_hessian(m, np.array([1.0, 0.5, 2.0, 3.0]), np.array([1.0]))
         expected = np.zeros((4, 4))
         expected[0, 0] = 2.0
         expected[1, 1] = 2.0
@@ -214,21 +217,21 @@ class TestDerivatives:
 class TestSparsityStability:
     @pytest.mark.parametrize("factory", [soc_model, acflow_model, quad_model])
     def test_pattern_identical_at_two_points(self, factory):
+        # every evaluation returns a new float array of values on the
+        # model's one pattern, fixed at finalize
         m = factory()
         rng = np.random.default_rng(9)
         lo, up = m.variable_bounds()
         lo = np.where(np.isfinite(lo), lo, -1.0)
         up = np.where(np.isfinite(up), up, 1.0)
-        x1 = rng.uniform(lo, up)
-        x2 = rng.uniform(lo, up)
-        j1, j2 = eval_jacobian(m, x1), eval_jacobian(m, x2)
-        assert np.array_equal(j1.indices, j2.indices)
-        assert np.array_equal(j1.indptr, j2.indptr)
         d = rng.uniform(-1, 1, size=m.nrows)
-        h1 = eval_lagrangian_hessian(m, x1, d)
-        h2 = eval_lagrangian_hessian(m, x2, d)
-        assert np.array_equal(h1.indices, h2.indices)
-        assert np.array_equal(h1.indptr, h2.indptr)
+        evals = [(eval_jacobian(m, x), eval_lagrangian_hessian(m, x, d))
+                 for x in (rng.uniform(lo, up), rng.uniform(lo, up))]
+        assert evals[0][0] is not evals[1][0]
+        for jac, hess in evals:
+            for pattern, vals in ((m.jac_pattern, jac), (m.hess_pattern, hess)):
+                assert vals.dtype == np.float64
+                assert vals.shape == (pattern.nnz,)
 
     @pytest.mark.parametrize("factory", [
         linear_ineq_model, soc_model, acflow_model, quad_model, limit_model,
@@ -256,11 +259,10 @@ class TestSparsityStability:
                               shape=(m.nrows, m.nvars)).toarray()
         H_ref = sp.coo_matrix((cat(hv), (cat(hr), cat(hc))),
                               shape=(m.nvars, m.nvars)).toarray()
-        J = eval_jacobian(m, x)
-        H = eval_lagrangian_hessian(m, x, duals)
-        assert J.format == H.format == "csr"
-        assert J.toarray() == pytest.approx(J_ref, rel=1e-15, abs=1e-15)
-        assert H.toarray() == pytest.approx(H_ref, rel=1e-15, abs=1e-15)
+        J = dense_jacobian(m, x)
+        H = dense_hessian(m, x, duals)
+        assert J == pytest.approx(J_ref, rel=1e-15, abs=1e-15)
+        assert H == pytest.approx(H_ref, rel=1e-15, abs=1e-15)
 
 
 def mixed_model():
@@ -287,6 +289,12 @@ def mixed_model():
     return m.finalize()
 
 
+def alone(structure, shape, vals):
+    """The dense matrix of one block's entries on their own pattern."""
+    pattern = SparsePattern(*structure, shape)
+    return on_pattern(pattern, pattern.scatter(vals)).toarray()
+
+
 class TestOnePassEvaluation:
     def test_equals_each_block_evaluated_alone(self):
         m = mixed_model()
@@ -296,20 +304,18 @@ class TestOnePassEvaluation:
             x = rng.uniform(-2.0, 2.0, size=m.nvars)
             duals = rng.normal(size=m.nrows)
             rows = np.concatenate([blk.residual(x) for blk in m.blocks])
-            J = sp.vstack([
-                SparsePattern(*blk.jac_structure(), (blk.nrows, m.nvars))
-                .matrix(blk.jac_values(x)) for blk in m.blocks
+            J = np.vstack([
+                alone(blk.jac_structure(), (blk.nrows, m.nvars),
+                      blk.jac_values(x)) for blk in m.blocks
             ])
             H = sum(
-                SparsePattern(*blk.hess_structure(), (m.nvars, m.nvars))
-                .matrix(blk.hess_values(x, duals[off:off + blk.nrows]))
-                .toarray() for blk, off in zip(m.blocks, offsets)
+                alone(blk.hess_structure(), (m.nvars, m.nvars),
+                      blk.hess_values(x, duals[off:off + blk.nrows]))
+                for blk, off in zip(m.blocks, offsets)
             )
             assert np.array_equal(m.eval_raw_rows(x), rows)
-            assert np.array_equal(eval_jacobian(m, x).toarray(),
-                                  J.toarray())
-            assert np.array_equal(
-                eval_lagrangian_hessian(m, x, duals).toarray(), H)
+            assert np.array_equal(dense_jacobian(m, x), J)
+            assert np.array_equal(dense_hessian(m, x, duals), H)
 
 
 class TestAddVariable:

@@ -23,7 +23,7 @@ from opfbench.netdata import (
     serialize_case,
     validate_network,
 )
-from opfbench.pwlcost import PiecewiseCost, PolynomialCost
+from opfbench.pwlcost import PolynomialCost, PwlCurve
 
 from helpers import counting_validations
 
@@ -78,8 +78,8 @@ def test_parse_basic_quantities():
 def test_parse_pwl_cost_scaled_to_per_unit():
     net = parse_case(CASE2)
     cost = net.generators[0].cost
-    assert isinstance(cost, PiecewiseCost)
-    assert cost.curve.points == ((0.0, 0.0), (1.0, 1000.0), (2.0, 2500.0))
+    assert isinstance(cost, PwlCurve)
+    assert cost.points == ((0.0, 0.0), (1.0, 1000.0), (2.0, 2500.0))
 
 
 def test_gencost_row_mapping_polynomial():
@@ -135,9 +135,12 @@ def test_malformed_number_reports_line():
     # bus Va and Vm, columns the parser does not read
     ("1	3	0	0	0	0	1	1	0	110", "1	3	0	0	0	0	1	1	nan	110"),
     ("2	1	100	20	0	0	1	1	0", "2	1	100	20	0	0	1	nan	0"),
-    # a row whose sum is NaN without a NaN in it
-    ("1	0	0	80	-40	1	100	1	200	20", "1	0	0	inf	-inf	1	100	1	200	20"),
-], ids=["va", "vm", "inf-minus-inf"])
+    # a row whose sum is NaN, with the infinities in generator Pg and Qg,
+    # columns the parser does not read
+    ("1	0	0	80	-40	1	100	1	200	20", "1	inf	-inf	80	-40	1	100	1	200	20"),
+    # a row of finite numbers whose sum overflows to an infinity
+    ("1	0	0	80	-40	1	100	1	200	20", "1	0	0	1e308	-40	1	1e308	1	200	20"),
+], ids=["va", "vm", "inf-minus-inf", "sum-overflows"])
 def test_rows_without_nan_in_a_column_read_parse(row, bad_row):
     assert CASE2.count(row) == 1
     net = parse_case(CASE2.replace(row, bad_row))
@@ -330,7 +333,6 @@ class TestRoundTrip:
 
     def test_programmatic_network_serializes(self):
         from opfbench.netdata import Branch, Bus, ComplexPU, Generator, Network
-        from opfbench.pwlcost import PiecewiseCost, PwlCurve
 
         net = Network(
             base_mva=100.0,
@@ -338,15 +340,15 @@ class TestRoundTrip:
                    Bus(2, 1, 0.9, 1.1, ComplexPU(0.5, 0.125))),
             branches=(Branch(1, 2, ComplexPU(0.01, 0.125), 0.0, 0.0, 1.5,
                              -0.5, 0.5),),
-            generators=(Generator(1, 0.25, 2.0, -0.5, 0.5, PiecewiseCost(
-                PwlCurve.from_points([(0.25, 100.0), (2.0, 2000.0)])
-            )),),
+            generators=(Generator(1, 0.25, 2.0, -0.5, 0.5,
+                                  PwlCurve.from_points([(0.25, 100.0),
+                                                        (2.0, 2000.0)])),),
         )
         again = parse_case(serialize_case(net))
         assert again.generators[0].pmax == pytest.approx(2.0)
         assert again.buses[1].demand.re == pytest.approx(0.5)
         assert again.branches[0].rate == pytest.approx(1.5)
-        pts = again.generators[0].cost.curve.points
+        pts = again.generators[0].cost.points
         assert pts[0][0] == pytest.approx(0.25)
         assert pts[1][1] == pytest.approx(2000.0)
 
