@@ -10,13 +10,15 @@ failures are recorded in the report rather than aborting the suite.
 
 from __future__ import annotations
 
+import csv
+import io
 import numbers
 import statistics
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import OpfBenchError
+from .errors import OpfBenchError, OptionError
 from .formulations import PWL_COST_KINDS, CostKind, PowerFlowKind, build_opf
 from .ipm import SolverOptions, solve
 from .modelir import SolveStatus
@@ -39,7 +41,7 @@ class BenchConfig:
 
     def __post_init__(self):
         if not isinstance(self.trials, numbers.Integral) or self.trials < 1:
-            raise ValueError("trials must be an integer of at least 1")
+            raise OptionError("trials must be an integer of at least 1")
 
 
 @dataclass
@@ -159,82 +161,68 @@ def run_suite(config: BenchConfig) -> BenchReport:
     return BenchReport(rows=rows, trials=config.trials, notes=notes)
 
 
+_REPORT_KINDS = (REFERENCE_ENCODING, CostKind.DELTA, CostKind.PHI,
+                 CostKind.PSI)
+
+# the report's one schema: (CSV column, Markdown heading or None); the
+# Markdown table leaves out the ratios and the iteration counts
 _COLUMNS = [
-    "case", "pf", "n_bus", "n_branch", "obj_lambda",
-    "delta_delta", "delta_phi", "delta_psi",
-    "t_lambda", "t_delta", "t_phi", "t_psi",
-    "ratio_lambda", "ratio_delta", "ratio_phi", "ratio_psi",
-    "iters_lambda", "iters_delta", "iters_phi", "iters_psi",
+    ("case", "Case"), ("pf", "PF"), ("n_bus", "Buses"),
+    ("n_branch", "Branches"),
+    (f"obj_{REFERENCE_ENCODING.value}", f"$/h ({REFERENCE_ENCODING.value})"),
+    *((f"delta_{ck.value}", f"Delta {ck.value}") for ck in _REPORT_KINDS[1:]),
+    *((f"t_{ck.value}", f"t {ck.value} (s)") for ck in _REPORT_KINDS),
+    *((f"ratio_{ck.value}", None) for ck in _REPORT_KINDS),
+    *((f"iters_{ck.value}", None) for ck in _REPORT_KINDS),
 ]
 
-_REPORT_KINDS = (CostKind.LAMBDA, CostKind.DELTA, CostKind.PHI, CostKind.PSI)
 
-
-def _row_values(row: BenchRow):
-    vals = {
-        "case": row.case, "pf": row.pf_kind.value,
-        "n_bus": row.n_bus, "n_branch": row.n_branch,
-    }
-    ref_cell = row.cells.get(REFERENCE_ENCODING)
-    if ref_cell is None:
-        vals["obj_lambda"] = ""
-    elif ref_cell.objective is not None:
-        vals["obj_lambda"] = f"{ref_cell.objective:.6f}"
-    else:
-        vals["obj_lambda"] = ref_cell.status
-    for ck, col in ((CostKind.DELTA, "delta_delta"),
-                    (CostKind.PHI, "delta_phi"),
-                    (CostKind.PSI, "delta_psi")):
-        d = row.delta(ck)
-        cell = row.cells.get(ck)
-        if d is not None:
-            vals[col] = f"{d:.6g}"
-        elif cell is not None and cell.objective is None:
-            vals[col] = cell.status
-        else:
-            vals[col] = ""
+def _row_values(row: BenchRow) -> dict:
+    """Each column's text for one row of the report."""
+    vals = {"case": row.case, "pf": row.pf_kind.value,
+            "n_bus": str(row.n_bus), "n_branch": str(row.n_branch)}
     for ck in _REPORT_KINDS:
         cell = row.cells.get(ck)
-        suffix = ck.value
-        vals[f"t_{suffix}"] = (
-            f"{cell.runtime:.6f}" if cell and cell.runtime is not None else ""
-        )
-        vals[f"iters_{suffix}"] = (
-            str(cell.iterations)
-            if cell and cell.iterations is not None else ""
-        )
-        if row.ratios is not None:
-            vals[f"ratio_{suffix}"] = f"{row.ratios[ck]:.4f}"
+        if cell is None:
+            objective = ""
+        elif cell.objective is None:
+            objective = cell.status
+        elif ck == REFERENCE_ENCODING:
+            objective = f"{cell.objective:.6f}"
         else:
-            vals[f"ratio_{suffix}"] = ""
+            d = row.delta(ck)
+            objective = "" if d is None else f"{d:.6g}"
+        prefix = "obj" if ck == REFERENCE_ENCODING else "delta"
+        vals[f"{prefix}_{ck.value}"] = objective
+        vals[f"t_{ck.value}"] = (
+            "" if cell is None or cell.runtime is None
+            else f"{cell.runtime:.6f}")
+        vals[f"ratio_{ck.value}"] = (
+            "" if row.ratios is None else f"{row.ratios[ck]:.4f}")
+        vals[f"iters_{ck.value}"] = (
+            "" if cell is None or cell.iterations is None
+            else str(cell.iterations))
     return vals
 
 
 def render_report(report: BenchReport, fmt: str = "csv") -> str:
-    """Render the grid as CSV (full columns) or a Markdown table."""
+    """Render the grid as CSV (every column, quoted where needed, after
+    ``#`` note lines) or a Markdown table."""
+    rows = [_row_values(row) for row in report.rows]
     if fmt == "csv":
-        lines = [f"# {note}" for note in report.notes]
-        lines.append(",".join(_COLUMNS))
-        for row in report.rows:
-            vals = _row_values(row)
-            lines.append(",".join(str(vals[c]) for c in _COLUMNS))
-        return "\n".join(lines) + "\n"
+        buf = io.StringIO()
+        buf.writelines(f"# {note}\n" for note in report.notes)
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(col for col, _ in _COLUMNS)
+        writer.writerows([vals[col] for col, _ in _COLUMNS] for vals in rows)
+        return buf.getvalue()
     if fmt == "md":
-        head = ["Case", "PF", "Buses", "Branches", "$/h (lambda)",
-                "Delta delta", "Delta phi", "Delta psi",
-                "t lambda (s)", "t delta (s)", "t phi (s)", "t psi (s)"]
-        lines = ["| " + " | ".join(head) + " |",
-                 "|" + "---|" * len(head)]
-        for row in report.rows:
-            vals = _row_values(row)
-            cells = [vals["case"], vals["pf"], str(vals["n_bus"]),
-                     str(vals["n_branch"]), vals["obj_lambda"],
-                     vals["delta_delta"], vals["delta_phi"],
-                     vals["delta_psi"], vals["t_lambda"], vals["t_delta"],
-                     vals["t_phi"], vals["t_psi"]]
-            lines.append("| " + " | ".join(cells) + " |")
+        shown = [(col, head) for col, head in _COLUMNS if head is not None]
+        lines = ["| " + " | ".join(head for _, head in shown) + " |",
+                 "|" + "---|" * len(shown)]
+        lines += ["| " + " | ".join(vals[col] for col, _ in shown) + " |"
+                  for vals in rows]
         lines.append("")
-        for note in report.notes:
-            lines.append(f"*{note}*")
+        lines += [f"*{note}*" for note in report.notes]
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown report format {fmt!r}")

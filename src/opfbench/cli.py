@@ -5,6 +5,10 @@ Subcommands: ``validate`` (parse and report findings), ``preprocess``
 solution), ``bench`` (the formulation grid with a CSV or Markdown report).
 
 Exit codes: 0 success/optimal, 1 solver non-optimal, 2 input error.
+Commands raise every input error: an ``OpfBenchError``, which includes a
+bad option value (``OptionError``) and a bench run in which no cell could
+be built, or an ``OSError`` from a file that cannot be read or written.
+``main`` alone turns one into exit 2 with ``error:`` lines on stderr.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import sys
 from pathlib import Path
 
 from .bench import BenchConfig, render_report, run_suite
-from .errors import InvalidNetworkError, OpfBenchError
+from .errors import InvalidNetworkError, OpfBenchError, OptionError
 from .formulations import (
     PWL_COST_KINDS,
     CostKind,
@@ -38,29 +42,8 @@ _COST = {k.value: k for k in CostKind}
 _BENCH_COST = {k.value: k for k in PWL_COST_KINDS}
 
 
-def _write_text(path, text) -> bool:
-    """Write text to path; on failure report it and return False."""
-    try:
-        Path(path).write_text(text)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return False
-    return True
-
-
-def _load_case(path):
-    """The network in the case file at path, or None after printing why
-    the file could not be read."""
-    try:
-        return read_case(path)
-    except (OSError, OpfBenchError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-
-
 def _cmd_validate(args) -> int:
-    network = _load_case(args.case)
-    if network is None:
-        return EXIT_INPUT_ERROR
+    network = read_case(args.case)
     findings = validate_network(network)
     for f in findings:
         print(f"{f.severity}: [{f.code}] {f.message}")
@@ -72,9 +55,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_preprocess(args) -> int:
-    network = _load_case(args.case)
-    if network is None:
-        return EXIT_INPUT_ERROR
+    network = read_case(args.case)
     for k, gen in enumerate(network.generators):
         curve = gen.cost
         if not isinstance(curve, PwlCurve):
@@ -83,8 +64,7 @@ def _cmd_preprocess(args) -> int:
         try:
             cleaned = preprocess(curve, gen.pmin, gen.pmax)
         except OpfBenchError as exc:
-            print(f"generator {k}: error: {exc}", file=sys.stderr)
-            return EXIT_INPUT_ERROR
+            raise OpfBenchError(f"generator {k}: {exc}") from exc
         print(f"generator {k}: {len(curve.points)} -> "
               f"{len(cleaned.points)} points")
         print(f"  before: {list(curve.points)}")
@@ -93,27 +73,13 @@ def _cmd_preprocess(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    try:
-        opts = SolverOptions(tol=args.tol, max_iter=args.max_iter)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    network = _load_case(args.case)
-    if network is None:
-        return EXIT_INPUT_ERROR
+    opts = SolverOptions(tol=args.tol, max_iter=args.max_iter)
+    network = read_case(args.case)
     pf, cost = _PF[args.pf], _COST[args.cost]
-    try:
-        model = build_opf(network, pf, cost)
-    except InvalidNetworkError as exc:
-        for f in exc.errors:
-            print(f"error: [{f.code}] {f.message}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except OpfBenchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    model = build_opf(network, pf, cost)
     result, log = solve(model, opts)
-    if args.log_iters and not _write_text(args.log_iters, log.to_csv()):
-        return EXIT_INPUT_ERROR
+    if args.log_iters:
+        Path(args.log_iters).write_text(log.to_csv())
     print(f"status:     {result.status.value}")
     print(f"iterations: {result.iterations}")
     print(f"kkt:        {result.kkt_residual:.3e}")
@@ -147,41 +113,32 @@ def _cmd_solve(args) -> int:
 def _cmd_bench(args) -> int:
     paths = sorted(glob.glob(args.cases))
     if not paths:
-        print(f"error: no case files match {args.cases!r}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        raise OptionError(f"no case files match {args.cases!r}")
     try:
         # a repeated kind is benchmarked once, in its first place
         pf_kinds = tuple(dict.fromkeys(_PF[p] for p in args.pf.split(",")))
         cost_kinds = tuple(dict.fromkeys(
             _BENCH_COST[c] for c in args.cost.split(",")))
     except KeyError as exc:
-        print(f"error: unknown kind {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    try:
-        config = BenchConfig(
-            case_paths=paths,
-            pf_kinds=pf_kinds,
-            cost_kinds=cost_kinds,
-            trials=args.trials,
-            solver_options=SolverOptions(tol=args.tol),
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    report = run_suite(config)
+        raise OptionError(f"unknown kind {exc}") from None
+    report = run_suite(BenchConfig(
+        case_paths=paths,
+        pf_kinds=pf_kinds,
+        cost_kinds=cost_kinds,
+        trials=args.trials,
+        solver_options=SolverOptions(tol=args.tol),
+    ))
     text = render_report(report, args.format)
     if args.out:
-        if not _write_text(args.out, text):
-            return EXIT_INPUT_ERROR
+        Path(args.out).write_text(text)
         print(f"report written to {args.out}")
     else:
         print(text, end="")
-    statuses = [cell.status
-                for row in report.rows for cell in row.cells.values()]
-    if all(s.startswith("input-error") for s in statuses):
-        print("error: no case could be read", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    return (EXIT_OK if all(s == "optimal" for s in statuses)
+    cells = [cell for row in report.rows for cell in row.cells.values()]
+    # a cell that could not be read or built has no runtime
+    if all(cell.runtime is None for cell in cells):
+        raise OpfBenchError("no cell could be built")
+    return (EXIT_OK if all(cell.status == "optimal" for cell in cells)
             else EXIT_NOT_OPTIMAL)
 
 
@@ -233,7 +190,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    # the one exit for input errors; any other exception is a bug and keeps
+    # its traceback
+    try:
+        return args.func(args)
+    except InvalidNetworkError as exc:
+        for f in exc.errors:
+            print(f"error: [{f.code}] {f.message}", file=sys.stderr)
+    except (OpfBenchError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+    return EXIT_INPUT_ERROR
 
 
 if __name__ == "__main__":

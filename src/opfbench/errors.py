@@ -32,6 +32,10 @@ class SingularBranchError(CaseError):
     """Branch with zero series impedance cannot be converted to admittance."""
 
 
+class OptionError(OpfBenchError, ValueError):
+    """A solver or benchmark option outside its allowed range."""
+
+
 class DegenerateSegmentError(OpfBenchError):
     """Cost curve has a repeated or non-increasing power coordinate."""
 

@@ -124,7 +124,7 @@ finite bound.  Eliminating it leaves K over the model variables and the
 rows, with -(delta_c + 1/S) on the row's dual diagonal; the right-hand
 side of the row gains r_s / S, and after the solve the slack step is
 ds = (r_s + dy_row) / S.  The step, the second-order correction and the
-curvature test all take this one path (``_KktPattern.assemble`` and
+curvature test all take this one path (``_Kkt.assemble`` and
 ``step``).  Each eliminated slack takes one positive pivot with it, so the
 inertia the correction asks for is (nx, m, 0): nx model variables and m
 rows, fix rows included.  Against the full system, seed 1 of the 120-bus
@@ -163,6 +163,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import OptionError
 from .kkt import FactorizationError, factorize, fill_order
 from .modelir import (
     ModelIR,
@@ -217,10 +218,10 @@ class SolverOptions:
 
     def __post_init__(self):
         if not 0.0 < self.tol < INF:
-            raise ValueError("tol must be positive and finite")
+            raise OptionError("tol must be positive and finite")
         if (not isinstance(self.max_iter, numbers.Integral)
                 or self.max_iter < 1):
-            raise ValueError("max_iter must be an integer of at least 1")
+            raise OptionError("max_iter must be an integer of at least 1")
 
 
 @dataclass

@@ -1,6 +1,10 @@
+import csv
+from pathlib import Path
+
 import pytest
 
 from opfbench.bench import (
+    _COLUMNS,
     BenchConfig,
     BenchReport,
     IncompleteCellError,
@@ -181,6 +185,24 @@ class TestRender:
         assert len(lines) == 1 + len(small_suite.rows)
         for line in lines[1:]:
             assert len(line.split(",")) == len(header)
+
+    def test_a_status_holding_a_comma_stays_one_field(self, case_paths,
+                                                      tmp_path):
+        lines = Path(case_paths["case9_loop"]).read_text().splitlines()
+        lines[9] = lines[9].replace("\t1.1\t0.9;", "\t1.1;")
+        path = tmp_path / "short.m"
+        path.write_text("\n".join(lines) + "\n")
+        report = run_suite(BenchConfig(case_paths=[path],
+                                       pf_kinds=(PowerFlowKind.DC,),
+                                       trials=1))
+        status = report.rows[0].cells[LAM].status
+        assert status == ("input-error: line 10: bus row needs 13 columns, "
+                          "got 12")
+        text = render_report(report, "csv")
+        rows = list(csv.reader(
+            l for l in text.splitlines() if not l.startswith("#")))
+        assert [len(r) for r in rows] == [len(_COLUMNS)] * 2
+        assert rows[1][4] == status
 
     def test_markdown_table(self, small_suite):
         text = render_report(small_suite, "md")

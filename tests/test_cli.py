@@ -1,8 +1,12 @@
+import csv
 from pathlib import Path
 
 import pytest
 
+from opfbench.bench import BenchConfig
 from opfbench.cli import main
+from opfbench.errors import OptionError
+from opfbench.ipm import SolverOptions
 
 from helpers import counting_validations
 from test_netdata import CASE2
@@ -201,6 +205,23 @@ def test_bench_directory_match_is_recorded_like_a_parse_error(tmp_path,
     assert all("input-error" in row for row in rows)
 
 
+def test_bench_that_builds_no_cell_is_input_error(case_paths, tmp_path,
+                                                  capsys):
+    # quadratic costs: no piecewise encoding of any generator can be built
+    lines = Path(case_paths["case9_loop"]).read_text().splitlines()
+    lines[39:42] = ["\t2\t0\t0\t3\t0.11\t5\t150;"] * 3
+    path = tmp_path / "c9poly.m"
+    path.write_text("\n".join(lines) + "\n")
+    code = main(["bench", "--cases", str(path), "--pf", "dc",
+                 "--trials", "1"])
+    captured = capsys.readouterr()
+    rows = list(csv.reader(captured.out.splitlines()[2:]))  # note, header
+    assert code == 2
+    assert captured.err == "error: no cell could be built\n"
+    assert len(rows) == 1
+    assert all(field.startswith("build-error") for field in rows[0][4:8])
+
+
 def test_bench_with_one_readable_case_is_not_an_input_error(case_paths,
                                                             tmp_path, capsys):
     (tmp_path / "broken.m").write_text("function mpc = broken\n")
@@ -379,3 +400,32 @@ def test_curve_that_preprocess_rejects_is_a_validation_error(
     assert code == 2
     assert ("[unusable-cost-curve] generator 0 cost curve: slope decreases"
             in captured.out + captured.err)
+
+
+def test_preprocess_names_the_generator_it_rejects(case_paths, tmp_path,
+                                                   capsys):
+    path = case9_with(case_paths, 40, "\t1160\t", "\t2000\t", tmp_path)
+    code = main(["preprocess", path])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: generator 0: slope decreases")
+
+
+def test_a_bug_is_not_an_input_error(case_paths, monkeypatch):
+    # main turns input errors into exit 2, never a bare ValueError
+    def broken_solve(model, opts):
+        raise ValueError("a bug")
+    monkeypatch.setattr("opfbench.cli.solve", broken_solve)
+    with pytest.raises(ValueError, match="a bug"):
+        main(["solve", case_paths["case1_micro"], "--pf", "dc",
+              "--cost", "lambda"])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: SolverOptions(tol=0),
+    lambda: BenchConfig(case_paths=[], trials=0),
+], ids=["solver-options", "bench-config"])
+def test_bad_option_raises_an_option_error(make):
+    with pytest.raises(OptionError) as exc:
+        make()
+    assert isinstance(exc.value, ValueError)
