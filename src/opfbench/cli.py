@@ -14,9 +14,9 @@ be built, or an ``OSError`` from a file that cannot be read or written.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import glob
 import sys
-from pathlib import Path
 
 from .bench import BenchConfig, render_report, run_suite
 from .errors import InvalidNetworkError, OpfBenchError, OptionError
@@ -40,6 +40,13 @@ _PF = {k.value: k for k in PowerFlowKind}
 _COST = {k.value: k for k in CostKind}
 # the bench report has one column per piecewise encoding and none for poly
 _BENCH_COST = {k.value: k for k in PWL_COST_KINDS}
+
+
+def _open_out(path):
+    """The file at ``path`` opened for writing, or a context holding None
+    when no path is given; raises OSError at once when it cannot be
+    opened."""
+    return open(path, "w") if path else contextlib.nullcontext()
 
 
 def _cmd_validate(args) -> int:
@@ -77,9 +84,11 @@ def _cmd_solve(args) -> int:
     network = read_case(args.case)
     pf, cost = _PF[args.pf], _COST[args.cost]
     model = build_opf(network, pf, cost)
-    result, log = solve(model, opts)
-    if args.log_iters:
-        Path(args.log_iters).write_text(log.to_csv())
+    # the log's path is opened before the solve, so a bad one costs none
+    with _open_out(args.log_iters) as log_file:
+        result, log = solve(model, opts)
+        if log_file is not None:
+            log_file.write(log.to_csv())
     print(f"status:     {result.status.value}")
     print(f"iterations: {result.iterations}")
     print(f"kkt:        {result.kkt_residual:.3e}")
@@ -121,19 +130,23 @@ def _cmd_bench(args) -> int:
             _BENCH_COST[c] for c in args.cost.split(",")))
     except KeyError as exc:
         raise OptionError(f"unknown kind {exc}") from None
-    report = run_suite(BenchConfig(
+    config = BenchConfig(
         case_paths=paths,
         pf_kinds=pf_kinds,
         cost_kinds=cost_kinds,
         trials=args.trials,
         solver_options=SolverOptions(tol=args.tol),
-    ))
-    text = render_report(report, args.format)
+    )
+    # the report's path is opened before the run, so a bad one costs none
+    with _open_out(args.out) as out:
+        report = run_suite(config)
+        text = render_report(report, args.format)
+        if out is None:
+            print(text, end="")
+        else:
+            out.write(text)
     if args.out:
-        Path(args.out).write_text(text)
         print(f"report written to {args.out}")
-    else:
-        print(text, end="")
     cells = [cell for row in report.rows for cell in row.cells.values()]
     # a cell that could not be read or built has no runtime
     if all(cell.runtime is None for cell in cells):

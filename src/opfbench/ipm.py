@@ -6,8 +6,9 @@ barrier on bounds and slacks, a Newton step on the perturbed KKT system
 factored by :mod:`opfbench.kkt`, a backtracking line search on an l1
 exact-penalty merit function, the fraction-to-the-boundary rule, and
 monotone barrier reduction with inertia-corrected primal regularization.
-Where the factorization cannot report the inertia, the step is accepted
-on an inertia-free curvature test instead (Chiang & Zavala, 2016).
+Where the factorization cannot report the inertia, the step of a model
+with curvature is accepted on an inertia-free curvature test instead
+(Chiang & Zavala, 2016); an LP needs neither test (see below).
 
 The inertia correction follows Algorithm IC of Waechter & Biegler (2006)
 on models with curvature, those with a nonempty Hessian pattern; a model
@@ -19,6 +20,20 @@ correction, and always on LPs, the trials are 1e-8 and then x10.  The
 first iteration of a model with curvature starts at delta_w = delta_c =
 1e-8: at y = 0 its Hessian block is all zeros, and the unregularized
 matrix is singular.
+
+An LP reads no inertia: its K has no W and its primal diagonal is sigma
++ delta_w >= 0, so no step has negative curvature, and ``factor`` takes
+the first step whose back-solve passes ``kkt``'s residual check.  A
+rejected factorization, one that breaks down or fails its back-solve, is
+factored once more at the same delta_w and delta_c with threshold
+pivoting (``kkt.factorize_pivoted``), and that counts as one correction;
+only when it fails too do the regularizations grow, and the iteration's
+later trials keep the threshold.  Steps at delta_w > 0 had stalled large
+LPs: on the 1500-bus DC-psi cell (``case30_grid`` tiled 50 times, tol
+1e-8), 131 of 167 iterations sat at the least mu, each corrected to
+delta_w = 1e-8; with the retry the solve takes 29 iterations with 3
+corrections, and the 3000-bus cell, which had run to the iteration
+limit, 27.
 
 A solve is one ``_Solve`` object.  It owns what an iteration hands to the
 next: the point (z, y, v) with its evaluation, the barrier parameter, the
@@ -164,7 +179,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import OptionError
-from .kkt import FactorizationError, factorize, fill_order
+from .kkt import FactorizationError, factorize, factorize_pivoted, fill_order
 from .modelir import (
     ModelIR,
     SolveResult,
@@ -545,8 +560,8 @@ class _KktPattern:
     stored zero on it is no missing pivot to SuperLU: where an updated
     diagonal pivot is exactly zero, SuperLU pivots off the diagonal, and
     the factor loses its inertia (``kkt``).  An LP stores exact zeros on
-    the diagonals of its free variables (delta_w = 0), and on the 3000-bus
-    DC-psi cell 57 of 120 factorizations pivoted off the diagonal.
+    the diagonals of its free variables (delta_w = 0), where that happens
+    most; it needs no inertia, so it pays only the fill.
     """
 
     def __init__(self, m: ModelIR, intake: _Intake):
@@ -592,6 +607,8 @@ class _Kkt:
         # its factor, raised the peak RSS of three passes over the 120-bus
         # benchmark case (seed 4) from 88.2 to 89.7 MB, median of 6 runs
         self.values = np.empty(pattern.csc.nnz)
+        # K's diagonal, primal then dual, rewritten by every assembly
+        self.diag = np.empty(pattern.nx + pattern.m_int)
         self.diagonal_only = False
 
     def assemble(self, w, sigma, delta_w, jac, delta_c):
@@ -606,20 +623,19 @@ class _Kkt:
         Returns the same value array on every call, with the values of
         the previous assembly overwritten, and keeps S for ``step``.
         """
-        p = self.pattern
+        p, diag = self.pattern, self.diag
         nx = p.nx
         self.slack_diag = sigma[nx:] + delta_w
-        diag_c = np.full(p.m_int, -delta_c)
+        np.add(sigma[:nx], delta_w, out=diag[:nx])
+        diag_c = diag[nx:]
+        diag_c.fill(-delta_c)
         diag_c[p.ineq] -= 1.0 / self.slack_diag
         if self.diagonal_only:
-            self.values[p.diag] = np.concatenate([sigma[:nx] + delta_w,
-                                                  diag_c])
+            self.values[p.diag] = diag
             return self.values
         self.diagonal_only = p.diag is not None
         jv = np.concatenate([jac[p.jac_rows], p.fix_vals])
-        self.values[:] = p.csc.scatter(np.concatenate([
-            w, jv, jv, sigma[:nx] + delta_w, diag_c,
-        ]))
+        self.values[:] = p.csc.scatter(np.concatenate([w, jv, jv, diag]))
         return self.values
 
     def step(self, factor, r1, r2):
@@ -992,9 +1008,10 @@ class _Solve:
         np.negative(self.r1, out=self.r1)
 
     def factor(self, it):
-        """Factor the Newton system, correcting the inertia: returns
-        (factor, step, delta_w, corrections), or None once delta_w passes
-        its cap."""
+        """Factor the Newton system, correcting the inertia of a model
+        with curvature and retrying a rejected LP factorization with a
+        pivot threshold: returns (factor, step, delta_w, corrections), or
+        None once delta_w passes its cap."""
         m, intake, kkt = self.m, self.intake, self.kkt
         if it == 0 or not self.is_lp:
             # the Hessian's values scaled for K; an LP's are empty:
@@ -1010,11 +1027,20 @@ class _Solve:
             # at y = 0 the Hessian block is all stored zeros: the
             # unregularized K is singular, and SuperLU leaves its diagonal
             delta_w, delta_c = _REG_FLOOR, _DELTA_C_SINGULAR
-        corrections = 0
+        corrections, pivoted = 0, False
         while True:
             K = kkt.assemble(w, sigma, delta_w, self.jac, delta_c)
             try:
-                factor = factorize(kkt.pattern.csc, data=K)
+                if pivoted:
+                    factor = factorize_pivoted(kkt.pattern.csc, data=K)
+                else:
+                    factor = factorize(kkt.pattern.csc, data=K)
+                if self.is_lp:
+                    # no inertia: K's primal block is diag(sigma + delta_w)
+                    # >= 0, so a step that passes the back-solve's
+                    # residual check is taken; raises when it fails
+                    return (factor, kkt.step(factor, self.r1, -self.point.h),
+                            delta_w, corrections)
                 inertia = factor.inertia
                 # each condensed slack takes one positive pivot with it
                 if inertia is None or inertia == (intake.nx, intake.m_int, 0):
@@ -1025,13 +1051,18 @@ class _Solve:
                     if (inertia is not None
                             or _curvature(m.hess_pattern, w, sigma + delta_w,
                                           step[:intake.nz]) >= 0.0):
-                        if corrections and not self.is_lp:
+                        if corrections:
                             self.delta_last = delta_w
                         return factor, step, delta_w, corrections
                 singular = inertia is not None and inertia[2] > 0
             except FactorizationError:
                 singular = True
             corrections += 1
+            if self.is_lp and not pivoted:
+                # a rejected LP factorization is factored again, at the
+                # same delta_w, with threshold pivoting; later trials keep it
+                pivoted = True
+                continue
             if singular:
                 delta_c = max(delta_c * 10.0, _DELTA_C_SINGULAR)
             if delta_w > 0.0:

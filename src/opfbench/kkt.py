@@ -7,16 +7,35 @@ One backend solves the augmented system
 
 with D diagonal, with SuperLU in the order the matrix is stored in, a
 symmetric fill-reducing one (see below), and numerical pivoting disabled,
-so the U diagonal holds the LDL^T pivots and gives the matrix inertia.  The
-caller regularizes until the factorization has exactly ``n`` positive and
-``m`` negative pivots.  (The interior-point solver condenses its slacks
-into D before it factors; see :mod:`opfbench.ipm`.)
+so the U diagonal holds the LDL^T pivots and gives the matrix inertia.  A
+caller whose H has curvature regularizes until the factorization has
+exactly ``n`` positive and ``m`` negative pivots.  (The interior-point
+solver condenses its slacks into D before it factors; see
+:mod:`opfbench.ipm`.)
 
 SuperLU still pivots off the diagonal where a diagonal pivot is exactly
 zero (a row permutation differing from the column permutation).  The LU
 solve stays valid, but the pivots no longer give the inertia; the factor
 then reports ``inertia = None`` and the caller checks the curvature of the
 step instead.
+
+The inertia is read on demand: a factor reads its pivots from U the first
+time a caller asks for ``inertia`` and keeps the result.  A caller that
+needs no inertia, the interior-point solver on an LP, never reads them.
+Read at every factorization, with the finiteness and permutation checks
+that go with it, it took 7.4-7.5% of a warm pass over the infeasible DC
+cells (seed 1, five passes, 2 shared CPUs).
+
+``factorize_pivoted`` factors with threshold pivoting: SuperLU takes a
+diagonal pivot only where it is at least ``_PIVOT_THRESH`` = 1e-8 times
+the largest entry left in its column, and pivots off the diagonal
+elsewhere, the relative pivot tolerance of IPOPT's linear solvers
+(Waechter & Biegler 2006).  The interior-point solver factors an LP again
+that way when ``factorize``'s factor breaks down or fails its back-solve.
+On the 1500-bus DC-psi cell (``case30_grid`` tiled 50 times) that took
+the solve from 167 iterations with 144 corrections to 29 with 3.  Not on
+every factorization: threshold pivoting raises the fill, and on a model
+with curvature it loses the inertia the correction needs.
 
 The fill-reducing order depends on the sparsity pattern alone, so a
 caller that factors one pattern many times orders it once, when the
@@ -48,12 +67,13 @@ of 8 of the 24 cells (all DC), ``COLAMD`` on 1-3 of 8 (all AC), and
 Each solve checks the residual of its unrefined solution against
 ``_SOLVE_RTOL * (1 + |b|_inf)``.  Only a solution that fails the check gets
 one step of iterative refinement and is checked again; a refined solution
-that still fails (or is not finite) means the matrix is numerically
-singular, and the solve raises.  How often the unrefined solution passes
-depends on the model (seed 1, tol 1e-8): in 824 of 976 solves on the
-bundled grid and 607 of 676 on the infeasible DC cells, but in only 167
-of 337, about half, on the 120-bus case, where the other half pays the
-refinement.  Each pass saves a triangular solve and a matrix product.
+that still fails means the matrix is numerically singular, and the solve
+raises.  A non-finite solution fails the check too: its residual is not
+finite, and no comparison with NaN holds.  How often the unrefined
+solution passes depends on the model (seed 1, tol 1e-8): in 824 of 976
+solves on the bundled grid and 607 of 676 on the infeasible DC cells, but
+in only 167 of 337, about half, on the 120-bus case, where the other half
+pays the refinement.  Each pass saves a triangular solve and a matrix product.
 
 SuperLU is called through scipy's private ``_superlu.gstrf``, the routine
 ``splu`` ends in, from one place (``_gstrf``) with the options ``splu``
@@ -121,6 +141,11 @@ from scipy.sparse.linalg._dsolve import _superlu
 # Numerical near-singularity is caught by the solve-residual check: a
 # refined solve whose residual max-norm exceeds _SOLVE_RTOL * (1 + |b|_inf).
 _SOLVE_RTOL = 1e-6
+# SuperLU's relative pivot threshold in ``factorize_pivoted``: a diagonal
+# pivot is taken where it is at least this fraction of the largest entry
+# left in its column, the relative pivot tolerance of IPOPT's linear
+# solvers (Waechter & Biegler 2006).
+_PIVOT_THRESH = 1e-8
 # SuperLU's panel width, in columns, for every factorization (see the
 # module docstring); None would take scipy's default.
 _PANEL_SIZE = 1
@@ -157,15 +182,17 @@ def _raw_csc(arrays, shape):
     return arrays
 
 
-def _gstrf(K, data, col_perm):
+def _gstrf(K, data, col_perm, pivot_thresh=0.0):
     """SuperLU's LU of the values ``data`` on K's pattern, in the column
-    order ``col_perm`` names: diagonal pivots in a symmetric order, no
+    order ``col_perm`` names: diagonal pivots in a symmetric order, off the
+    diagonal only where one is exactly zero or, with a ``pivot_thresh``
+    above 0, smaller than that fraction of its column's largest entry; no
     equilibration."""
     try:
         return _superlu.gstrf(
             K.shape[0], K.nnz, data, K.indices, K.indptr,
             csc_construct_func=_raw_csc, ilu=False,
-            options=dict(ColPerm=col_perm, DiagPivotThresh=0.0,
+            options=dict(ColPerm=col_perm, DiagPivotThresh=pivot_thresh,
                          SymmetricMode=True, Equil=False,
                          PanelSize=_PANEL_SIZE),
         )
@@ -196,20 +223,34 @@ def fill_order(K):
     return lu.perm_c.copy()
 
 
+# ``_SparseFactor._inertia`` before the pivots are read
+_UNREAD = object()
+
+
 class _SparseFactor:
-    def __init__(self, K, data):
+    def __init__(self, K, data, pivot_thresh):
         self._K, self._data = K, data
-        self._lu = lu = _gstrf(K, data, "NATURAL")
-        self.fill = lu.nnz
-        piv = _u_diagonal(lu)
-        if not np.isfinite(piv).all():
-            raise FactorizationError("non-finite pivots")
-        if (lu.perm_r == lu.perm_c).all():
-            pos = np.count_nonzero(piv > 0.0)
-            neg = np.count_nonzero(piv < 0.0)
-            self.inertia = (pos, neg, len(piv) - pos - neg)
-        else:
-            self.inertia = None
+        self._lu = _gstrf(K, data, "NATURAL", pivot_thresh)
+        self.fill = self._lu.nnz
+        self._inertia = _UNREAD
+
+    @property
+    def inertia(self):
+        """(pos, neg, zero) from the pivots, or None when pivoting left
+        the diagonal; read from U at the first call and kept.  Raises
+        FactorizationError on non-finite pivots."""
+        if self._inertia is _UNREAD:
+            lu = self._lu
+            piv = _u_diagonal(lu)
+            if not np.isfinite(piv).all():
+                raise FactorizationError("non-finite pivots")
+            if (lu.perm_r == lu.perm_c).all():
+                pos = np.count_nonzero(piv > 0.0)
+                neg = np.count_nonzero(piv < 0.0)
+                self._inertia = (pos, neg, len(piv) - pos - neg)
+            else:
+                self._inertia = None
+        return self._inertia
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         bound = _SOLVE_RTOL * (1.0 + np.abs(b).max(initial=0.0))
@@ -224,11 +265,11 @@ class _SparseFactor:
         return x
 
     def _solves(self, x, b, bound):
-        """Whether x is finite and K x - b within ``bound`` in max-norm."""
+        """Whether K x - b is within ``bound`` in max-norm; a non-finite x
+        makes the residual non-finite, and that fails the comparison."""
         r = self._K.matvec(self._data, x)
         r -= b
-        residual = np.abs(r, out=r).max(initial=0.0)
-        return bool(residual <= bound) and bool(np.isfinite(x).all())
+        return bool(np.abs(r, out=r).max(initial=0.0) <= bound)
 
 
 def factorize(K, *, data):
@@ -236,16 +277,29 @@ def factorize(K, *, data):
     ``data`` on the square CSC ``modelir.SparsePattern`` K, in K's stored
     order, returning a factor with ``solve(rhs)``, which takes and returns
     vectors in that order, ``inertia``: (pos, neg, zero), or None when
-    pivoting left the diagonal and the inertia is unknown, and ``fill``,
-    the number of entries in L and U.
+    pivoting left the diagonal and the inertia is unknown, read from the
+    pivots on first use, and ``fill``, the number of entries in L and U.
 
     K's columns hold their rows sorted and distinct, and K and data are
     used as they are.  Raises ValueError if K is not square or data is not
     one float per entry, and FactorizationError on breakdown; the caller
     is expected to add regularization and retry.
     """
+    return _factor(K, data, 0.0)
+
+
+def factorize_pivoted(K, *, data):
+    """``factorize`` with threshold pivoting: SuperLU pivots off the
+    diagonal wherever a diagonal pivot is less than ``_PIVOT_THRESH``
+    times the largest entry left in its column, not only where one is
+    exactly zero.  The factor's inertia is then unknown more often; a
+    caller that needs none retries a rejected ``factorize`` with it."""
+    return _factor(K, data, _PIVOT_THRESH)
+
+
+def _factor(K, data, pivot_thresh):
     if K.shape[0] != K.shape[1]:
         raise ValueError("can only factor square matrices")
     if data.dtype != np.float64 or data.shape != (K.nnz,):
         raise ValueError("data must hold one float per entry of K")
-    return _SparseFactor(K, data)
+    return _SparseFactor(K, data, pivot_thresh)

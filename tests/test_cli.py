@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from opfbench import cli
 from opfbench.bench import BenchConfig
 from opfbench.cli import main
 from opfbench.errors import OptionError
@@ -174,7 +175,14 @@ def test_bench_no_match_is_input_error(capsys):
     assert code == 2
 
 
-def test_solve_unwritable_log_is_input_error(case_paths, tmp_path, capsys):
+def never_called(*args, **kwargs):
+    raise AssertionError("the work ran before its output path was opened")
+
+
+def test_solve_unwritable_log_is_input_error(case_paths, tmp_path, capsys,
+                                             monkeypatch):
+    # the log's path is opened before the solve
+    monkeypatch.setattr("opfbench.cli.solve", never_called)
     code = main(["solve", case_paths["case1_micro"], "--pf", "dc",
                  "--cost", "lambda",
                  "--log-iters", str(tmp_path / "missing" / "log.csv")])
@@ -182,12 +190,36 @@ def test_solve_unwritable_log_is_input_error(case_paths, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-def test_bench_unwritable_out_is_input_error(case_paths, tmp_path, capsys):
+def test_bench_unwritable_out_is_input_error(case_paths, tmp_path, capsys,
+                                             monkeypatch):
+    # the report's path is opened before any cell is solved
+    monkeypatch.setattr("opfbench.cli.run_suite", never_called)
     code = main(["bench", "--cases", case_paths["case1_micro"], "--pf", "dc",
                  "--trials", "1",
                  "--out", str(tmp_path / "missing" / "r.csv")])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_bench_out_receives_the_printed_report(case_paths, tmp_path, capsys,
+                                               monkeypatch):
+    # one report, written to --out and printed without it: the same text
+    run_suite, reports = cli.run_suite, []
+
+    def run_once(config):
+        if not reports:
+            reports.append(run_suite(config))
+        return reports[0]
+
+    monkeypatch.setattr(cli, "run_suite", run_once)
+    argv = ["bench", "--cases", case_paths["case3_cycle"], "--pf", "dc",
+            "--trials", "1", "--format", "md"]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    out_path = tmp_path / "r.md"
+    assert main(argv + ["--out", str(out_path)]) == 0
+    assert capsys.readouterr().out == f"report written to {out_path}\n"
+    assert out_path.read_text() == printed
 
 
 def test_bench_directory_match_is_recorded_like_a_parse_error(tmp_path,

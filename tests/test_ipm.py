@@ -1,10 +1,12 @@
 import gc
 import math
+import random
 import sys
 import threading
 import warnings
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +30,12 @@ from opfbench.modelir import (
 from opfbench.netdata import ComplexPU, parse_case
 
 from helpers import enumerate_lp_vertices, on_pattern
+
+# the benchmark's case generator, imported read-only
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+if str(PERFBENCH) not in sys.path:
+    sys.path.insert(0, str(PERFBENCH))
+import workloads  # noqa: E402
 
 
 def lp_min_x_geq_1():
@@ -328,8 +336,9 @@ class TestSolverContracts:
 
         def misreporting(K, **kwargs):
             factor = factorize(K, **kwargs)
-            factor.inertia = (right if len(trials) >= wrong
-                              else (right[0] - 1, right[1] + 1, 0))
+            # the inertia the factor would read from its pivots on demand
+            factor._inertia = (right if len(trials) >= wrong
+                               else (right[0] - 1, right[1] + 1, 0))
             trials.append(factor.inertia)
             return factor
 
@@ -517,16 +526,109 @@ class TestInfeasibilityDetection:
         assert res.kkt_residual <= 1e-8
 
 
+def tiled_network(buses):
+    """``case30_grid`` tiled to ``buses`` buses, 2 ties per pair (tie seed
+    1), by the benchmark's workloads module."""
+    base, tables = workloads._tile("case30_grid", buses // 30, 2,
+                                   random.Random(1))
+    return parse_case(workloads.write_case("tiled", base, tables))
+
+
+def reads_of_u_diagonal(monkeypatch):
+    """A list that gains one entry per read of a factor's pivots."""
+    reads = []
+    u_diagonal = kkt_mod._u_diagonal
+
+    def counting(lu):
+        reads.append(lu)
+        return u_diagonal(lu)
+
+    monkeypatch.setattr(kkt_mod, "_u_diagonal", counting)
+    return reads
+
+
 class TestUnknownInertia:
     def test_dc_optimal_where_superlu_leaves_the_diagonal(self):
-        # SuperLU pivots off the diagonal at the free DC angle columns, so
-        # the inertia is unknown and steps pass on the curvature test
+        # SuperLU pivots off the diagonal at the free DC angle columns; an
+        # LP reads no inertia, and each step passes on its back-solve
         m = build_opf(overloaded_network("case30_grid", 0.95),
                       PowerFlowKind.DC, CostKind.DELTA)
         res, _ = solve(m, SolverOptions(tol=1e-8))
         assert res.status == SolveStatus.OPTIMAL
         assert res.iterations <= 30
         assert kkt_check(m, res).max_residual <= 1e-8
+
+    def test_only_models_with_curvature_read_the_pivots(self, monkeypatch):
+        # an LP's step is accepted on its back-solve alone; an AC solve
+        # reads the inertia of every factorization
+        reads = reads_of_u_diagonal(monkeypatch)
+        for pf in (PowerFlowKind.DC, PowerFlowKind.AC):
+            reads.clear()
+            res, log = solve(build_opf(parse_case(case_text("case9_loop")),
+                                       pf, CostKind.LAMBDA))
+            assert res.status == SolveStatus.OPTIMAL
+            factorizations = len(log) + sum(
+                r.inertia_corrections for r in log.records)
+            assert len(reads) == (0 if pf is PowerFlowKind.DC
+                                  else factorizations)
+
+    def test_rejected_lp_factorization_is_retried_with_a_threshold(
+            self, monkeypatch):
+        # the first factorization of each solve breaks down; the same K,
+        # at delta_w = 0, is factored again with threshold pivoting, and
+        # that counts as one correction
+        m = build_opf(parse_case(case_text("case9_loop")), PowerFlowKind.DC,
+                      CostKind.LAMBDA)
+        factorize, factorize_pivoted = (ipm_mod.factorize,
+                                        ipm_mod.factorize_pivoted)
+        calls, pivoted = [], []
+
+        def breaks_down_once(K, **kwargs):
+            calls.append(K)
+            if len(calls) == 1:
+                raise kkt_mod.FactorizationError("exactly singular")
+            return factorize(K, **kwargs)
+
+        def recording(K, **kwargs):
+            pivoted.append(factorize_pivoted(K, **kwargs))
+            return pivoted[-1]
+
+        monkeypatch.setattr(ipm_mod, "factorize", breaks_down_once)
+        monkeypatch.setattr(ipm_mod, "factorize_pivoted", recording)
+        s = ipm_mod._Solve(m, SolverOptions())
+        assert s.evaluate() is None
+        s.update_barrier()
+        factor, _, delta_w, corrections = s.factor(0)
+        assert factor is pivoted[0]
+        assert (delta_w, corrections) == (0.0, 1)
+        # a whole solve logs it, and factors once per iteration and
+        # correction
+        calls.clear()
+        pivoted.clear()
+        res, log = solve(m)
+        assert res.status == SolveStatus.OPTIMAL
+        assert len(pivoted) == 1
+        first = log.records[0]
+        assert (first.reg, first.inertia_corrections) == (0.0, 1)
+        assert len(calls) + len(pivoted) == len(log) + sum(
+            r.inertia_corrections for r in log.records)
+
+    def test_dc_encodings_agree_at_1500_buses(self):
+        # psi once took 167 iterations here, 144 of them corrected to
+        # delta_w > 0, and stalled on those steps
+        network = tiled_network(1500)
+        objectives = {}
+        for ck in (CostKind.PSI, CostKind.LAMBDA, CostKind.DELTA,
+                   CostKind.PHI):
+            m = build_opf(network, PowerFlowKind.DC, ck)
+            res, _ = solve(m, SolverOptions(tol=1e-8))
+            assert res.status == SolveStatus.OPTIMAL, ck
+            assert res.iterations <= 40, ck
+            assert kkt_check(m, res).max_residual <= 1e-8, ck
+            objectives[ck] = res.objective
+        for ck, objective in objectives.items():
+            assert objective == pytest.approx(objectives[CostKind.LAMBDA],
+                                              rel=1e-5), ck
 
 
 class TestKktCheck:

@@ -82,6 +82,51 @@ def test_refinement_runs_only_on_a_failed_check(K, solves):
         kkt_mod._SOLVE_RTOL * (1.0 + np.abs(b).max()))
 
 
+class NanLU:
+    """A SuperLU factor whose triangular solves return NaN."""
+
+    def solve(self, b):
+        return np.full_like(b, np.nan)
+
+
+def test_non_finite_solution_fails_the_residual_check():
+    # NaN in x makes the residual NaN, and NaN <= bound is false
+    factor = factor_of(np.array(DEFINITE))
+    factor._lu = NanLU()
+    with pytest.raises(FactorizationError, match="numerically singular"):
+        factor.solve(np.array([1.0, -2.0, 0.5]))
+
+
+def test_inertia_is_read_once_on_demand(monkeypatch):
+    reads = []
+    u_diagonal = kkt_mod._u_diagonal
+
+    def counting(lu):
+        reads.append(lu)
+        return u_diagonal(lu)
+
+    monkeypatch.setattr(kkt_mod, "_u_diagonal", counting)
+    factor = factor_of(np.array(QUASI_DEFINITE))
+    factor.solve(np.array([1.0, -2.0, 0.5]))
+    assert reads == []
+    assert factor.inertia == factor.inertia == (2, 1, 0)
+    assert len(reads) == 1
+
+
+def test_pivot_threshold_leaves_a_tiny_diagonal_pivot():
+    # factorize takes the 1e-12 pivot and refines the solve; with the
+    # threshold SuperLU pivots off the diagonal, and one solve passes
+    b = np.array([1.0, -2.0, 0.5])
+    pattern, values = pattern_and_values(np.array(TINY_PIVOT))
+    assert factorize(pattern, data=values).inertia is not None
+    pivoted = kkt_mod.factorize_pivoted(pattern, data=values)
+    assert pivoted.inertia is None
+    pivoted._lu = CountingLU(pivoted._lu)
+    x = pivoted.solve(b)
+    assert pivoted._lu.solves == 1
+    assert x == pytest.approx(np.linalg.solve(TINY_PIVOT, b), abs=1e-9)
+
+
 def solver_splu(K, order):
     """splu of the CSC matrix K with the solver's options, in the column
     order ``order``: "NATURAL" or SuperLU's minimum-degree
