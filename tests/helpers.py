@@ -8,7 +8,7 @@ import itertools
 import numpy as np
 import scipy.sparse as sp
 
-from opfbench import netdata
+from opfbench import kkt, netdata
 from opfbench.modelir import (
     ModelIR,
     SparsePattern,
@@ -25,6 +25,20 @@ def pattern_and_values(K):
     K = sp.coo_matrix(K, dtype=float)
     pattern = SparsePattern(K.row, K.col, K.shape)
     return pattern, pattern.scatter(K.data)
+
+
+def u_diagonal_reads(monkeypatch):
+    """A list that gains one entry each time a factor reads its pivots
+    (``kkt._u_diagonal``) while the monkeypatch lasts."""
+    reads = []
+    u_diagonal = kkt._u_diagonal
+
+    def counting(lu):
+        reads.append(lu)
+        return u_diagonal(lu)
+
+    monkeypatch.setattr(kkt, "_u_diagonal", counting)
+    return reads
 
 
 def on_pattern(pattern, values):

@@ -29,7 +29,7 @@ from opfbench.modelir import (
 )
 from opfbench.netdata import ComplexPU, parse_case
 
-from helpers import enumerate_lp_vertices, on_pattern
+from helpers import enumerate_lp_vertices, on_pattern, u_diagonal_reads
 
 # the benchmark's case generator, imported read-only
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -534,19 +534,6 @@ def tiled_network(buses):
     return parse_case(workloads.write_case("tiled", base, tables))
 
 
-def reads_of_u_diagonal(monkeypatch):
-    """A list that gains one entry per read of a factor's pivots."""
-    reads = []
-    u_diagonal = kkt_mod._u_diagonal
-
-    def counting(lu):
-        reads.append(lu)
-        return u_diagonal(lu)
-
-    monkeypatch.setattr(kkt_mod, "_u_diagonal", counting)
-    return reads
-
-
 class TestUnknownInertia:
     def test_dc_optimal_where_superlu_leaves_the_diagonal(self):
         # SuperLU pivots off the diagonal at the free DC angle columns; an
@@ -561,7 +548,7 @@ class TestUnknownInertia:
     def test_only_models_with_curvature_read_the_pivots(self, monkeypatch):
         # an LP's step is accepted on its back-solve alone; an AC solve
         # reads the inertia of every factorization
-        reads = reads_of_u_diagonal(monkeypatch)
+        reads = u_diagonal_reads(monkeypatch)
         for pf in (PowerFlowKind.DC, PowerFlowKind.AC):
             reads.clear()
             res, log = solve(build_opf(parse_case(case_text("case9_loop")),

@@ -11,7 +11,7 @@ from opfbench.kkt import FactorizationError, factorize, fill_order
 from opfbench.modelir import SolveStatus
 from opfbench.netdata import parse_case
 
-from helpers import on_pattern, pattern_and_values
+from helpers import on_pattern, pattern_and_values, u_diagonal_reads
 
 DEFINITE = [[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]]
 # the KKT shape [[H, J^T], [J, -dc]]: n positive, m negative pivots
@@ -98,14 +98,7 @@ def test_non_finite_solution_fails_the_residual_check():
 
 
 def test_inertia_is_read_once_on_demand(monkeypatch):
-    reads = []
-    u_diagonal = kkt_mod._u_diagonal
-
-    def counting(lu):
-        reads.append(lu)
-        return u_diagonal(lu)
-
-    monkeypatch.setattr(kkt_mod, "_u_diagonal", counting)
+    reads = u_diagonal_reads(monkeypatch)
     factor = factor_of(np.array(QUASI_DEFINITE))
     factor.solve(np.array([1.0, -2.0, 0.5]))
     assert reads == []
