@@ -601,8 +601,8 @@ class TestUnknownInertia:
             r.inertia_corrections for r in log.records)
 
     def test_dc_encodings_agree_at_1500_buses(self):
-        # psi once took 167 iterations here, 144 of them corrected to
-        # delta_w > 0, and stalled on those steps
+        # psi stalls here on steps corrected to delta_w > 0, unless a
+        # rejected factorization is retried with a pivot threshold first
         network = tiled_network(1500)
         objectives = {}
         for ck in (CostKind.PSI, CostKind.LAMBDA, CostKind.DELTA,
