@@ -26,14 +26,14 @@ An LP reads no inertia: its K has no W and its primal diagonal is sigma
 the first step whose back-solve passes ``kkt``'s residual check.  A
 rejected factorization, one that breaks down or fails its back-solve, is
 factored once more at the same delta_w and delta_c with threshold
-pivoting (``kkt.factorize_pivoted``), and that counts as one correction;
-only when it fails too do the regularizations grow, and the iteration's
-later trials keep the threshold.  Steps at delta_w > 0 had stalled large
-LPs: on the 1500-bus DC-psi cell (``case30_grid`` tiled 50 times, tol
-1e-8), 131 of 167 iterations sat at the least mu, each corrected to
-delta_w = 1e-8; with the retry the solve takes 29 iterations with 3
-corrections, and the 3000-bus cell, which had run to the iteration
-limit, 27.
+pivoting (``factorize(..., pivoted=True)``, through the one entry point),
+and that counts as one correction; only when it fails too do the
+regularizations grow, and the iteration's later trials keep the
+threshold.  Steps at delta_w > 0 had stalled large LPs: on the 1500-bus
+DC-psi cell (``case30_grid`` tiled 50 times, tol 1e-8), 131 of 167
+iterations sat at the least mu, each corrected to delta_w = 1e-8; with
+the retry the solve takes 29 iterations with 3 corrections, and the
+3000-bus cell, which had run to the iteration limit, 27.
 
 A solve is one ``_Solve`` object.  It owns what an iteration hands to the
 next: the point (z, y, v) with its evaluation, the barrier parameter, the
@@ -74,19 +74,21 @@ solves of one model from two threads at once share it.  It depends on no
 a change to one of them reaches only models first solved after it.  A
 later solve takes the same steps as the first, bit for bit.
 
-An LP's derivatives never change, so it evaluates them once per solve,
-as IPOPT does for constant Jacobians and Hessians (Waechter & Biegler
-2006): ``evaluate`` calls ``eval_jacobian`` at the solve's first point
-only, keeps those model-unit values for J^T y and for every audit, the
-one ``finish`` makes included, and scales one copy for K; ``factor``
-calls ``eval_lagrangian_hessian``, whose values are empty, at the first
-iteration only; and after its first assembly ``_Kkt`` rewrites only K's
-diagonal.  Every step stays the one per-iteration evaluation took, bit for
-bit.  Once per solve, not once per model: the values stay with the solve,
-like every other value, and each solve still enters both evaluations, so
-a caller that wraps them, as perfbench's tracer does, sees every solve
-evaluate its model (a solve that ends at its start point never reaches
-the Hessian).
+K is written in two steps on every model (``_Kkt``): ``factor``
+scatters the Hessian and the Jacobian into it where it evaluates the
+Hessian, and every trial of the correction writes only its diagonal.  An
+LP's derivatives never change, so it evaluates them once per solve, as
+IPOPT does for constant Jacobians and Hessians (Waechter & Biegler 2006):
+``evaluate`` calls ``eval_jacobian`` at the solve's first point only,
+keeps those model-unit values for J^T y and for every audit, the one
+``finish`` makes included, and scales one copy for K; ``factor`` calls
+``eval_lagrangian_hessian``, whose values are empty, and scatters both
+into K at the first iteration only.  Every step stays the one
+per-iteration evaluation took, bit for bit.  Once per solve, not once per
+model: the values stay with the solve, like every other value, and each
+solve still enters both evaluations, so a caller that wraps them, as
+perfbench's tracer does, sees every solve evaluate its model (a solve
+that ends at its start point never reaches the Hessian).
 
 Each point is evaluated once, as IPOPT caches its evaluations per iterate
 (Waechter & Biegler 2006).  ``evaluate_point`` computes the rows, the
@@ -179,7 +181,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import OptionError
-from .kkt import FactorizationError, factorize, factorize_pivoted, fill_order
+from .kkt import FactorizationError, factorize, fill_order
 from .modelir import (
     ModelIR,
     SolveResult,
@@ -538,15 +540,12 @@ class _KktPattern:
     index maps every assembly scatters through; ``_Kkt`` binds K to it for
     one solve.
 
-    The slacks are eliminated before K is formed (see ``assemble``), so J
-    holds the model Jacobian on the kept rows and the intake's +1 fix
+    The slacks are eliminated before K is formed (see ``_Kkt.assemble``),
+    so J holds the model Jacobian on the kept rows and the intake's +1 fix
     entries, and the dual diagonal carries each eliminated slack.  The
-    pattern holds the model Hessian's pattern, both full diagonals and J in
-    both off-diagonal blocks, so every assembly is one scatter of values.
-    J never lands on the diagonal, so on an LP, which has no W, each
-    diagonal slot holds exactly one value; ``diag`` lists those slots (None
-    on a model with curvature), and ``_Kkt`` rewrites only them after a
-    solve's first assembly.
+    pattern holds the model Hessian's pattern, J in both off-diagonal
+    blocks and both full diagonals, in that order, so K's values are one
+    scatter.  ``diag`` lists the diagonal's slots, primal then dual.
 
     K is stored in the fill-reducing order of this pattern from the start
     (``fill_order``; ``perm`` maps each row and column to its stored
@@ -559,9 +558,7 @@ class _KktPattern:
     The full diagonal keeps ``fill_order`` from breaking down, but a
     stored zero on it is no missing pivot to SuperLU: where an updated
     diagonal pivot is exactly zero, SuperLU pivots off the diagonal, and
-    the factor loses its inertia (``kkt``).  An LP stores exact zeros on
-    the diagonals of its free variables (delta_w = 0), where that happens
-    most; it needs no inertia, so it pays only the fill.
+    the factor loses its inertia (``kkt``).
     """
 
     def __init__(self, m: ModelIR, intake: _Intake):
@@ -579,8 +576,8 @@ class _KktPattern:
         cols = np.concatenate([wc, jc, jr, d])
         self.perm = fill_order(SparsePattern(rows, cols, (n, n)))
         self.csc = SparsePattern(self.perm[rows], self.perm[cols], (n, n))
-        # the diagonal entries come last, one per slot when there is no W
-        self.diag = self.csc.slot[-n:] if m.hess_pattern.nnz == 0 else None
+        # the diagonal entries come last
+        self.diag = self.csc.slot[-n:]
         self.nx, self.m_int = nx, intake.m_int
         self.ineq = intake.ineq
         self.x_pos, self.row_pos = self.perm[:nx], self.perm[nx:]
@@ -592,13 +589,16 @@ class _KktPattern:
 
 class _Kkt:
     """The condensed K of one solve: its values on its model's
-    ``_KktPattern``, one array that every assembly overwrites.
+    ``_KktPattern``, one array written in two steps.
 
-    The first assembly scatters every entry.  On an LP the off-diagonal
-    values never change within a solve (J is constant and there is no W),
-    so every later assembly, those of the inertia correction included,
-    rewrites only the diagonal slots (``_KktPattern.diag``); each slot holds
-    one value, so K is the full scatter's, bit for bit.
+    ``set_derivatives`` scatters W and J, once per evaluation of the
+    Hessian; ``assemble`` writes only the diagonal slots, on every trial
+    of the inertia correction, as IPOPT keeps W and J within an iteration
+    and changes only the perturbations (Waechter & Biegler 2006).  The
+    scatter sums each slot in coordinate order, with the diagonal's
+    coordinates last; J never lands on the diagonal, and W holds at most
+    one value per slot.  So each diagonal slot holds W's value plus the
+    diagonal's, and K equals one scatter of all its values, bit for bit.
     """
 
     def __init__(self, pattern: _KktPattern):
@@ -607,35 +607,40 @@ class _Kkt:
         # its factor, raised the peak RSS of three passes over the 120-bus
         # benchmark case (seed 4) from 88.2 to 89.7 MB, median of 6 runs
         self.values = np.empty(pattern.csc.nnz)
-        # K's diagonal, primal then dual, rewritten by every assembly
-        self.diag = np.empty(pattern.nx + pattern.m_int)
-        self.diagonal_only = False
+        # the zeros ``set_derivatives`` scatters onto K's diagonal, and
+        # the diagonal, primal then dual, rewritten by every assembly
+        self.zeros = np.zeros(len(pattern.diag))
+        self.diag = np.empty_like(self.zeros)
 
-    def assemble(self, w, sigma, delta_w, jac, delta_c):
-        """K's values on ``pattern.csc`` for the values w and jac of the
-        model Hessian and Jacobian on their model patterns, the barrier
-        diagonal sigma of every internal variable, slacks included, and the
-        regularizations delta_w and delta_c; on an LP, w and jac are read
-        at the solve's first assembly only.
+    def set_derivatives(self, w, jac):
+        """Scatter the values w and jac of the model Hessian and Jacobian
+        on their model patterns, and zeros on the diagonal, into K's
+        values, and keep W's share of the primal diagonal slots."""
+        p = self.pattern
+        jv = np.concatenate([jac[p.jac_rows], p.fix_vals])
+        self.values[:] = p.csc.scatter(np.concatenate([w, jv, jv, self.zeros]))
+        self.w_diag = self.values[p.diag[:p.nx]]
+
+    def assemble(self, sigma, delta_w, delta_c):
+        """K's values on ``pattern.csc`` for the barrier diagonal sigma of
+        every internal variable, slacks included, and the regularizations
+        delta_w and delta_c, with the derivatives ``set_derivatives`` set.
 
         The full system's slack rows are eliminated: with S = sigma_s +
         delta_w, each inequality row's dual diagonal is -(delta_c + 1/S).
-        Returns the same value array on every call, with the values of
+        Returns the same value array on every call, with the diagonal of
         the previous assembly overwritten, and keeps S for ``step``.
         """
         p, diag = self.pattern, self.diag
         nx = p.nx
         self.slack_diag = sigma[nx:] + delta_w
-        np.add(sigma[:nx], delta_w, out=diag[:nx])
+        diag_x = diag[:nx]
+        np.add(sigma[:nx], delta_w, out=diag_x)
+        diag_x += self.w_diag
         diag_c = diag[nx:]
         diag_c.fill(-delta_c)
         diag_c[p.ineq] -= 1.0 / self.slack_diag
-        if self.diagonal_only:
-            self.values[p.diag] = diag
-            return self.values
-        self.diagonal_only = p.diag is not None
-        jv = np.concatenate([jac[p.jac_rows], p.fix_vals])
-        self.values[:] = p.csc.scatter(np.concatenate([w, jv, jv, diag]))
+        self.values[p.diag] = diag
         return self.values
 
     def step(self, factor, r1, r2):
@@ -1014,11 +1019,12 @@ class _Solve:
         None once delta_w passes its cap."""
         m, intake, kkt = self.m, self.intake, self.kkt
         if it == 0 or not self.is_lp:
-            # the Hessian's values scaled for K; an LP's are empty:
-            # evaluated at a solve's first factorization only
+            # the Hessian's values scaled for K, and K's derivatives; an
+            # LP's are constant: set at a solve's first factorization only
             self.hess = eval_lagrangian_hessian(
                 m, self.x, intake.model_y(self.y, self.y_model))
             self.hess *= intake.hess_d
+            kkt.set_derivatives(self.hess, self.jac)
         w = self.hess
         self.v_gap = self.v / self.point.gap
         sigma = _sigma(intake, self.v_gap)
@@ -1029,12 +1035,9 @@ class _Solve:
             delta_w, delta_c = _REG_FLOOR, _DELTA_C_SINGULAR
         corrections, pivoted = 0, False
         while True:
-            K = kkt.assemble(w, sigma, delta_w, self.jac, delta_c)
+            K = kkt.assemble(sigma, delta_w, delta_c)
             try:
-                if pivoted:
-                    factor = factorize_pivoted(kkt.pattern.csc, data=K)
-                else:
-                    factor = factorize(kkt.pattern.csc, data=K)
+                factor = factorize(kkt.pattern.csc, data=K, pivoted=pivoted)
                 if self.is_lp:
                     # no inertia: K's primal block is diag(sigma + delta_w)
                     # >= 0, so a step that passes the back-solve's

@@ -26,16 +26,18 @@ Read at every factorization, with the finiteness and permutation checks
 that go with it, it took 7.4-7.5% of a warm pass over the infeasible DC
 cells (seed 1, five passes, 2 shared CPUs).
 
-``factorize_pivoted`` factors with threshold pivoting: SuperLU takes a
-diagonal pivot only where it is at least ``_PIVOT_THRESH`` = 1e-8 times
-the largest entry left in its column, and pivots off the diagonal
-elsewhere, the relative pivot tolerance of IPOPT's linear solvers
-(Waechter & Biegler 2006).  The interior-point solver factors an LP again
-that way when ``factorize``'s factor breaks down or fails its back-solve.
-On the 1500-bus DC-psi cell (``case30_grid`` tiled 50 times) that took
-the solve from 167 iterations with 144 corrections to 29 with 3.  Not on
-every factorization: threshold pivoting raises the fill, and on a model
-with curvature it loses the inertia the correction needs.
+``factorize(K, data=values, pivoted=True)`` factors with threshold
+pivoting: SuperLU takes a diagonal pivot only where it is at least
+``_PIVOT_THRESH`` = 1e-8 times the largest entry left in its column, and
+pivots off the diagonal elsewhere, the relative pivot tolerance of IPOPT's
+linear solvers (Waechter & Biegler 2006).  The interior-point solver
+factors an LP again that way when its unpivoted factor breaks down or
+fails its back-solve.  On the 1500-bus DC-psi cell (``case30_grid`` tiled
+50 times) that took the solve from 167 iterations with 144 corrections to
+29 with 3.  Not on every factorization: threshold pivoting raises the
+fill, and on a model with curvature it loses the inertia the correction
+needs.  Both kinds go through the one entry point, so a caller that wraps
+``factorize`` sees every factorization.
 
 The fill-reducing order depends on the sparsity pattern alone, so a
 caller that factors one pattern many times orders it once, when the
@@ -80,8 +82,9 @@ SuperLU is called through scipy's private ``_superlu.gstrf``, the routine
 would pass apart from the panel width below.  ``factorize`` takes K in
 the program's one sparse form, ``factorize(pattern, data=values)``: a
 square ``modelir.SparsePattern``, CSC like every pattern, each column's
-rows sorted and distinct, and its float values.  Only the pattern's shape and the values' type and length are
-checked, and no matrix object is built.  Every factorization and every
+rows sorted and distinct, and its float values.  Only the pattern's
+shape and the values' type and length are checked, and no matrix object
+is built.  Every factorization and every
 residual product runs on (pattern, values), by ``gstrf`` and by
 ``SparsePattern.matvec``, the sparsetools kernel scipy's ``@`` ends in, so
 the residual is the matrix product's, bit for bit.  The factor's ``L``/``U``
@@ -141,10 +144,10 @@ from scipy.sparse.linalg._dsolve import _superlu
 # Numerical near-singularity is caught by the solve-residual check: a
 # refined solve whose residual max-norm exceeds _SOLVE_RTOL * (1 + |b|_inf).
 _SOLVE_RTOL = 1e-6
-# SuperLU's relative pivot threshold in ``factorize_pivoted``: a diagonal
-# pivot is taken where it is at least this fraction of the largest entry
-# left in its column, the relative pivot tolerance of IPOPT's linear
-# solvers (Waechter & Biegler 2006).
+# SuperLU's relative pivot threshold of ``factorize(pivoted=True)``: a
+# diagonal pivot is taken where it is at least this fraction of the
+# largest entry left in its column, the relative pivot tolerance of
+# IPOPT's linear solvers (Waechter & Biegler 2006).
 _PIVOT_THRESH = 1e-8
 # SuperLU's panel width, in columns, for every factorization (see the
 # module docstring); None would take scipy's default.
@@ -272,7 +275,7 @@ class _SparseFactor:
         return bool(np.abs(r, out=r).max(initial=0.0) <= bound)
 
 
-def factorize(K, *, data):
+def factorize(K, *, data, pivoted=False):
     """Factor the symmetric indefinite matrix with the float values
     ``data`` on the square CSC ``modelir.SparsePattern`` K, in K's stored
     order, returning a factor with ``solve(rhs)``, which takes and returns
@@ -280,26 +283,18 @@ def factorize(K, *, data):
     pivoting left the diagonal and the inertia is unknown, read from the
     pivots on first use, and ``fill``, the number of entries in L and U.
 
+    With ``pivoted``, SuperLU pivots off the diagonal wherever a diagonal
+    pivot is less than ``_PIVOT_THRESH`` times the largest entry left in
+    its column, not only where one is exactly zero; the inertia is then
+    unknown more often.
+
     K's columns hold their rows sorted and distinct, and K and data are
     used as they are.  Raises ValueError if K is not square or data is not
     one float per entry, and FactorizationError on breakdown; the caller
     is expected to add regularization and retry.
     """
-    return _factor(K, data, 0.0)
-
-
-def factorize_pivoted(K, *, data):
-    """``factorize`` with threshold pivoting: SuperLU pivots off the
-    diagonal wherever a diagonal pivot is less than ``_PIVOT_THRESH``
-    times the largest entry left in its column, not only where one is
-    exactly zero.  The factor's inertia is then unknown more often; a
-    caller that needs none retries a rejected ``factorize`` with it."""
-    return _factor(K, data, _PIVOT_THRESH)
-
-
-def _factor(K, data, pivot_thresh):
     if K.shape[0] != K.shape[1]:
         raise ValueError("can only factor square matrices")
     if data.dtype != np.float64 or data.shape != (K.nnz,):
         raise ValueError("data must hold one float per entry of K")
-    return _SparseFactor(K, data, pivot_thresh)
+    return _SparseFactor(K, data, _PIVOT_THRESH if pivoted else 0.0)

@@ -271,7 +271,8 @@ def parse_case(text: str) -> Network:
     """Parse Matpower case text into a per-unit :class:`Network`.
 
     Raises CaseParseError for malformed text, CaseStructureError for
-    inconsistent tables and UnsupportedFeatureError for bus shunts,
+    inconsistent tables and bus types other than 1-4, and
+    UnsupportedFeatureError for bus shunts,
     isolated (type 4) buses, out-of-service (status 0) generators and
     branches, branch phase shifts or unknown cost models.  Each names the
     line of the offending row when there is one.
@@ -311,6 +312,9 @@ def parse_case(text: str) -> Network:
         if bus_type == 4:
             raise UnsupportedFeatureError(
                 f"bus {bus_id} is isolated (type 4), not supported", lineno)
+        if bus_type not in (1, 2, 3):
+            raise CaseStructureError(
+                f"bus {bus_id} has unknown type {bus_type}", lineno)
         vmax, vmin = row[11], row[12]
         if not (0.0 < vmin <= vmax):
             raise CaseStructureError(

@@ -41,6 +41,14 @@ def u_diagonal_reads(monkeypatch):
     return reads
 
 
+def counting(calls, name, fn):
+    """fn, wrapped to add one to ``calls[name]`` at each call."""
+    def counted(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        return fn(*args, **kwargs)
+    return counted
+
+
 def on_pattern(pattern, values):
     """The scipy CSC matrix with the values ``values`` on the compressed
     ``pattern``, for comparisons with scipy's own routines."""

@@ -400,6 +400,7 @@ def case9_with(case_paths, line, old, new, tmp_path):
     (27, "\t0\t1\t-30", "\t0\t0\t-30",
      "line 27: branch 1-4 is out of service (status 0)"),
     (10, "\t4\t1\t90", "\t4\t4\t90", "line 10: bus 4 is isolated (type 4)"),
+    (10, "\t4\t1\t90", "\t4\t5\t90", "line 10: bus 4 has unknown type 5"),
     # a piecewise curve needs two points of strictly increasing power
     (42, "\t4\t20\t220\t66.7\t1246.7\t113.3\t2553.3\t160\t4140;",
      "\t1\t20\t220;", "line 42: gencost curve needs at least 2 points"),
@@ -409,7 +410,8 @@ def case9_with(case_paths, line, old, new, tmp_path):
         "short-gencost", "bus-id", "duplicate-bus", "vmin-vmax",
         "self-loop", "negative-tap", "pmin-pmax", "qmin-qmax",
         "poly-degree", "poly-coefficients", "pwl-points", "unclosed-table",
-        "gen-status", "branch-status", "bus-type-4", "pwl-one-point",
+        "gen-status", "branch-status", "bus-type-4", "bus-type-5",
+        "pwl-one-point",
         "pwl-repeated-power"])
 def test_parse_rejection_is_input_error_naming_the_line(
         case_paths, tmp_path, capsys, command, line, old, new, error):

@@ -29,7 +29,12 @@ from opfbench.modelir import (
 )
 from opfbench.netdata import ComplexPU, parse_case
 
-from helpers import enumerate_lp_vertices, on_pattern, u_diagonal_reads
+from helpers import (
+    counting,
+    enumerate_lp_vertices,
+    on_pattern,
+    u_diagonal_reads,
+)
 
 # the benchmark's case generator, imported read-only
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -365,6 +370,48 @@ class TestSolverContracts:
                    for reg_last, _, _ in warm)
 
 
+    def test_correction_scatters_the_derivatives_once(self, monkeypatch):
+        # each factor call scatters K's derivatives once, however many
+        # corrections it makes, and each trial rewrites only the
+        # diagonal: every K factored is the one scatter of all its values.
+        # factorize reports a wrong inertia for the first `wrong` trials
+        m = build_opf(parse_case(case_text("case9_loop")),
+                      PowerFlowKind.AC, CostKind.LAMBDA)
+        s = ipm_mod._Solve(m, SolverOptions())
+        assert s.evaluate() is None
+        s.update_barrier()
+        kkt, right = s.kkt, (s.intake.nx, s.intake.m_int, 0)
+        csc, assemble = kkt.pattern.csc, kkt.assemble
+        factorize = ipm_mod.factorize
+        calls, references, trials = {}, [], []
+
+        def referenced(sigma, delta_w, delta_c):
+            references.append(one_scatter(kkt.pattern, s.hess, s.jac, sigma,
+                                          delta_w, delta_c))
+            return assemble(sigma, delta_w, delta_c)
+
+        def misreporting(K, *, data, **kwargs):
+            assert data.tobytes() == references[-1].tobytes()
+            factor = factorize(K, data=data, **kwargs)
+            factor._inertia = (right if len(trials) >= wrong
+                               else (right[0] - 1, right[1] + 1, 0))
+            trials.append(factor.inertia)
+            return factor
+
+        monkeypatch.setattr(csc, "scatter",
+                            counting(calls, "scatter", csc.scatter))
+        monkeypatch.setattr(kkt, "assemble", referenced)
+        monkeypatch.setattr(ipm_mod, "factorize", misreporting)
+        for wrong in (3, 0, 1, 2):
+            calls.clear()
+            references.clear()
+            trials.clear()
+            _, _, _, corrections = s.factor(1)
+            assert corrections == wrong
+            assert len(references) == len(trials) == wrong + 1
+            assert calls == {"scatter": 1}
+
+
 class TestVariableScaling:
     # x = D x' at intake: D_j is a power of two on variables with a
     # finite bound above _SCALE_BOUND, and 1 on every other variable
@@ -562,31 +609,28 @@ class TestUnknownInertia:
     def test_rejected_lp_factorization_is_retried_with_a_threshold(
             self, monkeypatch):
         # the first factorization of each solve breaks down; the same K,
-        # at delta_w = 0, is factored again with threshold pivoting, and
-        # that counts as one correction
+        # at delta_w = 0, is factored again with threshold pivoting through
+        # the same entry point, and that counts as one correction
         m = build_opf(parse_case(case_text("case9_loop")), PowerFlowKind.DC,
                       CostKind.LAMBDA)
-        factorize, factorize_pivoted = (ipm_mod.factorize,
-                                        ipm_mod.factorize_pivoted)
-        calls, pivoted = [], []
+        factorize = ipm_mod.factorize
+        calls, pivoted = {}, []
 
         def breaks_down_once(K, **kwargs):
-            calls.append(K)
-            if len(calls) == 1:
+            if calls["factorize"] == 1:
                 raise kkt_mod.FactorizationError("exactly singular")
-            return factorize(K, **kwargs)
+            factor = factorize(K, **kwargs)
+            if kwargs["pivoted"]:
+                pivoted.append(factor)
+            return factor
 
-        def recording(K, **kwargs):
-            pivoted.append(factorize_pivoted(K, **kwargs))
-            return pivoted[-1]
-
-        monkeypatch.setattr(ipm_mod, "factorize", breaks_down_once)
-        monkeypatch.setattr(ipm_mod, "factorize_pivoted", recording)
+        monkeypatch.setattr(ipm_mod, "factorize",
+                            counting(calls, "factorize", breaks_down_once))
         s = ipm_mod._Solve(m, SolverOptions())
         assert s.evaluate() is None
         s.update_barrier()
         factor, _, delta_w, corrections = s.factor(0)
-        assert factor is pivoted[0]
+        assert pivoted == [factor]
         assert (delta_w, corrections) == (0.0, 1)
         # a whole solve logs it, and factors once per iteration and
         # correction
@@ -597,7 +641,7 @@ class TestUnknownInertia:
         assert len(pivoted) == 1
         first = log.records[0]
         assert (first.reg, first.inertia_corrections) == (0.0, 1)
-        assert len(calls) + len(pivoted) == len(log) + sum(
+        assert calls["factorize"] == len(log) + sum(
             r.inertia_corrections for r in log.records)
 
     def test_dc_encodings_agree_at_1500_buses(self):
@@ -1041,6 +1085,20 @@ KKT_MODELS = [f"case9_loop-{pf.value}-{ck.value}"
                          CostKind.PHI)] + ["fixed-pad250"]
 
 
+def one_scatter(pattern, w, jac, sigma, delta_w, delta_c):
+    """K's values on the ``_KktPattern`` pattern as one scatter of every
+    value, W, J in both blocks and the condensed diagonal, in the
+    pattern's coordinate order."""
+    nx = pattern.nx
+    jv = np.concatenate([jac[pattern.jac_rows], pattern.fix_vals])
+    diag_c = np.full(pattern.m_int, -delta_c)
+    diag_c[pattern.ineq] -= 1.0 / (sigma[nx:] + delta_w)
+    diag = np.concatenate([sigma[:nx] + delta_w, diag_c])
+    return np.bincount(pattern.csc.slot,
+                       weights=np.concatenate([w, jv, jv, diag]),
+                       minlength=pattern.csc.nnz)
+
+
 def kkt_model(name):
     if name == "fixed-pad250":
         return fixed_variable_model(250)
@@ -1070,6 +1128,7 @@ class TestKktAssembly:
         for x, y in points:
             w = eval_lagrangian_hessian(m, x, y)
             jac = eval_jacobian(m, x)
+            kkt.set_derivatives(w, jac)
             W = on_pattern(m.hess_pattern, w)
             J = on_pattern(m.jac_pattern, jac)
             # bounded slacks always carry a positive barrier term
@@ -1078,7 +1137,7 @@ class TestKktAssembly:
             sigma[nx:] += 0.5
             for delta_w in (0.0, 1e-4):
                 for delta_c in (1e-10, 1e-6):
-                    values = kkt.assemble(w, sigma, delta_w, jac, delta_c)
+                    values = kkt.assemble(sigma, delta_w, delta_c)
                     ref = P @ condensed_reference(reference_kkt(
                         m, W, sigma + delta_w, J, delta_c).toarray(),
                         nx, ns) @ P.T
@@ -1092,28 +1151,26 @@ class TestKktAssembly:
                     scale = abs(ref).max()
                     assert abs(K.toarray() - ref).max() <= 1e-14 * scale
 
-    @pytest.mark.parametrize("name", KKT_MODELS[:-1])
-    def test_lp_assembly_rewrites_the_diagonal_to_the_full_scatter(self,
-                                                                   name):
-        # after a solve's first assembly an LP's K gets only its diagonal
-        # rewritten; each diagonal slot holds one value, so K is the full
-        # scatter's, bit for bit
+    @pytest.mark.parametrize("name", KKT_MODELS)
+    def test_assembly_rewrites_the_diagonal_to_the_full_scatter(self, name):
+        # the derivatives are scattered once, and every assembly after
+        # rewrites only K's diagonal; on every model, with curvature or
+        # without, K is the one scatter of all its values, bit for bit
         m = kkt_model(name)
         intake = ipm_mod._Intake(m)
         pattern = ipm_mod._KktPattern(m, intake)
-        assert (pattern.diag is not None) == (m.hess_pattern.nnz == 0)
         rng = np.random.default_rng(3)
         x = m.initial_point()
         jac = eval_jacobian(m, x)
         w = eval_lagrangian_hessian(m, x, rng.normal(size=m.nrows))
         kkt = ipm_mod._Kkt(pattern)
+        kkt.set_derivatives(w, jac)
         for delta_w, delta_c in ((0.0, 1e-10), (1e-4, 1e-8), (0.0, 1e-6)):
             sigma = rng.uniform(0.0, 2.0, intake.nz)
             sigma[:intake.nx:3] = 0.0
             sigma[intake.nx:] += 0.5
-            values = kkt.assemble(w, sigma, delta_w, jac, delta_c)
-            full = ipm_mod._Kkt(pattern).assemble(w, sigma, delta_w, jac,
-                                                  delta_c)
+            values = kkt.assemble(sigma, delta_w, delta_c)
+            full = one_scatter(pattern, w, jac, sigma, delta_w, delta_c)
             assert values.tobytes() == full.tobytes()
 
     @pytest.mark.parametrize("name", KKT_MODELS[:-1])
@@ -1130,7 +1187,7 @@ class TestKktAssembly:
             W = on_pattern(m.hess_pattern, s.hess)
             jac = on_pattern(m.jac_pattern, s.jac)
             for delta_w, delta_c in ((0.0, 1e-10), (1e-4, 1e-8)):
-                values = kkt.assemble(s.hess, sigma, delta_w, s.jac, delta_c)
+                values = kkt.assemble(sigma, delta_w, delta_c)
                 full = reference_kkt(m, W, sigma + delta_w, jac,
                                      delta_c).toarray()
                 ref = np.linalg.solve(full, rhs)
@@ -1284,19 +1341,13 @@ class TestKktAssembly:
         # perfbench's tracer wraps these module attributes; solve must
         # look each one up when it calls it
         calls = {}
-
-        def counting(name, fn):
-            def counted(*args, **kwargs):
-                calls[name] = calls.get(name, 0) + 1
-                return fn(*args, **kwargs)
-            return counted
-
         for name in ("factorize", "_barrier_value", "eval_jacobian",
                      "eval_lagrangian_hessian"):
             monkeypatch.setattr(ipm_mod, name,
-                                counting(name, getattr(ipm_mod, name)))
+                                counting(calls, name, getattr(ipm_mod, name)))
         monkeypatch.setattr(ModelIR, "eval_raw_rows",
-                            counting("eval_raw_rows", ModelIR.eval_raw_rows))
+                            counting(calls, "eval_raw_rows",
+                                     ModelIR.eval_raw_rows))
         m = build_opf(parse_case(case_text("case9_loop")),
                       PowerFlowKind.AC, CostKind.LAMBDA)
         res, log = solve(m)
@@ -1327,29 +1378,24 @@ class TestKktAssembly:
         # is not optimal)
         calls, signatures = {}, []
 
-        def counting(name, fn):
-            def counted(*args, **kwargs):
-                calls[name] = calls.get(name, 0) + 1
-                return fn(*args, **kwargs)
-            return counted
-
         def tracing_factorize(fn):
             # a factor's solve is reassigned, as the tracer does
             def traced(*args, **kwargs):
                 signatures.append((len(args), tuple(kwargs)))
                 factor = fn(*args, **kwargs)
-                factor.solve = counting("backsolve", factor.solve)
+                factor.solve = counting(calls, "backsolve", factor.solve)
                 return factor
-            return counting("factorize", traced)
+            return counting(calls, "factorize", traced)
 
         for name in ("_barrier_value", "eval_jacobian",
                      "eval_lagrangian_hessian"):
             monkeypatch.setattr(ipm_mod, name,
-                                counting(name, getattr(ipm_mod, name)))
+                                counting(calls, name, getattr(ipm_mod, name)))
         monkeypatch.setattr(ipm_mod, "factorize",
                             tracing_factorize(ipm_mod.factorize))
         monkeypatch.setattr(ModelIR, "eval_raw_rows",
-                            counting("eval_raw_rows", ModelIR.eval_raw_rows))
+                            counting(calls, "eval_raw_rows",
+                                     ModelIR.eval_raw_rows))
         m = build_opf(parse_case(case_text("case9_loop")), pf,
                       CostKind.LAMBDA)
         opts = SolverOptions(tol=1e-8, max_iter=max_iter)
@@ -1358,8 +1404,8 @@ class TestKktAssembly:
             signatures.clear()
             res, log = solve(m, opts)
             # the tracer reads a factorization's arguments: one positional,
-            # the pattern, and the values as the keyword data
-            assert set(signatures) == {(1, ("data",))}
+            # the pattern, and the values and the pivoting as keywords
+            assert set(signatures) == {(1, ("data", "pivoted"))}
             assert res.status == (SolveStatus.OPTIMAL if max_iter == 500
                                   else SolveStatus.ITERATION_LIMIT)
             assert set(calls) == {"_barrier_value", "eval_jacobian",

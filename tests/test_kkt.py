@@ -112,7 +112,7 @@ def test_pivot_threshold_leaves_a_tiny_diagonal_pivot():
     b = np.array([1.0, -2.0, 0.5])
     pattern, values = pattern_and_values(np.array(TINY_PIVOT))
     assert factorize(pattern, data=values).inertia is not None
-    pivoted = kkt_mod.factorize_pivoted(pattern, data=values)
+    pivoted = factorize(pattern, data=values, pivoted=True)
     assert pivoted.inertia is None
     pivoted._lu = CountingLU(pivoted._lu)
     x = pivoted.solve(b)

@@ -162,6 +162,17 @@ def test_bus_shunt_rejected():
         parse_case(text)
 
 
+@pytest.mark.parametrize("bus_type", [0, 5])
+def test_unknown_bus_type_rejected(bus_type):
+    text = CASE2.replace(
+        "2	1	100	20	0	0	1	1	0	110	1	1.1	0.9;",
+        f"2	{bus_type}	100	20	0	0	1	1	0	110	1	1.1	0.9;",
+    )
+    with pytest.raises(CaseStructureError,
+                       match=f"line 8: bus 2 has unknown type {bus_type}"):
+        parse_case(text)
+
+
 def test_phase_shift_rejected():
     text = CASE2.replace(
         "1	2	0.01	0.1	0.02	150	0	0	0	0	1	-30	30;",
