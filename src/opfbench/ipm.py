@@ -57,7 +57,7 @@ value stays with the solve: the iterates, the model-row duals, the log,
 and the Jacobian, the Hessian and K as float arrays of their values on
 fixed CSC patterns (``modelir.SparsePattern``), the program's one sparse
 form: each model evaluation returns a new such array, and K is one array
-per solve that every assembly overwrites.  No solve builds a scipy
+per solve that ``_Kkt`` overwrites in place.  No solve builds a scipy
 matrix: J^T y, the curvature's W dx and the factor's residual run the
 sparsetools kernels on (pattern, values), and K is factored as (pattern,
 values), the form ``kkt.factorize`` takes.  K is stored in its fill
@@ -537,7 +537,7 @@ class _Intake:
 class _KktPattern:
     """CSC pattern of the condensed K = [[W + diag, J^T], [J, -diag_c]]
     of one model, over the model variables and the internal rows, with the
-    index maps every assembly scatters through; ``_Kkt`` binds K to it for
+    index maps K's values are written through; ``_Kkt`` binds K to it for
     one solve.
 
     The slacks are eliminated before K is formed (see ``_Kkt.assemble``),
