@@ -16,6 +16,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -108,26 +109,47 @@ def _admittance_coefficients(network: Network, e: int, forward: bool):
 
 
 def build_power_flow(network: Network, kind: PowerFlowKind) -> ModelIR:
-    """Power-flow structure of the chosen kind as a cost-less ModelIR.
+    """Power-flow structure of the chosen kind as a cost-less, unfinalized
+    ModelIR.
 
     The returned model carries variable index maps in ``meta`` so the
     attach_cost_* functions and :func:`recover_solution` can address
-    generators, voltages and flows.  No objective is set.  A network with
-    error findings raises InvalidNetworkError, a ModelBuildError.
+    generators, voltages and flows, and the network as
+    ``meta["network"]``.  No objective is set.  The structure is built on
+    the first call for a (network, kind) pair and kept in
+    ``network.build_cache`` for as long as the network lives, without a
+    reference back to it; every call returns a new :meth:`ModelIR.copy`
+    of it.  The copies share the index maps, which are tuples and
+    read-only mappings, so a cost attached to one copy changes neither
+    the kept structure nor any other copy.  A network with error findings
+    raises InvalidNetworkError, a ModelBuildError, on every call.
     """
     require_valid(network)
-    if kind == PowerFlowKind.AC:
-        return _build_ac(network)
-    if kind == PowerFlowKind.SOC:
-        return _build_soc(network)
-    if kind == PowerFlowKind.DC:
-        return _build_dc(network)
-    raise ValueError(f"unknown power flow kind {kind}")
+    kept = network.build_cache.get(kind)
+    if kept is None:
+        if kind == PowerFlowKind.AC:
+            kept = _build_ac(network)
+        elif kind == PowerFlowKind.SOC:
+            kept = _build_soc(network)
+        elif kind == PowerFlowKind.DC:
+            kept = _build_dc(network)
+        else:
+            raise ValueError(f"unknown power flow kind {kind}")
+        # every copy shares these maps: an in-place change must fail
+        for key, value in kept.meta.items():
+            if isinstance(value, list):
+                kept.meta[key] = tuple(value)
+            elif isinstance(value, dict):
+                kept.meta[key] = MappingProxyType(value)
+        network.build_cache[kind] = kept
+    m = kept.copy()
+    m.meta["network"] = network
+    return m
 
 
 def _add_dispatch_and_flows(m, network, kind):
     """Generator and oriented-flow variables, which every power-flow kind
-    shares, recorded with the network in ``m.meta``; returns ``m.meta``.
+    shares, recorded in ``m.meta``; returns ``m.meta``.
 
     Without reactive power (DC) a branch rating bounds the active flow
     directly, and ``qg_idx`` and ``flow_q`` are empty.
@@ -151,7 +173,7 @@ def _add_dispatch_and_flows(m, network, kind):
     flow_q = [m.add_variable(f"q[{f}->{t}]", -INF, INF, 0.0)
               for _, f, t, _ in oriented] if reactive else []
     m.meta.update(
-        pf_kind=kind, network=network, oriented=oriented,
+        pf_kind=kind, oriented=oriented,
         pg_idx=pg_idx, qg_idx=qg_idx, flow_p=flow_p, flow_q=flow_q,
     )
     return m.meta
@@ -172,11 +194,11 @@ def _balance_block(label, network, outgoing, gen_idx, flow_idx, demand):
     return QuadraticBlock(label, demand, demand, linear=(rows, cols, vals))
 
 
-def _add_balance_and_thermal(m):
+def _add_balance_and_thermal(m, network):
     """Active power balance and, with reactive power, reactive balance and
     the apparent-power limit of every rated oriented branch."""
     meta = m.meta
-    network, oriented = meta["network"], meta["oriented"]
+    oriented = meta["oriented"]
     outgoing = {}
     for a, (_, f, _, _) in enumerate(oriented):
         outgoing.setdefault(f, []).append(a)
@@ -264,7 +286,7 @@ def _build_ac(network: Network) -> ModelIR:
             rows["thf"], rows["tht"], rows["a1"], rows["kc"], rows["ks"],
         ))
 
-    _add_balance_and_thermal(m)
+    _add_balance_and_thermal(m, network)
     _add_angle_rows(m, network, th_idx)
     return m
 
@@ -303,7 +325,7 @@ def _build_soc(network: Network) -> ModelIR:
             [0.0] * (2 * len(oriented)), linear=(rows, cols, vals),
         ))
 
-    _add_balance_and_thermal(m)
+    _add_balance_and_thermal(m, network)
 
     rows, cols, vals = [], [], []
     for e, br in enumerate(network.branches):
@@ -355,7 +377,7 @@ def _build_dc(network: Network) -> ModelIR:
             linear=(rows, cols, vals),
         ))
 
-    _add_balance_and_thermal(m)
+    _add_balance_and_thermal(m, network)
     _add_angle_rows(m, network, th_idx)
     return m
 
@@ -364,15 +386,20 @@ def _build_dc(network: Network) -> ModelIR:
 
 
 def _ready_curves(m: ModelIR):
-    """Every generator's curve, preprocessed against its bounds."""
-    curves = []
-    for k, g in enumerate(m.meta["network"].generators):
-        if not isinstance(g.cost, PwlCurve):
-            raise ModelBuildError(
-                f"generator {k} has no piecewise cost curve; "
-                f"use the polynomial attachment"
-            )
-        curves.append(preprocess(g.cost, g.pmin, g.pmax))
+    """Every generator's curve, preprocessed against its bounds on the
+    first call for the model's network and kept in its ``build_cache``."""
+    network = m.meta["network"]
+    curves = network.build_cache.get("cost_curves")
+    if curves is None:
+        for k, g in enumerate(network.generators):
+            if not isinstance(g.cost, PwlCurve):
+                raise ModelBuildError(
+                    f"generator {k} has no piecewise cost curve; "
+                    f"use the polynomial attachment"
+                )
+        curves = tuple(preprocess(g.cost, g.pmin, g.pmax)
+                       for g in network.generators)
+        network.build_cache["cost_curves"] = curves
     m.meta["cost_curves"] = curves
     return curves
 
@@ -543,7 +570,15 @@ def attach_cost_polynomial(m: ModelIR) -> ModelIR:
 def build_opf(network: Network, pf_kind: PowerFlowKind,
               cost_kind: CostKind) -> ModelIR:
     """Complete formulation: power-flow structure plus cost encoding,
-    rejecting an invalid network as :func:`build_power_flow` does."""
+    rejecting an invalid network as :func:`build_power_flow` does.
+
+    The cost-less structure and the cleaned cost curves come from what
+    ``network.build_cache`` keeps, so of the builds from one network only
+    the first per power-flow kind builds the structure and the first
+    piecewise one cleans the curves; each build attaches its cost to its
+    own copy and finalizes it.  A build that raises leaves the kept
+    structure and curves as they were.
+    """
     m = build_power_flow(network, pf_kind)
     if cost_kind == CostKind.PSI:
         attach_cost_psi(m)

@@ -352,6 +352,23 @@ class ModelIR:
         if self._finalized:
             raise RuntimeError("model already finalized")
 
+    def copy(self) -> ModelIR:
+        """An unfinalized copy that grows apart from this model: its own
+        variable columns, block list, objective and ``meta`` dict.  The
+        blocks and ``meta``'s values are shared; nothing changes a block
+        once it is made."""
+        self._check_open()
+        twin = ModelIR(self.name)
+        twin.var_names = self.var_names.copy()
+        twin.var_lower = self.var_lower.copy()
+        twin.var_upper = self.var_upper.copy()
+        twin.var_start = self.var_start.copy()
+        twin.blocks = self.blocks.copy()
+        twin._obj_terms = self._obj_terms.copy()
+        twin.obj_offset = self.obj_offset
+        twin.meta = self.meta.copy()
+        return twin
+
     def finalize(self):
         """Freeze the model and precompute its layout (see the class
         docstring); a second call is a no-op."""

@@ -95,9 +95,10 @@ class Generator:
 
 @dataclass(frozen=True)
 class Network:
-    """A per-unit power network, holding only its data: ``gens_at_bus``
-    and the findings of :func:`validate_network` are derived on first use
-    and kept on the instance, so ``dataclasses.replace`` derives anew."""
+    """A per-unit power network, holding only its data: ``gens_at_bus``,
+    the findings of :func:`validate_network` and ``build_cache`` are
+    derived on first use and kept on the instance, so
+    ``dataclasses.replace`` derives anew."""
 
     base_mva: float
     buses: tuple[Bus, ...]
@@ -114,6 +115,14 @@ class Network:
         return {bus: tuple(ks) for bus, ks in idx.items()}
 
     _findings = cached_property(lambda self: tuple(_find_problems(self)))
+
+    @cached_property
+    def build_cache(self) -> dict:
+        """Empty at first; :mod:`~opfbench.formulations` keeps here what
+        it derives from this network alone (the cost-less power-flow
+        structures and the cleaned cost curves), for as long as the
+        network lives.  Nothing kept here may refer to the network."""
+        return {}
 
     @property
     def reference_bus(self) -> int:

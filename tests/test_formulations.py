@@ -1,9 +1,13 @@
+import gc
 import hashlib
+import random
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from opfbench import formulations
 from opfbench.cases import case_names, case_text
 from opfbench.errors import ModelBuildError, RecoveryMismatchError
 from opfbench.formulations import (
@@ -21,7 +25,7 @@ from opfbench.formulations import (
 from opfbench.ipm import SolverOptions, solve
 from opfbench.modelir import SolveStatus, dump_model
 from opfbench.netdata import Bus, Branch, ComplexPU, Generator, Network, parse_case
-from opfbench.pwlcost import PolynomialCost, PwlCurve
+from opfbench.pwlcost import PolynomialCost, PwlCurve, preprocess
 
 TIGHT = SolverOptions(tol=1e-8)
 
@@ -565,3 +569,124 @@ class TestModelLayout:
                     digest.update(f"{name} {pf.value} {ck.value}\n".encode())
                     digest.update(dump_model(build_opf(net, pf, ck)).encode())
         assert digest.hexdigest() == self.LAYOUT_SHA256
+
+
+def polynomial_network():
+    """case9_loop with a convex quadratic cost on every generator."""
+    net = parse_case(case_text("case9_loop"))
+    return replace(net, generators=tuple(
+        replace(g, cost=PolynomialCost(10.0 * k, 5.0 + k, 0.5 + k))
+        for k, g in enumerate(net.generators)
+    ))
+
+
+def mixed_network():
+    """case9_loop with a quadratic cost on generator 0 only: no cost
+    attachment accepts it."""
+    net = parse_case(case_text("case9_loop"))
+    g0 = replace(net.generators[0], cost=PolynomialCost(1.0, 2.0, 3.0))
+    return replace(net, generators=(g0,) + net.generators[1:])
+
+
+class TestKeptStructure:
+    """What a network keeps of its builds: one cost-less structure per
+    power-flow kind and one cleaning of its curves, shared by every build
+    from it and changed by none."""
+
+    CELLS = [(pf, ck) for pf in PowerFlowKind for ck in PWL_COST_KINDS]
+
+    def test_shuffled_builds_match_fresh_networks(self):
+        cells = list(self.CELLS)
+        random.Random(7).shuffle(cells)
+        net = three_bus_network()
+        for pf, ck in cells:
+            assert dump_model(build_opf(net, pf, ck)) == \
+                dump_model(build_opf(three_bus_network(), pf, ck))
+        net = polynomial_network()
+        for pf in (PowerFlowKind.SOC, PowerFlowKind.DC, PowerFlowKind.AC):
+            assert dump_model(build_opf(net, pf, CostKind.POLYNOMIAL)) == \
+                dump_model(build_opf(polynomial_network(), pf,
+                                     CostKind.POLYNOMIAL))
+
+    def test_curves_cleaned_once_per_network(self, monkeypatch):
+        calls = []
+
+        def counted(curve, pmin, pmax):
+            calls.append(curve)
+            return preprocess(curve, pmin, pmax)
+
+        monkeypatch.setattr(formulations, "preprocess", counted)
+        net = parse_case(case_text("case9_loop"))
+        models = [build_opf(net, pf, ck) for pf, ck in self.CELLS]
+        assert len(calls) == len(net.generators) == 3
+        assert len({id(m.meta["cost_curves"]) for m in models}) == 1
+
+    def test_network_is_freed_without_the_cycle_collector(self):
+        net = parse_case(case_text("case9_loop"))
+        ref = weakref.ref(net)
+        gc.disable()
+        try:
+            models = [build_opf(net, pf, ck) for pf, ck in self.CELLS]
+            del net, models
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("pf", list(PowerFlowKind))
+    def test_replaced_network_builds_its_own_structure(self, pf):
+        def reversed_gens(n):
+            return replace(n, generators=n.generators[::-1])
+
+        fresh = reversed_gens(parse_case(case_text("case9_loop")))
+        expected = dump_model(build_opf(fresh, pf, CostKind.DELTA))
+        net = parse_case(case_text("case9_loop"))
+        original = dump_model(build_opf(net, pf, CostKind.DELTA))
+        copy = reversed_gens(net)
+        m = build_opf(copy, pf, CostKind.DELTA)
+        assert dump_model(m) == expected
+        assert expected != original
+        assert [(m.var_lower[i], m.var_upper[i]) for i in m.meta["pg_idx"]] \
+            == [(g.pmin, g.pmax) for g in copy.generators]
+
+    @pytest.mark.parametrize("pf", list(PowerFlowKind))
+    def test_shared_maps_are_read_only(self, pf):
+        net = three_bus_network()
+        m = build_opf(net, pf, CostKind.LAMBDA)
+        sibling = build_opf(net, pf, CostKind.PHI)
+        keys = ["pg_idx", "qg_idx", "flow_p", "flow_q", "oriented",
+                "cost_curves"] + {
+            PowerFlowKind.AC: ["v_idx", "th_idx"],
+            PowerFlowKind.SOC: ["w_idx", "wr_idx", "wi_idx"],
+            PowerFlowKind.DC: ["th_idx"],
+        }[pf]
+        for key in keys:
+            with pytest.raises(TypeError):
+                m.meta[key][0] = -1
+            assert m.meta[key] is sibling.meta[key]
+
+    def test_piecewise_build_of_polynomial_costs_raises_every_time(self):
+        net = polynomial_network()
+        for _ in range(2):
+            for pf, ck in self.CELLS:
+                with pytest.raises(ModelBuildError, match="no piecewise"):
+                    build_opf(net, pf, ck)
+        assert "cost_curves" not in net.build_cache
+
+    @pytest.mark.parametrize("pf", list(PowerFlowKind))
+    def test_build_after_a_failed_attachment_is_fresh(self, pf):
+        net = mixed_network()
+        # the polynomial attachment adds generator 0's cost before it
+        # meets generator 1's curve
+        with pytest.raises(ModelBuildError, match="no polynomial"):
+            build_opf(net, pf, CostKind.POLYNOMIAL)
+        with pytest.raises(ModelBuildError, match="no piecewise"):
+            build_opf(net, pf, CostKind.PSI)
+        assert dump_model(build_power_flow(net, pf).finalize()) == \
+            dump_model(build_power_flow(mixed_network(), pf).finalize())
+
+        net = polynomial_network()
+        with pytest.raises(ModelBuildError):
+            attach_cost_lambda(build_power_flow(net, pf))
+        assert dump_model(build_opf(net, pf, CostKind.POLYNOMIAL)) == \
+            dump_model(build_opf(polynomial_network(), pf,
+                                 CostKind.POLYNOMIAL))
