@@ -114,15 +114,18 @@ already holds (Waechter & Biegler 2006); only an audited iteration may end
 optimal, so every optimal result passes ``kkt_check`` by construction.
 On the benchmark workloads the gate opens on about 8% of evaluations.
 
-One rule ends a solve of any model, LP, QCQP or NLP, as infeasible: the
-audit's dual magnitude (``_Auditor.denominator``, one plus the largest
-dual in model units) passes ``_DUAL_BLOWUP`` while its raw violation
-(``_Auditor.feasibility``) exceeds tol.  An audited iteration reads both
-from its report.  Any other first bounds the dual magnitude from the
-internal duals it already holds (``_dual_bound``), maps the duals to model
-units only once that bound passes the threshold, and computes the
-violation only once the mapped magnitude does too.  A solve that ends
-other than optimal is audited at the point it returns.
+One rule ends a solve of any model, LP, QCQP or NLP, as infeasible, on
+one path whether the iteration was audited or not: the internal duals it
+already holds, in objective units, 1 + max(max |y|, max v) / obj_scale,
+pass ``_DUAL_BLOWUP`` while the raw violation (``_Auditor.feasibility``)
+exceeds tol.  An audited iteration reads the violation from its report;
+any other computes it only once the duals pass the threshold.  Each
+model-unit dual is an internal one divided by obj_scale, a bound dual
+also by its d >= 1, so the measure is never below the audit's divisor
+(``_Auditor.denominator``, one plus the largest model-unit dual).  That
+divisor only scales the audit's residuals: a change to it moves no
+label.  A solve that ends other than optimal is audited at the point it
+returns.
 
 Inequality rows are converted to equalities with range-bounded slacks at
 intake, and variables fixed through equal bounds become free variables
@@ -213,10 +216,11 @@ _KAPPA_W_PLUS = 8.0          # growth of delta_w after a warm start
 _REG_GROWTH_COLD = 10.0      # growth of delta_w before a first correction
 _DELTA_C = 1e-10             # dual-block regularization
 _DELTA_C_SINGULAR = 1e-8     # least dual regularization once K is singular
-# A solve of any model ends infeasible once the audit's dual magnitude
-# passes this while its raw violation exceeds tol: no point satisfies the
-# rows, and the duals grow without bound.  The -_DELTA_C*I dual block caps
-# that growth near 1/_DELTA_C, so blow-up is declared two decades lower.
+# A solve of any model ends infeasible once its internal duals in objective
+# units, 1 + max(max |y|, max v) / obj_scale, pass this while the raw
+# violation exceeds tol: no point satisfies the rows, and the duals grow
+# without bound.  The -_DELTA_C*I dual block caps that growth near
+# 1/_DELTA_C, so blow-up is declared two decades lower.
 _DUAL_BLOWUP = 1e-2 / _DELTA_C
 # The KKT audit runs once the internal stationarity and complementarity
 # are both within this factor of tol.  Over seeds 1-3 of the benchmark
@@ -290,7 +294,6 @@ class KktReport:
     stationarity: float
     feasibility: float
     complementarity: float
-    denominator: float
     raw_feasibility: float
 
     @property
@@ -303,10 +306,9 @@ class _Auditor:
     one model.
 
     Built once per model: it holds the variable bounds, the inequality rows
-    with their bounds, the index sets of the finite and the infinite
-    variable bounds and the Jacobian's pattern, so each audit is a few
-    gathers and reductions.  Its arrays are read-only, the model's own ones
-    included.
+    with their bounds, the index sets of the infinite variable bounds and
+    the Jacobian's pattern, so each audit is a few gathers and reductions.
+    Its arrays are read-only, the model's own ones included.
     """
 
     def __init__(self, m: ModelIR):
@@ -317,10 +319,8 @@ class _Auditor:
         self.ineq = np.nonzero(~m.row_is_eq)[0]
         self.ineq_lo = self.row_lo[self.ineq]
         self.ineq_up = self.row_up[self.ineq]
-        lo_fin, up_fin = np.isfinite(self.xlo), np.isfinite(self.xup)
-        self.lo_idx, self.up_idx = np.nonzero(lo_fin)[0], np.nonzero(up_fin)[0]
-        self.lo_free, self.up_free = (np.nonzero(~lo_fin)[0],
-                                      np.nonzero(~up_fin)[0])
+        self.lo_free = np.nonzero(~np.isfinite(self.xlo))[0]
+        self.up_free = np.nonzero(~np.isfinite(self.xup))[0]
         _read_only(self)
 
     def feasibility(self, x, raw) -> float:
@@ -329,18 +329,14 @@ class _Auditor:
             row_viol = np.maximum(np.maximum(self.row_lo - raw,
                                              raw - self.row_up), 0.0)
         bnd_viol = np.maximum(np.maximum(self.xlo - x, x - self.xup), 0.0)
-        return float(max(
-            row_viol.max() if len(row_viol) else 0.0,
-            bnd_viol.max() if len(bnd_viol) else 0.0,
-        ))
+        return float(max(row_viol.max(initial=0.0),
+                         bnd_viol.max(initial=0.0)))
 
     def denominator(self, y, zl, zu) -> float:
         """One plus the largest dual magnitude: the residuals' divisor."""
-        return 1.0 + max(
-            float(np.abs(y).max()) if len(y) else 0.0,
-            float(np.abs(zl).max()) if len(zl) else 0.0,
-            float(np.abs(zu).max()) if len(zu) else 0.0,
-        )
+        return 1.0 + max(float(np.abs(y).max(initial=0.0)),
+                         float(np.abs(zl).max(initial=0.0)),
+                         float(np.abs(zu).max(initial=0.0)))
 
     def __call__(self, x, y, zl, zu, raw, jac) -> KktReport:
         """Residuals given the raw rows and the Jacobian's values (on the
@@ -349,35 +345,23 @@ class _Auditor:
         raw_feas = self.feasibility(x, raw)
 
         # a row dual pairs with its upper gap when positive, else with its
-        # lower gap; against an infinite bound it is its own residual
-        compl_terms = [0.0]
-        if len(self.ineq):
-            yi, ri = y[self.ineq], raw[self.ineq]
-            pos = yi > 0
-            gap = np.where(pos, self.ineq_up - ri, ri - self.ineq_lo)
-            gap[~np.isfinite(gap)] = 1.0
-            compl_terms.append(float(np.abs(yi * gap).max()))
-        lo, up = self.lo_idx, self.up_idx
-        if len(lo):
-            compl_terms.append(float(np.abs(
-                zl[lo] * (x[lo] - self.xlo[lo])
-            ).max()))
-        if len(self.lo_free):
-            compl_terms.append(float(np.abs(zl[self.lo_free]).max()))
-        if len(up):
-            compl_terms.append(float(np.abs(
-                zu[up] * (self.xup[up] - x[up])
-            ).max()))
-        if len(self.up_free):
-            compl_terms.append(float(np.abs(zu[self.up_free]).max()))
+        # lower gap, and a bound dual with its bound's gap; against an
+        # infinite bound a dual is its own residual
+        yi, ri = y[self.ineq], raw[self.ineq]
+        gap = np.where(yi > 0, self.ineq_up - ri, ri - self.ineq_lo)
+        gap[~np.isfinite(gap)] = 1.0
+        lo_gap, up_gap = x - self.xlo, self.xup - x
+        lo_gap[self.lo_free] = 1.0
+        up_gap[self.up_free] = 1.0
+        compl = max(float(np.abs(yi * gap).max(initial=0.0)),
+                    float(np.abs(zl * lo_gap).max(initial=0.0)),
+                    float(np.abs(zu * up_gap).max(initial=0.0)))
 
         denom = self.denominator(y, zl, zu)
         return KktReport(
-            stationarity=(float(np.abs(stat).max()) / denom
-                          if len(stat) else 0.0),
+            stationarity=float(np.abs(stat).max(initial=0.0)) / denom,
             feasibility=raw_feas / denom,
-            complementarity=max(compl_terms) / denom,
-            denominator=denom,
+            complementarity=compl / denom,
             raw_feasibility=raw_feas,
         )
 
@@ -792,15 +776,6 @@ def _curvature(w_pattern, w, diag, dz):
     return float(dx @ w_pattern.matvec(w, dx)) + float(dz @ (diag * dz))
 
 
-def _dual_bound(dual_int, obj_scale):
-    """An upper bound on ``_Auditor.denominator`` of the duals
-    ``_Intake.map_duals`` makes from internal duals (y, v) whose largest
-    magnitude, max(max |y|, max v), is dual_int: each model-unit dual is
-    an internal one divided by obj_scale, a bound dual also by its d >= 1,
-    and rounding is monotone, so none exceeds dual_int / obj_scale."""
-    return 1.0 + dual_int / obj_scale
-
-
 class _Structure:
     """What every solve of one finalized model shares, built from the
     model alone at its first solve (see ``_structure``): the intake, the
@@ -818,7 +793,7 @@ class _Structure:
         self.crossed = bool(np.any(m.row_lower > m.row_upper))
         # the gradient in the scaled variables sets the objective scaling
         grad = m.obj_coeffs * intake.d
-        grad_norm = float(np.abs(grad).max()) if m.nvars else 0.0
+        grad_norm = float(np.abs(grad).max(initial=0.0))
         self.obj_scale = (min(1.0, _OBJ_GRAD_TARGET / grad_norm)
                           if grad_norm > 0 else 1.0)
         self.obj_lin = np.zeros(intake.nz)
@@ -943,16 +918,14 @@ class _Solve:
             # an LP's rows are linear: its first Jacobian is every one
             self.jac_constant = self.is_lp
         jac = self.jac_model
-        self.h_inf = float(np.abs(h).max()) if len(h) else 0.0
+        self.h_inf = float(np.abs(h).max(initial=0.0))
 
         # the internal residuals, all independent of mu: the stationarity
         # in the primal-dual form, which is what the Newton step drives to
         # zero, and the complementarity of the gaps, whose least and
         # largest products update_barrier reads too
-        dual_int = max(
-            float(np.abs(y).max()) if len(y) else 0.0,
-            float(v.max()) if len(v) else 0.0,
-        )
+        dual_int = max(float(np.abs(y).max(initial=0.0)),
+                       float(v.max(initial=0.0)))
         denom = self.denom_int = 1.0 + dual_int
         self.jty = intake.jac_t(jac, y, self.y_model)
         self.stat_pd = float(np.abs(
@@ -979,17 +952,11 @@ class _Solve:
                 and report.raw_feasibility <= tol):
             return SolveStatus.OPTIMAL
         # dual blow-up at an infeasible point, on any model (see
-        # _DUAL_BLOWUP); unaudited, the model-unit duals are mapped only
-        # once their bound passes the threshold, and the violation computed
-        # only once they do
-        if report is None:
-            blown = (_dual_bound(dual_int, self.obj_scale) > _DUAL_BLOWUP
-                     and self.audit.denominator(*intake.map_duals(
-                         y, v, self.obj_scale)) > _DUAL_BLOWUP
-                     and self.audit.feasibility(x, raw) > tol)
-        else:
-            blown = (report.denominator > _DUAL_BLOWUP
-                     and report.raw_feasibility > tol)
+        # _DUAL_BLOWUP); unaudited, the violation is computed only once the
+        # duals pass the threshold
+        blown = (1.0 + dual_int / self.obj_scale > _DUAL_BLOWUP
+                 and (report.raw_feasibility if report is not None
+                      else self.audit.feasibility(x, raw)) > tol)
         return SolveStatus.INFEASIBLE if blown else None
 
     def update_barrier(self):
@@ -1094,7 +1061,7 @@ class _Solve:
         slope_obj = float(self.grad_phi @ dz)
         if h_l1 > 1e-12:
             nu_req = max(
-                1.1 * float(np.abs(self.y + dy).max()) if m_int else 0.0,
+                1.1 * float(np.abs(self.y + dy).max(initial=0.0)),
                 slope_obj / (0.5 * h_l1) if slope_obj > 0 else 0.0,
             )
             if self.nu > 10.0 * (nu_req + 1e-6):
@@ -1149,7 +1116,7 @@ class _Solve:
         residual is the audit that ended the loop on OPTIMAL, and
         otherwise the audit of the returned point, made here."""
         m, intake = self.m, self.intake
-        x = self.z[:intake.nx] * intake.d
+        x = intake.model_x(self.z)
         x[intake.fixed_idx] = intake.fix_vals
         y, zl, zu = intake.map_duals(self.y, self.v, self.obj_scale)
         if status is SolveStatus.OPTIMAL:
@@ -1173,7 +1140,11 @@ def solve(m: ModelIR, opts: SolverOptions | None = None):
     The result status is Optimal once the scaled KKT residuals (max-norms of
     stationarity, feasibility and complementarity, each divided by one plus
     the largest dual magnitude) and the raw constraint violation all fall
-    below opts.tol.
+    below opts.tol.  It is Infeasible once the solver's own duals in
+    objective units, one plus the largest internal dual divided by the
+    objective scaling, pass 1e8 while the raw constraint violation exceeds
+    opts.tol: on any model, the duals of rows that no point satisfies grow
+    without bound.
     """
     m.finalize()
     return _Solve(m, opts or SolverOptions()).run()
