@@ -51,16 +51,16 @@ the model's first solve, and reused by every later solve of it: the
 ``_Structure``.  It holds the intake (index sets, column scaling, bounds
 and start-point bounds), the auditor's index sets, the KKT pattern with
 its fill order (one ordering factorization), the objective scaling,
-whether the model is an LP or has a row with crossed bounds, and the
-start point (z0, v0) with its evaluation (two row evaluations).  Every
-value stays with the solve: the iterates, the model-row duals, the log,
-and the Jacobian, the Hessian and K as float arrays of their values on
-fixed CSC patterns (``modelir.SparsePattern``), the program's one sparse
-form: each model evaluation returns a new such array, and K is one array
-per solve that ``_Kkt`` overwrites in place.  No solve builds a scipy
-matrix: J^T y, the curvature's W dx and the factor's residual run the
-sparsetools kernels on (pattern, values), and K is factored as (pattern,
-values), the form ``kkt.factorize`` takes.  K is stored in its fill
+whether the model is an LP, and the start point (z0, v0) with its
+evaluation (two row evaluations).  Every value stays with the solve: the
+iterates, the model-row duals, the log, and the Jacobian, the Hessian and
+K as float arrays of their values on fixed CSC patterns
+(``modelir.SparsePattern``), the program's one sparse form: each model
+evaluation returns a new such array, and K is one array per solve that
+``_Kkt`` overwrites in place.  No solve builds a scipy matrix: J^T y, the
+curvature's W dx and the factor's residual run the sparsetools kernels on
+(pattern, values), and K is factored as (pattern, values), the form
+``kkt.factorize`` takes.  K is stored in its fill
 order, and its factor solves in that order; ``_Kkt.step`` alone
 translates the right-hand side into it and the step out of it.  ``ipm``
 keeps each structure in a ``weakref.WeakKeyDictionary`` keyed by its
@@ -132,14 +132,17 @@ intake, and variables fixed through equal bounds become free variables
 pinned by an extra equality row, so the barrier only ever sees strictly
 feasible gaps.  Bounds so close that the start point's push off them
 rounds to zero count as equal, at the lower one, for variables and rows
-alike (``_pinned``).  Rows with no finite bound constrain nothing: the
-intake drops them, and their duals are reported as zero.  Solves are
-deterministic functions of (model, options).
+alike (``_pinned``).  The internal rows are the model rows, one for one,
+then the fix rows: ``ModelIR`` admits only rows with lower <= upper and a
+finite bound, and variables with lower <= upper, lower < inf and upper >
+-inf, so the intake drops no row, and a crossed row, like a crossed
+variable, is an error when the model is built.  Solves are deterministic
+functions of (model, options).
 
 Each Newton system is factored with its slacks condensed, the slack
 elimination of IPOPT's augmented system (Waechter & Biegler 2006).  A
 slack's column holds one Jacobian entry, -1 on its row, and its diagonal
-S = sigma_s + delta_w, where sigma_s > 0 because every kept slack has a
+S = sigma_s + delta_w, where sigma_s > 0 because every slack has a
 finite bound.  Eliminating it leaves K over the model variables and the
 rows, with -(delta_c + 1/S) on the row's dual diagonal; the right-hand
 side of the row gains r_s / S, and after the solve the slack step is
@@ -429,24 +432,17 @@ class _Intake:
         wr, wc = m.hess_pattern.coords()
         self.hess_d = self.d[wr] * self.d[wc]
         xlo, xup = xlo / self.d, xup / self.d
-        # rows without a finite bound constrain nothing and keep a zero
-        # dual: they are dropped; ``rows`` indexes the others, and
-        # ``jac_rows`` the Jacobian entries on them
-        kept = (m.row_lower > -INF) | (m.row_upper < INF)
-        self.rows = np.nonzero(kept)[0]
-        self.jac_rows = np.nonzero(kept[m.jac_pattern.coords()[0]])[0]
-        self.n_rows = len(self.rows)
-        # inequality rows: positions among the kept rows, and model rows;
-        # a pinned row is an equality at its lower bound
+        # the internal rows are the model rows, then one fix row per pinned
+        # variable; a pinned row is an equality at its lower bound, and
+        # every other row gets a slack
         row_eq = _pinned(m.row_lower, m.row_upper)
-        self.ineq = np.nonzero(~row_eq[self.rows])[0]
-        self.ineq_rows = self.rows[self.ineq]
+        self.ineq = np.nonzero(~row_eq)[0]
         self.ns = len(self.ineq)
         self.nz = self.nx + self.ns
         self.n_fix = len(self.fixed_idx)
-        self.m_int = self.n_rows + self.n_fix
-        zlo = np.concatenate([xlo, m.row_lower[self.ineq_rows]])
-        zup = np.concatenate([xup, m.row_upper[self.ineq_rows]])
+        self.m_int = self.nrows + self.n_fix
+        zlo = np.concatenate([xlo, m.row_lower[self.ineq]])
+        zup = np.concatenate([xup, m.row_upper[self.ineq]])
         zlo[self.fixed_idx] = -INF
         zup[self.fixed_idx] = INF
         # every finite bound once, lower bounds first: bound k has the gap
@@ -463,38 +459,29 @@ class _Intake:
         push = np.minimum(_BOUND_PUSH * np.maximum(1.0, np.abs(self.bb)),
                           _BOUND_PUSH * width)
         self.b_start = self.bb + self.sb * push
-        self.eq_rhs = np.where(row_eq, m.row_lower, 0.0)[self.rows]
+        self.eq_rhs = np.where(row_eq, m.row_lower, 0.0)
         _read_only(self)
 
     def model_x(self, z):
         """The model variables, in model units, of the internal point z."""
         return z[:self.nx] * self.d
 
-    def model_y(self, y, out):
-        """The model rows' duals of the internal duals y, written into and
-        returned as out, a model-length array that is zero on the dropped
-        rows: a solve passes one such array on every call and uses each
-        result before the next."""
-        out[self.rows] = y[:self.n_rows]
-        return out
-
     def residual(self, z, raw):
-        res = raw[self.rows] - self.eq_rhs
+        res = raw - self.eq_rhs
         res[self.ineq] -= z[self.nx:]
         if self.n_fix:
             res = np.concatenate([res, z[self.fixed_idx] - self.fix_vals])
         return res
 
-    def jac_t(self, jac, y, y_model):
+    def jac_t(self, jac, y):
         """J^T y for the internal Jacobian, from the model Jacobian's values
-        in model units, with y_model the array ``model_y`` writes into:
-        each d_j is a power of two, so scaling the product equals the
-        product over the scaled columns, bit for bit."""
+        in model units: each d_j is a power of two, so scaling the product
+        equals the product over the scaled columns, bit for bit."""
         out = np.empty(self.nz)
-        jty = self.jac_pattern.rmatvec(jac, self.model_y(y, y_model))
+        jty = self.jac_pattern.rmatvec(jac, y[:self.nrows])
         np.multiply(jty, self.d, out=out[:self.nx])
         out[self.nx:] = -y[self.ineq]
-        out[self.fixed_idx] += y[self.n_rows:]
+        out[self.fixed_idx] += y[self.nrows:]
         return out
 
     def add_bound_terms(self, out, w):
@@ -505,14 +492,14 @@ class _Intake:
 
     def map_duals(self, y_int, v, obj_scale):
         """Internal duals back to model-shape (row duals, bound duals)."""
-        y = self.model_y(y_int, np.zeros(self.nrows)) / obj_scale
+        y = y_int[:self.nrows] / obj_scale
         zl, zu = np.zeros(self.nz), np.zeros(self.nz)
         zl[self.ib[:self.nlo]] = v[:self.nlo]
         zu[self.ib[self.nlo:]] = v[self.nlo:]
         zl = zl[:self.nx] / obj_scale / self.d
         zu = zu[:self.nx] / obj_scale / self.d
         if self.n_fix:
-            y_fix = y_int[self.n_rows:] / obj_scale
+            y_fix = y_int[self.nrows:] / obj_scale
             zl[self.fixed_idx] = np.maximum(-y_fix, 0.0)
             zu[self.fixed_idx] = np.maximum(y_fix, 0.0)
         return y, zl, zu
@@ -525,11 +512,11 @@ class _KktPattern:
     one solve.
 
     The slacks are eliminated before K is formed (see ``_Kkt.assemble``),
-    so J holds the model Jacobian on the kept rows and the intake's +1 fix
-    entries, and the dual diagonal carries each eliminated slack.  The
-    pattern holds the model Hessian's pattern, J in both off-diagonal
-    blocks and both full diagonals, in that order, so K's values are one
-    scatter.  ``diag`` lists the diagonal's slots, primal then dual.
+    so J holds the model Jacobian and the intake's +1 fix entries, and the
+    dual diagonal carries each eliminated slack.  The pattern holds the
+    model Hessian's pattern, J in both off-diagonal blocks and both full
+    diagonals, in that order, so K's values are one scatter.  ``diag``
+    lists the diagonal's slots, primal then dual.
 
     K is stored in the fill-reducing order of this pattern from the start
     (``fill_order``; ``perm`` maps each row and column to its stored
@@ -550,24 +537,20 @@ class _KktPattern:
         n = nx + intake.m_int
         wr, wc = m.hess_pattern.coords()
         jr, jc = m.jac_pattern.coords()
-        row_pos = np.zeros(m.nrows, dtype=np.int64)
-        row_pos[intake.rows] = np.arange(intake.n_rows)
-        jr = nx + np.concatenate([row_pos[jr[intake.jac_rows]],
-                                  intake.n_rows + np.arange(n_fix)])
-        jc = np.concatenate([jc[intake.jac_rows], intake.fixed_idx])
+        jr = nx + np.concatenate([jr, m.nrows + np.arange(n_fix)])
+        jc = np.concatenate([jc, intake.fixed_idx])
         d = np.arange(n)
-        rows = np.concatenate([wr, jr, jc, d])
-        cols = np.concatenate([wc, jc, jr, d])
-        self.perm = fill_order(SparsePattern(rows, cols, (n, n)))
-        self.csc = SparsePattern(self.perm[rows], self.perm[cols], (n, n))
+        kr = np.concatenate([wr, jr, jc, d])
+        kc = np.concatenate([wc, jc, jr, d])
+        self.perm = fill_order(SparsePattern(kr, kc, (n, n)))
+        self.csc = SparsePattern(self.perm[kr], self.perm[kc], (n, n))
         # the diagonal entries come last
         self.diag = self.csc.slot[-n:]
         self.nx, self.m_int = nx, intake.m_int
         self.ineq = intake.ineq
         self.x_pos, self.row_pos = self.perm[:nx], self.perm[nx:]
         self.slack_pos = self.row_pos[intake.ineq]
-        self.jac_rows = intake.jac_rows
-        self.fix_vals = np.ones(n_fix)
+        self.fix_coefs = np.ones(n_fix)
         _read_only(self)
 
 
@@ -601,7 +584,7 @@ class _Kkt:
         on their model patterns, and zeros on the diagonal, into K's
         values, and keep W's share of the primal diagonal slots."""
         p = self.pattern
-        jv = np.concatenate([jac[p.jac_rows], p.fix_vals])
+        jv = np.concatenate([jac, p.fix_coefs])
         self.values[:] = p.csc.scatter(np.concatenate([w, jv, jv, self.zeros]))
         self.w_diag = self.values[p.diag[:p.nx]]
 
@@ -662,7 +645,7 @@ def _gap_step(intake, dz):
 def _initial_point(intake, x0, raw0, mu0):
     z0 = np.zeros(intake.nz)
     z0[:intake.nx] = x0
-    z0[intake.nx:] = raw0[intake.ineq_rows]
+    z0[intake.nx:] = raw0[intake.ineq]
     nlo, lo, up = intake.nlo, intake.ib[:intake.nlo], intake.ib[intake.nlo:]
     z0[lo] = np.maximum(z0[lo], intake.b_start[:nlo])
     z0[up] = np.minimum(z0[up], intake.b_start[nlo:])
@@ -780,8 +763,7 @@ class _Structure:
     """What every solve of one finalized model shares, built from the
     model alone at its first solve (see ``_structure``): the intake, the
     auditor, the KKT pattern with its fill order, the objective scaling,
-    whether the model is an LP or has crossed row bounds, and the start
-    point with its evaluation.
+    whether the model is an LP, and the start point with its evaluation.
     It holds no reference to the model, and its arrays are read-only."""
 
     def __init__(self, m: ModelIR):
@@ -789,8 +771,6 @@ class _Structure:
         self.audit = _Auditor(m)
         self.kkt = _KktPattern(m, intake)
         self.is_lp = m.hess_pattern.nnz == 0
-        # a row whose bounds cross: no point is feasible
-        self.crossed = bool(np.any(m.row_lower > m.row_upper))
         # the gradient in the scaled variables sets the objective scaling
         grad = m.obj_coeffs * intake.d
         grad_norm = float(np.abs(grad).max(initial=0.0))
@@ -834,12 +814,10 @@ class _Solve:
         structure = _structure(m)
         self.intake = intake = structure.intake
         self.audit, self.is_lp = structure.audit, structure.is_lp
-        self.crossed = structure.crossed
         self.obj_scale, self.obj_lin = structure.obj_scale, structure.obj_lin
         self.kkt = _Kkt(structure.kkt)
         # an LP's Jacobian is evaluated once per solve (``evaluate``)
         self.jac_constant = False
-        self.y_model = np.zeros(m.nrows)  # see ``_Intake.model_y``
 
         self.mu = _MU_INIT
         # barrier floor in internal units so the true-unit duality gap can
@@ -858,10 +836,6 @@ class _Solve:
     def run(self):
         """Iterate to a status: returns (SolveResult, IterationLog), with
         one record per iteration that reached a step."""
-        if self.crossed:
-            self.z = np.zeros(self.intake.nz)
-            self.v = np.zeros(len(self.intake.ib))
-            return self.finish(SolveStatus.INFEASIBLE)
         for it in range(self.opts.max_iter):
             status = self.evaluate()
             if status is not None:
@@ -927,7 +901,7 @@ class _Solve:
         dual_int = max(float(np.abs(y).max(initial=0.0)),
                        float(v.max(initial=0.0)))
         denom = self.denom_int = 1.0 + dual_int
-        self.jty = intake.jac_t(jac, y, self.y_model)
+        self.jty = intake.jac_t(jac, y)
         self.stat_pd = float(np.abs(
             intake.add_bound_terms(self.obj_lin + self.jty, v)
         ).max()) / denom
@@ -988,8 +962,8 @@ class _Solve:
         if it == 0 or not self.is_lp:
             # the Hessian's values scaled for K, and K's derivatives; an
             # LP's are constant: set at a solve's first factorization only
-            self.hess = eval_lagrangian_hessian(
-                m, self.x, intake.model_y(self.y, self.y_model))
+            self.hess = eval_lagrangian_hessian(m, self.x,
+                                                self.y[:intake.nrows])
             self.hess *= intake.hess_d
             kkt.set_derivatives(self.hess, self.jac)
         w = self.hess

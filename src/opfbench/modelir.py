@@ -115,7 +115,9 @@ class QuadraticBlock:
     to zero.  Each row sums its constant, then its linear, then its product
     terms, in the order given.  A term outside the block's rows raises
     ValueError naming the block: stacked with other blocks, it would land
-    in a neighbour's row.
+    in a neighbour's row.  Each row needs lower <= upper and a finite
+    bound; ``ModelIR.finalize`` raises ValueError naming the block and the
+    row otherwise.
     """
 
     def __init__(self, label, lower, upper, linear=((), (), ()),
@@ -299,7 +301,11 @@ class ModelIR:
     terms of every polynomial row at its model row, the row offset of
     each polar block, and the fixed CSC patterns of the Jacobian and of
     the Hessian of the Lagrangian (``jac_pattern``, ``hess_pattern``),
-    with the slot each entry sums into.  Entries come in one order for
+    with the slot each entry sums into.  A model holds only bounds a
+    solver can use: a variable needs lower <= upper (so neither is NaN),
+    lower < inf and upper > -inf, and a row lower <= upper and a finite
+    bound; ``add_variable`` and ``finalize`` raise ValueError naming the
+    variable or the block otherwise.  Entries come in one order for
     patterns and values alike: the stacked linear terms, the products'
     two Jacobian halves, then each polar block's.  The arrays it publishes
     (the three variable columns, ``row_lower``, ``row_upper``,
@@ -325,10 +331,14 @@ class ModelIR:
 
     def add_variable(self, name, lower=-INF, upper=INF, initial=0.0) -> int:
         """Append a variable and return its index; the start value is
-        clamped into [lower, upper]."""
+        clamped into [lower, upper].  Raises ValueError naming the variable
+        unless lower <= upper, lower < inf and upper > -inf: no real value
+        lies within other bounds."""
         self._check_open()
-        if lower > upper:
-            raise ValueError(f"variable {name}: lower {lower} > upper {upper}")
+        if not (lower <= upper and lower < INF and upper > -INF):
+            raise ValueError(
+                f"variable {name}: lower {lower}, upper {upper}: need lower "
+                f"<= upper, lower < inf and upper > -inf")
         self.var_names.append(name)
         self.var_lower.append(lower)
         self.var_upper.append(upper)
@@ -391,6 +401,20 @@ class ModelIR:
             [_NO_ROWS.row_lower] + [blk.row_lower for blk in self.blocks])
         self.row_upper = np.concatenate(
             [_NO_ROWS.row_upper] + [blk.row_upper for blk in self.blocks])
+        # a row needs lower <= upper (so no NaN) and a finite bound: one
+        # with none constrains nothing, and one with crossed bounds admits
+        # no point
+        bad = ~((self.row_lower <= self.row_upper)
+                & (np.isfinite(self.row_lower) | np.isfinite(self.row_upper)))
+        if bad.any():
+            r = int(np.argmax(bad))
+            for blk in self.blocks:
+                if r < blk.nrows:
+                    break
+                r -= blk.nrows
+            raise ValueError(
+                f"block {blk.label} row {r}: lower {blk.row_lower[r]}, upper "
+                f"{blk.row_upper[r]}: need lower <= upper and a finite bound")
         self.row_is_eq = self.row_lower == self.row_upper
         self._poly = _stacked(poly, self.row_lower, self.row_upper)
         self._parts = [(0, self._poly)] + self._polar

@@ -365,6 +365,10 @@ def parse_case(text: str) -> Network:
         if tap < 0.0:
             raise CaseStructureError(
                 f"branch {f_bus}-{t_bus} has negative tap ratio {tap}", lineno)
+        if row[5] < 0.0:
+            raise CaseStructureError(
+                f"branch {f_bus}-{t_bus} has negative thermal rating "
+                f"{_fmt(row[5])}", lineno)
         angmin, angmax, defaulted = _normalize_angle_bounds(row[11], row[12])
         branches.append(Branch(
             from_bus=f_bus,

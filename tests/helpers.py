@@ -7,10 +7,12 @@ import itertools
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.optimize import linprog
 
 from opfbench import kkt, netdata
 from opfbench.modelir import (
     ModelIR,
+    SolveStatus,
     SparsePattern,
     eval_jacobian,
     eval_lagrangian_hessian,
@@ -194,6 +196,37 @@ def enumerate_lp_vertices(m: ModelIR):
     if best is None:
         raise ValueError("no feasible vertex found")
     return best
+
+
+def lp_oracle(m: ModelIR):
+    """(status, objective) of the LP m by scipy's HiGHS, an independent
+    check of the DC cells: OPTIMAL with the optimum, or INFEASIBLE with
+    None.
+
+    Reads only public evaluations of the finalized model: its rows are
+    linear, so g(x) = J x + g(0), with J and g(0) evaluated at 0, and every
+    row has a finite bound (``ModelIR.finalize``).  Each side of a ranged
+    row is one inequality, as linprog takes them."""
+    if m.hess_pattern.nnz:
+        raise ValueError(f"model {m.name} is not an LP")
+    x0 = np.zeros(m.nvars)
+    jac = on_pattern(m.jac_pattern, eval_jacobian(m, x0))
+    raw0 = m.eval_raw_rows(x0)
+    lo, up = m.row_lower - raw0, m.row_upper - raw0
+    eq, has_lo, has_up = m.row_is_eq, np.isfinite(lo), np.isfinite(up)
+    has_lo &= ~eq
+    has_up &= ~eq
+    res = linprog(
+        m.obj_coeffs,
+        A_ub=sp.vstack([jac[has_up], -jac[has_lo]]),
+        b_ub=np.concatenate([up[has_up], -lo[has_lo]]),
+        A_eq=jac[eq], b_eq=lo[eq],
+        bounds=np.column_stack(m.variable_bounds()), method="highs")
+    if res.status == 2:
+        return SolveStatus.INFEASIBLE, None
+    if res.status != 0:
+        raise AssertionError(f"HiGHS on {m.name}: {res.message}")
+    return SolveStatus.OPTIMAL, res.fun + m.obj_offset
 
 
 def counting_validations(monkeypatch):

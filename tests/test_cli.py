@@ -381,6 +381,8 @@ def case9_with(case_paths, line, old, new, tmp_path):
      "line 27: branch connects bus 1 to itself"),
     (28, "\t0\t0\t0\t0\t1", "\t0\t0\t-1\t0\t1",
      "line 28: branch 4-5 has negative tap ratio"),
+    (28, "\t0.158\t180\t", "\t0.158\t-180\t",
+     "line 28: branch 4-5 has negative thermal rating -180"),
     (21, "\t200\t20;", "\t200\t220;",
      "line 21: generator at bus 2 has pmin > pmax"),
     (21, "\t90\t-60\t", "\t90\t95\t",
@@ -408,7 +410,8 @@ def case9_with(case_paths, line, old, new, tmp_path):
      "line 42: gencost power coordinates must strictly increase"),
 ], ids=["base-mva", "short-bus", "short-branch", "short-gen",
         "short-gencost", "bus-id", "duplicate-bus", "vmin-vmax",
-        "self-loop", "negative-tap", "pmin-pmax", "qmin-qmax",
+        "self-loop", "negative-tap", "negative-rate", "pmin-pmax",
+        "qmin-qmax",
         "poly-degree", "poly-coefficients", "pwl-points", "unclosed-table",
         "gen-status", "branch-status", "bus-type-4", "bus-type-5",
         "pwl-one-point",

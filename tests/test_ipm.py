@@ -37,6 +37,7 @@ from opfbench.netdata import ComplexPU, parse_case
 from helpers import (
     counting,
     enumerate_lp_vertices,
+    lp_oracle,
     on_pattern,
     u_diagonal_reads,
 )
@@ -136,37 +137,6 @@ class TestToyProblems:
         assert res.x[0] == 2.0
         assert res.x[1] == pytest.approx(2.0, abs=1e-7)
         assert res.objective == pytest.approx(6.0, abs=1e-6)
-
-    @pytest.mark.parametrize("curved", [False, True],
-                             ids=["linear", "quadratic"])
-    def test_rows_without_a_finite_bound_are_dropped(self, curved):
-        # a row ranged over (-inf, inf) constrains nothing: the intake drops
-        # it, and the solve reports a zero dual for it; the others are
-        # lp_two_var's rows (and a curved free row makes the model a QP)
-        def model(free_row):
-            m = ModelIR("free-row")
-            m.add_variable("x", 0.0, 3.0, 1.0)
-            m.add_variable("y", 0.0, 3.0, 1.0)
-            m.add_block(QuadraticBlock("cap", [-INF], [4.0],
-                                       linear=([0, 0], [0, 1], [1.0, 1.0])))
-            if free_row:
-                m.add_block(QuadraticBlock(
-                    "free", [-INF, -INF], [INF, INF],
-                    linear=([0, 1], [0, 1], [1.0, -3.0]),
-                    quadratic=([0], [0], [1], [1.0]) if curved else
-                    ((), (), (), ())))
-            m.add_objective_term(0, -1.0)
-            m.add_objective_term(1, -2.0)
-            return m.finalize()
-
-        m = model(True)
-        assert ipm_mod._Intake(m).m_int == m.nrows - 2
-        res, _ = solve(m, SolverOptions(tol=1e-9))
-        assert res.status == SolveStatus.OPTIMAL
-        assert kkt_check(m, res).max_residual <= 1e-9
-        assert list(res.y[1:]) == [0.0, 0.0]
-        ref, _ = solve(model(False), SolverOptions(tol=1e-9))
-        assert res.objective == pytest.approx(ref.objective, abs=1e-8)
 
     @pytest.mark.parametrize("pf", list(PowerFlowKind))
     def test_near_fixed_variable_is_fixed(self, pf):
@@ -662,10 +632,40 @@ class TestUnknownInertia:
             assert res.status == SolveStatus.OPTIMAL, ck
             assert res.iterations <= 40, ck
             assert kkt_check(m, res).max_residual <= 1e-8, ck
+            status, optimum = lp_oracle(m)
+            assert status == SolveStatus.OPTIMAL, ck
+            assert res.objective == pytest.approx(optimum, rel=1e-6), ck
             objectives[ck] = res.objective
         for ck, objective in objectives.items():
             assert objective == pytest.approx(objectives[CostKind.LAMBDA],
                                               rel=1e-5), ck
+
+
+# the infeasible benchmark workload's cases at seed 1, by name
+INFEASIBLE_CASES = {c.name: c.text for c in workloads.infeasible_cases(1)}
+
+
+class TestLpOracle:
+    """Every DC cell checked against scipy's HiGHS (``lp_oracle``), which
+    sees only the model's public evaluations: the label, and the optimum
+    where there is one."""
+
+    @pytest.mark.parametrize("ck", PWL_COST_KINDS, ids=lambda ck: ck.value)
+    @pytest.mark.parametrize("name", case_names())
+    def test_bundled_dc_cells_match_the_oracle(self, name, ck):
+        m = build_opf(parse_case(case_text(name)), PowerFlowKind.DC, ck)
+        res, _ = solve(m, SolverOptions(tol=1e-8))
+        status, optimum = lp_oracle(m)
+        assert res.status == status == SolveStatus.OPTIMAL
+        assert res.objective == pytest.approx(optimum, rel=1e-6)
+
+    @pytest.mark.parametrize("ck", PWL_COST_KINDS, ids=lambda ck: ck.value)
+    @pytest.mark.parametrize("name", INFEASIBLE_CASES)
+    def test_infeasible_workload_cells_match_the_oracle(self, name, ck):
+        m = build_opf(parse_case(INFEASIBLE_CASES[name]), PowerFlowKind.DC,
+                      ck)
+        res, _ = solve(m, SolverOptions(tol=1e-8))
+        assert res.status == lp_oracle(m)[0] == SolveStatus.INFEASIBLE
 
 
 class TestKktCheck:
@@ -1098,7 +1098,7 @@ def one_scatter(pattern, w, jac, sigma, delta_w, delta_c):
     value, W, J in both blocks and the condensed diagonal, in the
     pattern's coordinate order."""
     nx = pattern.nx
-    jv = np.concatenate([jac[pattern.jac_rows], pattern.fix_vals])
+    jv = np.concatenate([jac, pattern.fix_coefs])
     diag_c = np.full(pattern.m_int, -delta_c)
     diag_c[pattern.ineq] -= 1.0 / (sigma[nx:] + delta_w)
     diag = np.concatenate([sigma[:nx] + delta_w, diag_c])
@@ -1486,28 +1486,6 @@ class TestStructure:
         assert len(results) == 4
         for result in results:
             identical_solve(expected, result)
-
-    def test_crossed_row_bounds_end_infeasible_cold_and_warm(self):
-        # no point satisfies a row whose lower bound exceeds its upper one;
-        # the structure records that once, and every solve of the model
-        # stops before its first iteration
-        m = ModelIR("crossed")
-        m.add_variable("x", 0.0, 10.0, 1.0)
-        m.add_variable("y", 0.0, 10.0, 1.0)
-        m.add_block(QuadraticBlock("sum", [1.0], [5.0],
-                                   linear=([0, 0], [0, 1], [1.0, 1.0])))
-        m.add_block(QuadraticBlock("crossed", [3.0], [2.0],
-                                   linear=([0], [0], [1.0])))
-        m.add_objective_term(1, 1.0)
-        m.finalize()
-        cold = solve(m)
-        assert ipm_mod._STRUCTURES[m].crossed
-        assert cold[0].status == SolveStatus.INFEASIBLE
-        assert cold[0].iterations == 0
-        identical_solve(cold, solve(m))
-        other = self.model()
-        solve(other, SolverOptions(max_iter=1))
-        assert not ipm_mod._STRUCTURES[other].crossed
 
     def test_structure_dies_with_its_model(self):
         m = self.model()

@@ -324,6 +324,18 @@ class TestAddVariable:
         with pytest.raises(ValueError, match=r"variable cg\[3\]: lower 2"):
             m.add_variable("cg[3]", 2.0, 1.0, 1.5)
 
+    @pytest.mark.parametrize("lower, upper", [
+        (math.nan, 1.0), (0.0, math.nan), (INF, INF), (-INF, -INF),
+    ], ids=["nan-lower", "nan-upper", "plus-inf", "minus-inf"])
+    def test_bounds_no_real_value_meets_name_the_variable(self, lower,
+                                                          upper):
+        # no real value lies within these bounds: a solve would end at
+        # iteration 0 with a numerical error and a NaN objective
+        m = ModelIR("bad")
+        with pytest.raises(ValueError, match=r"variable cg\[3\]: lower"):
+            m.add_variable("cg[3]", lower, upper, 0.0)
+        assert m.var_names == []
+
     def test_start_is_clamped_into_bounds(self):
         m = ModelIR("clamp")
         m.add_variable("below", 0.0, 1.0, -3.0)
@@ -363,6 +375,24 @@ class TestFinalize:
                  "quadratic": ([row], [0], [0], [1.0])}
         with pytest.raises(ValueError, match="block first references row"):
             QuadraticBlock("first", [0.0], [1.0], **{term: terms[term]})
+
+    @pytest.mark.parametrize("lower, upper", [
+        (-INF, INF), (3.0, 2.0), (math.nan, 1.0), (0.0, math.nan),
+        (INF, INF), (-INF, -INF),
+    ], ids=["free", "crossed", "nan-lower", "nan-upper", "plus-inf",
+            "minus-inf"])
+    def test_row_bounds_no_solver_can_use_name_the_block(self, lower, upper):
+        # a free row constrains nothing and a crossed one admits no point;
+        # a solve would end a NaN bound with a numerical error, and run
+        # [inf, inf] or [-inf, -inf] to the iteration limit
+        m = ModelIR("bad")
+        m.add_variable("x", 0.0, 1.0, 0.5)
+        m.add_block(QuadraticBlock("ok", [0.0], [1.0],
+                                   linear=([0], [0], [1.0])))
+        m.add_block(QuadraticBlock("second", [0.0, lower], [1.0, upper],
+                                   linear=([0, 1], [0, 0], [1.0, 1.0])))
+        with pytest.raises(ValueError, match=r"block second row 1: lower"):
+            m.finalize()
 
     def test_bounds_and_start_point_are_copies(self):
         m = linear_ineq_model()

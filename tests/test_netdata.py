@@ -182,6 +182,18 @@ def test_phase_shift_rejected():
         parse_case(text)
 
 
+def test_negative_rating_rejected():
+    # only a rate of 0 means unlimited; a negative one is no limit at all
+    text = CASE2.replace(
+        "1	2	0.01	0.1	0.02	150	0	0	0	0	1	-30	30;",
+        "1	2	0.01	0.1	0.02	-120	0	0	0	0	1	-30	30;",
+    )
+    with pytest.raises(CaseStructureError,
+                       match="line 16: branch 1-2 has negative thermal "
+                             "rating -120"):
+        parse_case(text)
+
+
 def test_zero_impedance_rejected():
     text = CASE2.replace(
         "1	2	0.01	0.1	0.02	150	0	0	0	0	1	-30	30;",
