@@ -60,12 +60,12 @@ evaluation returns a new such array, and K is one array per solve that
 ``_Kkt`` overwrites in place.  No solve builds a scipy matrix: J^T y, the
 curvature's W dx and the factor's residual run the sparsetools kernels on
 (pattern, values), and K is factored as (pattern, values), the form
-``kkt.factorize`` takes.  K is stored in its fill
-order, and its factor solves in that order; ``_Kkt.step`` alone
-translates the right-hand side into it and the step out of it.  ``ipm``
-keeps each structure in a ``weakref.WeakKeyDictionary`` keyed by its
-model, so it lives exactly as long as the model; it holds no reference to
-the model, which would keep its own key alive.  Its arrays are read-only,
+``kkt.factorize`` takes.  K is stored in its fill order, and its factor
+solves in that order; ``_Kkt.step`` alone gathers the right-hand side
+into it and the step out of it, one gather each way.  ``ipm`` keeps each
+structure in a ``weakref.WeakKeyDictionary`` keyed by its model, so it
+lives exactly as long as the model; it holds no reference to the model,
+which would keep its own key alive.  Its arrays are read-only,
 as are the model arrays it is derived from (``ModelIR.finalize``), so a
 structure cannot go stale and no solve can write into what another reads;
 solves of one model from two threads at once share it.  It depends on no
@@ -74,15 +74,17 @@ solves of one model from two threads at once share it.  It depends on no
 a change to one of them reaches only models first solved after it.  A
 later solve takes the same steps as the first, bit for bit.
 
-K is written in two steps on every model (``_Kkt``): ``factor``
-scatters the Hessian and the Jacobian into it where it evaluates the
-Hessian, and every trial of the correction writes only its diagonal.  An
-LP's derivatives never change, so it evaluates them once per solve, as
-IPOPT does for constant Jacobians and Hessians (Waechter & Biegler 2006):
+K is written in two steps on every model (``_Kkt``): ``factor`` writes
+the Hessian's and the Jacobian's values into their slots of K where it
+evaluates the Hessian, and every trial of the correction writes only its
+diagonal.  No two of those values share a slot, so K is the one scatter
+of all its values, bit for bit, with no scatter made.  An LP's
+derivatives never change, so it evaluates them once per solve, as IPOPT
+does for constant Jacobians and Hessians (Waechter & Biegler 2006):
 ``evaluate`` calls ``eval_jacobian`` at the solve's first point only,
 keeps those model-unit values for J^T y and for every audit, the one
 ``finish`` makes included, and scales one copy for K; ``factor`` calls
-``eval_lagrangian_hessian``, whose values are empty, and scatters both
+``eval_lagrangian_hessian``, whose values are empty, and writes both
 into K at the first iteration only.  Every step stays the one
 per-iteration evaluation took, bit for bit.  Once per solve, not once per
 model: the values stay with the solve, like every other value, and each
@@ -91,15 +93,17 @@ perfbench's tracer does, sees every solve evaluate its model (a solve
 that ends at its start point never reaches the Hessian).
 
 Each point is evaluated once, as IPOPT caches its evaluations per iterate
-(Waechter & Biegler 2006).  ``evaluate_point`` computes the rows, the
-internal residual with its l1 norm and the barrier terms at z: the bound
-gaps, obj . z and the lower and upper log sums.  The start point is
-evaluated once per model, with its structure, and every later point by
-``merit`` as a trial point of the line search; ``accept`` carries the
-evaluation of the point it accepts into the next iteration.  ``evaluate``
-reads the rows, residual and gaps from it, and the line search's merit at
-its start is formed from its barrier terms at the current mu and its l1
-norm.  A failed line search keeps the point and its evaluation.
+(Waechter & Biegler 2006).  ``evaluate_point`` computes the model
+variables x in model units, the rows, the internal residual with its l1
+and max-norms and the barrier terms at z: the bound gaps, obj . z and
+the lower and upper log sums.  The start point is evaluated once per
+model, with its structure, and every later point by ``merit`` as a trial
+point of the line search; ``accept`` carries the evaluation of the point
+it accepts into the next iteration.  ``evaluate`` reads the rows,
+residual, max-norm and gaps from it, ``evaluate`` and ``factor`` take the
+derivatives at its x, and the line search's merit at its start is formed
+from its barrier terms at the current mu and its l1 norm.  A failed line
+search keeps the point and its evaluation.
 
 ``evaluate`` computes J^T y once per iteration, in model units and then
 multiplied by D (see below), and from it the solver's own residuals: the
@@ -508,23 +512,28 @@ class _Intake:
 class _KktPattern:
     """CSC pattern of the condensed K = [[W + diag, J^T], [J, -diag_c]]
     of one model, over the model variables and the internal rows, with the
-    index maps K's values are written through; ``_Kkt`` binds K to it for
-    one solve.
+    slots K's values are written through; ``_Kkt`` binds K to it for one
+    solve.
 
     The slacks are eliminated before K is formed (see ``_Kkt.assemble``),
     so J holds the model Jacobian and the intake's +1 fix entries, and the
-    dual diagonal carries each eliminated slack.  The pattern holds the
-    model Hessian's pattern, J in both off-diagonal blocks and both full
-    diagonals, in that order, so K's values are one scatter.  ``diag``
-    lists the diagonal's slots, primal then dual.
+    dual diagonal carries each eliminated slack.  The pattern's
+    coordinates are the model Hessian's pattern, the model Jacobian's in
+    J's block and in J^T's, the fix entries in both blocks, and both full
+    diagonals, in that order, and each group's stored slots are a view of
+    ``csc.slot``: ``w_slots``, ``jac_slots``, ``jac_t_slots``,
+    ``fix_slots`` and ``diag``, the diagonal primal then dual.  No two
+    coordinates of W and J share a slot, and J never lands on the
+    diagonal, so each value is written into its slot, not summed.
 
     K is stored in the fill-reducing order of this pattern from the start
     (``fill_order``; ``perm`` maps each row and column to its stored
-    position), so every assembly comes out pre-permuted and is factored in
-    SuperLU's natural order, and no solve orders it again.  A factor solves
-    in that stored order, and ``_Kkt.step`` translates through the stored
-    positions of the model variables (``x_pos``), of the internal rows
-    (``row_pos``) and of the slacks' rows (``slack_pos``).
+    position, and ``order`` is its inverse), so every assembly comes out
+    pre-permuted and is factored in SuperLU's natural order, and no solve
+    orders it again.  A factor solves in that stored order: ``_Kkt.step``
+    gathers the right-hand side into it through ``order`` and the step out
+    of it through ``step_pos``, the stored positions of the model
+    variables, of each slack's row (``slack_pos``) and of the rows.
 
     The full diagonal keeps ``fill_order`` from breaking down, but a
     stored zero on it is no missing pivot to SuperLU: where an updated
@@ -537,20 +546,19 @@ class _KktPattern:
         n = nx + intake.m_int
         wr, wc = m.hess_pattern.coords()
         jr, jc = m.jac_pattern.coords()
-        jr = nx + np.concatenate([jr, m.nrows + np.arange(n_fix)])
-        jc = np.concatenate([jc, intake.fixed_idx])
+        fr, fc = nx + m.nrows + np.arange(n_fix), intake.fixed_idx
         d = np.arange(n)
-        kr = np.concatenate([wr, jr, jc, d])
-        kc = np.concatenate([wc, jc, jr, d])
-        self.perm = fill_order(SparsePattern(kr, kc, (n, n)))
-        self.csc = SparsePattern(self.perm[kr], self.perm[kc], (n, n))
-        # the diagonal entries come last
-        self.diag = self.csc.slot[-n:]
-        self.nx, self.m_int = nx, intake.m_int
-        self.ineq = intake.ineq
-        self.x_pos, self.row_pos = self.perm[:nx], self.perm[nx:]
-        self.slack_pos = self.row_pos[intake.ineq]
-        self.fix_coefs = np.ones(n_fix)
+        kr = np.concatenate([wr, nx + jr, jc, fr, fc, d])
+        kc = np.concatenate([wc, jc, nx + jr, fc, fr, d])
+        perm = self.perm = fill_order(SparsePattern(kr, kc, (n, n)))
+        self.order = np.argsort(perm)
+        self.csc = SparsePattern(perm[kr], perm[kc], (n, n))
+        cuts = np.cumsum([len(wr), len(jr), len(jr), 2 * n_fix])
+        (self.w_slots, self.jac_slots, self.jac_t_slots, self.fix_slots,
+         self.diag) = np.split(self.csc.slot, cuts)
+        self.nx, self.m_int, self.ineq = nx, intake.m_int, intake.ineq
+        self.slack_pos = perm[nx + intake.ineq]
+        self.step_pos = np.concatenate((perm[:nx], self.slack_pos, perm[nx:]))
         _read_only(self)
 
 
@@ -558,14 +566,14 @@ class _Kkt:
     """The condensed K of one solve: its values on its model's
     ``_KktPattern``, one array written in two steps.
 
-    ``set_derivatives`` scatters W and J, once per evaluation of the
-    Hessian; ``assemble`` writes only the diagonal slots, on every trial
-    of the inertia correction, as IPOPT keeps W and J within an iteration
-    and changes only the perturbations (Waechter & Biegler 2006).  The
-    scatter sums each slot in coordinate order, with the diagonal's
-    coordinates last; J never lands on the diagonal, and W holds at most
-    one value per slot.  So each diagonal slot holds W's value plus the
-    diagonal's, and K equals one scatter of all its values, bit for bit.
+    ``set_derivatives`` writes W and J into their slots, once per
+    evaluation of the Hessian; ``assemble`` writes only the diagonal
+    slots, on every trial of the inertia correction, as IPOPT keeps W and
+    J within an iteration and changes only the perturbations (Waechter &
+    Biegler 2006).  The fix entries are constant and written once, when K
+    is made.  Each slot receives one value, and each diagonal slot W's
+    value plus the diagonal's, so K equals one scatter of all its values
+    (a sum per slot in coordinate order, the diagonal last), bit for bit.
     """
 
     def __init__(self, pattern: _KktPattern):
@@ -574,19 +582,19 @@ class _Kkt:
         # its factor, raised the peak RSS of three passes over the 120-bus
         # benchmark case (seed 4) from 88.2 to 89.7 MB, median of 6 runs
         self.values = np.empty(pattern.csc.nnz)
-        # the zeros ``set_derivatives`` scatters onto K's diagonal, and
+        self.values[pattern.fix_slots] = 1.0
         # the diagonal, primal then dual, rewritten by every assembly
-        self.zeros = np.zeros(len(pattern.diag))
-        self.diag = np.empty_like(self.zeros)
+        self.diag = np.empty(len(pattern.diag))
 
     def set_derivatives(self, w, jac):
-        """Scatter the values w and jac of the model Hessian and Jacobian
-        on their model patterns, and zeros on the diagonal, into K's
-        values, and keep W's share of the primal diagonal slots."""
-        p = self.pattern
-        jv = np.concatenate([jac, p.fix_coefs])
-        self.values[:] = p.csc.scatter(np.concatenate([w, jv, jv, self.zeros]))
-        self.w_diag = self.values[p.diag[:p.nx]]
+        """Write the values w and jac of the model Hessian and Jacobian on
+        their model patterns into K's slots, and keep W's share of the
+        primal diagonal slots, zero where W has no diagonal entry."""
+        p, values = self.pattern, self.values
+        values[p.diag] = 0.0
+        values[p.w_slots] = w
+        values[p.jac_slots] = values[p.jac_t_slots] = jac
+        self.w_diag = values[p.diag[:p.nx]]
 
     def assemble(self, sigma, delta_w, delta_c):
         """K's values on ``pattern.csc`` for the barrier diagonal sigma of
@@ -614,21 +622,16 @@ class _Kkt:
         """The full system's step (dz, dy) for the right-hand side (r1, r2),
         from the factor of the last assembled K: each slack's row r1_s
         moves to its dual row as r1_s / S, and the slack step is recovered
-        as ds = (r1_s + dy_s) / S.  The right-hand side is written, and the
-        solution read, in K's stored order."""
+        as ds = (r1_s + dy_s) / S.  The right-hand side is gathered into
+        K's stored order, and the step out of it, one gather each way."""
         p, s_diag = self.pattern, self.slack_diag
-        nx, nz = p.nx, len(r1)
-        b = np.empty(nx + len(r2))
-        b[p.x_pos] = r1[:nx]
-        b[p.row_pos] = r2
+        nx = p.nx
+        b = np.concatenate((r1[:nx], r2))[p.order]
         b[p.slack_pos] += r1[nx:] / s_diag
-        sol = factor.solve(b)
-        out = np.empty(nz + len(r2))
-        out[:nx] = sol[p.x_pos]
-        ds = sol[p.slack_pos]
+        out = factor.solve(b)[p.step_pos]
+        ds = out[nx:len(r1)]
         ds += r1[nx:]
-        np.divide(ds, s_diag, out=out[nx:nz])
-        out[nz:] = sol[p.row_pos]
+        ds /= s_diag
         return out
 
 
@@ -683,9 +686,11 @@ class _Point(NamedTuple):
     """One evaluation of an internal point z, made once per point (see
     ``_evaluate_point``)."""
 
-    raw: np.ndarray  # the model rows at z, in model units
+    x: np.ndarray    # the model variables at z, in model units
+    raw: np.ndarray  # the model rows at x
     h: np.ndarray    # the internal constraint residual
     h_l1: float      # its l1 norm, the merit's penalty term
+    h_inf: float     # its max-norm, the barrier error's primal part
     terms: tuple     # ``_barrier_terms`` at z
 
     @property
@@ -694,11 +699,14 @@ class _Point(NamedTuple):
 
 
 def _evaluate_point(m, intake, obj_lin, z):
-    """The rows, the internal residual with its l1 norm and the barrier
-    terms at z."""
-    raw = m.eval_raw_rows(intake.model_x(z))
+    """The model variables, the rows, the internal residual with its l1
+    and max-norms and the barrier terms at z."""
+    x = intake.model_x(z)
+    raw = m.eval_raw_rows(x)
     h = intake.residual(z, raw)
-    return _Point(raw, h, float(np.abs(h).sum()),
+    h_abs = np.abs(h)
+    return _Point(x, raw, h, float(h_abs.sum()),
+                  float(h_abs.max(initial=0.0)),
                   _barrier_terms(intake, z, obj_lin))
 
 
@@ -740,12 +748,12 @@ def _dual_step(mu_gap, v_gap, v, dgap):
 
 
 def _dual_update(v, alpha, dv, mu, gap):
-    """v + alpha dv, floored at zero and held in the safeguard corridor
-    [mu / (kappa_sigma gap), kappa_sigma mu / gap] that keeps the bound
-    multipliers consistent with mu; dv is overwritten with the result."""
+    """v + alpha dv, held in the safeguard corridor [mu / (kappa_sigma
+    gap), kappa_sigma mu / gap] that keeps the bound multipliers
+    consistent with mu; the corridor's floor is positive, so no v drops
+    below zero.  dv is overwritten with the result."""
     dv *= alpha
     dv += v
-    np.maximum(dv, 0.0, out=dv)
     lo = np.multiply(_KAPPA_SIGMA, gap)
     np.divide(mu, lo, out=lo)
     return np.clip(dv, lo, np.divide(_KAPPA_SIGMA * mu, gap), out=dv)
@@ -783,7 +791,7 @@ class _Structure:
                                           m.eval_raw_rows(x0), _MU_INIT)
         _read_only(self)
         self.point0 = _evaluate_point(m, intake, self.obj_lin, self.z0)
-        for a in (self.point0.raw, self.point0.h, self.point0.gap):
+        for a in (*self.point0[:3], self.point0.gap):
             a.flags.writeable = False
 
 
@@ -882,8 +890,7 @@ class _Solve:
         INFEASIBLE when the solve is over, else None."""
         m, intake, tol = self.m, self.intake, self.opts.tol
         y, v, point = self.y, self.v, self.point
-        x = self.x = intake.model_x(self.z)
-        raw, h = point.raw, point.h
+        x, raw, self.h_inf = point.x, point.raw, point.h_inf
         if not self.jac_constant:
             # the Jacobian's values on the model's pattern in model units,
             # and with its columns scaled to x' for K
@@ -892,7 +899,6 @@ class _Solve:
             # an LP's rows are linear: its first Jacobian is every one
             self.jac_constant = self.is_lp
         jac = self.jac_model
-        self.h_inf = float(np.abs(h).max(initial=0.0))
 
         # the internal residuals, all independent of mu: the stationarity
         # in the primal-dual form, which is what the Newton step drives to
@@ -962,7 +968,7 @@ class _Solve:
         if it == 0 or not self.is_lp:
             # the Hessian's values scaled for K, and K's derivatives; an
             # LP's are constant: set at a solve's first factorization only
-            self.hess = eval_lagrangian_hessian(m, self.x,
+            self.hess = eval_lagrangian_hessian(m, self.point.x,
                                                 self.y[:intake.nrows])
             self.hess *= intake.hess_d
             kkt.set_derivatives(self.hess, self.jac)

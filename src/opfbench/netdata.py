@@ -526,9 +526,10 @@ def _synthesize_raw(network: Network) -> dict:
 def validate_network(network: Network) -> list[Finding]:
     """Semantic findings for a parsed network.
 
-    Errors (dangling references, empty component sets, non-convex polynomial
-    costs, piecewise curves that :func:`~opfbench.pwlcost.preprocess`
-    rejects against their generator's bounds) make the network
+    Errors (dangling references, empty component sets, negative thermal
+    ratings, non-convex polynomial costs, piecewise curves that
+    :func:`~opfbench.pwlcost.preprocess` rejects against their generator's
+    bounds) make the network
     unacceptable to the formulation builders;
     warnings document conventions applied (unlimited thermal ratings,
     defaulted angle bounds, reference-bus fallback) and flag a network no
@@ -587,6 +588,13 @@ def _find_problems(network: Network) -> list[Finding]:
                 ))
         touched.add(br.from_bus)
         touched.add(br.to_bus)
+        if br.rate < 0.0:
+            # the builders read any rate <= 0 as no limit; only 0 means it
+            findings.append(Finding(
+                "error", "negative-thermal-rating",
+                f"branch {i} ({br.from_bus}-{br.to_bus}) has negative "
+                f"thermal rating {br.rate * network.base_mva:.6g} MVA",
+            ))
         if br.rate == 0.0:
             findings.append(Finding(
                 "warning", "unlimited-thermal-rating",

@@ -345,8 +345,8 @@ class TestSolverContracts:
                    for reg_last, _, _ in warm)
 
 
-    def test_correction_scatters_the_derivatives_once(self, monkeypatch):
-        # each factor call scatters K's derivatives once, however many
+    def test_correction_writes_the_derivatives_once(self, monkeypatch):
+        # each factor call writes K's derivatives once, however many
         # corrections it makes, and each trial rewrites only the
         # diagonal: every K factored is the one scatter of all its values.
         # factorize reports a wrong inertia for the first `wrong` trials
@@ -356,7 +356,7 @@ class TestSolverContracts:
         assert s.evaluate() is None
         s.update_barrier()
         kkt, right = s.kkt, (s.intake.nx, s.intake.m_int, 0)
-        csc, assemble = kkt.pattern.csc, kkt.assemble
+        assemble = kkt.assemble
         factorize = ipm_mod.factorize
         calls, references, trials = {}, [], []
 
@@ -373,8 +373,9 @@ class TestSolverContracts:
             trials.append(factor.inertia)
             return factor
 
-        monkeypatch.setattr(csc, "scatter",
-                            counting(calls, "scatter", csc.scatter))
+        monkeypatch.setattr(kkt, "set_derivatives",
+                            counting(calls, "set_derivatives",
+                                     kkt.set_derivatives))
         monkeypatch.setattr(kkt, "assemble", referenced)
         monkeypatch.setattr(ipm_mod, "factorize", misreporting)
         for wrong in (3, 0, 1, 2):
@@ -384,7 +385,7 @@ class TestSolverContracts:
             _, _, _, corrections = s.factor(1)
             assert corrections == wrong
             assert len(references) == len(trials) == wrong + 1
-            assert calls == {"scatter": 1}
+            assert calls == {"set_derivatives": 1}
 
 
 class TestVariableScaling:
@@ -1095,15 +1096,15 @@ KKT_MODELS = [f"case9_loop-{pf.value}-{ck.value}"
 
 def one_scatter(pattern, w, jac, sigma, delta_w, delta_c):
     """K's values on the ``_KktPattern`` pattern as one scatter of every
-    value, W, J in both blocks and the condensed diagonal, in the
-    pattern's coordinate order."""
+    value, W, J in both blocks, the +1 fix entries in both blocks and the
+    condensed diagonal, in the pattern's coordinate order."""
     nx = pattern.nx
-    jv = np.concatenate([jac, pattern.fix_coefs])
+    fix = np.ones(len(pattern.fix_slots))
     diag_c = np.full(pattern.m_int, -delta_c)
     diag_c[pattern.ineq] -= 1.0 / (sigma[nx:] + delta_w)
     diag = np.concatenate([sigma[:nx] + delta_w, diag_c])
     return np.bincount(pattern.csc.slot,
-                       weights=np.concatenate([w, jv, jv, diag]),
+                       weights=np.concatenate([w, jac, jac, fix, diag]),
                        minlength=pattern.csc.nnz)
 
 
@@ -1161,25 +1162,32 @@ class TestKktAssembly:
 
     @pytest.mark.parametrize("name", KKT_MODELS)
     def test_assembly_rewrites_the_diagonal_to_the_full_scatter(self, name):
-        # the derivatives are scattered once, and every assembly after
-        # rewrites only K's diagonal; on every model, with curvature or
-        # without, K is the one scatter of all its values, bit for bit
+        # the derivatives are written into their slots, and every assembly
+        # after rewrites only K's diagonal; on every model, with curvature
+        # or without, K is the one scatter of all its values, bit for bit.
+        # The derivatives are written at two points, each followed by
+        # assemblies: a slot the second write misses keeps a value of the
+        # first point, or of its last assembly
         m = kkt_model(name)
         intake = ipm_mod._Intake(m)
         pattern = ipm_mod._KktPattern(m, intake)
         rng = np.random.default_rng(3)
-        x = m.initial_point()
-        jac = eval_jacobian(m, x)
-        w = eval_lagrangian_hessian(m, x, rng.normal(size=m.nrows))
+        lo, up = m.variable_bounds()
+        x0 = m.initial_point()
+        x1 = np.clip(x0 + 0.1 * rng.normal(size=m.nvars), lo, up)
         kkt = ipm_mod._Kkt(pattern)
-        kkt.set_derivatives(w, jac)
-        for delta_w, delta_c in ((0.0, 1e-10), (1e-4, 1e-8), (0.0, 1e-6)):
-            sigma = rng.uniform(0.0, 2.0, intake.nz)
-            sigma[:intake.nx:3] = 0.0
-            sigma[intake.nx:] += 0.5
-            values = kkt.assemble(sigma, delta_w, delta_c)
-            full = one_scatter(pattern, w, jac, sigma, delta_w, delta_c)
-            assert values.tobytes() == full.tobytes()
+        for x in (x0, x1):
+            jac = eval_jacobian(m, x)
+            w = eval_lagrangian_hessian(m, x, rng.normal(size=m.nrows))
+            kkt.set_derivatives(w, jac)
+            for delta_w, delta_c in ((0.0, 1e-10), (1e-4, 1e-8),
+                                     (0.0, 1e-6)):
+                sigma = rng.uniform(0.0, 2.0, intake.nz)
+                sigma[:intake.nx:3] = 0.0
+                sigma[intake.nx:] += 0.5
+                values = kkt.assemble(sigma, delta_w, delta_c)
+                full = one_scatter(pattern, w, jac, sigma, delta_w, delta_c)
+                assert values.tobytes() == full.tobytes()
 
     @pytest.mark.parametrize("name", KKT_MODELS[:-1])
     def test_condensed_step_solves_the_full_system(self, name):

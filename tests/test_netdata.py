@@ -12,6 +12,7 @@ from opfbench.errors import (
     SingularBranchError,
     UnsupportedFeatureError,
 )
+from opfbench.formulations import CostKind, PowerFlowKind, build_opf
 from opfbench.netdata import (
     Branch,
     ComplexPU,
@@ -250,6 +251,28 @@ class TestValidate:
                 if f.code == "unlimited-thermal-rating"]
         assert len(warn) == 1
         assert warn[0].severity == "warning"
+
+    def test_negative_rate_is_an_error(self):
+        # parse_case rejects a negative rating; a network built in code
+        # reaches validation with one, and no builder may read it as
+        # unlimited
+        net = parse_case(CASE2)
+        bad = replace(net, branches=(replace(net.branches[0], rate=-1.2),))
+        assert validate_network(bad) == [Finding(
+            "error", "negative-thermal-rating",
+            "branch 0 (1-2) has negative thermal rating -120 MVA")]
+        with pytest.raises(InvalidNetworkError):
+            require_valid(bad)
+
+    @pytest.mark.parametrize("pf", list(PowerFlowKind))
+    def test_negative_rate_rejects_every_build(self, pf):
+        net = parse_case(case_text("case3_cycle"))
+        branches = list(net.branches)
+        branches[0] = replace(branches[0], rate=-1.2)
+        bad = replace(net, branches=tuple(branches))
+        with pytest.raises(InvalidNetworkError,
+                           match="negative thermal rating"):
+            build_opf(bad, pf, CostKind.LAMBDA)
 
     def test_default_angle_bounds_warning(self):
         text = CASE2.replace(

@@ -10,13 +10,17 @@ margins x 3 models x 4 encodings = 756 cells.  Below a margin of one a
 dispatch may exist; above it none does, and ``infeasible`` is the only
 right label.  The script prints one line per cell,
 
-    cell CASE MARGIN PF ENCODING STATUS ITERATIONS
+    cell CASE MARGIN PF ENCODING STATUS ITERATIONS [ORACLE]
 
-then, per model, its status counts and its iteration total.  Diff the
-output of two checkouts to see which labels and iteration counts a change
-moved.  Cases are built as Matpower text with the benchmark's workloads
-module, which is only imported; the program under test is the ``src``
-tree next to this script.
+where a DC line ends with ORACLE, the label scipy's HiGHS gives the same
+LP (``lp_oracle`` of ``tests/helpers.py``): ``optimal`` or
+``infeasible``.  AC and SOC have no oracle here.  Then, per model, it
+prints its status counts and its iteration total, and last the number of
+DC cells whose label differs from the oracle's.  Diff the output of two
+checkouts to see which labels and iteration counts a change moved.  Cases
+are built as Matpower text with the benchmark's workloads module, and
+the oracle taken from the tests' helpers; both are only imported, and the
+program under test is the ``src`` tree next to this script.
 """
 
 from __future__ import annotations
@@ -26,7 +30,8 @@ from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"),
+                str(ROOT / "tests")]
 
 from opfbench.cases import case_names, case_text  # noqa: E402
 from opfbench.formulations import CostKind, PowerFlowKind, build_opf  # noqa: E402
@@ -34,6 +39,7 @@ from opfbench.ipm import SolverOptions, solve  # noqa: E402
 from opfbench.netdata import parse_case  # noqa: E402
 
 import workloads  # noqa: E402
+from helpers import lp_oracle  # noqa: E402
 
 MARGINS = (0.5, 0.7, 0.9, 0.95, 0.995, 1.005, 1.05, 1.15, 1.4)
 
@@ -59,6 +65,7 @@ def main(argv):
         return 2
     statuses = {pf: Counter() for pf in workloads.PF_KINDS}
     iterations = Counter()
+    disagreements = 0
     for name in case_names():
         for margin in MARGINS:
             network = parse_case(scaled_case(name, margin))
@@ -69,12 +76,17 @@ def main(argv):
                     result, _ = solve(model, opts)
                     statuses[pf][result.status.value] += 1
                     iterations[pf] += result.iterations
-                    print(f"cell {name} {margin} {pf} {ck} "
-                          f"{result.status.value} {result.iterations}",
-                          flush=True)
+                    line = (f"cell {name} {margin} {pf} {ck} "
+                            f"{result.status.value} {result.iterations}")
+                    if pf == "dc":
+                        oracle, _ = lp_oracle(model)
+                        disagreements += oracle is not result.status
+                        line += f" {oracle.value}"
+                    print(line, flush=True)
     for pf in workloads.PF_KINDS:
         counts = " ".join(f"{s}={n}" for s, n in sorted(statuses[pf].items()))
         print(f"model {pf} iterations={iterations[pf]} {counts}")
+    print(f"dc oracle disagreements={disagreements}")
     return 0
 
 

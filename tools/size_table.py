@@ -8,12 +8,16 @@ seed 1), as the benchmark's workloads module builds its 120-bus case, and
 the chosen model (default dc) is solved with each cost encoding at tol
 1e-8.  The script prints one line per cell,
 
-    BUSES ENCODING STATUS ITERATIONS (CORRECTIONS) SECONDS
+    BUSES ENCODING STATUS ITERATIONS (CORRECTIONS) SECONDS [ORACLE]
 
 where CORRECTIONS is the iteration log's total of inertia corrections and
 SECONDS the solve's wall time, one cold solve each: compare ratios, not
-absolute times.  The workloads module is only imported; the program under
-test is the ``src`` tree next to this script.
+absolute times.  A DC line ends with ORACLE, the status and objective
+scipy's HiGHS finds for the same LP (``lp_oracle`` of
+``tests/helpers.py``), the objective ``-`` when it is infeasible; AC and
+SOC have no oracle here.  The workloads module and the tests' helpers are
+only imported; the program under test is the ``src`` tree next to this
+script.
 """
 
 from __future__ import annotations
@@ -24,13 +28,15 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"),
+                str(ROOT / "tests")]
 
 from opfbench.formulations import CostKind, PowerFlowKind, build_opf  # noqa: E402
 from opfbench.ipm import SolverOptions, solve  # noqa: E402
 from opfbench.netdata import parse_case  # noqa: E402
 
 import workloads  # noqa: E402
+from helpers import lp_oracle  # noqa: E402
 
 BASE = "case30_grid"
 TIES_PER_PAIR = 2
@@ -68,8 +74,13 @@ def main(argv=None) -> int:
             model = build_opf(network, PowerFlowKind(args.pf), CostKind(ck))
             result, log = solve(model, opts)
             corrections = sum(r.inertia_corrections for r in log.records)
-            print(f"{n} {ck} {result.status.value} {result.iterations} "
-                  f"({corrections}) {result.wall_time:.2f}", flush=True)
+            line = (f"{n} {ck} {result.status.value} {result.iterations} "
+                    f"({corrections}) {result.wall_time:.2f}")
+            if args.pf == "dc":
+                status, objective = lp_oracle(model)
+                line += (f" {status.value} "
+                         f"{'-' if objective is None else f'{objective:.10g}'}")
+            print(line, flush=True)
     return 0
 
 
