@@ -80,12 +80,14 @@ evaluates the Hessian, and every trial of the correction writes only its
 diagonal.  No two of those values share a slot, so K is the one scatter
 of all its values, bit for bit, with no scatter made.  An LP's
 derivatives never change, so it evaluates them once per solve, as IPOPT
-does for constant Jacobians and Hessians (Waechter & Biegler 2006):
-``evaluate`` calls ``eval_jacobian`` at the solve's first point only,
-keeps those model-unit values for J^T y and for every audit, the one
-``finish`` makes included, and scales one copy for K; ``factor`` calls
-``eval_lagrangian_hessian``, whose values are empty, and writes both
-into K at the first iteration only.  Every step stays the one
+does for constant Jacobians and Hessians (Waechter & Biegler 2006).  A
+solve starts with no Jacobian and no Hessian, and one rule covers both:
+a model with curvature evaluates them at every point, an LP only while it
+has none.  So ``evaluate`` calls ``eval_jacobian`` at an LP's first point
+only, and keeps those model-unit values for J^T y and for every audit,
+the one ``finish`` makes included, and one copy scaled for K; ``factor``
+calls ``eval_lagrangian_hessian``, whose values are empty, and writes
+both into K at its first call only.  Every step stays the one
 per-iteration evaluation took, bit for bit.  Once per solve, not once per
 model: the values stay with the solve, like every other value, and each
 solve still enters both evaluations, so a caller that wraps them, as
@@ -93,7 +95,7 @@ perfbench's tracer does, sees every solve evaluate its model (a solve
 that ends at its start point never reaches the Hessian).
 
 Each point is evaluated once, as IPOPT caches its evaluations per iterate
-(Waechter & Biegler 2006).  ``evaluate_point`` computes the model
+(Waechter & Biegler 2006).  ``_evaluate_point`` computes the model
 variables x in model units, the rows, the internal residual with its l1
 and max-norms and the barrier terms at z: the bound gaps, obj . z and
 the lower and upper log sums.  The start point is evaluated once per
@@ -109,27 +111,26 @@ search keeps the point and its evaluation.
 multiplied by D (see below), and from it the solver's own residuals: the
 primal-dual stationarity and the complementarity of the gaps, divided by
 one plus the largest internal dual.  ``update_barrier`` reuses all of
-them; it reads the barrier error max |gap v - mu| at each trial mu from
-the least and the largest product alone (``_largest_distance``), and
-keeps mu / gap for the dual step, as ``factor`` keeps v / gap.  The
-independent audit, ``_Auditor``, runs only when both are
-within ``_GATE`` times tol, as IPOPT tests termination on the residuals it
-already holds (Waechter & Biegler 2006); only an audited iteration may end
-optimal, so every optimal result passes ``kkt_check`` by construction.
+them; it takes the barrier error max |gap v - mu| at each trial mu in
+one pass over the products gap v that ``evaluate`` keeps, and keeps mu /
+gap for the dual step, as ``factor`` keeps v / gap.  The independent
+audit, ``_Auditor``, runs only when both are within ``_GATE`` times tol,
+as IPOPT tests termination on the residuals it already holds (Waechter &
+Biegler 2006); only an audited iteration may end optimal, so every
+optimal result passes ``kkt_check`` by construction.
 On the benchmark workloads the gate opens on about 8% of evaluations.
 
 One rule ends a solve of any model, LP, QCQP or NLP, as infeasible, on
 one path whether the iteration was audited or not: the internal duals it
 already holds, in objective units, 1 + max(max |y|, max v) / obj_scale,
 pass ``_DUAL_BLOWUP`` while the raw violation (``_Auditor.feasibility``)
-exceeds tol.  An audited iteration reads the violation from its report;
-any other computes it only once the duals pass the threshold.  Each
-model-unit dual is an internal one divided by obj_scale, a bound dual
-also by its d >= 1, so the measure is never below the audit's divisor
-(``_Auditor.denominator``, one plus the largest model-unit dual).  That
-divisor only scales the audit's residuals: a change to it moves no
-label.  A solve that ends other than optimal is audited at the point it
-returns.
+exceeds tol.  Audited or not, the iteration computes the violation only
+once the duals pass the threshold.  Each model-unit dual is an internal
+one divided by obj_scale, a bound dual also by its d >= 1, so the measure
+is never below the audit's divisor (``_Auditor.denominator``, one plus
+the largest model-unit dual).  That divisor only scales the audit's
+residuals: a change to it moves no label.  A solve that ends other than
+optimal is audited at the point it returns.
 
 Inequality rows are converted to equalities with range-bounded slacks at
 intake, and variables fixed through equal bounds become free variables
@@ -377,18 +378,20 @@ def kkt_check(m: ModelIR, result: SolveResult) -> KktReport:
     """Audit a solve result by recomputing the scaled KKT residuals.
 
     Uses only the public model evaluations and the primal/dual vectors in
-    the result, independently of the solver's internal state.
+    the result, independently of the solver's internal state.  Raises
+    ValueError unless y has one entry per model row and zl and zu one per
+    variable.
     """
     m.finalize()
     x = np.asarray(result.x, dtype=float)
-    return _Auditor(m)(
-        x,
-        np.asarray(result.y, dtype=float),
-        np.asarray(result.zl, dtype=float),
-        np.asarray(result.zu, dtype=float),
-        m.eval_raw_rows(x),
-        eval_jacobian(m, x),
-    )
+    duals = []
+    for name, size in (("y", m.nrows), ("zl", m.nvars), ("zu", m.nvars)):
+        dual = np.asarray(getattr(result, name), dtype=float)
+        if dual.shape != (size,):
+            raise ValueError(f"{name} has shape {dual.shape}, the model "
+                             f"needs {(size,)}")
+        duals.append(dual)
+    return _Auditor(m)(x, *duals, m.eval_raw_rows(x), eval_jacobian(m, x))
 
 
 def _read_only(obj):
@@ -473,9 +476,7 @@ class _Intake:
     def residual(self, z, raw):
         res = raw - self.eq_rhs
         res[self.ineq] -= z[self.nx:]
-        if self.n_fix:
-            res = np.concatenate([res, z[self.fixed_idx] - self.fix_vals])
-        return res
+        return np.concatenate([res, z[self.fixed_idx] - self.fix_vals])
 
     def jac_t(self, jac, y):
         """J^T y for the internal Jacobian, from the model Jacobian's values
@@ -502,10 +503,9 @@ class _Intake:
         zu[self.ib[self.nlo:]] = v[self.nlo:]
         zl = zl[:self.nx] / obj_scale / self.d
         zu = zu[:self.nx] / obj_scale / self.d
-        if self.n_fix:
-            y_fix = y_int[self.nrows:] / obj_scale
-            zl[self.fixed_idx] = np.maximum(-y_fix, 0.0)
-            zu[self.fixed_idx] = np.maximum(y_fix, 0.0)
+        y_fix = y_int[self.nrows:] / obj_scale
+        zl[self.fixed_idx] = np.maximum(-y_fix, 0.0)
+        zu[self.fixed_idx] = np.maximum(y_fix, 0.0)
         return y, zl, zu
 
 
@@ -726,18 +726,6 @@ def _max_step(gap, dgap):
     return max(float(ratio.min(initial=1.0)), 0.0)
 
 
-def _largest_distance(extremes, mu):
-    """max |g - mu| over the entries of an array g, from extremes, its
-    (least, largest) entries, or 0.0 when g is empty (extremes None).
-    Rounding is monotone and symmetric: fl(g - mu) grows with g, and
-    fl(mu - g) = -fl(g - mu), so the largest distance is at the least or
-    the largest entry, bit for bit."""
-    if extremes is None:
-        return 0.0
-    least, largest = extremes
-    return max(largest - mu, mu - least)
-
-
 def _dual_step(mu_gap, v_gap, v, dgap):
     """Bound-multiplier Newton step dv = mu/gap - v - (v/gap) dgap for the
     gap step dgap, from mu_gap = mu/gap and v_gap = v/gap, and the largest
@@ -824,8 +812,8 @@ class _Solve:
         self.audit, self.is_lp = structure.audit, structure.is_lp
         self.obj_scale, self.obj_lin = structure.obj_scale, structure.obj_lin
         self.kkt = _Kkt(structure.kkt)
-        # an LP's Jacobian is evaluated once per solve (``evaluate``)
-        self.jac_constant = False
+        # the derivatives' values; an LP's are evaluated once per solve
+        self.jac_model = self.hess = None
 
         self.mu = _MU_INIT
         # barrier floor in internal units so the true-unit duality gap can
@@ -879,10 +867,6 @@ class _Solve:
             del factored, factor
         return self.finish(SolveStatus.ITERATION_LIMIT)
 
-    def evaluate_point(self, z):
-        """The rows, the internal residual and the barrier terms at z."""
-        return _evaluate_point(self.m, self.intake, self.obj_lin, z)
-
     def evaluate(self):
         """Jacobian and the solver's own residuals at the current point,
         from the rows, residual and gaps carried in ``self.point``, and the
@@ -891,19 +875,18 @@ class _Solve:
         m, intake, tol = self.m, self.intake, self.opts.tol
         y, v, point = self.y, self.v, self.point
         x, raw, self.h_inf = point.x, point.raw, point.h_inf
-        if not self.jac_constant:
+        if self.jac_model is None or not self.is_lp:
             # the Jacobian's values on the model's pattern in model units,
-            # and with its columns scaled to x' for K
+            # and with its columns scaled to x' for K; an LP's rows are
+            # linear: its first Jacobian is every one
             self.jac_model = eval_jacobian(m, x)
             self.jac = self.jac_model * intake.jac_d
-            # an LP's rows are linear: its first Jacobian is every one
-            self.jac_constant = self.is_lp
         jac = self.jac_model
 
         # the internal residuals, all independent of mu: the stationarity
         # in the primal-dual form, which is what the Newton step drives to
-        # zero, and the complementarity of the gaps, whose least and
-        # largest products update_barrier reads too
+        # zero, and the complementarity of the gaps, whose products
+        # update_barrier reads too
         dual_int = max(float(np.abs(y).max(initial=0.0)),
                        float(v.max(initial=0.0)))
         denom = self.denom_int = 1.0 + dual_int
@@ -911,12 +894,8 @@ class _Solve:
         self.stat_pd = float(np.abs(
             intake.add_bound_terms(self.obj_lin + self.jty, v)
         ).max()) / denom
-        if len(v):
-            gv = point.gap * v
-            self.gv_extremes = float(gv.min()), float(gv.max())
-            compl = self.gv_extremes[1] / denom
-        else:
-            self.gv_extremes, compl = None, 0.0
+        self.gv = point.gap * v
+        compl = float(self.gv.max(initial=0.0)) / denom
 
         # the independent audit is the final word on optimality, and runs
         # only once the internal residuals say the point is close
@@ -932,11 +911,10 @@ class _Solve:
                 and report.raw_feasibility <= tol):
             return SolveStatus.OPTIMAL
         # dual blow-up at an infeasible point, on any model (see
-        # _DUAL_BLOWUP); unaudited, the violation is computed only once the
-        # duals pass the threshold
+        # _DUAL_BLOWUP); the violation is computed only once the duals pass
+        # the threshold
         blown = (1.0 + dual_int / self.obj_scale > _DUAL_BLOWUP
-                 and (report.raw_feasibility if report is not None
-                      else self.audit.feasibility(x, raw)) > tol)
+                 and self.audit.feasibility(x, raw) > tol)
         return SolveStatus.INFEASIBLE if blown else None
 
     def update_barrier(self):
@@ -945,9 +923,9 @@ class _Solve:
         right-hand side's primal part at the new mu."""
         mu, denom_int = self.mu, self.denom_int
         # barrier-KKT error of the mu-subproblem, from evaluate's residuals
-        # and the extremes of the gap-multiplier products
+        # and the gap-multiplier products
         for _ in range(8):
-            compl_mu = _largest_distance(self.gv_extremes, mu) / denom_int
+            compl_mu = float(np.abs(self.gv - mu).max(initial=0.0)) / denom_int
             e_mu = max(self.stat_pd, self.h_inf / denom_int, compl_mu)
             if not (e_mu <= _KAPPA_EPS * mu and mu > self.mu_min):
                 break
@@ -965,7 +943,7 @@ class _Solve:
         pivot threshold: returns (factor, step, delta_w, corrections), or
         None once delta_w passes its cap."""
         m, intake, kkt = self.m, self.intake, self.kkt
-        if it == 0 or not self.is_lp:
+        if self.hess is None or not self.is_lp:
             # the Hessian's values scaled for K, and K's derivatives; an
             # LP's are constant: set at a solve's first factorization only
             self.hess = eval_lagrangian_hessian(m, self.point.x,
@@ -1025,7 +1003,7 @@ class _Solve:
 
     def merit(self, z):
         """(l1 exact-penalty merit at z, the evaluation of z)."""
-        point = self.evaluate_point(z)
+        point = _evaluate_point(self.m, self.intake, self.obj_lin, z)
         return (_barrier_value(point.terms, self.mu)
                 + self.nu * point.h_l1, point)
 
@@ -1102,7 +1080,7 @@ class _Solve:
         if status is SolveStatus.OPTIMAL:
             report = self.report
         else:
-            jac = self.jac_model if self.jac_constant else eval_jacobian(m, x)
+            jac = self.jac_model if self.is_lp else eval_jacobian(m, x)
             report = self.audit(x, y, zl, zu, m.eval_raw_rows(x), jac)
         return SolveResult(
             status=status,

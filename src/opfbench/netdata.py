@@ -210,9 +210,19 @@ def parse_gencost_row(values, line=None):
 
 
 def _scan_tables(text: str):
-    """Extract mpc.* scalars and matrix tables with row line numbers."""
+    """Extract mpc.* scalars and matrix tables with row line numbers.  A
+    table or numeric scalar defined twice is an error."""
     scalars: dict[str, tuple[float, int]] = {}
     tables: dict[str, list[tuple[list[float], int]]] = {}
+    defined: dict[str, int] = {}  # line of each table's or scalar's opener
+
+    def define(name, lineno):
+        if name in defined:
+            raise CaseParseError(
+                f"mpc.{name} is defined again (first at line "
+                f"{defined[name]})", line=lineno)
+        defined[name] = lineno
+
     current: str | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("%", 1)[0].strip()
@@ -222,6 +232,7 @@ def _scan_tables(text: str):
             m = re.match(r"mpc\.(\w+)\s*=\s*\[(.*)$", line)
             if m:
                 name, rest = m.group(1), m.group(2)
+                define(name, lineno)
                 tables[name] = []
                 current, opened = name, lineno
                 line = rest.strip()
@@ -232,11 +243,12 @@ def _scan_tables(text: str):
                 m = re.match(r"mpc\.(\w+)\s*=\s*([^;\[]+);?\s*$", line)
                 if m:
                     name, value = m.group(1), m.group(2).strip()
-                    value = value.strip("'\"")
                     try:
-                        scalars[name] = (float(value), lineno)
+                        number = float(value)
                     except ValueError:
-                        pass  # string fields like version are ignored
+                        continue  # quoted fields like version are ignored
+                    define(name, lineno)
+                    scalars[name] = (number, lineno)
                 continue
         # inside a table body (possibly same line as the opener)
         closing = False

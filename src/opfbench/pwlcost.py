@@ -198,27 +198,30 @@ def preprocess(curve, pmin: float, pmax: float) -> PwlCurve:
     return out
 
 
+def _domain_powers(curve: PwlCurve, x: float):
+    """The curve's powers; raises CostDomainError unless x lies within
+    [first power, last power]."""
+    powers = curve.powers
+    if x < powers[0] or x > powers[-1]:
+        raise CostDomainError(
+            f"x={x} outside curve domain [{powers[0]}, {powers[-1]}]"
+        )
+    return powers
+
+
 def evaluate(curve: PwlCurve, x: float) -> float:
     """Cost at x via the max over segment lines.
 
     Equals linear interpolation between the bracketing breakpoints for a
     convex curve.  x must lie within [first power, last power].
     """
-    powers = curve.powers
-    if x < powers[0] or x > powers[-1]:
-        raise CostDomainError(
-            f"x={x} outside curve domain [{powers[0]}, {powers[-1]}]"
-        )
+    _domain_powers(curve, x)
     return max(s * x + b for s, b in zip(curve.slopes, curve.intercepts))
 
 
 def evaluate_by_interpolation(curve: PwlCurve, x: float) -> float:
     """Cost at x as the 2-sparse convex combination of bracketing breakpoints."""
-    powers = curve.powers
-    if x < powers[0] or x > powers[-1]:
-        raise CostDomainError(
-            f"x={x} outside curve domain [{powers[0]}, {powers[-1]}]"
-        )
+    powers = _domain_powers(curve, x)
     l = bisect.bisect_right(powers, x) - 1
     if l >= len(powers) - 1:
         l = len(powers) - 2
@@ -233,11 +236,7 @@ def evaluate_by_bin_fill(curve: PwlCurve, x: float) -> float:
     First-point cost plus the sum of slope * amount drawn from each segment
     in order; for a convex curve the greedy fill is optimal.
     """
-    powers = curve.powers
-    if x < powers[0] or x > powers[-1]:
-        raise CostDomainError(
-            f"x={x} outside curve domain [{powers[0]}, {powers[-1]}]"
-        )
+    powers = _domain_powers(curve, x)
     total = curve.points[0][1]
     for l, s in enumerate(curve.slopes):
         width = powers[l + 1] - powers[l]
@@ -252,11 +251,7 @@ def evaluate_by_marginal_excess(curve: PwlCurve, x: float) -> float:
     Each interior breakpoint contributes (slope_after - slope_before) times
     the excess of x over that breakpoint.
     """
-    powers = curve.powers
-    if x < powers[0] or x > powers[-1]:
-        raise CostDomainError(
-            f"x={x} outside curve domain [{powers[0]}, {powers[-1]}]"
-        )
+    powers = _domain_powers(curve, x)
     total = curve.slopes[0] * x + curve.intercepts[0]
     for l in range(1, len(curve.slopes)):
         total += (curve.slopes[l] - curve.slopes[l - 1]) * max(

@@ -38,6 +38,14 @@ def test_validate_dangling_reference(tmp_path, capsys):
     assert "dangling-generator-bus" in out
 
 
+def test_validate_repeated_table(tmp_path, capsys):
+    path = tmp_path / "repeated.m"
+    path.write_text(CASE2 + "mpc.bus = [\n];\n")
+    code = main(["validate", str(path)])
+    assert code == 2
+    assert "mpc.bus is defined again" in capsys.readouterr().err
+
+
 def test_preprocess_reports_points(case_paths, capsys):
     code = main(["preprocess", case_paths["case14_mesh"]])
     out = capsys.readouterr().out

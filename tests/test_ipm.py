@@ -716,6 +716,26 @@ class TestKktCheck:
         report = kkt_check(m, result)
         assert report.max_residual <= 1e-12
 
+    @pytest.mark.parametrize("name, change", [
+        ("y", lambda a: np.append(a, 1e9)),
+        ("y", lambda a: a[:-1]),
+        ("zl", lambda a: np.append(a, 0.0)),
+        ("zu", lambda a: a[:-1]),
+        ("y", lambda a: a.reshape(1, -1)),
+    ], ids=["y-longer", "y-shorter", "zl-longer", "zu-shorter", "y-2d"])
+    def test_dual_of_the_wrong_shape_is_rejected(self, name, change):
+        # a y with one extra entry once passed the audit, and a shorter
+        # one reached the sparse kernel before any index check
+        m = build_opf(parse_case(case_text("case9_loop")), PowerFlowKind.DC,
+                      CostKind.LAMBDA)
+        res, _ = solve(m)
+        assert kkt_check(m, res).max_residual <= 1e-6
+        dual = getattr(res, name)
+        bad = change(dual)
+        with pytest.raises(ValueError) as err:
+            kkt_check(m, replace(res, **{name: bad}))
+        assert str(err.value) == (f"{name} has shape {bad.shape}, the model "
+                                  f"needs {dual.shape}")
 
     @pytest.mark.parametrize("pf", [PowerFlowKind.AC, PowerFlowKind.DC])
     def test_iteration_limit_residual_is_the_returned_points(self, pf):
@@ -805,7 +825,9 @@ class TestCarriedEvaluation:
         seen = {"z": [], "soc": 0}
 
         def checked_evaluate(slv):
-            carried, fresh = slv.point, slv.evaluate_point(slv.z)
+            carried = slv.point
+            fresh = ipm_mod._evaluate_point(slv.m, slv.intake, slv.obj_lin,
+                                            slv.z)
             assert np.array_equal(carried.raw, fresh.raw)
             assert np.array_equal(carried.h, fresh.h)
             assert np.array_equal(carried.gap, fresh.gap)

@@ -148,6 +148,27 @@ def test_rows_without_nan_in_a_column_read_parse(row, bad_row):
     assert len(net.buses) == 2 and len(net.generators) == 1
 
 
+@pytest.mark.parametrize("repeat, first, again", [
+    ("mpc.branch = [\n\t1\t2\t0.02\t0.16\t0.03\t120\t0\t0\t0\t0\t1"
+     "\t-30\t30;\n];\n", 19, 30),
+    ("mpc.baseMVA = 50;\n", 3, 30),
+    ("mpc.baseMVA = [100];\n", 3, 30),
+], ids=["table", "scalar", "scalar-as-table"])
+def test_repeated_definition_rejected(repeat, first, again):
+    # the repeat once replaced the first: 1 branch of 3, or base_mva 50
+    text = case_text("case3_cycle")
+    assert text.count("\n") == 29
+    with pytest.raises(CaseParseError) as err:
+        parse_case(text + repeat)
+    assert err.value.line == again
+    assert f"is defined again (first at line {first})" in str(err.value)
+
+
+def test_repeated_string_scalar_ignored():
+    text = case_text("case3_cycle") + "mpc.version = '3';\n"
+    assert len(parse_case(text).branches) == 3
+
+
 def test_missing_table_rejected():
     text = CASE2.replace("mpc.gencost", "mpc.other")
     with pytest.raises(CaseParseError):

@@ -3,8 +3,6 @@ the formulas they replace, bit for bit, on generated inputs: empty
 arrays, steps that are all nonnegative, zero steps, signed zeros and
 subnormal gaps."""
 
-import math
-
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -114,14 +112,3 @@ def test_dual_update_is_the_clipped_reference(vecs, mu, alpha):
                       kappa * mu / gap)
         new = ipm_mod._dual_update(v, alpha, dv.copy(), mu, gap)
     assert same_bits(new, ref)
-
-
-@PROPERTY
-@given(vectors(GAP), POSITIVE)
-def test_largest_distance_is_the_full_pass(vecs, mu):
-    (g,) = vecs
-    extremes = (float(g.min()), float(g.max())) if len(g) else None
-    reference = float(np.abs(g - mu).max()) if len(g) else 0.0
-    distance = ipm_mod._largest_distance(extremes, mu)
-    assert same_bits(distance, reference)
-    assert math.copysign(1.0, distance) == 1.0
